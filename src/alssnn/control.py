@@ -120,6 +120,52 @@ def _ratio(nums: np.ndarray, dens: np.ndarray) -> tuple[float, float, int]:
     return float(np.mean(vals)), float(np.max(vals)), n_excl
 
 
+def _closed_loop_rollout(model: AlSsnnModel, V: np.ndarray, x0: np.ndarray,
+                         divergence_bound: float):
+    """States x(0..N), g's hidden activations t_g(0..N-1) and the divergence step.
+
+    With u = v - h(Cx), g's pre-activation W_g,x x + W_g,u u + b_g,in equals
+    W_g,x x - (W_g,u W_h,out) t_h + (W_g,u (v - b_h,out) + b_g,in), where
+    t_h = tanh(W_h,in C x + b_h,in); the last term depends only on v and is
+    computed ahead of the loop, as is B v + b_g,out, so
+    x+ = [W_g,out A] [t_g; x] + (B v + b_g,out) and the disturbance
+    omega = W_g,out t_g + b_g,out can be formed from t_g after the loop. Like
+    the open-loop kernel, the run stops at the first x(k) whose squared norm
+    is not <= bound^2 and returns that k (None if there is none); later rows
+    are unspecified.
+    """
+    lin, h, g = model.lin, model.h_net, model.g_net
+    n, N = lin.n_states, V.shape[0]
+    nh, ng = h.n_hidden, g.n_hidden
+    W_x = np.vstack([h.W_in @ lin.C, g.W_in[:, :n]])
+    W_gu = g.W_in[:, n:]
+    W_hg = W_gu @ h.W_out
+    c = np.empty((N, nh + ng))
+    c[:, :nh] = h.b_in
+    c[:, nh:] = (V - h.b_out) @ W_gu.T + g.b_in
+    M = np.hstack([g.W_out, lin.A])
+    D = V @ lin.B.T + g.b_out
+    xs = np.empty((N + 1, n))
+    T = np.empty((N, ng))
+    xs[0] = x0
+    z = np.empty(ng + n)
+    t_g, x = z[:ng], z[ng:]
+    x[:] = x0
+    bound2 = divergence_bound * divergence_bound
+    dot, add, subtract, tanh = np.dot, np.add, np.subtract, np.tanh
+    for k in range(N):
+        if not dot(x, x) <= bound2:
+            return xs, T, k
+        pre = add(dot(W_x, x), c[k])
+        tanh(subtract(pre[nh:], dot(W_hg, tanh(pre[:nh]))), out=t_g)
+        add(dot(M, z), D[k], out=x)
+        xs[k + 1] = x
+        T[k] = t_g
+    if not dot(x, x) <= bound2:
+        return xs, T, N
+    return xs, T, None
+
+
 def simulate_closed_loop(model: AlSsnnModel, v_seq: np.ndarray,
                          x0: np.ndarray | None = None,
                          divergence_bound: float = DIVERGENCE_BOUND) -> ClosedLoopRecord:
@@ -128,7 +174,7 @@ def simulate_closed_loop(model: AlSsnnModel, v_seq: np.ndarray,
         raise DataError("closed-loop simulation requires the h/g-split model family")
     lin = model.lin
     A, B, C = lin.A, lin.B, lin.C
-    n, m, p = lin.n_states, lin.n_inputs, lin.n_outputs
+    n, m = lin.n_states, lin.n_inputs
     V = np.asarray(v_seq, dtype=float)
     if V.ndim == 1:
         V = V.reshape(-1, 1)
@@ -139,47 +185,27 @@ def simulate_closed_loop(model: AlSsnnModel, v_seq: np.ndarray,
     if x.shape != (n,):
         raise DataError(f"x0 has shape {x.shape}, expected ({n},)")
 
-    xs = np.empty((N + 1, n))
-    ys = np.empty((N, p))
-    omegas = np.empty((N, n))
-    lin_norms = np.empty(N)
-    xs[0] = x
-    diverged = False
-    diverged_at = None
-    steps = N
-    for k in range(N):
-        if np.linalg.norm(x) > divergence_bound:
-            diverged, diverged_at, steps = True, k, k
-            break
-        y = C @ x
-        ys[k] = y
-        u = linearizing_input(model, V[k], y)
-        omega = mlp_forward(model.g_net, np.concatenate([x, u]))
-        omegas[k] = omega
-        lin_part = A @ x + B @ V[k]
-        lin_norms[k] = np.linalg.norm(lin_part)
-        x = lin_part + omega
-        xs[k + 1] = x
-    else:
-        if np.linalg.norm(x) > divergence_bound:
-            diverged, diverged_at = True, N
-
-    omega_norms = np.linalg.norm(omegas[:steps], axis=1) if steps else np.empty(0)
+    xs, T, k = _closed_loop_rollout(model, V, x, divergence_bound)
+    steps = N if k is None else min(k, N)
+    X = xs[:steps]
+    omegas = T[:steps] @ model.g_net.W_out.T + model.g_net.b_out
+    lin_norms = np.linalg.norm(X @ A.T + V[:steps] @ B.T, axis=1)
+    omega_norms = np.linalg.norm(omegas, axis=1)
     if steps:
-        mean, mx, n_excl = _ratio(omega_norms, lin_norms[:steps])
+        mean, mx, n_excl = _ratio(omega_norms, lin_norms)
     else:
         mean, mx, n_excl = 0.0, 0.0, 0
     return ClosedLoopRecord(
         x=xs[: steps + 1].copy(),
-        y=ys[:steps].copy(),
+        y=X @ C.T,
         v=V[:steps].copy(),
-        omega=omegas[:steps].copy(),
-        lin_norm=lin_norms[:steps].copy(),
+        omega=omegas,
+        lin_norm=lin_norms,
         omega_ratio_mean=mean,
         omega_ratio_max=mx,
         n_excluded=n_excl,
-        diverged=diverged,
-        diverged_at=diverged_at,
+        diverged=k is not None,
+        diverged_at=k,
     )
 
 

@@ -197,14 +197,37 @@ def ho_kalman(markov: list[np.ndarray], n: int) -> LinearSS:
     return LinearSS(A=A, B=B, C=C)
 
 
+def _lti_rollout(A: np.ndarray, D: np.ndarray, x0: np.ndarray,
+                 divergence_bound: float | None = None) -> tuple[np.ndarray, int | None]:
+    """States x(0..N) of x(k+1) = A x(k) + D[k], with no per-step validation.
+
+    D holds the whole input term ahead of time (D[k] = B u(k) for a plain
+    free run), so each step is one matvec and one add. The state may be a
+    vector or, without a bound, an n x r block of r runs sharing A. With a
+    bound, the run stops at the first x(k) whose squared norm is not
+    <= bound^2 (so NaN and inf count as divergence) and returns that k;
+    states after it are unspecified. Otherwise the second value is None.
+    """
+    N = D.shape[0]
+    xs = np.empty((N + 1,) + np.shape(x0))
+    xs[0] = x0
+    x = xs[0].copy()
+    bound2 = None if divergence_bound is None else divergence_bound * divergence_bound
+    dot, add = np.dot, np.add
+    for k in range(N):
+        if bound2 is not None and not dot(x, x) <= bound2:
+            return xs, k
+        add(dot(A, x), D[k], out=x)
+        xs[k + 1] = x
+    if bound2 is not None and not dot(x, x) <= bound2:
+        return xs, N
+    return xs, None
+
+
 def _free_run_output(lin: LinearSS, u: np.ndarray) -> np.ndarray:
-    """Free-run output from x(0) = 0 (local loop; models.simulate lives downstream)."""
-    x = np.zeros(lin.n_states)
-    Y = np.empty((u.shape[0], lin.n_outputs))
-    for k in range(u.shape[0]):
-        Y[k] = lin.C @ x
-        x = lin.A @ x + lin.B @ u[k]
-    return Y
+    """Free-run output from x(0) = 0 (local kernel; models.simulate lives downstream)."""
+    xs, _ = _lti_rollout(lin.A, u @ lin.B.T, np.zeros(lin.n_states))
+    return xs[:-1] @ lin.C.T
 
 
 def _is_output_blind(lin: LinearSS, ds: Dataset) -> bool:
@@ -225,15 +248,15 @@ def _autocovariances(y: np.ndarray, count: int) -> list[np.ndarray]:
 
 
 def _fit_input_matrix(A: np.ndarray, C: np.ndarray, ds: Dataset) -> np.ndarray:
-    """Least-squares B for fixed (A, C): the free-run output is linear in B."""
-    n, m = A.shape[0], ds.u.shape[1]
-    cols = []
-    for i in range(n):
-        for j in range(m):
-            E = np.zeros((n, m))
-            E[i, j] = 1.0
-            cols.append(_free_run_output(LinearSS(A=A, B=E, C=C), ds.u).ravel())
-    M = np.stack(cols, axis=1)
+    """Least-squares B for fixed (A, C): the free-run output is linear in B.
+
+    The n*m unit-B free runs (B = e_i e_j', column i*m + j) run as one run on
+    an n x (n*m) state block, whose input term for column (i, j) is e_i u_j(k).
+    """
+    n, (N, m) = A.shape[0], ds.u.shape
+    D = np.einsum("ai,kj->kaij", np.eye(n), ds.u).reshape(N, n, n * m)
+    xs, _ = _lti_rollout(A, D, np.zeros((n, n * m)))
+    M = np.matmul(C, xs[:N]).reshape(N * C.shape[0], n * m)
     coef, *_ = np.linalg.lstsq(M, ds.y.ravel(), rcond=None)
     return coef.reshape(n, m)
 

@@ -20,7 +20,7 @@ from typing import Union
 import numpy as np
 
 from .errors import DataError
-from .linear_id import LinearSS
+from .linear_id import LinearSS, _lti_rollout
 from .nets import Equilibrium, Mlp, mlp_forward
 
 __all__ = [
@@ -149,15 +149,64 @@ def gr_step(model: GrSsnnModel, x: np.ndarray, u: np.ndarray) -> np.ndarray:
     return lin.A @ x + lin.B @ u + f
 
 
-def _step_fn(model: AnyModel):
-    if isinstance(model, AlSsnnModel):
-        return lambda x, u: al_step(model, x, u)
-    if isinstance(model, GrSsnnModel):
-        return lambda x, u: gr_step(model, x, u)
+def _rollout(W_hid: np.ndarray, c: np.ndarray, M: np.ndarray, D: np.ndarray,
+             x0: np.ndarray, divergence_bound: float) -> tuple[np.ndarray, int | None]:
+    """States x(0..N) of  x(k+1) = M [t(k); x(k)] + D[k],  t(k) = tanh(W_hid x(k) + c[k]).
+
+    Everything that depends only on the input is in c (hidden pre-activation)
+    and D (state update), so a step is two matvecs, one tanh and one
+    divergence check, with no per-step validation. The run stops at the first
+    x(k) whose squared norm is not <= bound^2, so NaN and inf count as
+    divergence, and returns that k (states after it are unspecified);
+    otherwise the second value is None.
+    """
+    N, H = c.shape
+    xs = np.empty((N + 1, x0.shape[0]))
+    xs[0] = x0
+    z = np.empty(H + x0.shape[0])
+    t, x = z[:H], z[H:]
+    x[:] = x0
+    bound2 = divergence_bound * divergence_bound
+    dot, add, tanh = np.dot, np.add, np.tanh
+    for k in range(N):
+        if not dot(x, x) <= bound2:
+            return xs, k
+        tanh(add(dot(W_hid, x), c[k]), out=t)
+        add(dot(M, z), D[k], out=x)
+        xs[k + 1] = x
+    if not dot(x, x) <= bound2:
+        return xs, N
+    return xs, None
+
+
+def _model_rollout(model: AnyModel, U: np.ndarray, x0: np.ndarray,
+                   divergence_bound: float) -> tuple[np.ndarray, int | None]:
+    """Free-run states of any model family through the lean kernels.
+
+    AL folds h's input layer through C and B through h's output layer:
+    with y = Cx, B(u + h(y)) + g(x, u) is B u + B b_h + b_g plus
+    [B W_h,out, W_g,out] tanh([W_h,in C; W_g,x] x + [b_h,in; W_g,u u + b_g,in]).
+    GR is the same with the single f net; LTI has no hidden layer.
+    """
     if isinstance(model, LinearSS):
-        A, B = model.A, model.B
-        return lambda x, u: A @ x + B @ u
-    raise DataError(f"unsupported model type {type(model).__name__}")
+        return _lti_rollout(model.A, U @ model.B.T, x0, divergence_bound)
+    lin = model.lin
+    n = lin.n_states
+    if isinstance(model, AlSsnnModel):
+        h, g = model.h_net, model.g_net
+        W_hid = np.vstack([h.W_in @ lin.C, g.W_in[:, :n]])
+        c = np.empty((U.shape[0], h.n_hidden + g.n_hidden))
+        c[:, : h.n_hidden] = h.b_in
+        c[:, h.n_hidden :] = U @ g.W_in[:, n:].T + g.b_in
+        M = np.hstack([lin.B @ h.W_out, g.W_out, lin.A])
+        D = U @ lin.B.T + (lin.B @ h.b_out + g.b_out)
+    else:
+        f = model.f_net
+        W_hid = f.W_in[:, :n]
+        c = U @ f.W_in[:, n:].T + f.b_in
+        M = np.hstack([f.W_out, lin.A])
+        D = U @ lin.B.T + f.b_out
+    return _rollout(W_hid, c, M, D, x0, divergence_bound)
 
 
 def simulate(model: AnyModel, u_seq: np.ndarray, x0: np.ndarray | None = None,
@@ -166,11 +215,13 @@ def simulate(model: AnyModel, u_seq: np.ndarray, x0: np.ndarray | None = None,
 
     y(k) = C x(k) is the output before the state update, so the input
     nonlinearity sees the current output. If the state norm ever exceeds
-    the bound the trajectory is truncated and flagged instead of
-    propagating overflow.
+    the bound, or the state stops being finite, the trajectory is truncated
+    and flagged instead of propagating overflow.
     """
+    if not isinstance(model, (AlSsnnModel, GrSsnnModel, LinearSS)):
+        raise DataError(f"unsupported model type {type(model).__name__}")
     lin = _lin_of(model)
-    n, m, p = lin.n_states, lin.n_inputs, lin.n_outputs
+    n, m = lin.n_states, lin.n_inputs
     U = np.asarray(u_seq, dtype=float)
     if U.ndim == 1:
         U = U.reshape(-1, 1)
@@ -180,22 +231,13 @@ def simulate(model: AnyModel, u_seq: np.ndarray, x0: np.ndarray | None = None,
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).reshape(-1)
     if x.shape != (n,):
         raise DataError(f"x0 has shape {x.shape}, expected ({n},)")
-    step = _step_fn(model)
-    xs = np.empty((N + 1, n))
-    ys = np.empty((N, p))
-    xs[0] = x
-    for k in range(N):
-        if np.linalg.norm(x) > divergence_bound:
-            return Trajectory(
-                x=xs[: k + 1].copy(), y=ys[:k].copy(), diverged=True, diverged_at=k
-            )
-        ys[k] = lin.C @ x
-        x = step(x, U[k])
-        xs[k + 1] = x
-    if np.linalg.norm(x) > divergence_bound:
-        return Trajectory(x=xs[:N].copy(), y=ys[: N - 1].copy(), diverged=True,
-                          diverged_at=N)
-    return Trajectory(x=xs, y=ys)
+    xs, k = _model_rollout(model, U, x, divergence_bound)
+    if k is None:
+        return Trajectory(x=xs, y=xs[:N] @ lin.C.T)
+    # a bad final state drops the last output too, as x(N) has no output slot
+    keep = k + 1 if k < N else N
+    return Trajectory(x=xs[:keep].copy(), y=xs[: keep - 1] @ lin.C.T,
+                      diverged=True, diverged_at=k)
 
 
 # --- JSON persistence -------------------------------------------------------
@@ -210,16 +252,30 @@ def _net_to_json(net: Mlp) -> dict:
     }
 
 
+def _field_array(value, what: str, shape: tuple) -> np.ndarray:
+    """Field `what` as a float array of the given shape, or a DataError naming it."""
+    try:
+        arr = np.array(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"model file: field {what!r} is not a numeric array: {exc}") from exc
+    if -1 not in shape and arr.size != int(np.prod(shape)):
+        raise DataError(
+            f"model file: field {what!r} has {arr.size} entries, dims need shape {shape}"
+        )
+    return arr.reshape(shape)
+
+
 def _net_from_json(obj: dict, what: str, d_in: int, d_out: int) -> Mlp:
     for key in ("w_in", "b_in", "w_out", "b_out"):
         if key not in obj:
             raise DataError(f"model file: {what} is missing field {key!r}")
-    n_hidden = len(obj["b_in"])
+    b_in = _field_array(obj["b_in"], f"{what}.b_in", (-1,))
+    n_hidden = b_in.shape[0]
     return Mlp(
-        W_in=np.array(obj["w_in"], dtype=float).reshape(n_hidden, d_in),
-        b_in=np.array(obj["b_in"], dtype=float).reshape(n_hidden),
-        W_out=np.array(obj["w_out"], dtype=float).reshape(d_out, n_hidden),
-        b_out=np.array(obj["b_out"], dtype=float).reshape(d_out),
+        W_in=_field_array(obj["w_in"], f"{what}.w_in", (n_hidden, d_in)),
+        b_in=b_in,
+        W_out=_field_array(obj["w_out"], f"{what}.w_out", (d_out, n_hidden)),
+        b_out=_field_array(obj["b_out"], f"{what}.b_out", (d_out,)),
         activation=obj.get("activation", "tanh"),
     )
 
@@ -258,6 +314,8 @@ def model_to_json_dict(model: AnyModel) -> dict:
 
 
 def model_from_json_dict(obj: dict) -> AnyModel:
+    if not isinstance(obj, dict):
+        raise DataError("model file: top level must be a JSON object")
     family = obj.get("family")
     if family not in ("al-ssnn", "gr-ssnn", "lti"):
         raise DataError(f"model file: unknown family tag {family!r}")
@@ -265,15 +323,22 @@ def model_from_json_dict(obj: dict) -> AnyModel:
         if key not in obj:
             raise DataError(f"model file: missing field {key!r}")
     dims = obj["dims"]
-    n = int(dims["n"])
+    if not isinstance(dims, dict):
+        raise DataError("model file: field 'dims' must be an object")
+    for key in ("n", "m", "p"):
+        val = dims.get(key)
+        if isinstance(val, bool) or not isinstance(val, int) or val < 1:
+            raise DataError(
+                f"model file: field 'dims.{key}' must be a positive integer, got {val!r}"
+            )
+    n, m, p = dims["n"], dims["m"], dims["p"]
     lin = LinearSS(
-        A=np.array(obj["A"], dtype=float).reshape(n, n),
-        B=np.array(obj["B"], dtype=float).reshape(n, -1),
-        C=np.array(obj["C"], dtype=float).reshape(-1, n),
+        A=_field_array(obj["A"], "A", (n, n)),
+        B=_field_array(obj["B"], "B", (n, m)),
+        C=_field_array(obj["C"], "C", (p, n)),
     )
     if family == "lti":
         return lin
-    m, p = lin.n_inputs, lin.n_outputs
     if family == "gr-ssnn":
         if "f_net" not in obj:
             raise DataError("model file: gr-ssnn requires field 'f_net'")
@@ -281,9 +346,13 @@ def model_from_json_dict(obj: dict) -> AnyModel:
     for key in ("h_net", "g_net", "equilibrium"):
         if key not in obj:
             raise DataError(f"model file: al-ssnn requires field {key!r}")
+    eq_obj = obj["equilibrium"]
+    for key in ("x_e", "u_e"):
+        if not isinstance(eq_obj, dict) or key not in eq_obj:
+            raise DataError(f"model file: equilibrium is missing field {key!r}")
     eq = Equilibrium(
-        x_e=np.array(obj["equilibrium"]["x_e"], dtype=float),
-        u_e=np.array(obj["equilibrium"]["u_e"], dtype=float),
+        x_e=_field_array(eq_obj["x_e"], "equilibrium.x_e", (n,)),
+        u_e=_field_array(eq_obj["u_e"], "equilibrium.u_e", (m,)),
     )
     return AlSsnnModel(
         lin=lin,

@@ -104,12 +104,17 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class ResidualVector:
-    """Stacked residuals: N*p output errors, then N*n_penalty penalty terms."""
+    """Stacked residuals: N*p output errors, then N*n_penalty penalty terms.
+
+    `states` keeps the free run x(0..N) the residuals came from, so the
+    Jacobian at the same model can reuse it instead of simulating again.
+    """
 
     r: np.ndarray
     n_samples: int
     n_outputs: int
     n_penalty_states: int
+    states: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         want = self.n_samples * (self.n_outputs + self.n_penalty_states)
@@ -306,10 +311,10 @@ def residuals(model: TrainableModel, ds: Dataset, gamma: float = 0.0) -> Residua
         gvals = mlp_forward_batch(model.g_net, Z)
         r = np.concatenate([e.ravel(), np.sqrt(gamma) * gvals.ravel()])
         return ResidualVector(r=r, n_samples=N, n_outputs=lin.n_outputs,
-                              n_penalty_states=lin.n_states)
+                              n_penalty_states=lin.n_states, states=xs)
     r = e.ravel()
     return ResidualVector(r=r, n_samples=N, n_outputs=lin.n_outputs,
-                          n_penalty_states=0)
+                          n_penalty_states=0, states=xs)
 
 
 def loss(model: TrainableModel, ds: Dataset, gamma: float = 0.0) -> float:
@@ -349,13 +354,16 @@ def _tanh_stats(net: Mlp, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def jacobian_bptt(model: TrainableModel, ds: Dataset, gamma: float = 0.0,
-                  layout: ParamLayout | None = None) -> np.ndarray:
+                  layout: ParamLayout | None = None,
+                  states: np.ndarray | None = None) -> np.ndarray:
     """Exact residual Jacobian, shape (N*(p [+ n]), P).
 
     State sensitivities follow S(k+1) = F_x(k) S(k) + F_theta(k) with
     S(0) = 0 (the initial state is fixed, not a parameter); output rows are
     -C S(k) plus the direct C term when C is free, penalty rows are
-    sqrt(gamma) * (dg/dx S(k) + dg/dtheta_g).
+    sqrt(gamma) * (dg/dx S(k) + dg/dtheta_g). `states`, the model's free run
+    on ds.u (at least N rows, e.g. ResidualVector.states), saves simulating
+    it again.
     """
     if layout is None:
         layout = default_layout(
@@ -364,21 +372,27 @@ def jacobian_bptt(model: TrainableModel, ds: Dataset, gamma: float = 0.0,
                 freeze_C=getattr(model, "c_frozen", True), enforce_equilibrium=True
             ),
         )
+    if states is None:
+        states = _free_run_states(model, ds)
+    X = np.asarray(states, dtype=float)[: ds.n_samples]
+    if X.shape != (ds.n_samples, model.lin.n_states):
+        raise DataError(
+            f"states have shape {X.shape}, expected ({ds.n_samples}, {model.lin.n_states})"
+        )
     if isinstance(model, AlSsnnModel):
-        return _jacobian_al(model, ds, gamma, layout)
-    return _jacobian_gr(model, ds, layout)
+        return _jacobian_al(model, ds, gamma, layout, X)
+    return _jacobian_gr(model, ds, layout, X)
 
 
 def _jacobian_al(model: AlSsnnModel, ds: Dataset, gamma: float,
-                 layout: ParamLayout) -> np.ndarray:
+                 layout: ParamLayout, X: np.ndarray) -> np.ndarray:
     lin, h_net, g_net = model.lin, model.h_net, model.g_net
     A, B, C = lin.A, lin.B, lin.C
     n, m, p = lin.n_states, lin.n_inputs, lin.n_outputs
     N = ds.n_samples
     sqrt_g = np.sqrt(gamma)
 
-    xs = _free_run_states(model, ds)
-    X, U = xs[:N], ds.u
+    U = ds.u
     Y = X @ C.T
     Z = np.hstack([X, U])
 
@@ -446,14 +460,14 @@ def _jacobian_al(model: AlSsnnModel, ds: Dataset, gamma: float,
     return np.concatenate([J_out.reshape(N * p, P), J_pen.reshape(N * n, P)], axis=0)
 
 
-def _jacobian_gr(model: GrSsnnModel, ds: Dataset, layout: ParamLayout) -> np.ndarray:
+def _jacobian_gr(model: GrSsnnModel, ds: Dataset, layout: ParamLayout,
+                 X: np.ndarray) -> np.ndarray:
     lin, f_net = model.lin, model.f_net
     A, B, C = lin.A, lin.B, lin.C
     n, m, p = lin.n_states, lin.n_inputs, lin.n_outputs
     N = ds.n_samples
 
-    xs = _free_run_states(model, ds)
-    X, U = xs[:N], ds.u
+    U = ds.u
     Z = np.hstack([X, U])
     tf, sf = _tanh_stats(f_net, Z)
     Fz = (sf[:, None, :] * f_net.W_out[None, :, :]) @ f_net.W_in    # (N, n, n+m)
@@ -493,8 +507,14 @@ def _jacobian_gr(model: GrSsnnModel, ds: Dataset, layout: ParamLayout) -> np.nda
 class LmWorkspace:
     """Cache shared across lm_step calls while the model is unchanged.
 
-    Callers must leave `valid` alone; lm_step refills the cache whenever it
-    is invalid and invalidates it again on an accepted step.
+    Callers must leave `valid` and `accepted` alone; lm_step refills the
+    cache whenever it is invalid and invalidates it again on an accepted
+    step. `accepted` keeps the (model, dataset, gamma, residuals) of the last
+    accepted candidate, so the refill for that model reuses the candidate's
+    free run instead of simulating it again; `loss` still holds the loss of
+    the model the accepted step started from. The counters add up over all
+    calls sharing the workspace: one free run per residual evaluation, one
+    Jacobian per refill and one solve per damped system attempted.
     """
 
     valid: bool = False
@@ -507,6 +527,19 @@ class LmWorkspace:
     last_candidate_loss: float | None = None
     last_candidate_components: tuple[float, float] | None = None
     last_step_norm: float | None = None
+    last_reject_reason: str | None = None
+    free_runs: int = 0
+    jacobians: int = 0
+    solves: int = 0
+    accepted: tuple | None = field(default=None, repr=False)
+
+    def _residuals(self, model, ds: Dataset, gamma: float) -> ResidualVector:
+        """Residuals of `model`, from the cache when it holds this model's."""
+        hit = self.accepted
+        if hit is not None and hit[0] is model and hit[1] is ds and hit[2] == gamma:
+            return hit[3]
+        self.free_runs += 1
+        return residuals(model, ds, gamma)
 
 
 def lm_step(model: TrainableModel, ds: Dataset, config: TrainConfig, lam: float,
@@ -517,14 +550,17 @@ def lm_step(model: TrainableModel, ds: Dataset, config: TrainConfig, lam: float,
     Solves (J'J + lam*diag(J'J)) delta = -J'r, zero diagonal entries replaced
     by 1. Returns (model', lam', accepted); the model is returned unchanged
     on rejection and lam moves by the configured factors. Solve failures and
-    divergent candidates count as rejections.
+    divergent candidates count as rejections; the workspace records why
+    (`last_reject_reason`: solve_failed, non_finite_step, invalid_params,
+    diverged or no_decrease).
     """
     if layout is None:
         layout = default_layout(model, config)
     ws = workspace if workspace is not None else LmWorkspace()
     if not ws.valid:
-        rv = residuals(model, ds, config.gamma)
-        J = jacobian_bptt(model, ds, config.gamma, layout=layout)
+        rv = ws._residuals(model, ds, config.gamma)
+        ws.jacobians += 1
+        J = jacobian_bptt(model, ds, config.gamma, layout=layout, states=rv.states)
         ws.loss = rv.loss_value()
         ws.output_mse, ws.penalty_mse = rv.components()
         ws.JtJ = J.T @ J
@@ -535,35 +571,52 @@ def lm_step(model: TrainableModel, ds: Dataset, config: TrainConfig, lam: float,
     ws.last_candidate_loss = None
     ws.last_candidate_components = None
     ws.last_step_norm = None
+    ws.last_reject_reason = None
+
+    def reject(reason: str):
+        ws.last_reject_reason = reason
+        return model, lam * config.lambda_up, False
 
     damping = np.diag(ws.JtJ).copy()
     damping[damping == 0.0] = 1.0
+    ws.solves += 1
     try:
         delta = np.linalg.solve(ws.JtJ + lam * np.diag(damping), -ws.Jtr)
     except np.linalg.LinAlgError:
-        return model, lam * config.lambda_up, False
+        return reject("solve_failed")
     if not np.all(np.isfinite(delta)):
-        return model, lam * config.lambda_up, False
+        return reject("non_finite_step")
 
     ws.last_step_norm = float(np.linalg.norm(delta))
     try:
         candidate = unpack_params(model, layout, pack_params(model, layout) + delta)
+    except DataError:
+        return reject("invalid_params")
+    ws.free_runs += 1
+    try:
         rv_c = residuals(candidate, ds, config.gamma)
-    except (DataError, DivergenceError):
-        return model, lam * config.lambda_up, False
+    except DivergenceError:
+        return reject("diverged")
+    except DataError:
+        return reject("invalid_params")
     loss_c = rv_c.loss_value()
     ws.last_candidate_loss = loss_c
     ws.last_candidate_components = rv_c.components()
     if loss_c < ws.loss:
         ws.valid = False
+        ws.accepted = (candidate, ds, config.gamma, rv_c)
         return candidate, lam * config.lambda_down, True
-    return model, lam * config.lambda_up, False
+    return reject("no_decrease")
 
 
 # --- training pipelines -----------------------------------------------------
 
 @dataclass
 class TrainReport:
+    """What a training run did. `free_runs`, `jacobians` and `solves` count
+    the LM loop's work, its initial residual included; iteration records
+    carry the step norm and, for a rejected step, the reason."""
+
     family: str
     dims: dict
     config: dict
@@ -577,6 +630,9 @@ class TrainReport:
     n_accepted: int
     stop_reason: str
     iterations: list = field(default_factory=list)
+    free_runs: int = 0
+    jacobians: int = 0
+    solves: int = 0
     wall_time_s: float = 0.0
 
 
@@ -626,7 +682,8 @@ def _run_lm(model: TrainableModel, ds: Dataset, config: TrainConfig,
             layout: ParamLayout):
     ws = LmWorkspace()
     lam = config.lambda0
-    rv0 = residuals(model, ds, config.gamma)
+    rv0 = ws._residuals(model, ds, config.gamma)
+    ws.accepted = (model, ds, config.gamma, rv0)   # the first refill reuses this run
     init_loss = rv0.loss_value()
     cur_loss = init_loss
     cur_out, cur_pen = rv0.components()
@@ -652,6 +709,8 @@ def _run_lm(model: TrainableModel, ds: Dataset, config: TrainConfig,
             "lambda": lam,
             "accepted": accepted,
             "grad_inf": ws.grad_inf,
+            "step_norm": ws.last_step_norm,
+            "reason": ws.last_reject_reason,
         })
         if ws.grad_inf < config.grad_tol:
             stop_reason = "grad_tol"
@@ -674,7 +733,33 @@ def _run_lm(model: TrainableModel, ds: Dataset, config: TrainConfig,
         "records": records,
         "stop_reason": stop_reason,
         "n_accepted": n_accepted,
+        "free_runs": ws.free_runs,
+        "jacobians": ws.jacobians,
+        "solves": ws.solves,
     }
+
+
+def _report(family: str, model: TrainableModel, config: TrainConfig, scaling: dict,
+            stats: dict, t0: float) -> TrainReport:
+    return TrainReport(
+        family=family,
+        dims=model.dims,
+        config=asdict(config),
+        input_scaling=scaling,
+        init_loss=stats["init_loss"],
+        final_loss=stats["final_loss"],
+        final_output_mse=stats["final_output_mse"],
+        final_penalty_mse=stats["final_penalty_mse"],
+        rmse_train=float(np.sqrt(stats["final_output_mse"])),
+        n_iterations=len(stats["records"]),
+        n_accepted=stats["n_accepted"],
+        stop_reason=stats["stop_reason"],
+        iterations=stats["records"],
+        free_runs=stats["free_runs"],
+        jacobians=stats["jacobians"],
+        solves=stats["solves"],
+        wall_time_s=time.perf_counter() - t0,
+    )
 
 
 def train(ds_train: Dataset, n: int, config: TrainConfig) -> tuple[AlSsnnModel, TrainReport]:
@@ -709,23 +794,7 @@ def train(ds_train: Dataset, n: int, config: TrainConfig) -> tuple[AlSsnnModel, 
     model, stats = _run_lm(model, ds_train, config, layout)
     if config.enforce_equilibrium:
         model = replace(model, g_net=enforce_equilibrium_zero(model.g_net, model.eq))
-    report = TrainReport(
-        family="al-ssnn",
-        dims=model.dims,
-        config=asdict(config),
-        input_scaling=scaling,
-        init_loss=stats["init_loss"],
-        final_loss=stats["final_loss"],
-        final_output_mse=stats["final_output_mse"],
-        final_penalty_mse=stats["final_penalty_mse"],
-        rmse_train=float(np.sqrt(stats["final_output_mse"])),
-        n_iterations=len(stats["records"]),
-        n_accepted=stats["n_accepted"],
-        stop_reason=stats["stop_reason"],
-        iterations=stats["records"],
-        wall_time_s=time.perf_counter() - t0,
-    )
-    return model, report
+    return model, _report("al-ssnn", model, config, scaling, stats, t0)
 
 
 def train_gr(ds_train: Dataset, n: int, n_f: int,
@@ -745,20 +814,4 @@ def train_gr(ds_train: Dataset, n: int, n_f: int,
     names += [f"f.{s}" for s in _NET_SUFFIXES]
     layout = make_layout(model, names)
     model, stats = _run_lm(model, ds_train, config, layout)
-    report = TrainReport(
-        family="gr-ssnn",
-        dims=model.dims,
-        config=asdict(config),
-        input_scaling=scaling,
-        init_loss=stats["init_loss"],
-        final_loss=stats["final_loss"],
-        final_output_mse=stats["final_output_mse"],
-        final_penalty_mse=stats["final_penalty_mse"],
-        rmse_train=float(np.sqrt(stats["final_output_mse"])),
-        n_iterations=len(stats["records"]),
-        n_accepted=stats["n_accepted"],
-        stop_reason=stats["stop_reason"],
-        iterations=stats["records"],
-        wall_time_s=time.perf_counter() - t0,
-    )
-    return model, report
+    return model, _report("gr-ssnn", model, config, scaling, stats, t0)

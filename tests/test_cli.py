@@ -175,6 +175,24 @@ def test_evaluate_missing_model_exit_2(ws, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("breakage", ["array_not_fitting_dims", "missing_dims_key"])
+def test_evaluate_malformed_model_exit_2(ws, tmp_path, capsys, breakage):
+    obj = read_json(str(ws["lti"]) + ".model.json")
+    if breakage == "array_not_fitting_dims":
+        obj["A"] = [[1, 2]]
+        field = "'A'"
+    else:
+        del obj["dims"]["n"]
+        field = "dims.n"
+    bad = tmp_path / "bad.model.json"
+    bad.write_text(json.dumps(obj))
+    rc = main(["evaluate", "--model", str(bad), "--data", str(ws["wh"]),
+               "-o", str(tmp_path / "x")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and field in err
+
+
 # ---------------------------------------------------------------- closedloop
 
 def test_closedloop_outputs(ws, tmp_path):

@@ -7,7 +7,7 @@ from alssnn.control import (DENOMINATOR_GUARD, estimate_epsilon,
 from alssnn.dataio import Dataset
 from alssnn.errors import DataError, DivergenceError
 from alssnn.linear_id import LinearSS
-from alssnn.models import AlSsnnModel, GrSsnnModel, simulate
+from alssnn.models import AlSsnnModel, GrSsnnModel, al_step, simulate
 from alssnn.nets import Equilibrium, Mlp, mlp_forward
 
 
@@ -106,6 +106,42 @@ def test_closed_loop_divergence_truncates():
     assert rec.diverged_at is not None
     assert rec.x.shape[0] == rec.diverged_at + 1
     assert rec.v.shape[0] == rec.diverged_at
+
+
+def test_closed_loop_kernel_matches_al_step_loop():
+    # wider model (m = p = 2) from a random state: the folded kernel must
+    # track x+ = al_step(x, v - h(Cx)) and keep omega recomputable from x
+    rng = np.random.default_rng(31)
+    n, m, p = 3, 2, 2
+    lin = LinearSS(A=0.5 * np.eye(n) + 0.1 * rng.normal(size=(n, n)),
+                   B=rng.normal(size=(n, m)), C=rng.normal(size=(p, n)))
+    model = AlSsnnModel(lin=lin, h_net=rand_net(p, m, 5, 32, 0.8),
+                        g_net=rand_net(n + m, n, 6, 33, 0.8),
+                        eq=Equilibrium(x_e=np.zeros(n), u_e=np.zeros(m)))
+    V = rng.normal(size=(150, m))
+    x0 = rng.normal(size=n)
+    rec = simulate_closed_loop(model, V, x0=x0)
+    x = x0
+    xs = [x]
+    for k in range(150):
+        x = al_step(model, x, linearizing_input(model, V[k], lin.C @ x))
+        xs.append(x)
+    xs = np.array(xs)
+    assert rec.x.shape == xs.shape and not rec.diverged
+    assert np.max(np.abs(rec.x - xs)) <= 1e-12 * np.max(np.abs(xs))
+    assert np.max(np.abs(rec.y - rec.x[:-1] @ lin.C.T)) <= 1e-12 * np.max(np.abs(rec.y))
+    for k in range(150):
+        u = linearizing_input(model, V[k], rec.y[k])
+        omega = mlp_forward(model.g_net, np.concatenate([rec.x[k], u]))
+        assert np.max(np.abs(rec.omega[k] - omega)) <= 1e-12 * max(1.0, np.max(np.abs(omega)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_closed_loop_non_finite_x0_diverges_at_zero(bad):
+    rec = simulate_closed_loop(al_model(seed=34), np.zeros((10, 1)),
+                               x0=np.array([bad, 0.0]))
+    assert rec.diverged and rec.diverged_at == 0
+    assert rec.x.shape == (1, 2) and rec.v.shape == (0, 1) and rec.omega.shape == (0, 2)
 
 
 def test_closed_loop_rejects_other_families():

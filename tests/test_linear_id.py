@@ -242,3 +242,33 @@ def test_autocovariance_oracle():
     for tau in (1, 2, 3):
         ref = sum(np.outer(yc[k + tau], yc[k]) for k in range(50 - tau)) / 50
         assert np.allclose(lams[tau - 1], ref, atol=1e-12)
+
+
+def test_free_run_output_matches_simulate():
+    from alssnn.linear_id import _free_run_output
+
+    rng = np.random.default_rng(41)
+    lin = LinearSS(A=np.array([[0.6, 0.2, 0.0], [-0.1, 0.5, 0.3], [0.0, 0.1, -0.4]]),
+                   B=rng.normal(size=(3, 2)), C=rng.normal(size=(2, 3)))
+    u = rng.normal(size=(300, 2))
+    ref = simulate(lin, u).y
+    assert np.max(np.abs(_free_run_output(lin, u) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_fit_input_matrix_block_run_matches_unit_runs():
+    # the n*m unit-B free runs, run one by one, span the same least-squares
+    # problem as the single block run
+    from alssnn.linear_id import _fit_input_matrix
+
+    rng = np.random.default_rng(42)
+    A = np.array([[0.7, 0.1], [-0.2, 0.5]])
+    C = np.array([[1.0, 0.5], [0.0, -1.0]])
+    ds = Dataset(u=rng.normal(size=(200, 2)), y=rng.normal(size=(200, 2)))
+    cols = []
+    for i in range(2):
+        for j in range(2):
+            E = np.zeros((2, 2))
+            E[i, j] = 1.0
+            cols.append(simulate(LinearSS(A=A, B=E, C=C), ds.u).y.ravel())
+    coef = np.linalg.lstsq(np.stack(cols, axis=1), ds.y.ravel(), rcond=None)[0]
+    assert np.max(np.abs(_fit_input_matrix(A, C, ds) - coef.reshape(2, 2))) < 1e-12

@@ -178,3 +178,117 @@ def test_from_json_dict_errors():
     del obj["f_net"]
     with pytest.raises(DataError, match="f_net"):
         model_from_json_dict(obj)
+
+
+# --- lean kernel against the reference step maps ------------------------------
+
+def reference_run(step, C, U, x0, bound):
+    """Step-by-step free run with the documented truncation rules."""
+    x = np.asarray(x0, dtype=float)
+    xs, ys = [x], []
+    for k in range(U.shape[0]):
+        if not np.linalg.norm(x) <= bound:
+            return np.array(xs), np.array(ys).reshape(k, C.shape[0]), k
+        ys.append(C @ x)
+        x = step(x, U[k])
+        xs.append(x)
+    if not np.linalg.norm(x) <= bound:
+        return np.array(xs[:-1]), np.array(ys[:-1]).reshape(-1, C.shape[0]), U.shape[0]
+    return np.array(xs), np.array(ys), None
+
+
+def three_families(seed, a_scale=1.0):
+    rng = np.random.default_rng(seed)
+    n, m, p = 3, 2, 2
+    lin = LinearSS(A=a_scale * (0.5 * np.eye(n) + 0.1 * rng.normal(size=(n, n))),
+                   B=rng.normal(size=(n, m)), C=rng.normal(size=(p, n)))
+    def net(d_in, d_out, nh):
+        return Mlp(W_in=rng.normal(size=(nh, d_in)), b_in=rng.normal(size=nh),
+                   W_out=0.3 * rng.normal(size=(d_out, nh)),
+                   b_out=0.3 * rng.normal(size=d_out))
+    al = AlSsnnModel(lin=lin, h_net=net(p, m, 5), g_net=net(n + m, n, 6),
+                     eq=Equilibrium(x_e=np.zeros(n), u_e=np.zeros(m)))
+    gr = GrSsnnModel(lin=lin, f_net=net(n + m, n, 7))
+    return al, gr, lin
+
+
+def family_steppers(seed, a_scale=1.0):
+    al, gr, lin = three_families(seed, a_scale)
+    return [(al, lambda x, u: al_step(al, x, u)),
+            (gr, lambda x, u: gr_step(gr, x, u)),
+            (lin, lambda x, u: lin.A @ x + lin.B @ u)]
+
+
+def test_simulate_kernel_matches_step_maps_from_random_x0():
+    rng = np.random.default_rng(21)
+    U = rng.normal(size=(200, 2))
+    x0 = rng.normal(size=3)
+    for model, step in family_steppers(seed=22):
+        C = model.C if isinstance(model, LinearSS) else model.lin.C
+        xs, ys, k = reference_run(step, C, U, x0, 1e8)
+        traj = simulate(model, U, x0=x0)
+        assert k is None and not traj.diverged and traj.diverged_at is None
+        assert traj.x.shape == xs.shape and traj.y.shape == ys.shape
+        assert np.max(np.abs(traj.x - xs)) <= 1e-12 * np.max(np.abs(xs))
+        assert np.max(np.abs(traj.y - ys)) <= 1e-12 * np.max(np.abs(ys))
+
+
+def test_simulate_kernel_truncates_like_step_maps():
+    rng = np.random.default_rng(23)
+    U = rng.normal(size=(300, 2))
+    x0 = rng.normal(size=3)
+    for model, step in family_steppers(seed=24, a_scale=3.0):
+        C = model.C if isinstance(model, LinearSS) else model.lin.C
+        xs, ys, k = reference_run(step, C, U, x0, 1e4)
+        traj = simulate(model, U, x0=x0, divergence_bound=1e4)
+        assert k is not None and 0 < k < 300
+        assert traj.diverged and traj.diverged_at == k
+        assert traj.x.shape == xs.shape and traj.y.shape == ys.shape
+        assert np.max(np.abs(traj.x - xs)) <= 1e-12 * np.max(np.abs(xs))
+
+
+def test_simulate_divergence_at_final_state_drops_last_output():
+    lin = LinearSS(A=np.array([[2.0]]), B=np.array([[0.0]]), C=np.array([[1.0]]))
+    traj = simulate(lin, np.zeros((4, 1)), x0=np.array([1.0]), divergence_bound=10.0)
+    # x(4) = 16 is the first state past the bound: x(0..3) kept, y(0..2) kept
+    assert traj.diverged and traj.diverged_at == 4
+    assert traj.x.shape == (4, 1) and traj.y.shape == (3, 1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_simulate_non_finite_x0_diverges_at_zero(bad):
+    for model, _ in family_steppers(seed=25):
+        traj = simulate(model, np.ones((10, 2)), x0=np.array([0.0, bad, 0.0]))
+        assert traj.diverged and traj.diverged_at == 0
+        assert traj.x.shape == (1, 3) and traj.y.shape == (0, 2)
+
+
+def test_simulate_non_finite_mid_run_counts_as_divergence():
+    # B u = 1e300*1e10 - 1e300*1e10 = inf - inf: x(1) is NaN, whose norm
+    # compares False against any bound
+    lin = LinearSS(A=np.array([[0.5]]), B=np.array([[1e300, -1e300]]),
+                   C=np.array([[1.0]]))
+    with np.errstate(all="ignore"):
+        traj = simulate(lin, np.full((5, 2), 1e10))
+    assert traj.diverged and traj.diverged_at == 1
+    assert np.all(np.isfinite(traj.y))
+
+
+# --- model file fields ---------------------------------------------------------
+
+def test_from_json_dict_array_not_fitting_dims():
+    obj = model_to_json_dict(LinearSS(A=[[0.5]], B=[[1.0]], C=[[1.0]]))
+    obj["A"] = [[1, 2]]
+    with pytest.raises(DataError, match="'A'"):
+        model_from_json_dict(obj)
+    obj = model_to_json_dict(al_model())
+    obj["g_net"]["w_in"] = [[0.0]]
+    with pytest.raises(DataError, match="g_net.w_in"):
+        model_from_json_dict(obj)
+
+
+def test_from_json_dict_missing_dims_key():
+    obj = model_to_json_dict(gr_model())
+    del obj["dims"]["n"]
+    with pytest.raises(DataError, match="dims.n"):
+        model_from_json_dict(obj)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from alssnn.dataio import Dataset
-from alssnn.errors import DataError
+from alssnn.errors import DataError, DivergenceError
 from alssnn.linear_id import LinearSS
 from alssnn.models import AlSsnnModel, GrSsnnModel, simulate
 from alssnn.nets import Equilibrium, Mlp, mlp_forward, mlp_forward_batch
@@ -315,6 +315,101 @@ def test_lm_workspace_reuse_consistency():
     assert a1 == a2
     if a1:
         assert np.array_equal(pack_params(m1, layout), pack_params(m2, layout))
+
+
+def test_lm_step_reuses_accepted_candidate_states_bit_identically():
+    # after an accepted step the workspace holds the candidate's free run;
+    # the refill from it must equal a fresh workspace's refill bit for bit
+    model = rand_al(seed=18, net_scale=0.1)
+    ds = rand_ds(N=25, seed=18)
+    config = TrainConfig(gamma=0.4)
+    layout = default_layout(model, config)
+    ws = LmWorkspace()
+    lam = 1e-3
+    for _ in range(10):
+        new, lam, accepted = lm_step(model, ds, config, lam, layout=layout, workspace=ws)
+        if accepted:
+            break
+    assert accepted and ws.accepted[0] is new
+    runs_before = ws.free_runs
+    fresh = LmWorkspace()
+    lm_step(new, ds, config, lam, layout=layout, workspace=ws)
+    lm_step(new, ds, config, lam, layout=layout, workspace=fresh)
+    # cached: only the candidate's free run; fresh: the refill's and the candidate's
+    assert ws.free_runs == runs_before + 1
+    assert fresh.free_runs == 2
+    assert np.array_equal(ws.JtJ, fresh.JtJ)
+    assert np.array_equal(ws.Jtr, fresh.Jtr)
+    assert ws.loss == fresh.loss
+
+
+def test_jacobian_from_given_states_equals_own_free_run():
+    model = rand_al(seed=19, net_scale=0.2)
+    ds = rand_ds(N=20, seed=19)
+    rv = residuals(model, ds, 0.7)
+    J = jacobian_bptt(model, ds, 0.7)
+    assert np.array_equal(jacobian_bptt(model, ds, 0.7, states=rv.states), J)
+    with pytest.raises(DataError, match="states"):
+        jacobian_bptt(model, ds, 0.7, states=rv.states[:5])
+
+
+def test_residuals_raise_on_non_finite_free_run():
+    # B u = inf - inf makes x(1) NaN; it must count as divergence rather
+    # than give a NaN loss
+    lin = LinearSS(A=np.array([[0.5]]), B=np.array([[1e300, -1e300]]),
+                   C=np.array([[1.0]]))
+    model = GrSsnnModel(lin=lin, f_net=rand_net(3, 1, 2, 0))
+    ds = Dataset(u=np.full((6, 2), 1e10), y=np.zeros((6, 1)))
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError) as info:
+        residuals(model, ds)
+    assert info.value.step == 1
+
+
+REJECT_REASONS = {"solve_failed", "non_finite_step", "invalid_params", "diverged",
+                  "no_decrease"}
+
+
+def check_counters(report):
+    assert report.free_runs <= report.n_iterations + 1
+    assert report.jacobians <= report.n_accepted + 1
+    assert report.jacobians >= 1 and report.solves >= 1
+    assert report.solves <= report.n_iterations
+    for rec in report.iterations:
+        if rec["accepted"]:
+            assert rec["reason"] is None and rec["step_norm"] > 0
+        else:
+            assert rec["reason"] in REJECT_REASONS
+
+
+def test_report_counters_and_reasons_al_and_gr():
+    ds = linear_ds(N=120, seed=23)
+    ds = Dataset(u=ds.u, y=ds.y + 0.05 * np.tanh(3 * ds.y))
+    _, rep_al = train(ds, 2, TrainConfig(gamma=0.5, max_iters=8, n_h=3, n_g=3))
+    _, rep_gr = train_gr(ds, 2, 3, TrainConfig(max_iters=8))
+    for rep in (rep_al, rep_gr):
+        check_counters(rep)
+        assert 0 < rep.n_accepted < rep.n_iterations  # both branches exercised
+        d = report_to_json_dict(rep)
+        assert (d["free_runs"], d["jacobians"], d["solves"]) == (
+            rep.free_runs, rep.jacobians, rep.solves)
+
+
+def test_lm_step_reject_reasons():
+    model = rand_al(seed=24, net_scale=0.1)
+    ds = rand_ds(N=20, seed=24)
+    config = TrainConfig(gamma=0.5)
+    P = pack_params(model, default_layout(model, config)).size
+    # a filled workspace whose normal equations are NaN: no usable step
+    ws = LmWorkspace(valid=True, loss=1.0, JtJ=np.full((P, P), np.nan), Jtr=np.ones(P))
+    _, _, accepted = lm_step(model, ds, config, 1e-2, workspace=ws)
+    assert not accepted
+    assert ws.last_reject_reason in ("solve_failed", "non_finite_step")
+    assert ws.last_step_norm is None and ws.free_runs == 0 and ws.solves == 1
+    # a zero step cannot strictly decrease the loss
+    ws = LmWorkspace(valid=True, loss=loss(model, ds, 0.5), JtJ=np.eye(P), Jtr=np.zeros(P))
+    _, _, accepted = lm_step(model, ds, config, 1e-2, workspace=ws)
+    assert not accepted and ws.last_reject_reason == "no_decrease"
+    assert ws.last_step_norm == 0.0 and ws.free_runs == 1
 
 
 # --- training pipelines ------------------------------------------------------

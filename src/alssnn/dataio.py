@@ -193,7 +193,9 @@ def load_csv(path, name: str | None = None) -> Dataset:
     """Load a dataset written by :func:`save_csv` (or compatible).
 
     The header must be ``t,u1..um,y1..yp``; dt is inferred from the first
-    two t values. Errors cite the offending 1-based line number.
+    two t values, and every row k must sit at t0 + k*dt up to a relative
+    1e-9 (rounding of the written times). Errors cite the offending 1-based
+    line number.
     """
     try:
         fh = open(path, "r", newline="", encoding="utf-8")
@@ -209,6 +211,7 @@ def load_csv(path, name: str | None = None) -> Dataset:
         m, p = _parse_header(header, path)
         width = 1 + m + p
         t_vals: list[float] = []
+        linenos: list[int] = []
         u_rows: list[list[float]] = []
         y_rows: list[list[float]] = []
         for lineno, row in enumerate(reader, start=2):
@@ -226,19 +229,36 @@ def load_csv(path, name: str | None = None) -> Dataset:
                     f"{path}: line {lineno}: non-numeric cell {bad!r}"
                 ) from None
             t_vals.append(vals[0])
+            linenos.append(lineno)
             u_rows.append(vals[1 : 1 + m])
             y_rows.append(vals[1 + m :])
     if len(t_vals) < 2:
         raise DataError(f"{path}: need at least 2 data rows, got {len(t_vals)}")
     dt = t_vals[1] - t_vals[0]
     if not (math.isfinite(dt) and dt > 0):
-        raise DataError(f"{path}: line 3: non-increasing time column (dt={dt})")
+        raise DataError(
+            f"{path}: line {linenos[1]}: non-increasing time column (dt={dt})"
+        )
+    _check_uniform_time(np.array(t_vals), dt, linenos, path)
     return Dataset(
         u=np.array(u_rows, dtype=float),
         y=np.array(y_rows, dtype=float),
         dt=dt,
         name=name if name is not None else str(path),
     )
+
+
+def _check_uniform_time(t: np.ndarray, dt: float, linenos: list[int], path) -> None:
+    """Raise DataError at the first row off the grid t0 + k*dt."""
+    k = np.arange(t.size)
+    grid = t[0] + k * dt
+    off = ~(np.abs(t - grid) <= 1e-9 * (abs(t[0]) + k * dt))
+    if np.any(off):
+        i = int(np.argmax(off))
+        raise DataError(
+            f"{path}: line {linenos[i]}: time {float(t[i])!r} is off the uniform "
+            f"grid t0 + k*dt = {float(grid[i])!r} (dt={dt!r} from the first two rows)"
+        )
 
 
 def _parse_header(header: list[str], path) -> tuple[int, int]:

@@ -9,12 +9,19 @@ which implies V(x) = x'Px satisfies dV < -phi*V + psi*||omega||^2 for every
 (x, omega). With ||omega|| <= epsilon the state then enters and stays near
 the ball {x : x'Px <= psi*epsilon^2/phi}.
 
-Feasible triples come from a deterministic search: P solves the discrete
-Lyapunov equation A'PA - P = -Q for a small family of Q's, (phi, psi) range
-over log grids, every candidate is verified by eigendecomposition, and the
-winning psi is tightened by bisection. The LMI is tiny (2n x 2n), so this
-replaces a semidefinite-programming dependency without losing rigor: nothing
-is reported that verify() does not independently confirm.
+Feasible triples come from a deterministic search. P solves the discrete
+Lyapunov equation A'PA - P = -Q for a small family of Q's, and phi and psi
+range over log grids. At each (P, phi) only the smallest feasible grid psi
+can win, and the Schur complement locates it without scanning: with
+X = A'PA + (phi-1)P, the block passes the tolerance test lambda_max < -tol
+exactly when X + tol*I is negative definite and
+psi > tol + lambda_max(P - PA (X + tol*I)^-1 A'P) (Boyd et al., LMIs in
+System and Control Theory, 1994). The first grid psi above that threshold
+is confirmed by eigendecomposition, together with the grid psi below it, so
+the search picks the grid point a full scan would pick. The winning psi is
+then tightened by bisection. The LMI is tiny (2n x 2n), so this replaces a
+semidefinite-programming dependency without losing rigor: nothing is
+reported that verify() does not independently confirm.
 """
 
 from __future__ import annotations
@@ -33,7 +40,6 @@ __all__ = [
     "lmi_block",
     "verify",
     "solve_certificate",
-    "invariant_radius",
     "check_convergence",
     "certificate_to_json_dict",
 ]
@@ -144,18 +150,87 @@ def _q_family(n: int, scale: float) -> list[np.ndarray]:
     return out
 
 
+def _psi_thresholds(A: np.ndarray, P: np.ndarray, phis: np.ndarray) -> np.ndarray:
+    """psi* per phi: the block passes the tolerance test exactly when psi > psi*.
+
+    With X = A'PA + (phi-1)P, the block plus tol*I is negative definite iff
+    X + tol*I is and psi > tol + lambda_max(P - PA (X + tol*I)^-1 A'P)
+    (Schur complement). X is formed as lmi_block forms it; phis where
+    X + tol*I is not negative definite get psi* = inf.
+    """
+    n = A.shape[0]
+    X = (A.T @ P) @ A + (phis - 1.0)[:, None, None] * P
+    w, V = np.linalg.eigh(X + LMI_TOL * np.eye(n))
+    out = np.full(phis.shape, np.inf)
+    nd = w[:, -1] < 0
+    W = (P @ A) @ V[nd]
+    S = P - (W / w[nd][:, None, :]) @ W.transpose(0, 2, 1)
+    out[nd] = LMI_TOL + np.linalg.eigvalsh(S)[:, -1]
+    return out
+
+
+def _smallest_feasible_psi(A, P, phi, psis, j) -> tuple[int, float] | None:
+    """(index, lmi_max) of the smallest grid psi passing the tolerance test.
+
+    Starts at grid index j, steps up while the test fails and then down
+    while the psi below also passes; the test is verify()'s. Feasibility is
+    monotone in psi (the block loses psi*diag(0, I)), so a correct start
+    needs one test plus one below it.
+    """
+    def test(i):
+        p_min, lmi_max = _eig_extremes(A, P, phi, psis[i])
+        return p_min > 0 and lmi_max < -LMI_TOL, lmi_max
+
+    while j < len(psis):
+        ok, lmi_max = test(j)
+        if ok:
+            break
+        j += 1
+    else:
+        return None
+    while j > 0:
+        ok, below = test(j - 1)
+        if not ok:
+            break
+        j, lmi_max = j - 1, below
+    return j, lmi_max
+
+
+def _least_violating(A, candidates, phis, psi, rho) -> dict | None:
+    """Diagnostics of the (P, phi) whose block at psi has the least max eigenvalue.
+
+    Called when no grid point passes: the max eigenvalue falls as psi grows,
+    so at every (P, phi) the largest grid psi is the least violating one.
+    """
+    out = None
+    for qi, P in candidates:
+        for phi in phis:
+            p_min, lmi_max = _eig_extremes(A, P, phi, psi)
+            if out is None or lmi_max < out["lmi_max_eig"]:
+                out = {
+                    "lmi_max_eig": lmi_max, "p_min_eig": p_min,
+                    "phi": float(phi), "psi": float(psi), "q_index": qi,
+                    "spectral_radius": rho,
+                }
+    return out
+
+
 def solve_certificate(A: np.ndarray, epsilon: float,
                       search_config: SearchConfig | None = None) -> IssCertificate:
     """Smallest-radius feasible certificate over the deterministic search family.
 
     Candidates are ordered by (radius, phi, psi) so the result is independent
-    of evaluation order. After the grid pass, psi is tightened by bisection at
-    the winning (P, phi): feasibility is monotone in psi, so the bisection
-    stays sound and every reported triple is re-verified.
+    of evaluation order; at each (P, phi) only the smallest feasible grid psi
+    can win, and its Schur threshold locates it. After the grid pass, psi is
+    tightened by bisection at the winning (P, phi): feasibility is monotone
+    in psi, so the bisection stays sound and every reported triple is
+    re-verified.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DataError(f"A must be square, got shape {A.shape}")
+    if not np.all(np.isfinite(A)):
+        raise DataError("A contains non-finite entries")
     if epsilon < 0:
         raise DataError(f"epsilon must be non-negative, got {epsilon}")
     cfg = search_config or SearchConfig()
@@ -171,33 +246,29 @@ def solve_certificate(A: np.ndarray, epsilon: float,
     for qi, Q in enumerate(_q_family(n, cfg.q_entry_scale)):
         try:
             P = solve_discrete_lyapunov(A.T, Q)
-        except Exception as exc:  # pragma: no cover - scipy failure is exotic
+        except (np.linalg.LinAlgError, ValueError) as exc:
             raise NumericalError(f"discrete Lyapunov solve failed: {exc}") from exc
         P = 0.5 * (P + P.T)
         candidates.append((qi, P))
 
+    phis, psis = cfg.phi_grid(), cfg.psi_grid()
     best = None           # (radius, phi, psi, qi, P, lmi_max)
-    least_violating = None  # (lmi_max, diagnostics)
     for qi, P in candidates:
-        for phi in cfg.phi_grid():
-            for psi in cfg.psi_grid():
-                p_min, lmi_max = _eig_extremes(A, P, phi, psi)
-                feasible = p_min > 0 and lmi_max < -LMI_TOL
-                if not feasible:
-                    if least_violating is None or lmi_max < least_violating[0]:
-                        least_violating = (lmi_max, {
-                            "lmi_max_eig": lmi_max, "p_min_eig": p_min,
-                            "phi": float(phi), "psi": float(psi), "q_index": qi,
-                            "spectral_radius": rho,
-                        })
-                    continue
-                radius = psi * epsilon**2 / phi
-                key = (radius, phi, psi)
-                if best is None or key < (best[0], best[1], best[2]):
-                    best = (radius, float(phi), float(psi), qi, P, lmi_max)
+        starts = np.searchsorted(psis, _psi_thresholds(A, P, phis), side="right")
+        for phi, j in zip(phis, starts):
+            found = _smallest_feasible_psi(A, P, phi, psis, int(j))
+            if found is None:
+                continue
+            psi = psis[found[0]]
+            radius = psi * epsilon**2 / phi
+            key = (radius, phi, psi)
+            if best is None or key < (best[0], best[1], best[2]):
+                best = (radius, float(phi), float(psi), qi, P, found[1])
 
     if best is None:
-        diag = least_violating[1] if least_violating else {"spectral_radius": rho}
+        diag = {"spectral_radius": rho}
+        if psis.size:
+            diag = _least_violating(A, candidates, phis, psis[-1], rho) or diag
         raise InfeasibleError(
             "no feasible (P, phi, psi) in the search grid; closest candidate "
             f"had largest LMI eigenvalue {diag.get('lmi_max_eig', float('nan')):.3e}",
@@ -237,11 +308,6 @@ def solve_certificate(A: np.ndarray, epsilon: float,
     if not ok:  # pragma: no cover - the search only emits verified triples
         raise InfeasibleError("search produced an unverifiable certificate", diag)
     return cert
-
-
-def invariant_radius(cert: IssCertificate) -> float:
-    """The level psi*epsilon^2/phi of the invariant ball {x'Px <= radius}."""
-    return cert.psi * cert.epsilon**2 / cert.phi
 
 
 def check_convergence(cert: IssCertificate, record: ClosedLoopRecord) -> dict:

@@ -503,13 +503,19 @@ def _jacobian_gr(model: GrSsnnModel, ds: Dataset, layout: ParamLayout,
 
 # --- Levenberg-Marquardt ----------------------------------------------------
 
+def _same_problem(key: tuple | None, model, ds: Dataset, gamma: float) -> bool:
+    """Whether a cache key starts with this (model, dataset, gamma)."""
+    return key is not None and key[0] is model and key[1] is ds and key[2] == gamma
+
+
 @dataclass
 class LmWorkspace:
     """Cache shared across lm_step calls while the model is unchanged.
 
-    Callers must leave `valid` and `accepted` alone; lm_step refills the
-    cache whenever it is invalid and invalidates it again on an accepted
-    step. `accepted` keeps the (model, dataset, gamma, residuals) of the last
+    Callers must leave `filled_for` and `accepted` alone. `filled_for` is the
+    (model, dataset, gamma, layout) the cached loss, J'J and J'r belong to;
+    lm_step refills the cache whenever it is called with anything else.
+    `accepted` keeps the (model, dataset, gamma, residuals) of the last
     accepted candidate, so the refill for that model reuses the candidate's
     free run instead of simulating it again; `loss` still holds the loss of
     the model the accepted step started from. The counters add up over all
@@ -517,7 +523,7 @@ class LmWorkspace:
     Jacobian per refill and one solve per damped system attempted.
     """
 
-    valid: bool = False
+    filled_for: tuple | None = field(default=None, repr=False)
     loss: float = float("nan")
     grad_inf: float = float("nan")
     output_mse: float = float("nan")
@@ -535,9 +541,8 @@ class LmWorkspace:
 
     def _residuals(self, model, ds: Dataset, gamma: float) -> ResidualVector:
         """Residuals of `model`, from the cache when it holds this model's."""
-        hit = self.accepted
-        if hit is not None and hit[0] is model and hit[1] is ds and hit[2] == gamma:
-            return hit[3]
+        if _same_problem(self.accepted, model, ds, gamma):
+            return self.accepted[3]
         self.free_runs += 1
         return residuals(model, ds, gamma)
 
@@ -557,7 +562,8 @@ def lm_step(model: TrainableModel, ds: Dataset, config: TrainConfig, lam: float,
     if layout is None:
         layout = default_layout(model, config)
     ws = workspace if workspace is not None else LmWorkspace()
-    if not ws.valid:
+    if not (_same_problem(ws.filled_for, model, ds, config.gamma)
+            and ws.filled_for[3] == layout):
         rv = ws._residuals(model, ds, config.gamma)
         ws.jacobians += 1
         J = jacobian_bptt(model, ds, config.gamma, layout=layout, states=rv.states)
@@ -566,7 +572,7 @@ def lm_step(model: TrainableModel, ds: Dataset, config: TrainConfig, lam: float,
         ws.JtJ = J.T @ J
         ws.Jtr = J.T @ rv.r
         ws.grad_inf = float(np.max(np.abs(2.0 / ds.n_samples * ws.Jtr)))
-        ws.valid = True
+        ws.filled_for = (model, ds, config.gamma, layout)
 
     ws.last_candidate_loss = None
     ws.last_candidate_components = None
@@ -603,7 +609,6 @@ def lm_step(model: TrainableModel, ds: Dataset, config: TrainConfig, lam: float,
     ws.last_candidate_loss = loss_c
     ws.last_candidate_components = rv_c.components()
     if loss_c < ws.loss:
-        ws.valid = False
         ws.accepted = (candidate, ds, config.gamma, rv_c)
         return candidate, lam * config.lambda_down, True
     return reject("no_decrease")

@@ -193,6 +193,16 @@ def test_evaluate_malformed_model_exit_2(ws, tmp_path, capsys, breakage):
     assert "error:" in err and field in err
 
 
+def test_evaluate_non_uniform_time_exit_2(ws, tmp_path, capsys):
+    bad = tmp_path / "jump.csv"
+    bad.write_text("t,u1,y1\n0,1,2\n1,1,2\n5,1,2\n2,1,2\n")
+    rc = main(["evaluate", "--model", str(ws["al"]) + ".model.json",
+               "--data", str(bad), "-o", str(tmp_path / "x")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "line 4" in err
+
+
 # ---------------------------------------------------------------- closedloop
 
 def test_closedloop_outputs(ws, tmp_path):

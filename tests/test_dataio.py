@@ -101,6 +101,31 @@ def test_load_csv_bad_cell_cites_line(tmp_path):
         load_csv(path)
 
 
+def test_load_csv_rejects_non_uniform_time(tmp_path):
+    path = tmp_path / "jump.csv"
+    path.write_text("t,u1,y1\n0,1,2\n1,1,2\n5,1,2\n2,1,2\n")
+    with pytest.raises(DataError, match=r"line 4: time 5.0 is off the uniform "
+                                        r"grid t0 \+ k\*dt = 2.0"):
+        load_csv(path)
+    # skipped blank lines still count toward the cited line
+    path.write_text("t,u1,y1\n0,1,2\n\n1,1,2\n2,1,2\n\n2.5,1,2\n")
+    with pytest.raises(DataError, match="line 7:"):
+        load_csv(path)
+    path.write_text("t,u1,y1\n0,1,2\n1,1,2\nnan,1,2\n")
+    with pytest.raises(DataError, match="line 4:"):
+        load_csv(path)
+
+
+def test_load_csv_accepts_rounded_uniform_time(tmp_path):
+    # short decimal times are off t0 + k*dt by rounding only; dt stays t1 - t0
+    rows = "".join(f"{1000 + 0.1 * k:.1f},{k},{-k}\n" for k in range(2000))
+    path = tmp_path / "decimal.csv"
+    path.write_text("t,u1,y1\n" + rows)
+    ds = load_csv(path)
+    assert ds.n_samples == 2000
+    assert ds.dt == 1000.1 - 1000.0
+
+
 def test_normalize_zero_mean_unit_std():
     ds = make_ds(n=200, m=2, p=2, seed=1)
     out, params = normalize(ds)

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_discrete_lyapunov
 
 from alssnn.control import ClosedLoopRecord
 from alssnn.errors import DataError, InfeasibleError, NumericalError
 from alssnn.stability import (LMI_TOL, IssCertificate, SearchConfig,
+                              _eig_extremes, _psi_thresholds, _q_family,
                               certificate_to_json_dict, check_convergence,
-                              invariant_radius, lmi_block, solve_certificate,
-                              verify)
+                              lmi_block, solve_certificate, verify)
 
 
 def stable_a(n=3, seed=0, rho=0.7):
@@ -44,7 +45,6 @@ def test_lmi_block_formula_and_symmetry():
 def test_certificate_radius_identity():
     cert = solve_certificate(stable_a(2, seed=2), epsilon=0.3)
     assert cert.radius == pytest.approx(cert.psi * 0.3**2 / cert.phi, rel=1e-15)
-    assert invariant_radius(cert) == cert.radius
 
 
 def test_certificate_verifies_and_is_deterministic():
@@ -108,6 +108,12 @@ def test_unstable_a_raises():
         solve_certificate(np.array([[0.0, 1.1], [0.0, 0.0]]) + np.eye(2), 0.1)
 
 
+def test_non_finite_a_raises_data_error():
+    for A in (np.array([[np.nan]]), np.array([[0.5, np.inf], [0.0, 0.1]])):
+        with pytest.raises(DataError, match="non-finite"):
+            solve_certificate(A, 0.1)
+
+
 def test_infeasible_grid_raises_with_diagnostics():
     # phi pinned above the scalar boundary 1 - 0.25: nothing can be feasible
     cfg = SearchConfig(n_phi=1, phi_min=0.99, phi_max=0.99)
@@ -115,6 +121,96 @@ def test_infeasible_grid_raises_with_diagnostics():
         solve_certificate(np.array([[0.5]]), epsilon=0.1, search_config=cfg)
     diag = exc_info.value.diagnostics
     assert "lmi_max_eig" in diag and "spectral_radius" in diag
+
+
+def test_psi_threshold_is_the_tolerance_boundary():
+    # psi* from the Schur complement: the block passes verify's tolerance
+    # test just above psi* and fails just below it
+    A = stable_a(3, seed=11, rho=0.9)
+    P = solve_discrete_lyapunov(A.T, np.eye(3))
+    P = 0.5 * (P + P.T)
+    phis = np.array([1e-3, 0.01, 0.05, 0.5])
+    thresholds = _psi_thresholds(A, P, phis)
+    assert np.isinf(thresholds[-1])  # A'PA - 0.5 P is not negative definite
+    for phi, psi_star in zip(phis[:-1], thresholds[:-1]):
+        assert psi_star > np.max(np.linalg.eigvalsh(P))
+        _, above = _eig_extremes(A, P, phi, psi_star * (1 + 1e-6))
+        _, below = _eig_extremes(A, P, phi, psi_star * (1 - 1e-6))
+        assert above < -LMI_TOL < below
+
+
+def reference_scan(A, epsilon, cfg):
+    """The full (Q, phi, psi) grid scan, every candidate eigensolved."""
+    rho = float(np.max(np.abs(np.linalg.eigvals(A))))
+    candidates = []
+    for qi, Q in enumerate(_q_family(A.shape[0], cfg.q_entry_scale)):
+        P = solve_discrete_lyapunov(A.T, Q)
+        candidates.append((qi, 0.5 * (P + P.T)))
+    best = None
+    least_violating = None
+    for qi, P in candidates:
+        for phi in cfg.phi_grid():
+            for psi in cfg.psi_grid():
+                p_min, lmi_max = _eig_extremes(A, P, phi, psi)
+                if not (p_min > 0 and lmi_max < -LMI_TOL):
+                    if least_violating is None or lmi_max < least_violating[0]:
+                        least_violating = (lmi_max, {
+                            "lmi_max_eig": lmi_max, "p_min_eig": p_min,
+                            "phi": float(phi), "psi": float(psi), "q_index": qi,
+                            "spectral_radius": rho,
+                        })
+                    continue
+                key = (psi * epsilon**2 / phi, phi, psi)
+                if best is None or key < (best[0], best[1], best[2]):
+                    best = (key[0], float(phi), float(psi), qi, P, lmi_max)
+    if best is None:
+        return None, least_violating[1]
+    _, phi, psi, qi, P, lmi_max = best
+    refined = False
+    if cfg.refine_psi:
+        lo, hi = 0.0, psi
+        for _ in range(cfg.refine_iters):
+            mid = 0.5 * (lo + hi)
+            if mid <= 0:
+                break
+            p_min, me = _eig_extremes(A, P, phi, mid)
+            if p_min > 0 and me < -LMI_TOL:
+                hi, lmi_max, refined = mid, me, True
+            else:
+                lo = mid
+        psi = hi
+    search = {
+        "q_index": qi,
+        "n_phi": cfg.n_phi, "phi_min": cfg.phi_min, "phi_max": cfg.phi_max,
+        "n_psi": cfg.n_psi, "psi_min": cfg.psi_min, "psi_max": cfg.psi_max,
+        "q_entry_scale": cfg.q_entry_scale, "psi_refined": refined,
+        "spectral_radius": rho,
+    }
+    return (P, phi, psi, psi * epsilon**2 / phi, lmi_max, search), None
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_search_equals_full_grid_scan(n):
+    # the Schur-threshold search must pick exactly what the full scan picks
+    for i, rho in enumerate((0.3, 0.9, 0.995)):
+        A = stable_a(n, seed=100 + 10 * n + i, rho=rho)
+        eps = (0.0, 0.01, 1.0, 37.0)[(n + i) % 4]
+        cfg = SearchConfig(refine_psi=bool((n + i) % 2))
+        (P, phi, psi, radius, lmi_max, search), _ = reference_scan(A, eps, cfg)
+        cert = solve_certificate(A, eps, cfg)
+        assert np.array_equal(cert.P, P)
+        assert (cert.phi, cert.psi, cert.radius, cert.lmi_max_eig) == (
+            phi, psi, radius, lmi_max)
+        assert cert.search == search
+
+
+@pytest.mark.parametrize("a", [0.5, -0.7, 0.9])
+def test_infeasible_diagnostics_equal_full_grid_scan(a):
+    cfg = SearchConfig(n_phi=1, phi_min=0.99, phi_max=0.99)
+    _, expected = reference_scan(np.array([[a]]), 0.1, cfg)
+    with pytest.raises(InfeasibleError) as exc_info:
+        solve_certificate(np.array([[a]]), 0.1, search_config=cfg)
+    assert exc_info.value.diagnostics == expected
 
 
 def test_psi_refinement_shrinks_radius():

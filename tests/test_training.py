@@ -343,6 +343,26 @@ def test_lm_step_reuses_accepted_candidate_states_bit_identically():
     assert ws.loss == fresh.loss
 
 
+def test_lm_workspace_refills_for_another_model():
+    # the cached J'J/J'r and loss belong to the model they were filled for;
+    # a call with another model must refill, not judge its step by m1's loss
+    m1, m2 = rand_al(seed=1), rand_al(seed=2)
+    ds = rand_ds(N=40)
+    config = TrainConfig(gamma=0.5)
+    layout = default_layout(m1, config)
+    ws = LmWorkspace()
+    lm_step(m1, ds, config, 1e-2, layout=layout, workspace=ws)
+    assert ws.loss == loss(m1, ds, 0.5)
+    fresh = LmWorkspace()
+    out = lm_step(m2, ds, config, 1e-2, layout=layout, workspace=ws)
+    ref = lm_step(m2, ds, config, 1e-2, layout=layout, workspace=fresh)
+    assert ws.loss == fresh.loss == loss(m2, ds, 0.5)
+    assert np.array_equal(ws.JtJ, fresh.JtJ) and np.array_equal(ws.Jtr, fresh.Jtr)
+    assert out[1:] == ref[1:]
+    assert np.array_equal(pack_params(out[0], layout), pack_params(ref[0], layout))
+    assert ws.jacobians == 2
+
+
 def test_jacobian_from_given_states_equals_own_free_run():
     model = rand_al(seed=19, net_scale=0.2)
     ds = rand_ds(N=20, seed=19)
@@ -400,13 +420,16 @@ def test_lm_step_reject_reasons():
     config = TrainConfig(gamma=0.5)
     P = pack_params(model, default_layout(model, config)).size
     # a filled workspace whose normal equations are NaN: no usable step
-    ws = LmWorkspace(valid=True, loss=1.0, JtJ=np.full((P, P), np.nan), Jtr=np.ones(P))
+    key = (model, ds, 0.5, default_layout(model, config))
+    ws = LmWorkspace(filled_for=key, loss=1.0, JtJ=np.full((P, P), np.nan),
+                     Jtr=np.ones(P))
     _, _, accepted = lm_step(model, ds, config, 1e-2, workspace=ws)
     assert not accepted
     assert ws.last_reject_reason in ("solve_failed", "non_finite_step")
     assert ws.last_step_norm is None and ws.free_runs == 0 and ws.solves == 1
     # a zero step cannot strictly decrease the loss
-    ws = LmWorkspace(valid=True, loss=loss(model, ds, 0.5), JtJ=np.eye(P), Jtr=np.zeros(P))
+    ws = LmWorkspace(filled_for=key, loss=loss(model, ds, 0.5), JtJ=np.eye(P),
+                     Jtr=np.zeros(P))
     _, _, accepted = lm_step(model, ds, config, 1e-2, workspace=ws)
     assert not accepted and ws.last_reject_reason == "no_decrease"
     assert ws.last_step_norm == 0.0 and ws.free_runs == 1

@@ -79,30 +79,6 @@ class Dataset:
     def n_outputs(self) -> int:
         return self.y.shape[1]
 
-    def summary(self) -> dict:
-        """Basic per-channel statistics, used by reports."""
-        return {
-            "name": self.name,
-            "samples": self.n_samples,
-            "inputs": self.n_inputs,
-            "outputs": self.n_outputs,
-            "dt": self.dt,
-            "u_rms": [float(v) for v in np.sqrt(np.mean(self.u**2, axis=0))],
-            "y_rms": [float(v) for v in np.sqrt(np.mean(self.y**2, axis=0))],
-            "y_min": [float(v) for v in self.y.min(axis=0)],
-            "y_max": [float(v) for v in self.y.max(axis=0)],
-        }
-
-    def scaled(self, u_scale: float = 1.0, y_scale: float = 1.0,
-               u_offset: float = 0.0, y_offset: float = 0.0) -> "Dataset":
-        """Affine rescaling (explicit, never applied implicitly)."""
-        return Dataset(
-            u=(self.u - u_offset) * u_scale,
-            y=(self.y - y_offset) * y_scale,
-            dt=self.dt,
-            name=self.name + ":scaled",
-        )
-
 
 def normalize(ds: Dataset) -> tuple[Dataset, dict]:
     """Per-channel zero-mean unit-std rescaling of u and y.

@@ -1,4 +1,4 @@
-"""One-hidden-layer networks with analytic input and parameter Jacobians.
+"""One-hidden-layer tanh networks: forward passes, init, equilibrium pinning.
 
 Parameter flattening order is fixed everywhere: W_in row-major, b_in,
 W_out row-major, b_out. Optimizer Jacobian columns rely on this order.
@@ -16,8 +16,6 @@ __all__ = [
     "Mlp",
     "Equilibrium",
     "mlp_forward",
-    "mlp_jac_input",
-    "mlp_jac_params",
     "enforce_equilibrium_zero",
     "init_small",
 ]
@@ -121,41 +119,6 @@ def mlp_forward_batch(net: Mlp, Z: np.ndarray) -> np.ndarray:
     if Z.ndim != 2 or Z.shape[1] != net.d_in:
         raise DataError(f"batch input has shape {Z.shape}, expected (N, {net.d_in})")
     return np.tanh(Z @ net.W_in.T + net.b_in) @ net.W_out.T + net.b_out
-
-
-def mlp_jac_input(net: Mlp, z: np.ndarray) -> np.ndarray:
-    """Jacobian d out / d z = W_out diag(1 - tanh^2) W_in, shape (d_out, d_in)."""
-    z = _check_input(net, z)
-    s = 1.0 - np.tanh(net.W_in @ z + net.b_in) ** 2
-    return (net.W_out * s) @ net.W_in
-
-
-def mlp_jac_params(net: Mlp, z: np.ndarray) -> np.ndarray:
-    """Jacobian of the output w.r.t. the flattened parameter vector.
-
-    Columns follow the fixed order (W_in row-major, b_in, W_out row-major,
-    b_out); shape (d_out, n_params).
-    """
-    z = _check_input(net, z)
-    h, d_in, d_out = net.n_hidden, net.d_in, net.d_out
-    a = net.W_in @ z + net.b_in
-    t = np.tanh(a)
-    s = 1.0 - t**2
-    J = np.zeros((d_out, net.n_params))
-    # d/d W_in[i, j] = W_out[:, i] * s_i * z_j
-    ws = net.W_out * s                       # (d_out, h)
-    J[:, : h * d_in] = (ws[:, :, None] * z[None, None, :]).reshape(d_out, h * d_in)
-    # d/d b_in[i] = W_out[:, i] * s_i
-    off = h * d_in
-    J[:, off : off + h] = ws
-    # d/d W_out[a, i] = delta rows, value t_i
-    off += h
-    for a_row in range(d_out):
-        J[a_row, off + a_row * h : off + (a_row + 1) * h] = t
-    # d/d b_out = identity
-    off += d_out * h
-    J[:, off : off + d_out] = np.eye(d_out)
-    return J
 
 
 def enforce_equilibrium_zero(net: Mlp, eq: Equilibrium) -> Mlp:

@@ -7,8 +7,10 @@ The loss on a dataset of N samples is
 with x(k) from a free run started at x(0) = 0. The residual vector stacks all
 N*p output errors first, then the N*n penalty values scaled by sqrt(gamma),
 so J_N = ||r||^2 / N exactly. Jacobians are exact (forward accumulation of
-state sensitivities through the recursion), which keeps Levenberg-Marquardt
-steps cheap and reliable at these problem sizes.
+state sensitivities through the recursion). lm_step streams the normal
+equations J'J and J'r from a pass over fixed-size chunks of samples, so
+training never holds the full Jacobian; jacobian_bptt is the assembled
+matrix from the same pass.
 
 Models without the h/g split (the f-net baseline) train through the same
 machinery with the penalty block absent.
@@ -21,6 +23,7 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import Union
 
 import numpy as np
+from scipy.linalg.blas import dsyrk
 
 from .dataio import Dataset
 from .errors import DataError, DivergenceError
@@ -364,6 +367,9 @@ def jacobian_bptt(model: TrainableModel, ds: Dataset, gamma: float = 0.0,
     sqrt(gamma) * (dg/dx S(k) + dg/dtheta_g). `states`, the model's free run
     on ds.u (at least N rows, e.g. ResidualVector.states), saves simulating
     it again.
+
+    This is the assembled form of the chunked sensitivity pass that lm_step
+    streams J'J and J'r from; training itself never builds this matrix.
     """
     if layout is None:
         layout = default_layout(
@@ -374,131 +380,142 @@ def jacobian_bptt(model: TrainableModel, ds: Dataset, gamma: float = 0.0,
         )
     if states is None:
         states = _free_run_states(model, ds)
-    X = np.asarray(states, dtype=float)[: ds.n_samples]
-    if X.shape != (ds.n_samples, model.lin.n_states):
-        raise DataError(
-            f"states have shape {X.shape}, expected ({ds.n_samples}, {model.lin.n_states})"
-        )
+    N, p = ds.n_samples, model.lin.n_outputs
+    q = model.lin.n_states if isinstance(model, AlSsnnModel) else 0
+    J = np.empty((N * (p + q), _layout_slices(model, layout)[1]))
+    for k0, k1, J_out, J_pen in _sensitivity_chunks(model, ds, gamma, layout, states):
+        J[k0 * p : k1 * p] = J_out
+        if J_pen is not None:
+            J[N * p + k0 * q : N * p + k1 * q] = J_pen
+    return J
+
+
+# Samples per chunk of the sensitivity pass. The pass holds a few arrays of
+# chunk x n x P doubles at a time, whatever the record length. Chunks of 192
+# to 512 samples refilled J'J equally fast (dsyrk dominates at large P); 256
+# keeps the P = 1,061, N = 2,000 refill at 51 MB against its 85 MB Jacobian.
+_CHUNK = 256
+
+
+def _sensitivity_chunks(model: TrainableModel, ds: Dataset, gamma: float,
+                        layout: ParamLayout, states: np.ndarray):
+    """The residual Jacobian of jacobian_bptt in row blocks, chunk by chunk.
+
+    Yields (k0, k1, J_out, J_pen) for samples k0..k1-1: their output rows,
+    shape ((k1 - k0) * p, P), and their penalty rows, shape
+    ((k1 - k0) * n, P), or None for a model without a penalty. A GR model
+    runs as AL with no h net, f as the additive net and no penalty rows.
+    Only the recursion S(k+1) = F_x(k) S(k) + F_theta(k) steps sample by
+    sample; the rows are batched products on the chunk's stored S.
+    """
+    lin = model.lin
+    A, B, C = lin.A, lin.B, lin.C
+    n, p = lin.n_states, lin.n_outputs
+    N = ds.n_samples
+    X = np.asarray(states, dtype=float)[:N]
+    if X.shape != (N, n):
+        raise DataError(f"states have shape {X.shape}, expected ({N}, {n})")
     if isinstance(model, AlSsnnModel):
-        return _jacobian_al(model, ds, gamma, layout, X)
-    return _jacobian_gr(model, ds, layout, X)
-
-
-def _jacobian_al(model: AlSsnnModel, ds: Dataset, gamma: float,
-                 layout: ParamLayout, X: np.ndarray) -> np.ndarray:
-    lin, h_net, g_net = model.lin, model.h_net, model.g_net
-    A, B, C = lin.A, lin.B, lin.C
-    n, m, p = lin.n_states, lin.n_inputs, lin.n_outputs
-    N = ds.n_samples
-    sqrt_g = np.sqrt(gamma)
-
-    U = ds.u
-    Y = X @ C.T
-    Z = np.hstack([X, U])
-
-    th, sh = _tanh_stats(h_net, Y)
-    tg, sg = _tanh_stats(g_net, Z)
-    h_val = th @ h_net.W_out.T + h_net.b_out
-    Hy = (sh[:, None, :] * h_net.W_out[None, :, :]) @ h_net.W_in    # (N, m, p)
-    Gz = (sg[:, None, :] * g_net.W_out[None, :, :]) @ g_net.W_in    # (N, n, n+m)
-    Gx = Gz[:, :, :n]
-    BH = np.matmul(B, Hy)                                           # (N, n, p)
-    Fx = A[None, :, :] + np.matmul(BH, C) + Gx
+        h_net, g_net, g_tag, sqrt_g = model.h_net, model.g_net, "g", np.sqrt(gamma)
+    else:
+        h_net, g_net, g_tag, sqrt_g = None, model.f_net, "f", None
 
     cols, P = _layout_slices(model, layout)
-    F = np.zeros((N, n, P))
-    eye_n = np.eye(n)
-    if "A" in cols:
-        F[:, :, cols["A"]] = np.einsum("ab,kj->kabj", eye_n, X).reshape(N, n, n * n)
-    if "B" in cols:
-        F[:, :, cols["B"]] = np.einsum("ab,kj->kabj", eye_n, U + h_val).reshape(
-            N, n, n * m
-        )
-    D_out = None
-    if "C" in cols:
-        F[:, :, cols["C"]] = np.einsum("kai,kj->kaij", BH, X).reshape(N, n, p * n)
-        D_out = np.einsum("ai,kj->kaij", np.eye(p), X).reshape(N, p, p * n)
-
     h_wanted = [s for s in _NET_SUFFIXES if f"h.{s}" in cols]
-    if h_wanted:
-        hb = _batch_param_blocks(h_net, Y, th, sh, h_wanted)
-        for suffix in h_wanted:
-            F[:, :, cols[f"h.{suffix}"]] = np.matmul(B, hb[suffix])
-
-    g_wanted = [s for s in _NET_SUFFIXES if f"g.{s}" in cols]
-    Dg = None
-    g_span = None
-    if g_wanted:
-        gb = _batch_param_blocks(g_net, Z, tg, sg, g_wanted)
-        if layout.eq_constrained:
-            # b_out eliminated: effective g is g_raw(z) - g_raw(z_e), so every
-            # remaining column gets the equilibrium-point jacobian subtracted.
-            z_e = model.eq.stacked()[None, :]
-            t_e, s_e = _tanh_stats(g_net, z_e)
-            gb0 = _batch_param_blocks(g_net, z_e, t_e, s_e, g_wanted)
-            gb = {k: gb[k] - gb0[k] for k in gb}
-        for suffix in g_wanted:
-            F[:, :, cols[f"g.{suffix}"]] = gb[suffix]
-        spans = [cols[f"g.{suffix}"] for suffix in g_wanted]
-        g_span = slice(spans[0].start, spans[-1].stop)
-        if sum(sl.stop - sl.start for sl in spans) != g_span.stop - g_span.start:
-            raise AssertionError("g parameter blocks must be contiguous in the layout")
-        Dg = sqrt_g * np.concatenate([gb[suffix] for suffix in g_wanted], axis=2)
-
-    S = np.zeros((n, P))
-    J_out = np.empty((N, p, P))
-    J_pen = np.empty((N, n, P))
-    c_sl = cols.get("C")
-    for k in range(N):
-        np.negative(C @ S, out=J_out[k])
-        if c_sl is not None:
-            J_out[k, :, c_sl] -= D_out[k]
-        np.multiply(sqrt_g, Gx[k] @ S, out=J_pen[k])
-        if g_span is not None:
-            J_pen[k, :, g_span] += Dg[k]
-        S = Fx[k] @ S + F[k]
-    return np.concatenate([J_out.reshape(N * p, P), J_pen.reshape(N * n, P)], axis=0)
-
-
-def _jacobian_gr(model: GrSsnnModel, ds: Dataset, layout: ParamLayout,
-                 X: np.ndarray) -> np.ndarray:
-    lin, f_net = model.lin, model.f_net
-    A, B, C = lin.A, lin.B, lin.C
-    n, m, p = lin.n_states, lin.n_inputs, lin.n_outputs
-    N = ds.n_samples
-
-    U = ds.u
-    Z = np.hstack([X, U])
-    tf, sf = _tanh_stats(f_net, Z)
-    Fz = (sf[:, None, :] * f_net.W_out[None, :, :]) @ f_net.W_in    # (N, n, n+m)
-    Fx = A[None, :, :] + Fz[:, :, :n]
-
-    cols, P = _layout_slices(model, layout)
-    F = np.zeros((N, n, P))
+    g_wanted = [s for s in _NET_SUFFIXES if f"{g_tag}.{s}" in cols]
+    gb0 = None
+    if g_wanted and layout.eq_constrained:
+        # b_out eliminated: effective g is g_raw(z) - g_raw(z_e), so every
+        # remaining column gets the equilibrium-point jacobian subtracted.
+        z_e = model.eq.stacked()[None, :]
+        gb0 = _batch_param_blocks(g_net, z_e, *_tanh_stats(g_net, z_e), g_wanted)
     eye_n = np.eye(n)
-    if "A" in cols:
-        F[:, :, cols["A"]] = np.einsum("ab,kj->kabj", eye_n, X).reshape(N, n, n * n)
-    if "B" in cols:
-        F[:, :, cols["B"]] = np.einsum("ab,kj->kabj", eye_n, U).reshape(N, n, n * m)
-    D_out = None
-    if "C" in cols:
-        # C does not enter the state recursion here, only the output map.
-        D_out = np.einsum("ai,kj->kaij", np.eye(p), X).reshape(N, p, p * n)
-    f_wanted = [s for s in _NET_SUFFIXES if f"f.{s}" in cols]
-    if f_wanted:
-        fb = _batch_param_blocks(f_net, Z, tf, sf, f_wanted)
-        for suffix in f_wanted:
-            F[:, :, cols[f"f.{suffix}"]] = fb[suffix]
 
-    S = np.zeros((n, P))
-    J_out = np.empty((N, p, P))
-    c_sl = cols.get("C")
-    for k in range(N):
-        np.negative(C @ S, out=J_out[k])
-        if c_sl is not None:
-            J_out[k, :, c_sl] -= D_out[k]
-        S = Fx[k] @ S + F[k]
-    return J_out.reshape(N * p, P)
+    # buf[0] holds S at the chunk's first sample; buf[1:c+1] is filled with
+    # F_theta and turned in place into S at the samples after it.
+    buf = np.empty((min(N, _CHUNK) + 1, n, P))
+    buf[0] = 0.0
+    for k0 in range(0, N, _CHUNK):
+        k1 = min(N, k0 + _CHUNK)
+        c = k1 - k0
+        Xc, U = X[k0:k1], ds.u[k0:k1]
+        Z = np.hstack([Xc, U])
+        tg, sg = _tanh_stats(g_net, Z)
+        Gx = ((sg[:, None, :] * g_net.W_out[None, :, :]) @ g_net.W_in)[:, :, :n]
+        F = buf[1 : c + 1]
+        drive = U
+        if h_net is None:
+            Fx = A[None, :, :] + Gx
+            if "C" in cols:
+                F[:, :, cols["C"]] = 0.0   # C enters only the output map here
+        else:
+            Y = Xc @ C.T
+            th, sh = _tanh_stats(h_net, Y)
+            drive = U + (th @ h_net.W_out.T + h_net.b_out)
+            Hy = (sh[:, None, :] * h_net.W_out[None, :, :]) @ h_net.W_in   # (c, m, p)
+            BH = np.matmul(B, Hy)                                          # (c, n, p)
+            Fx = A[None, :, :] + np.matmul(BH, C) + Gx
+            if "C" in cols:
+                F[:, :, cols["C"]] = np.einsum("kai,kj->kaij", BH, Xc).reshape(
+                    c, n, p * n)
+            if h_wanted:
+                hb = _batch_param_blocks(h_net, Y, th, sh, h_wanted)
+                for suffix in h_wanted:
+                    F[:, :, cols[f"h.{suffix}"]] = np.matmul(B, hb[suffix])
+        if "A" in cols:
+            F[:, :, cols["A"]] = np.einsum("ab,kj->kabj", eye_n, Xc).reshape(c, n, n * n)
+        if "B" in cols:
+            F[:, :, cols["B"]] = np.einsum("ab,kj->kabj", eye_n, drive).reshape(
+                c, n, drive.shape[1] * n)
+        gb = {}
+        if g_wanted:
+            gb = _batch_param_blocks(g_net, Z, tg, sg, g_wanted)
+            if gb0 is not None:
+                for suffix in g_wanted:   # never b_out, a read-only view
+                    gb[suffix] -= gb0[suffix]
+            for suffix in g_wanted:
+                F[:, :, cols[f"{g_tag}.{suffix}"]] = gb[suffix]
+
+        for j in range(c):
+            F[j] += Fx[j] @ buf[j]
+        S = buf[:c]
+
+        J_out = np.matmul(C, S)
+        np.negative(J_out, out=J_out)
+        if "C" in cols:
+            J_out[:, :, cols["C"]] -= np.einsum("ai,kj->kaij", np.eye(p), Xc).reshape(
+                c, p, p * n)
+        J_pen = None
+        if sqrt_g is not None:
+            J_pen = np.matmul(Gx, S)
+            J_pen *= sqrt_g
+            for suffix in g_wanted:
+                J_pen[:, :, cols[f"g.{suffix}"]] += sqrt_g * gb[suffix]
+            J_pen = J_pen.reshape(c * n, P)
+        yield k0, k1, J_out.reshape(c * p, P), J_pen
+        buf[0] = buf[c]
+
+
+def _normal_equations(model: TrainableModel, ds: Dataset, gamma: float,
+                      layout: ParamLayout, rv: ResidualVector):
+    """J'J and J'r accumulated chunk by chunk; the full J is never formed.
+
+    Each chunk's rows add to the upper triangle of J'J (dsyrk) and to J'r
+    (gemv); the lower triangle is mirrored once at the end, so J'J is
+    exactly symmetric.
+    """
+    N, p, q = rv.n_samples, rv.n_outputs, rv.n_penalty_states
+    P = _layout_slices(model, layout)[1]
+    JtJ = np.zeros((P, P), order="F")
+    Jtr = np.zeros(P)
+    r_out, r_pen = rv.r[: N * p], rv.r[N * p :]
+    for k0, k1, J_out, J_pen in _sensitivity_chunks(model, ds, gamma, layout, rv.states):
+        for rows, r in ((J_out, r_out[k0 * p : k1 * p]), (J_pen, r_pen[k0 * q : k1 * q])):
+            if rows is not None:
+                JtJ = dsyrk(1.0, rows.T, beta=1.0, c=JtJ, overwrite_c=1)
+                Jtr += rows.T @ r
+    JtJ += np.triu(JtJ, 1).T
+    return JtJ, Jtr
 
 
 # --- Levenberg-Marquardt ----------------------------------------------------
@@ -514,7 +531,9 @@ class LmWorkspace:
 
     Callers must leave `filled_for` and `accepted` alone. `filled_for` is the
     (model, dataset, gamma, layout) the cached loss, J'J and J'r belong to;
-    lm_step refills the cache whenever it is called with anything else.
+    lm_step refills the cache whenever it is called with anything else,
+    streaming J'J and J'r chunk by chunk without forming J (J'J is exactly
+    symmetric).
     `accepted` keeps the (model, dataset, gamma, residuals) of the last
     accepted candidate, so the refill for that model reuses the candidate's
     free run instead of simulating it again; `loss` still holds the loss of
@@ -566,11 +585,9 @@ def lm_step(model: TrainableModel, ds: Dataset, config: TrainConfig, lam: float,
             and ws.filled_for[3] == layout):
         rv = ws._residuals(model, ds, config.gamma)
         ws.jacobians += 1
-        J = jacobian_bptt(model, ds, config.gamma, layout=layout, states=rv.states)
+        ws.JtJ, ws.Jtr = _normal_equations(model, ds, config.gamma, layout, rv)
         ws.loss = rv.loss_value()
         ws.output_mse, ws.penalty_mse = rv.components()
-        ws.JtJ = J.T @ J
-        ws.Jtr = J.T @ rv.r
         ws.grad_inf = float(np.max(np.abs(2.0 / ds.n_samples * ws.Jtr)))
         ws.filled_for = (model, ds, config.gamma, layout)
 
@@ -585,9 +602,11 @@ def lm_step(model: TrainableModel, ds: Dataset, config: TrainConfig, lam: float,
 
     damping = np.diag(ws.JtJ).copy()
     damping[damping == 0.0] = 1.0
+    damped = ws.JtJ.copy()
+    damped.flat[:: damped.shape[0] + 1] += lam * damping
     ws.solves += 1
     try:
-        delta = np.linalg.solve(ws.JtJ + lam * np.diag(damping), -ws.Jtr)
+        delta = np.linalg.solve(damped, -ws.Jtr)
     except np.linalg.LinAlgError:
         return reject("solve_failed")
     if not np.all(np.isfinite(delta)):

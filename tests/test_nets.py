@@ -3,18 +3,7 @@ import pytest
 
 from alssnn.errors import DataError
 from alssnn.nets import (Equilibrium, Mlp, enforce_equilibrium_zero,
-                         init_small, mlp_forward, mlp_forward_batch,
-                         mlp_jac_input, mlp_jac_params)
-
-
-def fd_jac(f, x, h=1e-6):
-    x = np.asarray(x, dtype=float)
-    cols = []
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = h
-        cols.append((f(x + e) - f(x - e)) / (2 * h))
-    return np.column_stack(cols)
+                         init_small, mlp_forward, mlp_forward_batch)
 
 
 def random_net(d_in=3, n_hidden=5, d_out=2, seed=0, scale=0.7):
@@ -46,49 +35,6 @@ def test_zero_hidden_units_is_constant_map():
     net = Mlp(W_in=np.zeros((0, 3)), b_in=np.zeros(0),
               W_out=np.zeros((2, 0)), b_out=np.array([1.5, -0.5]))
     assert np.allclose(mlp_forward(net, np.ones(3)), [1.5, -0.5])
-    assert np.allclose(mlp_jac_input(net, np.ones(3)), np.zeros((2, 3)))
-
-
-def test_jac_input_matches_fd():
-    net = random_net(seed=4)
-    z0 = np.array([0.2, 0.4, -0.3])
-    J = mlp_jac_input(net, z0)
-    J_fd = fd_jac(lambda z: mlp_forward(net, z), z0)
-    assert np.max(np.abs(J - J_fd)) < 1e-8
-
-
-def test_jac_params_matches_fd():
-    net = random_net(d_in=2, n_hidden=4, d_out=3, seed=5)
-    z0 = np.array([0.5, -0.8])
-
-    def unpack(theta):
-        nh, di, do = 4, 2, 3
-        i = 0
-        W_in = theta[i:i + nh * di].reshape(nh, di); i += nh * di
-        b_in = theta[i:i + nh]; i += nh
-        W_out = theta[i:i + do * nh].reshape(do, nh); i += do * nh
-        b_out = theta[i:i + do]
-        return Mlp(W_in, b_in, W_out, b_out)
-
-    theta0 = np.concatenate([net.W_in.ravel(), net.b_in,
-                             net.W_out.ravel(), net.b_out])
-    J = mlp_jac_params(net, z0)
-    J_fd = fd_jac(lambda th: mlp_forward(unpack(th), z0), theta0)
-    assert J.shape == J_fd.shape
-    assert np.max(np.abs(J - J_fd)) < 1e-8
-
-
-def test_param_jacobian_column_order():
-    # columns follow W_in row-major, b_in, W_out row-major, b_out
-    net = random_net(d_in=2, n_hidden=3, d_out=1, seed=6)
-    z0 = np.array([0.1, 0.9])
-    J = mlp_jac_params(net, z0)
-    n_win = net.W_in.size
-    n_bin = net.b_in.size
-    n_wout = net.W_out.size
-    assert J.shape[1] == n_win + n_bin + n_wout + net.b_out.size
-    # b_out columns are exactly the identity
-    assert np.allclose(J[:, -net.b_out.size:], np.eye(net.b_out.size))
 
 
 def test_enforce_equilibrium_zero():

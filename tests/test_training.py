@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from alssnn.errors import DataError, DivergenceError
 from alssnn.linear_id import LinearSS
 from alssnn.models import AlSsnnModel, GrSsnnModel, simulate
 from alssnn.nets import Equilibrium, Mlp, mlp_forward, mlp_forward_batch
+from alssnn.training import _CHUNK as CHUNK
 from alssnn.training import (LmWorkspace, TrainConfig, default_layout,
                              jacobian_bptt, lm_step, loss, make_layout,
                              pack_params, report_to_json_dict, residuals,
@@ -187,6 +190,18 @@ def test_jacobian_matches_fd_gr():
     assert np.max(np.abs(J - J_fd)) < 1e-5
 
 
+def test_jacobian_matches_fd_across_chunks():
+    # a record of two sensitivity chunks, C free: S and the C columns must
+    # carry over the chunk boundary
+    model = rand_al(n=2, m=1, p=1, nh=2, ng=2, seed=25)
+    ds = rand_ds(N=CHUNK + 40, seed=25)
+    config = TrainConfig(gamma=0.9, freeze_C=False, enforce_equilibrium=False)
+    layout = default_layout(model, config)
+    J = jacobian_bptt(model, ds, 0.9, layout=layout)
+    J_fd = fd_residual_jac(model, ds, 0.9, layout)
+    assert np.max(np.abs(J - J_fd)) < 1e-5
+
+
 def test_jacobian_scalar_analytic_oracle():
     # pure linear scalar model, only A free: the sensitivity has the closed
     # form dx(k)/da = sum_j (k-1-j) a^(k-2-j) b u(j)
@@ -361,6 +376,58 @@ def test_lm_workspace_refills_for_another_model():
     assert out[1:] == ref[1:]
     assert np.array_equal(pack_params(out[0], layout), pack_params(ref[0], layout))
     assert ws.jacobians == 2
+
+
+def chunk_case(kind, N):
+    """(model, dataset, config) for the streamed normal-equation checks."""
+    from dataclasses import replace
+    from alssnn.nets import enforce_equilibrium_zero
+    ds = rand_ds(m=2, p=2, N=N, seed=26)
+    if kind == "gr":
+        return (rand_gr(n=3, m=2, p=2, nf=4, seed=26), ds,
+                TrainConfig(freeze_C=False))
+    nh = 0 if kind == "al_no_nets" else 4
+    model = rand_al(n=3, m=2, p=2, nh=nh, ng=nh, seed=26)
+    if kind == "al_eq":
+        model = replace(model, g_net=enforce_equilibrium_zero(model.g_net, model.eq))
+        return model, ds, TrainConfig(gamma=0.8)
+    config = TrainConfig(gamma=0.0 if kind == "al_gamma0" else 0.8,
+                         freeze_C=kind != "al_free_c", enforce_equilibrium=False)
+    return model, ds, config
+
+
+@pytest.mark.parametrize("N", [CHUNK // 3, CHUNK + 37, 3 * CHUNK])
+@pytest.mark.parametrize("kind", ["al_eq", "al_free_c", "al_gamma0", "al_no_nets", "gr"])
+def test_streamed_normal_equations_equal_assembled_jacobian(kind, N):
+    model, ds, config = chunk_case(kind, N)
+    layout = default_layout(model, config)
+    ws = LmWorkspace()
+    lm_step(model, ds, config, 1e-2, layout=layout, workspace=ws)
+    J = jacobian_bptt(model, ds, config.gamma, layout=layout)
+    r = residuals(model, ds, config.gamma).r
+    JtJ, Jtr = J.T @ J, J.T @ r
+    assert np.max(np.abs(ws.JtJ - JtJ)) <= 1e-12 * np.max(np.abs(JtJ))
+    assert np.max(np.abs(ws.Jtr - Jtr)) <= 1e-12 * np.max(np.abs(Jtr))
+    assert np.array_equal(ws.JtJ, ws.JtJ.T)
+
+
+def test_lm_step_refill_memory_stays_below_a_quarter_of_the_jacobian():
+    # the refill streams J'J and J'r chunk by chunk; building the full
+    # Jacobian (or anything its size) would break this bound
+    model = rand_al(n=2, m=1, p=1, nh=30, ng=30, seed=27, net_scale=0.1)
+    ds = rand_ds(N=8000, seed=27)
+    config = TrainConfig(gamma=0.5)
+    layout = default_layout(model, config)
+    jac_bytes = ds.n_samples * 3 * pack_params(model, layout).size * 8
+    assert jac_bytes >= 32e6
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        lm_step(model, ds, config, 1e-2, layout=layout, workspace=LmWorkspace())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < jac_bytes / 4
 
 
 def test_jacobian_from_given_states_equals_own_free_run():

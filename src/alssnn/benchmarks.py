@@ -7,6 +7,7 @@ given (params, seed), so identical seeds give bit-identical data.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,27 +88,34 @@ class SinusoidalForcing:
         if not np.all(np.isfinite([self.A1, self.A2, self.phi1, self.phi2])):
             raise DataError("forcing parameters must be finite")
 
-    def at(self, t: float) -> np.ndarray:
-        return np.array([
-            self.A1 * np.sin(t + self.phi1) + self.A1 * np.sin(t / 10 + self.phi1),
-            self.A2 * np.sin(t + self.phi2) + self.A2 * np.sin(t / 10 + self.phi2),
-        ])
-
-    def sample(self, N: int, dt: float) -> np.ndarray:
-        t = np.arange(N) * dt
+    def values(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(u1, u2) at the times t."""
         u1 = self.A1 * np.sin(t + self.phi1) + self.A1 * np.sin(t / 10 + self.phi1)
         u2 = self.A2 * np.sin(t + self.phi2) + self.A2 * np.sin(t / 10 + self.phi2)
-        return np.column_stack([u1, u2])
+        return u1, u2
+
+    def sample(self, N: int, dt: float) -> np.ndarray:
+        return np.column_stack(self.values(np.arange(N) * dt))
 
 
-def _pp_rhs(params: PreyPredatorParams, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    x1, x2, x3 = x
-    u1sq, u2sq = u[0] ** 2, u[1] ** 2
-    return np.array([
-        params.a1 * x1 - params.b1 * x1 * x2 - params.c1 * x1 * x3 + params.d1 * u1sq,
-        params.a2 * x2 - params.b2 * x1 * x2 - params.c2 * x1 * x3 + params.d2 * u2sq,
-        -params.e * x3 + params.f * x1 * x3 + params.g * x2 * x3,
-    ])
+def _squares(values: np.ndarray) -> list[float]:
+    """v ** 2 of each value as a Python float, overflowing to inf.
+
+    Python's float power rounds as numpy's scalar power does; numpy's
+    vector square rounds differently in a few values per 10^4, which would
+    change the generated record.
+    """
+    try:
+        return [v ** 2 for v in values.tolist()]
+    except OverflowError:
+        return [_square(v) for v in values.tolist()]
+
+
+def _square(v: float) -> float:
+    try:
+        return v ** 2
+    except OverflowError:
+        return math.inf
 
 
 def simulate_prey_predator(params: PreyPredatorParams, forcing: SinusoidalForcing,
@@ -115,29 +123,53 @@ def simulate_prey_predator(params: PreyPredatorParams, forcing: SinusoidalForcin
     """Classical RK4 at step dt; inputs recorded as the raw sinusoids.
 
     The plant squares the inputs internally, so the recorded (u1, u2) -> x3
-    map is genuinely nonlinear. The seed is accepted for interface symmetry
-    with the other generator; generation itself is deterministic.
+    map is genuinely nonlinear. The squared forcing at the three stage
+    times t, t + dt/2 and t + dt is computed up front; the step itself runs
+    on Python floats. Generation raises NumericalError at the first step
+    whose state is non-finite or leaves the ball of radius
+    POPULATION_BOUND. The seed is accepted for interface symmetry with the
+    other generator; generation itself is deterministic.
     """
     if N < 2:
         raise DataError(f"need at least 2 samples, got {N}")
     dt = params.dt
-    x = np.array(params.x0, dtype=float)
+    h = 0.5 * dt
+    w = dt / 6.0
     us = forcing.sample(N, dt)
-    ys = np.empty((N, 1))
-    for k in range(N):
-        t = k * dt
-        if not np.all(np.isfinite(x)) or np.linalg.norm(x) > POPULATION_BOUND:
+    t = np.arange(N) * dt
+    # (u1^2, u2^2) at t, at t + dt/2 and at t + dt, one tuple per step
+    squared = zip(*(_squares(v) for v in (*us.T, *forcing.values(t + h),
+                                         *forcing.values(t + dt))))
+    a1, a2, b1, b2, c1, c2 = params.a1, params.a2, params.b1, params.b2, params.c1, params.c2
+    d1, d2, e, f, g = params.d1, params.d2, params.e, params.f, params.g
+    x1, x2, x3 = (float(v) for v in params.x0)
+    ys = [0.0] * N
+    for k, (p1, p2, r1, r2, s1, s2) in enumerate(squared):
+        if not math.hypot(x1, x2, x3) <= POPULATION_BOUND:
             raise NumericalError(
-                f"prey-predator simulation diverged at step {k} (t={t:.6g}); "
+                f"prey-predator simulation diverged at step {k} (t={k * dt:.6g}); "
                 "reduce dt or the forcing amplitude"
             )
-        ys[k, 0] = x[2]
-        k1 = _pp_rhs(params, x, forcing.at(t))
-        k2 = _pp_rhs(params, x + 0.5 * dt * k1, forcing.at(t + 0.5 * dt))
-        k3 = _pp_rhs(params, x + 0.5 * dt * k2, forcing.at(t + 0.5 * dt))
-        k4 = _pp_rhs(params, x + dt * k3, forcing.at(t + dt))
-        x = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return Dataset(u=us, y=ys, dt=dt, name="prey-predator")
+        ys[k] = x3
+        k11 = a1 * x1 - b1 * x1 * x2 - c1 * x1 * x3 + d1 * p1
+        k12 = a2 * x2 - b2 * x1 * x2 - c2 * x1 * x3 + d2 * p2
+        k13 = -e * x3 + f * x1 * x3 + g * x2 * x3
+        z1, z2, z3 = x1 + h * k11, x2 + h * k12, x3 + h * k13
+        k21 = a1 * z1 - b1 * z1 * z2 - c1 * z1 * z3 + d1 * r1
+        k22 = a2 * z2 - b2 * z1 * z2 - c2 * z1 * z3 + d2 * r2
+        k23 = -e * z3 + f * z1 * z3 + g * z2 * z3
+        z1, z2, z3 = x1 + h * k21, x2 + h * k22, x3 + h * k23
+        k31 = a1 * z1 - b1 * z1 * z2 - c1 * z1 * z3 + d1 * r1
+        k32 = a2 * z2 - b2 * z1 * z2 - c2 * z1 * z3 + d2 * r2
+        k33 = -e * z3 + f * z1 * z3 + g * z2 * z3
+        z1, z2, z3 = x1 + dt * k31, x2 + dt * k32, x3 + dt * k33
+        k41 = a1 * z1 - b1 * z1 * z2 - c1 * z1 * z3 + d1 * s1
+        k42 = a2 * z2 - b2 * z1 * z2 - c2 * z1 * z3 + d2 * s2
+        k43 = -e * z3 + f * z1 * z3 + g * z2 * z3
+        x1 = x1 + w * (k11 + 2 * k21 + 2 * k31 + k41)
+        x2 = x2 + w * (k12 + 2 * k22 + 2 * k32 + k42)
+        x3 = x3 + w * (k13 + 2 * k23 + 2 * k33 + k43)
+    return Dataset(u=us, y=np.array(ys).reshape(-1, 1), dt=dt, name="prey-predator")
 
 
 # --- Wiener-Hammerstein stand-in --------------------------------------------

@@ -147,22 +147,22 @@ def _expected_header(m: int, p: int) -> list[str]:
 
 
 def save_csv(ds: Dataset, path) -> None:
-    """Write a dataset in the canonical CSV layout (17 significant digits)."""
+    """Write a dataset in the canonical CSV layout (17 significant digits).
+
+    One ``%.17g`` cell per value, CRLF line endings (the csv module's
+    default dialect). Time k is written as k * dt.
+    """
     n, m = ds.u.shape
     p = ds.y.shape[1]
+    table = np.column_stack([np.arange(n) * ds.dt, ds.u, ds.y]).tolist()
+    row = ",".join(["%.17g"] * (1 + m + p)) + "\r\n"
     try:
         fh = open(path, "w", newline="", encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc}") from exc
     with fh:
-        writer = csv.writer(fh)
-        writer.writerow(_expected_header(m, p))
-        for k in range(n):
-            t = k * ds.dt
-            row = [f"{t:.17g}"]
-            row += [f"{v:.17g}" for v in ds.u[k]]
-            row += [f"{v:.17g}" for v in ds.y[k]]
-            writer.writerow(row)
+        fh.write(",".join(_expected_header(m, p)) + "\r\n")
+        fh.writelines([row % tuple(r) for r in table])
 
 
 def load_csv(path, name: str | None = None) -> Dataset:
@@ -170,8 +170,9 @@ def load_csv(path, name: str | None = None) -> Dataset:
 
     The header must be ``t,u1..um,y1..yp``; dt is inferred from the first
     two t values, and every row k must sit at t0 + k*dt up to a relative
-    1e-9 (rounding of the written times). Errors cite the offending 1-based
-    line number.
+    1e-9 (rounding of the written times). Every cell must be a finite
+    number. Errors cite the offending 1-based physical line; a record
+    that spans lines (a quoted newline) is cited by its last line.
     """
     try:
         fh = open(path, "r", newline="", encoding="utf-8")
@@ -179,8 +180,9 @@ def load_csv(path, name: str | None = None) -> Dataset:
         raise DataError(f"cannot read {path}: {exc}") from exc
     with fh:
         reader = csv.reader(fh)
+        rows = _decoded_rows(reader, path)
         try:
-            header = next(reader)
+            header = next(rows)
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
@@ -190,7 +192,8 @@ def load_csv(path, name: str | None = None) -> Dataset:
         linenos: list[int] = []
         u_rows: list[list[float]] = []
         y_rows: list[list[float]] = []
-        for lineno, row in enumerate(reader, start=2):
+        for row in rows:
+            lineno = reader.line_num
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) != width:
@@ -204,6 +207,9 @@ def load_csv(path, name: str | None = None) -> Dataset:
                 raise DataError(
                     f"{path}: line {lineno}: non-numeric cell {bad!r}"
                 ) from None
+            if not all(map(math.isfinite, vals)):
+                bad = next(c for c, v in zip(row, vals) if not math.isfinite(v))
+                raise DataError(f"{path}: line {lineno}: non-finite cell {bad!r}")
             t_vals.append(vals[0])
             linenos.append(lineno)
             u_rows.append(vals[1 : 1 + m])
@@ -222,6 +228,33 @@ def load_csv(path, name: str | None = None) -> Dataset:
         dt=dt,
         name=name if name is not None else str(path),
     )
+
+
+def _decoded_rows(reader, path):
+    """The reader's rows; undecodable bytes and csv errors become DataError."""
+    try:
+        yield from reader
+    except UnicodeDecodeError:
+        raise DataError(
+            f"{path}: line {_first_undecodable_line(path)}: not UTF-8 text"
+        ) from None
+    except csv.Error as exc:
+        raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
+def _first_undecodable_line(path) -> int:
+    """1-based number of the first line of `path` that is not valid UTF-8.
+
+    Lines end at LF, CR or CRLF, as the csv reader counts them.
+    """
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
+    for lineno, raw in enumerate(lines, start=1):
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError:
+            return lineno
+    return len(lines)
 
 
 def _check_uniform_time(t: np.ndarray, dt: float, linenos: list[int], path) -> None:

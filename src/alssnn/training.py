@@ -24,6 +24,7 @@ from typing import Union
 
 import numpy as np
 from scipy.linalg.blas import dsyrk
+from scipy.linalg.lapack import dposv
 
 from .dataio import Dataset
 from .errors import DataError, DivergenceError
@@ -571,10 +572,13 @@ def lm_step(model: TrainableModel, ds: Dataset, config: TrainConfig, lam: float,
             workspace: LmWorkspace | None = None):
     """One damped Gauss-Newton step with strict-decrease acceptance.
 
-    Solves (J'J + lam*diag(J'J)) delta = -J'r, zero diagonal entries replaced
-    by 1. Returns (model', lam', accepted); the model is returned unchanged
-    on rejection and lam moves by the configured factors. Solve failures and
-    divergent candidates count as rejections; the workspace records why
+    Solves (J'J + lam*diag(J'J)) delta = -J'r by Cholesky, zero diagonal
+    entries replaced by 1. Unlike LU with partial pivoting, Cholesky loses
+    no accuracy to badly scaled parameters (the diagonal scaling of the
+    system). Returns (model', lam', accepted); the model is returned
+    unchanged on rejection and lam moves by the configured factors. Solve
+    failures (including a system that is not numerically positive definite)
+    and divergent candidates count as rejections; the workspace records why
     (`last_reject_reason`: solve_failed, non_finite_step, invalid_params,
     diverged or no_decrease).
     """
@@ -602,12 +606,11 @@ def lm_step(model: TrainableModel, ds: Dataset, config: TrainConfig, lam: float,
 
     damping = np.diag(ws.JtJ).copy()
     damping[damping == 0.0] = 1.0
-    damped = ws.JtJ.copy()
+    damped = np.array(ws.JtJ, order="F")
     damped.flat[:: damped.shape[0] + 1] += lam * damping
     ws.solves += 1
-    try:
-        delta = np.linalg.solve(damped, -ws.Jtr)
-    except np.linalg.LinAlgError:
+    _, delta, info = dposv(damped, -ws.Jtr, lower=0, overwrite_a=1, overwrite_b=1)
+    if info != 0:
         return reject("solve_failed")
     if not np.all(np.isfinite(delta)):
         return reject("non_finite_step")

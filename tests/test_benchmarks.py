@@ -58,8 +58,68 @@ def test_forcing_sample_matches_formula():
     u1 = forcing.A1 * np.sin(t + forcing.phi1) + forcing.A1 * np.sin(t / 10 + forcing.phi1)
     u2 = forcing.A2 * np.sin(t + forcing.phi2) + forcing.A2 * np.sin(t / 10 + forcing.phi2)
     assert np.array_equal(u, np.column_stack([u1, u2]))
-    for k in (0, 1, 17, N - 1):
-        assert np.allclose(u[k], forcing.at(k * dt), atol=1e-12)
+
+
+def reference_prey_predator(params, forcing, N):
+    """The generator as first written: one RK4 step of numpy arrays per sample,
+    the forcing evaluated per stage time. Returns (u, y) or raises."""
+    def at(t):
+        return np.array([
+            forcing.A1 * np.sin(t + forcing.phi1) + forcing.A1 * np.sin(t / 10 + forcing.phi1),
+            forcing.A2 * np.sin(t + forcing.phi2) + forcing.A2 * np.sin(t / 10 + forcing.phi2),
+        ])
+
+    def rhs(x, u):
+        x1, x2, x3 = x
+        u1sq, u2sq = u[0] ** 2, u[1] ** 2
+        return np.array([
+            params.a1 * x1 - params.b1 * x1 * x2 - params.c1 * x1 * x3 + params.d1 * u1sq,
+            params.a2 * x2 - params.b2 * x1 * x2 - params.c2 * x1 * x3 + params.d2 * u2sq,
+            -params.e * x3 + params.f * x1 * x3 + params.g * x2 * x3,
+        ])
+
+    dt = params.dt
+    x = np.array(params.x0, dtype=float)
+    ys = np.empty((N, 1))
+    for k in range(N):
+        t = k * dt
+        if not np.all(np.isfinite(x)) or np.linalg.norm(x) > POPULATION_BOUND:
+            raise NumericalError(
+                f"prey-predator simulation diverged at step {k} (t={t:.6g}); "
+                "reduce dt or the forcing amplitude"
+            )
+        ys[k, 0] = x[2]
+        k1 = rhs(x, at(t))
+        k2 = rhs(x + 0.5 * dt * k1, at(t + 0.5 * dt))
+        k3 = rhs(x + 0.5 * dt * k2, at(t + 0.5 * dt))
+        k4 = rhs(x + dt * k3, at(t + dt))
+        x = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return forcing.sample(N, dt), ys
+
+
+@pytest.mark.parametrize("params, forcing, N", [
+    (PreyPredatorParams(), SinusoidalForcing(), 4000),
+    (PreyPredatorParams(a1=-0.15, a2=-0.35, b1=0.01, c2=0.08, d1=0.7, d2=0.3,
+                        e=0.4, f=0.03, g=0.015, dt=0.3, x0=(3, 12.5, 1.0)),
+     SinusoidalForcing(A1=1.5, A2=2.7, phi1=0.2, phi2=-0.4), 3000),
+])
+def test_prey_predator_bit_identical_to_reference_rk4(params, forcing, N):
+    u_ref, y_ref = reference_prey_predator(params, forcing, N)
+    ds = simulate_prey_predator(params, forcing, N)
+    assert np.array_equal(ds.u, u_ref)
+    assert np.array_equal(ds.y, y_ref)
+
+
+@pytest.mark.parametrize("params, forcing", [
+    (replace(PreyPredatorParams(), a1=2.0, a2=2.0), SinusoidalForcing()),
+    (PreyPredatorParams(), SinusoidalForcing(A1=1e200)),  # u^2 overflows
+])
+def test_prey_predator_diverges_at_reference_step(params, forcing):
+    with pytest.raises(NumericalError) as ref, np.errstate(all="ignore"):
+        reference_prey_predator(params, forcing, 500)
+    with pytest.raises(NumericalError) as new:
+        simulate_prey_predator(params, forcing, 500)
+    assert str(new.value) == str(ref.value)
 
 
 def test_default_prey_predator_bounded_and_alive():

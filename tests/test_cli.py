@@ -203,6 +203,17 @@ def test_evaluate_non_uniform_time_exit_2(ws, tmp_path, capsys):
     assert "error:" in err and "line 4" in err
 
 
+def test_evaluate_non_utf8_data_exit_2(ws, tmp_path, capsys):
+    bad = tmp_path / "latin1.csv"
+    bad.write_bytes(b"t,u1,y1\n0,1,2\n1,1,2\n2,\xe9,2\n")
+    rc = main(["evaluate", "--model", str(ws["al"]) + ".model.json",
+               "--data", str(bad), "-o", str(tmp_path / "x")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "line 4: not UTF-8" in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------- closedloop
 
 def test_closedloop_outputs(ws, tmp_path):

@@ -1,3 +1,6 @@
+import csv
+import re
+
 import numpy as np
 import pytest
 
@@ -89,6 +92,34 @@ def test_csv_header_layout(tmp_path):
     assert header == "t,u1,u2,y1"
 
 
+def reference_save_csv(ds, path):
+    """save_csv as first written, one csv.writer row per sample."""
+    n, m = ds.u.shape
+    p = ds.y.shape[1]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t"] + [f"u{i+1}" for i in range(m)] + [f"y{i+1}" for i in range(p)])
+        for k in range(n):
+            t = k * ds.dt
+            row = [f"{t:.17g}"]
+            row += [f"{v:.17g}" for v in ds.u[k]]
+            row += [f"{v:.17g}" for v in ds.y[k]]
+            writer.writerow(row)
+
+
+@pytest.mark.parametrize("n, m, p, dt", [(1000, 1, 1, 0.1), (300, 3, 2, 0.37),
+                                         (50, 2, 1, 1e-300)])
+def test_save_csv_bytes_match_csv_writer(tmp_path, n, m, p, dt):
+    rng = np.random.default_rng(n)
+    u = rng.normal(size=(n, m)) * 10.0 ** rng.integers(-300, 300, (n, m))
+    y = rng.normal(size=(n, p))
+    y[:3, 0] = [0.0, -0.0, 5e-324]
+    ds = Dataset(u, y, dt=dt)
+    reference_save_csv(ds, tmp_path / "ref.csv")
+    save_csv(ds, tmp_path / "new.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
 def test_load_csv_missing_file():
     with pytest.raises(DataError):
         load_csv("/nonexistent/nowhere.csv")
@@ -113,6 +144,41 @@ def test_load_csv_rejects_non_uniform_time(tmp_path):
         load_csv(path)
     path.write_text("t,u1,y1\n0,1,2\n1,1,2\nnan,1,2\n")
     with pytest.raises(DataError, match="line 4:"):
+        load_csv(path)
+
+
+def test_load_csv_non_finite_cell_cites_file_and_line(tmp_path):
+    path = tmp_path / "nonfinite.csv"
+    path.write_text("t,u1,y1\n0,1,2\n1,1,nan\n2,1,2\n")
+    with pytest.raises(DataError, match=re.escape(f"{path}: line 3: non-finite cell 'nan'")):
+        load_csv(path)
+    path.write_text("t,u1,y1\n0,1,2\n1,1,2\n2,-inf,2\n")
+    with pytest.raises(DataError, match=re.escape(f"{path}: line 4: non-finite cell '-inf'")):
+        load_csv(path)
+
+
+def test_load_csv_non_utf8_cites_line(tmp_path):
+    path = tmp_path / "latin1.csv"
+    for eol in (b"\n", b"\r\n", b"\r"):
+        path.write_bytes(eol.join([b"t,u1,y1", b"0,1,2", b"1,1,2", b"2,\xe9,2", b"3,1,2"]))
+        with pytest.raises(DataError, match=re.escape(f"{path}: line 4: not UTF-8 text")):
+            load_csv(path)
+
+
+def test_load_csv_csv_module_error_cites_line(tmp_path):
+    # a cell past the csv module's field size limit used to escape as csv.Error
+    path = tmp_path / "huge.csv"
+    path.write_text("t,u1,y1\n0,1,2\n1,1,2\n2," + "1" * 200_000 + ",2\n")
+    with pytest.raises(DataError, match=re.escape(f"{path}: line 4: field larger")):
+        load_csv(path)
+
+
+def test_load_csv_cites_physical_line_after_quoted_newline(tmp_path):
+    # the record on lines 2-3 holds a newline in a quoted cell; the bad
+    # cell sits on physical line 5
+    path = tmp_path / "quoted.csv"
+    path.write_text('t,u1,y1\n0,"1\n",2\n1,1,2\n2,oops,3\n')
+    with pytest.raises(DataError, match="line 5: non-numeric cell 'oops'"):
         load_csv(path)
 
 

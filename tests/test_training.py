@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from alssnn import training
 from alssnn.dataio import Dataset
 from alssnn.errors import DataError, DivergenceError
 from alssnn.linear_id import LinearSS
@@ -500,6 +501,43 @@ def test_lm_step_reject_reasons():
     _, _, accepted = lm_step(model, ds, config, 1e-2, workspace=ws)
     assert not accepted and ws.last_reject_reason == "no_decrease"
     assert ws.last_step_norm == 0.0 and ws.free_runs == 1
+
+
+def test_lm_step_solve_is_accurate_on_badly_scaled_normal_equations(monkeypatch):
+    # J'J = S B S with column scales S spanning 1e-16..1e3 and near-dependent
+    # columns in B. LU with partial pivoting loses digits to the scaling
+    # (errors 4e-10 to 3e-9 on these draws); Cholesky does not (2e-13).
+    model = rand_al(seed=24, net_scale=0.1)
+    ds = rand_ds(N=20, seed=24)
+    config = TrainConfig(gamma=0.5)
+    layout = default_layout(model, config)
+    P = pack_params(model, layout).size
+    steps = []
+
+    def capture(model, layout, theta):  # theta = 0 + delta
+        steps.append(theta.copy())
+        raise DataError("step captured")
+
+    monkeypatch.setattr(training, "pack_params", lambda model, layout: np.zeros(P))
+    monkeypatch.setattr(training, "unpack_params", capture)
+    lam = 1e-3
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        J = rng.normal(size=(3 * P, P))
+        near = J[:, 0:-1:4]
+        J[:, 1::4] = near + 1e-6 * rng.normal(size=near.shape)
+        s = 10.0 ** rng.uniform(-16, 3, P)
+        JtJ = s[:, None] * (J.T @ J) * s[None, :]
+        JtJ = 0.5 * (JtJ + JtJ.T)
+        Jtr = s * rng.normal(size=P)
+        ws = LmWorkspace(filled_for=(model, ds, 0.5, layout), loss=1.0, JtJ=JtJ, Jtr=Jtr)
+        lm_step(model, ds, config, lam, workspace=ws)
+        assert ws.last_reject_reason == "invalid_params"
+        damped = JtJ + lam * np.diag(np.diag(JtJ))
+        d = np.sqrt(np.diag(damped))
+        ref = np.linalg.solve(damped / np.outer(d, d), -Jtr / d) / d
+        err = np.linalg.norm(d * (steps[-1] - ref)) / np.linalg.norm(d * ref)
+        assert err < 1e-10
 
 
 # --- training pipelines ------------------------------------------------------

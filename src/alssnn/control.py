@@ -5,7 +5,8 @@ into x+ = Ax + Bv + omega with omega(k) = g(x(k), v(k) - h(y(k))): the input
 nonlinearity cancels exactly and only the penalized residual survives as a
 disturbance. The statistics here quantify how small that disturbance is
 relative to the linear part, both open loop (g, h, f against Ax + Bu) and
-closed loop (omega against Ax + Bv).
+closed loop (omega against Ax + Bv). The closed loop runs on the step engine
+of `linear_id` with two layers, h and then g.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .dataio import Dataset, SplitSpec
 from .errors import DataError, DivergenceError
-from .linear_id import LinearSS
+from .linear_id import LinearSS, _step_engine
 from .models import DIVERGENCE_BOUND, AlSsnnModel, GrSsnnModel, simulate
 from .nets import mlp_forward, mlp_forward_batch
 
@@ -120,56 +121,18 @@ def _ratio(nums: np.ndarray, dens: np.ndarray) -> tuple[float, float, int]:
     return float(np.mean(vals)), float(np.max(vals)), n_excl
 
 
-def _closed_loop_rollout(model: AlSsnnModel, V: np.ndarray, x0: np.ndarray,
-                         divergence_bound: float):
-    """States x(0..N), g's hidden activations t_g(0..N-1) and the divergence step.
-
-    With u = v - h(Cx), g's pre-activation W_g,x x + W_g,u u + b_g,in equals
-    W_g,x x - (W_g,u W_h,out) t_h + (W_g,u (v - b_h,out) + b_g,in), where
-    t_h = tanh(W_h,in C x + b_h,in); the last term depends only on v and is
-    computed ahead of the loop, as is B v + b_g,out, so
-    x+ = [W_g,out A] [t_g; x] + (B v + b_g,out) and the disturbance
-    omega = W_g,out t_g + b_g,out can be formed from t_g after the loop. Like
-    the open-loop kernel, the run stops at the first x(k) whose squared norm
-    is not <= bound^2 and returns that k (None if there is none); later rows
-    are unspecified.
-    """
-    lin, h, g = model.lin, model.h_net, model.g_net
-    n, N = lin.n_states, V.shape[0]
-    nh, ng = h.n_hidden, g.n_hidden
-    W_x = np.vstack([h.W_in @ lin.C, g.W_in[:, :n]])
-    W_gu = g.W_in[:, n:]
-    W_hg = W_gu @ h.W_out
-    c = np.empty((N, nh + ng))
-    c[:, :nh] = h.b_in
-    c[:, nh:] = (V - h.b_out) @ W_gu.T + g.b_in
-    M = np.hstack([g.W_out, lin.A])
-    D = V @ lin.B.T + g.b_out
-    xs = np.empty((N + 1, n))
-    T = np.empty((N, ng))
-    xs[0] = x0
-    z = np.empty(ng + n)
-    t_g, x = z[:ng], z[ng:]
-    x[:] = x0
-    bound2 = divergence_bound * divergence_bound
-    dot, add, subtract, tanh = np.dot, np.add, np.subtract, np.tanh
-    for k in range(N):
-        if not dot(x, x) <= bound2:
-            return xs, T, k
-        pre = add(dot(W_x, x), c[k])
-        tanh(subtract(pre[nh:], dot(W_hg, tanh(pre[:nh]))), out=t_g)
-        add(dot(M, z), D[k], out=x)
-        xs[k + 1] = x
-        T[k] = t_g
-    if not dot(x, x) <= bound2:
-        return xs, T, N
-    return xs, T, None
-
-
 def simulate_closed_loop(model: AlSsnnModel, v_seq: np.ndarray,
                          x0: np.ndarray | None = None,
                          divergence_bound: float = DIVERGENCE_BOUND) -> ClosedLoopRecord:
-    """Iterate the closed loop, recording the disturbance at every step."""
+    """Iterate the closed loop, recording the disturbance at every step.
+
+    The loop runs on the step engine with rows [t_g; t_h; x; v; 1]:
+    t_h = tanh(W_h,in C x + b_h,in), and with u = v - W_h,out t_h - b_h,out
+    g's pre-activation is -(W_g,u W_h,out) t_h + W_g,x x + W_g,u v
+    + (b_g,in - W_g,u b_h,out), a second layer reading [t_h; x; v; 1]. Then
+    x+ = W_g,out t_g + A x + B v + b_g,out, and the disturbance
+    omega = W_g,out t_g + b_g,out is formed from t_g after the loop.
+    """
     if not isinstance(model, AlSsnnModel):
         raise DataError("closed-loop simulation requires the h/g-split model family")
     lin = model.lin
@@ -185,10 +148,15 @@ def simulate_closed_loop(model: AlSsnnModel, v_seq: np.ndarray,
     if x.shape != (n,):
         raise DataError(f"x0 has shape {x.shape}, expected ({n},)")
 
-    xs, T, k = _closed_loop_rollout(model, V, x, divergence_bound)
+    h, g = model.h_net, model.g_net
+    W_gu = g.W_in[:, n:]
+    W_h = np.column_stack([h.W_in @ C, np.zeros((h.n_hidden, m)), h.b_in])
+    W_g = np.column_stack([-(W_gu @ h.W_out), g.W_in[:, :n], W_gu, g.b_in - W_gu @ h.b_out])
+    M = np.column_stack([g.W_out, np.zeros((n, h.n_hidden)), A, B, g.b_out])
+    R, xs, k = _step_engine([W_h, W_g], M, V, x, divergence_bound)
     steps = N if k is None else min(k, N)
     X = xs[:steps]
-    omegas = T[:steps] @ model.g_net.W_out.T + model.g_net.b_out
+    omegas = R[:steps, : g.n_hidden] @ g.W_out.T + g.b_out
     lin_norms = np.linalg.norm(X @ A.T + V[:steps] @ B.T, axis=1)
     omega_norms = np.linalg.norm(omegas, axis=1)
     if steps:

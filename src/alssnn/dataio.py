@@ -1,13 +1,15 @@
 """Sampled input/output datasets: CSV persistence, splitting, summary stats.
 
-On-disk format: UTF-8 CSV with header ``t,u1,...,um,y1,...,yp``, one row per
-sample, decimal point '.', values written with 17 significant digits so that
-a save/load round trip is bit-exact.
+On-disk format: UTF-8 CSV with header ``t,u1,...,um,y1,...,yp`` (a leading
+byte-order mark is skipped), one row per sample, decimal point '.', values
+written with 17 significant digits so that a save/load round trip is
+bit-exact.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
 
@@ -16,6 +18,11 @@ import numpy as np
 from .errors import DataError
 
 __all__ = ["Dataset", "SplitSpec", "load_csv", "normalize", "save_csv", "split"]
+
+# ASCII characters that float() skips or accepts inside a number but the
+# file format does not: digit separators and blanks around the digits. (A line
+# break can only enter a cell by csv quoting, which keeps its own rules.)
+_NON_NUMBER_CHARS = "_ \t\v\f\x1c\x1d\x1e\x1f"
 
 
 @dataclass(frozen=True)
@@ -171,49 +178,63 @@ def load_csv(path, name: str | None = None) -> Dataset:
     The header must be ``t,u1..um,y1..yp``; dt is inferred from the first
     two t values, and every row k must sit at t0 + k*dt up to a relative
     1e-9 (rounding of the written times). Every cell must be a finite
-    number. Errors cite the offending 1-based physical line; a record
-    that spans lines (a quoted newline) is cited by its last line.
+    number in plain ASCII, with no digit separator or padding blank ('1_0'
+    and ' 3 ' are errors). A leading UTF-8 byte-order mark is skipped.
+    Errors cite the offending 1-based physical line; a record that spans
+    lines (a quoted newline) is cited by its last line.
     """
     try:
-        fh = open(path, "r", newline="", encoding="utf-8")
+        with open(path, "r", newline="", encoding="utf-8-sig") as fh:
+            text = fh.read()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        rows = _decoded_rows(reader, path)
+    except UnicodeDecodeError:
+        raise DataError(
+            f"{path}: line {_first_undecodable_line(path)}: not UTF-8 text"
+        ) from None
+    # float() takes Python literal syntax ('1_0', ' 3 '). Cells are searched
+    # for it only when a scan of the text after the header line (whose cells
+    # may be padded) finds a non-ASCII or non-number character.
+    start = text.find("\n") + 1
+    suspect = not text.isascii() or any(
+        text.find(c, start) >= 0 for c in _NON_NUMBER_CHARS)
+    reader = csv.reader(io.StringIO(text, newline=""))
+    rows = _checked_rows(reader, path)
+    try:
+        header = next(rows)
+    except StopIteration:
+        raise DataError(f"{path}: empty file") from None
+    header = [h.strip() for h in header]
+    m, p = _parse_header(header, path)
+    width = 1 + m + p
+    t_vals: list[float] = []
+    linenos: list[int] = []
+    u_rows: list[list[float]] = []
+    y_rows: list[list[float]] = []
+    for row in rows:
+        lineno = reader.line_num
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != width:
+            raise DataError(
+                f"{path}: line {lineno}: expected {width} cells, got {len(row)}"
+            )
         try:
-            header = next(rows)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        m, p = _parse_header(header, path)
-        width = 1 + m + p
-        t_vals: list[float] = []
-        linenos: list[int] = []
-        u_rows: list[list[float]] = []
-        y_rows: list[list[float]] = []
-        for row in rows:
-            lineno = reader.line_num
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != width:
-                raise DataError(
-                    f"{path}: line {lineno}: expected {width} cells, got {len(row)}"
-                )
-            try:
-                vals = [float(c) for c in row]
-            except ValueError:
-                bad = next(c for c in row if not _is_number(c))
-                raise DataError(
-                    f"{path}: line {lineno}: non-numeric cell {bad!r}"
-                ) from None
-            if not all(map(math.isfinite, vals)):
-                bad = next(c for c, v in zip(row, vals) if not math.isfinite(v))
-                raise DataError(f"{path}: line {lineno}: non-finite cell {bad!r}")
-            t_vals.append(vals[0])
-            linenos.append(lineno)
-            u_rows.append(vals[1 : 1 + m])
-            y_rows.append(vals[1 + m :])
+            if suspect and not all(map(_is_plain, row)):
+                raise ValueError
+            vals = [float(c) for c in row]
+        except ValueError:
+            bad = next(c for c in row if not _is_number(c))
+            raise DataError(
+                f"{path}: line {lineno}: non-numeric cell {bad!r}"
+            ) from None
+        if not all(map(math.isfinite, vals)):
+            bad = next(c for c, v in zip(row, vals) if not math.isfinite(v))
+            raise DataError(f"{path}: line {lineno}: non-finite cell {bad!r}")
+        t_vals.append(vals[0])
+        linenos.append(lineno)
+        u_rows.append(vals[1 : 1 + m])
+        y_rows.append(vals[1 + m :])
     if len(t_vals) < 2:
         raise DataError(f"{path}: need at least 2 data rows, got {len(t_vals)}")
     dt = t_vals[1] - t_vals[0]
@@ -230,14 +251,10 @@ def load_csv(path, name: str | None = None) -> Dataset:
     )
 
 
-def _decoded_rows(reader, path):
-    """The reader's rows; undecodable bytes and csv errors become DataError."""
+def _checked_rows(reader, path):
+    """The reader's rows; csv errors become DataError."""
     try:
         yield from reader
-    except UnicodeDecodeError:
-        raise DataError(
-            f"{path}: line {_first_undecodable_line(path)}: not UTF-8 text"
-        ) from None
     except csv.Error as exc:
         raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
 
@@ -289,7 +306,14 @@ def _parse_header(header: list[str], path) -> tuple[int, int]:
     return m, p
 
 
+def _is_plain(cell: str) -> bool:
+    """True unless the cell holds a non-ASCII character or one of _NON_NUMBER_CHARS."""
+    return cell.isascii() and not any(map(cell.__contains__, _NON_NUMBER_CHARS))
+
+
 def _is_number(cell: str) -> bool:
+    if not _is_plain(cell):
+        return False
     try:
         float(cell)
         return True

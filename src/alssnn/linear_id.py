@@ -5,6 +5,10 @@ baseline. The pipeline is deterministic: estimate impulse-response (Markov)
 matrices by least squares, then realize (A, B, C) from the SVD of a block
 Hankel matrix. The realization is balanced, so raw matrices are only defined
 up to similarity; compare Markov parameters, never entries.
+
+The module also holds the step engine behind every free run and closed loop
+(`_step_engine`): one row buffer per run, one matvec and one tanh per net
+layer plus one matvec per step.
 """
 
 from __future__ import annotations
@@ -38,6 +42,9 @@ _BLIND_RMSE_FRACTION = 0.9
 # decidedly fading, so downstream training starts from a short-memory core
 # that must derive the output from the input rather than self-oscillate.
 _OUTPUT_MODE_CAP = 0.90
+
+# Rows stepped by _step_engine between two divergence checks.
+_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -197,36 +204,59 @@ def ho_kalman(markov: list[np.ndarray], n: int) -> LinearSS:
     return LinearSS(A=A, B=B, C=C)
 
 
-def _lti_rollout(A: np.ndarray, D: np.ndarray, x0: np.ndarray,
-                 divergence_bound: float | None = None) -> tuple[np.ndarray, int | None]:
-    """States x(0..N) of x(k+1) = A x(k) + D[k], with no per-step validation.
+def _step_engine(layers, M: np.ndarray, inputs: np.ndarray, x0: np.ndarray,
+                 divergence_bound: float | None = None):
+    """Run x(k+1) = M R[k] over the rows R[k] = [t(k); x(k); input(k); 1] of one buffer.
 
-    D holds the whole input term ahead of time (D[k] = B u(k) for a plain
-    free run), so each step is one matvec and one add. The state may be a
-    vector or, without a bound, an n x r block of r runs sharing A. With a
-    bound, the run stops at the first x(k) whose squared norm is not
-    <= bound^2 (so NaN and inf count as divergence) and returns that k;
-    states after it are unspecified. Otherwise the second value is None.
+    The activations t(k) come from the tanh layers in `layers`, run in order
+    and stacked right to left ahead of x: each layer W writes its block as
+    tanh(W R[k, after:]), reading everything after that block, so the first
+    layer sees [x; input; 1], the second [t_1; x; input; 1]. Callers fold
+    input weights and biases into the layers and input terms and biases into
+    M, so a step is one matvec and one tanh per layer plus one matvec for
+    the state. x0 may carry trailing axes (an n x r block of r runs sharing
+    the maps), and then the inputs carry the same ones.
+
+    Returns (R, X, k): the buffer, its state columns X = x(0..N) as a view,
+    and the divergence step. With a bound, squared state norms are checked
+    once per block of rows: the first x(k) whose squared norm is not
+    <= bound^2 (NaN and inf count) is returned as k, and rows after it are
+    unspecified. The steps taken after it are thrown away, so floating-point
+    errors are not reported. Otherwise k is None.
     """
-    N = D.shape[0]
-    xs = np.empty((N + 1,) + np.shape(x0))
-    xs[0] = x0
-    x = xs[0].copy()
+    N, n = inputs.shape[0], x0.shape[0]
+    a = sum(W.shape[0] for W in layers)
+    R = np.empty((N + 1, a + n + inputs.shape[1] + 1) + x0.shape[1:])
+    R[0, a : a + n] = x0
+    R[:N, a + n : -1] = inputs
+    R[:, -1] = 1.0
+    steps, top = [], a
+    for W in layers:
+        steps.append((W.dot, top - W.shape[0], top))
+        top -= W.shape[0]
+    xs = slice(a, a + n)
     bound2 = None if divergence_bound is None else divergence_bound * divergence_bound
-    dot, add = np.dot, np.add
-    for k in range(N):
-        if bound2 is not None and not dot(x, x) <= bound2:
-            return xs, k
-        add(dot(A, x), D[k], out=x)
-        xs[k + 1] = x
-    if bound2 is not None and not dot(x, x) <= bound2:
-        return xs, N
-    return xs, None
+    mdot, tanh = M.dot, np.tanh
+    with np.errstate(all="ignore"):
+        for k0 in range(0, N, _BLOCK):
+            k1 = min(N, k0 + _BLOCK)
+            for k in range(k0, k1):
+                row = R[k]
+                for dot, lo, hi in steps:
+                    tanh(dot(row[hi:]), out=row[lo:hi])
+                mdot(row, out=R[k + 1, xs])
+            if bound2 is not None:
+                X = R[k0 : k1 + 1, xs]
+                ok = np.einsum("ij,ij->i", X, X) <= bound2
+                if not ok.all():
+                    return R, R[:, xs], k0 + int(np.argmin(ok))
+    return R, R[:, xs], None
 
 
 def _free_run_output(lin: LinearSS, u: np.ndarray) -> np.ndarray:
     """Free-run output from x(0) = 0 (local kernel; models.simulate lives downstream)."""
-    xs, _ = _lti_rollout(lin.A, u @ lin.B.T, np.zeros(lin.n_states))
+    n = lin.n_states
+    _, xs, _ = _step_engine([], np.column_stack([lin.A, lin.B, np.zeros(n)]), u, np.zeros(n))
     return xs[:-1] @ lin.C.T
 
 
@@ -255,7 +285,8 @@ def _fit_input_matrix(A: np.ndarray, C: np.ndarray, ds: Dataset) -> np.ndarray:
     """
     n, (N, m) = A.shape[0], ds.u.shape
     D = np.einsum("ai,kj->kaij", np.eye(n), ds.u).reshape(N, n, n * m)
-    xs, _ = _lti_rollout(A, D, np.zeros((n, n * m)))
+    step = np.hstack([A, np.eye(n), np.zeros((n, 1))])
+    _, xs, _ = _step_engine([], step, D, np.zeros((n, n * m)))
     M = np.matmul(C, xs[:N]).reshape(N * C.shape[0], n * m)
     coef, *_ = np.linalg.lstsq(M, ds.y.ravel(), rcond=None)
     return coef.reshape(n, m)

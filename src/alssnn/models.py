@@ -9,6 +9,10 @@ Three families share the JSON schema (tag `family`):
 The AL form splits the nonlinearity into an input-channel term B h(y),
 cancellable by output feedback, and a residual g(x, u) that training keeps
 small. Defining f(x, u) := B h(Cx) + g(x, u) recovers the GR step exactly.
+
+`al_step`/`gr_step` are the reference step maps; `simulate` folds each family
+into the step engine of `linear_id` (one tanh layer for AL and GR, none for
+LTI) and runs that instead.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from typing import Union
 import numpy as np
 
 from .errors import DataError
-from .linear_id import LinearSS, _lti_rollout
+from .linear_id import LinearSS, _step_engine
 from .nets import Equilibrium, Mlp, mlp_forward
 
 __all__ = [
@@ -149,64 +153,31 @@ def gr_step(model: GrSsnnModel, x: np.ndarray, u: np.ndarray) -> np.ndarray:
     return lin.A @ x + lin.B @ u + f
 
 
-def _rollout(W_hid: np.ndarray, c: np.ndarray, M: np.ndarray, D: np.ndarray,
-             x0: np.ndarray, divergence_bound: float) -> tuple[np.ndarray, int | None]:
-    """States x(0..N) of  x(k+1) = M [t(k); x(k)] + D[k],  t(k) = tanh(W_hid x(k) + c[k]).
-
-    Everything that depends only on the input is in c (hidden pre-activation)
-    and D (state update), so a step is two matvecs, one tanh and one
-    divergence check, with no per-step validation. The run stops at the first
-    x(k) whose squared norm is not <= bound^2, so NaN and inf count as
-    divergence, and returns that k (states after it are unspecified);
-    otherwise the second value is None.
-    """
-    N, H = c.shape
-    xs = np.empty((N + 1, x0.shape[0]))
-    xs[0] = x0
-    z = np.empty(H + x0.shape[0])
-    t, x = z[:H], z[H:]
-    x[:] = x0
-    bound2 = divergence_bound * divergence_bound
-    dot, add, tanh = np.dot, np.add, np.tanh
-    for k in range(N):
-        if not dot(x, x) <= bound2:
-            return xs, k
-        tanh(add(dot(W_hid, x), c[k]), out=t)
-        add(dot(M, z), D[k], out=x)
-        xs[k + 1] = x
-    if not dot(x, x) <= bound2:
-        return xs, N
-    return xs, None
-
-
 def _model_rollout(model: AnyModel, U: np.ndarray, x0: np.ndarray,
                    divergence_bound: float) -> tuple[np.ndarray, int | None]:
-    """Free-run states of any model family through the lean kernels.
+    """Free-run states of any model family through the step engine.
 
-    AL folds h's input layer through C and B through h's output layer:
-    with y = Cx, B(u + h(y)) + g(x, u) is B u + B b_h + b_g plus
-    [B W_h,out, W_g,out] tanh([W_h,in C; W_g,x] x + [b_h,in; W_g,u u + b_g,in]).
-    GR is the same with the single f net; LTI has no hidden layer.
+    AL folds h's input layer through C and B through h's output layer: with
+    y = Cx, B(u + h(y)) + g(x, u) is B u + B b_h,out + b_g,out plus
+    [B W_h,out, W_g,out] tanh(W [x; u; 1]), where W stacks
+    [W_h,in C, 0, b_h,in] on [W_g,in, b_g,in]. GR is the same with the single
+    f net; LTI has no layer.
     """
-    if isinstance(model, LinearSS):
-        return _lti_rollout(model.A, U @ model.B.T, x0, divergence_bound)
-    lin = model.lin
-    n = lin.n_states
+    lin = _lin_of(model)
+    A, B, n = lin.A, lin.B, lin.n_states
     if isinstance(model, AlSsnnModel):
         h, g = model.h_net, model.g_net
-        W_hid = np.vstack([h.W_in @ lin.C, g.W_in[:, :n]])
-        c = np.empty((U.shape[0], h.n_hidden + g.n_hidden))
-        c[:, : h.n_hidden] = h.b_in
-        c[:, h.n_hidden :] = U @ g.W_in[:, n:].T + g.b_in
-        M = np.hstack([lin.B @ h.W_out, g.W_out, lin.A])
-        D = U @ lin.B.T + (lin.B @ h.b_out + g.b_out)
-    else:
+        layers = [np.vstack([
+            np.column_stack([h.W_in @ lin.C, np.zeros((h.n_hidden, lin.n_inputs)), h.b_in]),
+            np.column_stack([g.W_in, g.b_in])])]
+        M = np.column_stack([B @ h.W_out, g.W_out, A, B, B @ h.b_out + g.b_out])
+    elif isinstance(model, GrSsnnModel):
         f = model.f_net
-        W_hid = f.W_in[:, :n]
-        c = U @ f.W_in[:, n:].T + f.b_in
-        M = np.hstack([f.W_out, lin.A])
-        D = U @ lin.B.T + f.b_out
-    return _rollout(W_hid, c, M, D, x0, divergence_bound)
+        layers = [np.column_stack([f.W_in, f.b_in])]
+        M = np.column_stack([f.W_out, A, B, f.b_out])
+    else:
+        layers, M = [], np.column_stack([A, B, np.zeros(n)])
+    return _step_engine(layers, M, U, x0, divergence_bound)[1:]
 
 
 def simulate(model: AnyModel, u_seq: np.ndarray, x0: np.ndarray | None = None,
@@ -232,8 +203,8 @@ def simulate(model: AnyModel, u_seq: np.ndarray, x0: np.ndarray | None = None,
     if x.shape != (n,):
         raise DataError(f"x0 has shape {x.shape}, expected ({n},)")
     xs, k = _model_rollout(model, U, x, divergence_bound)
-    if k is None:
-        return Trajectory(x=xs, y=xs[:N] @ lin.C.T)
+    if k is None:   # a copy, so the trajectory does not hold the engine's buffer
+        return Trajectory(x=xs.copy(), y=xs[:N] @ lin.C.T)
     # a bad final state drops the last output too, as x(N) has no output slot
     keep = k + 1 if k < N else N
     return Trajectory(x=xs[:keep].copy(), y=xs[: keep - 1] @ lin.C.T,

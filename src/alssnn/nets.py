@@ -74,10 +74,6 @@ class Mlp:
     def n_hidden(self) -> int:
         return self.W_in.shape[0]
 
-    @property
-    def n_params(self) -> int:
-        return self.W_in.size + self.b_in.size + self.W_out.size + self.b_out.size
-
 
 @dataclass(frozen=True)
 class Equilibrium:

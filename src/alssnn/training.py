@@ -125,18 +125,6 @@ class ResidualVector:
         if self.r.shape != (want,):
             raise DataError(f"residual vector length {self.r.shape} != ({want},)")
 
-    @property
-    def output_block(self) -> np.ndarray:
-        return self.r[: self.n_samples * self.n_outputs].reshape(
-            self.n_samples, self.n_outputs
-        )
-
-    @property
-    def penalty_block(self) -> np.ndarray:
-        return self.r[self.n_samples * self.n_outputs :].reshape(
-            self.n_samples, self.n_penalty_states
-        )
-
     def loss_value(self) -> float:
         return float(self.r @ self.r / self.n_samples)
 
@@ -477,8 +465,8 @@ def _sensitivity_chunks(model: TrainableModel, ds: Dataset, gamma: float,
             for suffix in g_wanted:
                 F[:, :, cols[f"{g_tag}.{suffix}"]] = gb[suffix]
 
-        for j in range(c):
-            F[j] += Fx[j] @ buf[j]
+        for fx, s, f in zip(Fx, buf[:c], F):
+            np.add(f, fx.dot(s), out=f)
         S = buf[:c]
 
         J_out = np.matmul(C, S)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -277,3 +279,90 @@ def test_rmse_split_divergence_raises():
     ds = Dataset(u=np.ones((300, 1)), y=np.zeros((300, 1)))
     with pytest.raises(DivergenceError):
         rmse_split(lin, ds, 0.5)
+
+
+# --- step engine: block-wise divergence checks and wide nets -------------------
+
+def closed_loop_reference(model, V, x0, bound):
+    """(x, omega, diverged_at) of x+ = al_step(x, v - h(Cx)), stopped like the library."""
+    x = np.asarray(x0, dtype=float)
+    xs, omegas = [x], []
+    for k in range(V.shape[0]):
+        if not np.linalg.norm(x) <= bound:
+            return np.array(xs), np.array(omegas).reshape(k, x.shape[0]), k
+        u = linearizing_input(model, V[k], model.lin.C @ x)
+        omegas.append(mlp_forward(model.g_net, np.concatenate([x, u])))
+        x = al_step(model, x, u)
+        xs.append(x)
+    k = None if np.linalg.norm(x) <= bound else V.shape[0]
+    return np.array(xs), np.array(omegas), k
+
+
+def growing_model(seed, nh=5):
+    rng = np.random.default_rng(seed)
+    n, m, p = 3, 2, 2
+    lin = LinearSS(A=1.2 * np.eye(n) + 0.01 * rng.normal(size=(n, n)),
+                   B=0.1 * rng.normal(size=(n, m)), C=rng.normal(size=(p, n)))
+    return AlSsnnModel(lin=lin, h_net=rand_net(p, m, nh, seed + 1, 1.0),
+                       g_net=rand_net(n + m, n, nh, seed + 2, 0.01),
+                       eq=Equilibrium(x_e=np.zeros(n), u_e=np.zeros(m)))
+
+
+@pytest.mark.parametrize("k_div", [1, 255, 256, 257, 300])
+def test_closed_loop_divergence_step_matches_reference_across_blocks(k_div):
+    model = growing_model(50)
+    V = np.random.default_rng(51).normal(size=(300, 2))
+    x0 = np.ones(3)
+    xs, _, _ = closed_loop_reference(model, V, x0, np.inf)
+    norms = np.linalg.norm(xs, axis=1)
+    assert norms[k_div] > np.max(norms[:k_div])
+    bound = 0.5 * (np.max(norms[:k_div]) + norms[k_div])
+    xs, omegas, k = closed_loop_reference(model, V, x0, bound)
+    rec = simulate_closed_loop(model, V, x0=x0, divergence_bound=bound)
+    assert k == k_div and rec.diverged and rec.diverged_at == k_div
+    assert rec.x.shape == xs.shape and rec.omega.shape == omegas.shape
+    assert rec.v.shape == (k_div, 2) and rec.y.shape == (k_div, 2)
+    assert np.max(np.abs(rec.x - xs)) <= 1e-12 * np.max(np.abs(xs))
+
+
+def test_closed_loop_nan_state_on_block_boundary():
+    # B v = inf - inf at step 255 only: x(256) is the first non-finite state
+    lin = LinearSS(A=0.5 * np.eye(2), B=np.array([[1e300, -1e300], [0.0, 1.0]]),
+                   C=np.array([[1.0, 0.0]]))
+    model = AlSsnnModel(lin=lin, h_net=rand_net(1, 2, 3, 52, 0.0),
+                        g_net=rand_net(4, 2, 3, 53),
+                        eq=Equilibrium(x_e=np.zeros(2), u_e=np.zeros(2)))
+    V = np.zeros((600, 2))
+    V[255] = 1e10
+    with np.errstate(all="ignore"):   # ||A x + B v|| overflows at step 255
+        rec = simulate_closed_loop(model, V)
+    assert rec.diverged and rec.diverged_at == 256
+    assert rec.x.shape == (257, 2) and rec.omega.shape == (256, 2)
+    assert np.all(np.isfinite(rec.x[:256])) and not np.isfinite(rec.x[256, 0])
+
+
+def test_closed_loop_wide_nets_over_three_blocks_match_reference():
+    rng = np.random.default_rng(54)
+    n, m, p, H = 4, 2, 2, 80
+    lin = LinearSS(A=0.6 * np.eye(n) + 0.05 * rng.normal(size=(n, n)),
+                   B=rng.normal(size=(n, m)), C=rng.normal(size=(p, n)))
+    model = AlSsnnModel(lin=lin, h_net=rand_net(p, m, H, 55, 0.5),
+                        g_net=rand_net(n + m, n, H, 56, 0.1),
+                        eq=Equilibrium(x_e=np.zeros(n), u_e=np.zeros(m)))
+    V = rng.normal(size=(700, m))
+    x0 = rng.normal(size=n)
+    xs, omegas, k = closed_loop_reference(model, V, x0, 1e8)
+    rec = simulate_closed_loop(model, V, x0=x0)
+    assert k is None and not rec.diverged and rec.x.shape == xs.shape
+    assert np.max(np.abs(rec.x - xs)) <= 1e-12 * np.max(np.abs(xs))
+    assert np.max(np.abs(rec.omega - omegas)) <= 1e-12 * np.max(np.abs(omegas))
+
+
+def test_closed_loop_divergent_run_raises_no_warning():
+    lin = LinearSS(A=10.0 * np.eye(2), B=np.ones((2, 1)), C=np.array([[1.0, 0.0]]))
+    model = AlSsnnModel(lin=lin, h_net=rand_net(1, 1, 3, 57), g_net=rand_net(3, 2, 3, 58),
+                        eq=Equilibrium(x_e=np.zeros(2), u_e=np.zeros(1)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rec = simulate_closed_loop(model, np.ones((1000, 1)), x0=np.ones(2))
+    assert rec.diverged and rec.diverged_at == 8

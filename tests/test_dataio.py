@@ -182,6 +182,36 @@ def test_load_csv_cites_physical_line_after_quoted_newline(tmp_path):
         load_csv(path)
 
 
+def test_load_csv_accepts_utf8_byte_order_mark(tmp_path):
+    # spreadsheet programs write "CSV UTF-8" with a leading byte-order mark
+    ds = make_ds(n=5)
+    plain = tmp_path / "plain.csv"
+    save_csv(ds, plain)
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    back = load_csv(marked)
+    assert np.array_equal(back.u, ds.u) and np.array_equal(back.y, ds.y)
+
+
+@pytest.mark.parametrize("cell, line", [("1_0", 3), (" 3 ", 4), ("3\t", 4),
+                                         ("\u0661", 3), ("1e1_0", 3)])
+def test_load_csv_rejects_python_literal_syntax(tmp_path, cell, line):
+    # float() reads '1_0' as 10 and ' 3 ' as 3; the file format has neither
+    rows = ["t,u1,y1", "0,1,2", "1,1,2", "2,1,2", "3,1,2"]
+    rows[line - 1] = rows[line - 1].replace(",1,", f",{cell},", 1)
+    path = tmp_path / "literal.csv"
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    with pytest.raises(DataError, match=rf"line {line}: non-numeric cell {re.escape(repr(cell))}"):
+        load_csv(path)
+
+
+def test_load_csv_padded_header_and_blank_line_still_load(tmp_path):
+    path = tmp_path / "padded.csv"
+    path.write_text("t, u1 , y1\n0,1,2\n   \n1,3,4\n")
+    ds = load_csv(path)
+    assert ds.u.ravel().tolist() == [1.0, 3.0] and ds.y.ravel().tolist() == [2.0, 4.0]
+
+
 def test_load_csv_accepts_rounded_uniform_time(tmp_path):
     # short decimal times are off t0 + k*dt by rounding only; dt stays t1 - t0
     rows = "".join(f"{1000 + 0.1 * k:.1f},{k},{-k}\n" for k in range(2000))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -292,3 +294,104 @@ def test_from_json_dict_missing_dims_key():
     del obj["dims"]["n"]
     with pytest.raises(DataError, match="dims.n"):
         model_from_json_dict(obj)
+
+
+# --- step engine: block-wise divergence checks and wide nets -------------------
+
+def growing_families(seed, N, nh=5):
+    """AL, GR and LTI models whose state norm grows about 1.2x per step."""
+    rng = np.random.default_rng(seed)
+    n, m, p = 3, 2, 2
+    lin = LinearSS(A=1.2 * np.eye(n) + 0.01 * rng.normal(size=(n, n)),
+                   B=0.1 * rng.normal(size=(n, m)), C=rng.normal(size=(p, n)))
+    def net(d_in, d_out):
+        return Mlp(W_in=rng.normal(size=(nh, d_in)), b_in=rng.normal(size=nh),
+                   W_out=0.01 * rng.normal(size=(d_out, nh)),
+                   b_out=0.01 * rng.normal(size=d_out))
+    al = AlSsnnModel(lin=lin, h_net=net(p, m), g_net=net(n + m, n),
+                     eq=Equilibrium(x_e=np.zeros(n), u_e=np.zeros(m)))
+    gr = GrSsnnModel(lin=lin, f_net=net(n + m, n))
+    U = rng.normal(size=(N, m))
+    return [(al, lambda x, u: al_step(al, x, u)),
+            (gr, lambda x, u: gr_step(gr, x, u)),
+            (lin, lambda x, u: lin.A @ x + lin.B @ u)], U
+
+
+def bound_first_crossed_at(norms, k):
+    """A bound that the state norms first exceed at step k."""
+    assert norms[k] > np.max(norms[:k])
+    return 0.5 * (np.max(norms[:k]) + norms[k])
+
+
+@pytest.mark.parametrize("k_div", [1, 255, 256, 257, 300])
+def test_simulate_divergence_step_matches_step_maps_across_blocks(k_div):
+    N = 300
+    x0 = np.ones(3)
+    families, U = growing_families(seed=40, N=N)
+    for model, step in families:
+        C = model.C if isinstance(model, LinearSS) else model.lin.C
+        xs, _, _ = reference_run(step, C, U, x0, np.inf)
+        bound = bound_first_crossed_at(np.linalg.norm(xs, axis=1), k_div)
+        xs, ys, k = reference_run(step, C, U, x0, bound)
+        traj = simulate(model, U, x0=x0, divergence_bound=bound)
+        assert k == k_div and traj.diverged and traj.diverged_at == k_div
+        assert traj.x.shape == xs.shape and traj.y.shape == ys.shape
+        assert np.max(np.abs(traj.x - xs)) <= 1e-12 * np.max(np.abs(xs))
+
+
+def test_simulate_nan_state_on_block_boundary():
+    # B u = inf - inf at step 255 only, so x(256), the first row checked
+    # twice (last of one block, first of the next), is the first NaN state
+    n = 2
+    lin = LinearSS(A=0.5 * np.eye(n), B=np.array([[1e300, -1e300], [0.0, 1.0]]),
+                   C=np.array([[1.0, 0.0]]))
+    h = small_net(1, 2, 41)
+    h = Mlp(W_in=h.W_in, b_in=h.b_in, W_out=0.0 * h.W_out, b_out=np.zeros(2))
+    al = AlSsnnModel(lin=lin, h_net=h, g_net=small_net(n + 2, n, 42),
+                     eq=Equilibrium(x_e=np.zeros(n), u_e=np.zeros(2)))
+    gr = GrSsnnModel(lin=lin, f_net=small_net(n + 2, n, 43))
+    U = np.zeros((600, 2))
+    U[255] = 1e10
+    for model in (al, gr, lin):
+        traj = simulate(model, U)
+        assert traj.diverged and traj.diverged_at == 256
+        assert traj.x.shape == (257, n) and traj.y.shape == (256, 1)
+        assert np.all(np.isfinite(traj.x[:256])) and np.isnan(traj.x[256, 0])
+
+
+def test_simulate_wide_nets_over_three_blocks_match_step_maps():
+    rng = np.random.default_rng(44)
+    n, m, p, H = 4, 2, 2, 80
+    lin = LinearSS(A=0.6 * np.eye(n) + 0.05 * rng.normal(size=(n, n)),
+                   B=rng.normal(size=(n, m)), C=rng.normal(size=(p, n)))
+    def net(d_in, d_out):
+        return Mlp(W_in=0.5 * rng.normal(size=(H, d_in)), b_in=rng.normal(size=H),
+                   W_out=0.05 * rng.normal(size=(d_out, H)),
+                   b_out=0.1 * rng.normal(size=d_out))
+    al = AlSsnnModel(lin=lin, h_net=net(p, m), g_net=net(n + m, n),
+                     eq=Equilibrium(x_e=np.zeros(n), u_e=np.zeros(m)))
+    gr = GrSsnnModel(lin=lin, f_net=net(n + m, n))
+    U = rng.normal(size=(700, m))
+    x0 = rng.normal(size=n)
+    for model, step in ((al, lambda x, u: al_step(al, x, u)),
+                        (gr, lambda x, u: gr_step(gr, x, u))):
+        xs, ys, k = reference_run(step, lin.C, U, x0, 1e8)
+        traj = simulate(model, U, x0=x0)
+        assert k is None and not traj.diverged
+        assert traj.x.shape == xs.shape and traj.y.shape == ys.shape
+        assert np.max(np.abs(traj.x - xs)) <= 1e-12 * np.max(np.abs(xs))
+        assert np.max(np.abs(traj.y - ys)) <= 1e-12 * np.max(np.abs(ys))
+
+
+def test_simulate_divergent_run_raises_no_warning():
+    # after x(k) leaves the bound the run keeps stepping to the end of its
+    # block, through overflow to inf and NaN; none of that may surface
+    lin = LinearSS(A=10.0 * np.eye(2), B=np.ones((2, 1)), C=np.array([[1.0, 0.0]]))
+    al = AlSsnnModel(lin=lin, h_net=small_net(1, 1, 45), g_net=small_net(3, 2, 46),
+                     eq=Equilibrium(x_e=np.zeros(2), u_e=np.zeros(1)))
+    gr = GrSsnnModel(lin=lin, f_net=small_net(3, 2, 47))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for model in (al, gr, lin):
+            traj = simulate(model, np.ones((1000, 1)), x0=np.ones(2))
+            assert traj.diverged and traj.diverged_at == 8

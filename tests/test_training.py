@@ -77,10 +77,11 @@ def test_residual_blocks_match_free_run():
     rv = residuals(model, ds, gamma)
     traj = simulate(model, ds.u)
     e = ds.y - traj.x[: ds.n_samples] @ model.lin.C.T
-    assert np.allclose(rv.output_block, e, atol=1e-14)
+    cut = e.size
+    assert np.allclose(rv.r[:cut].reshape(e.shape), e, atol=1e-14)
     Z = np.hstack([traj.x[: ds.n_samples], ds.u])
     g = mlp_forward_batch(model.g_net, Z)
-    assert np.allclose(rv.penalty_block, np.sqrt(gamma) * g, atol=1e-14)
+    assert np.allclose(rv.r[cut:].reshape(g.shape), np.sqrt(gamma) * g, atol=1e-14)
 
 
 def test_residuals_gr_has_no_penalty_block():

@@ -17,8 +17,8 @@ import numpy as np
 
 from .dataio import Dataset, SplitSpec
 from .errors import DataError, DivergenceError
-from .linear_id import LinearSS, _step_engine
-from .models import DIVERGENCE_BOUND, AlSsnnModel, GrSsnnModel, simulate
+from .linear_id import _step_engine
+from .models import DIVERGENCE_BOUND, AlSsnnModel, GrSsnnModel, _lin_of, simulate
 from .nets import mlp_forward, mlp_forward_batch
 
 __all__ = [
@@ -157,7 +157,8 @@ def simulate_closed_loop(model: AlSsnnModel, v_seq: np.ndarray,
     steps = N if k is None else min(k, N)
     X = xs[:steps]
     omegas = R[:steps, : g.n_hidden] @ g.W_out.T + g.b_out
-    lin_norms = np.linalg.norm(X @ A.T + V[:steps] @ B.T, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):   # a divergent run's last steps
+        lin_norms = np.linalg.norm(X @ A.T + V[:steps] @ B.T, axis=1)
     omega_norms = np.linalg.norm(omegas, axis=1)
     if steps:
         mean, mx, n_excl = _ratio(omega_norms, lin_norms)
@@ -177,42 +178,35 @@ def simulate_closed_loop(model: AlSsnnModel, v_seq: np.ndarray,
     )
 
 
-def _open_loop_terms(model, ds: Dataset):
-    """States and per-step norms of the linear part along the free run."""
-    lin = model.lin if not isinstance(model, LinearSS) else model
+def _free_run(model, ds: Dataset) -> np.ndarray:
+    """States x(0..N-1) of the model's free run on ds.u from x(0) = 0."""
     traj = simulate(model, ds.u)
     if traj.diverged:
         raise DivergenceError(traj.diverged_at)
-    N = ds.n_samples
-    X = traj.x[:N]
-    dens = np.linalg.norm(X @ lin.A.T + ds.u @ lin.B.T, axis=1)
-    return X, dens
+    return traj.x[: ds.n_samples]
 
 
 def ratio_stats(model, ds: Dataset) -> RatioStats:
     """Open-loop nonlinearity ratios along the model's free run on ds.u."""
-    if isinstance(model, AlSsnnModel):
-        X, dens = _open_loop_terms(model, ds)
-        N = ds.n_samples
-        Z = np.hstack([X, ds.u])
-        g_norms = np.linalg.norm(mlp_forward_batch(model.g_net, Z), axis=1)
-        h_norms = np.linalg.norm(
-            mlp_forward_batch(model.h_net, X @ model.lin.C.T), axis=1
+    if not isinstance(model, (AlSsnnModel, GrSsnnModel)):
+        raise DataError(
+            f"ratio statistics need a model with networks, got {type(model).__name__}"
         )
-        g_mean, g_max, n_excl = _ratio(g_norms, dens)
-        h_mean, h_max, _ = _ratio(h_norms, dens)
-        return RatioStats(n_steps=N, n_excluded=n_excl, g_mean=g_mean, g_max=g_max,
-                          h_mean=h_mean, h_max=h_max)
+    X = _free_run(model, ds)
+    lin = model.lin
+    dens = np.linalg.norm(X @ lin.A.T + ds.u @ lin.B.T, axis=1)
+    Z = np.hstack([X, ds.u])
     if isinstance(model, GrSsnnModel):
-        X, dens = _open_loop_terms(model, ds)
-        Z = np.hstack([X, ds.u])
         f_norms = np.linalg.norm(mlp_forward_batch(model.f_net, Z), axis=1)
         f_mean, f_max, n_excl = _ratio(f_norms, dens)
         return RatioStats(n_steps=ds.n_samples, n_excluded=n_excl,
                           f_mean=f_mean, f_max=f_max)
-    raise DataError(
-        f"ratio statistics need a model with networks, got {type(model).__name__}"
-    )
+    g_norms = np.linalg.norm(mlp_forward_batch(model.g_net, Z), axis=1)
+    h_norms = np.linalg.norm(mlp_forward_batch(model.h_net, X @ lin.C.T), axis=1)
+    g_mean, g_max, n_excl = _ratio(g_norms, dens)
+    h_mean, h_max, _ = _ratio(h_norms, dens)
+    return RatioStats(n_steps=ds.n_samples, n_excluded=n_excl, g_mean=g_mean, g_max=g_max,
+                      h_mean=h_mean, h_max=h_max)
 
 
 def estimate_epsilon(model: AlSsnnModel, datasets, records=()) -> float:
@@ -229,8 +223,7 @@ def estimate_epsilon(model: AlSsnnModel, datasets, records=()) -> float:
         raise DataError("epsilon estimation needs at least one dataset or record")
     eps = 0.0
     for ds in datasets:
-        X, _ = _open_loop_terms(model, ds)
-        Z = np.hstack([X, ds.u])
+        Z = np.hstack([_free_run(model, ds), ds.u])
         g_norms = np.linalg.norm(mlp_forward_batch(model.g_net, Z), axis=1)
         if g_norms.size:
             eps = max(eps, float(np.max(g_norms)))
@@ -241,10 +234,7 @@ def estimate_epsilon(model: AlSsnnModel, datasets, records=()) -> float:
 
 def rmse(model, ds: Dataset) -> float:
     """Free-run output error sqrt((1/N) sum ||y(k) - y_model(k)||^2), x(0) = 0."""
-    traj = simulate(model, ds.u)
-    if traj.diverged:
-        raise DivergenceError(traj.diverged_at)
-    e = ds.y - traj.y
+    e = ds.y - _free_run(model, ds) @ _lin_of(model).C.T
     return float(np.sqrt(np.mean(np.sum(e**2, axis=1))))
 
 
@@ -259,8 +249,5 @@ def rmse_split(model, ds: Dataset, train_fraction: float) -> tuple[float, float]
     the split point).
     """
     k = SplitSpec(train_fraction).index(ds.n_samples)
-    traj = simulate(model, ds.u)
-    if traj.diverged:
-        raise DivergenceError(traj.diverged_at)
-    se = np.sum((ds.y - traj.y) ** 2, axis=1)
+    se = np.sum((ds.y - _free_run(model, ds) @ _lin_of(model).C.T) ** 2, axis=1)
     return float(np.sqrt(np.mean(se[:k]))), float(np.sqrt(np.mean(se[k:])))

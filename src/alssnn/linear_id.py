@@ -214,7 +214,10 @@ def _step_engine(layers, M: np.ndarray, inputs: np.ndarray, x0: np.ndarray,
     layer sees [x; input; 1], the second [t_1; x; input; 1]. Callers fold
     input weights and biases into the layers and input terms and biases into
     M, so a step is one matvec and one tanh per layer plus one matvec for
-    the state. x0 may carry trailing axes (an n x r block of r runs sharing
+    the state. Each layer's input and output columns, and the next-state
+    columns, are sliced out of the buffer once per run, so a step indexes
+    one view per operand; a layer of zero width has empty views and writes
+    nothing. x0 may carry trailing axes (an n x r block of r runs sharing
     the maps), and then the inputs carry the same ones.
 
     Returns (R, X, k): the buffer, its state columns X = x(0..N) as a view,
@@ -232,25 +235,25 @@ def _step_engine(layers, M: np.ndarray, inputs: np.ndarray, x0: np.ndarray,
     R[:, -1] = 1.0
     steps, top = [], a
     for W in layers:
-        steps.append((W.dot, top - W.shape[0], top))
+        steps.append((W.dot, R[:, top:], R[:, top - W.shape[0] : top]))
         top -= W.shape[0]
-    xs = slice(a, a + n)
+    X = R[:, a : a + n]
+    nxt = X[1:]
     bound2 = None if divergence_bound is None else divergence_bound * divergence_bound
     mdot, tanh = M.dot, np.tanh
     with np.errstate(all="ignore"):
         for k0 in range(0, N, _BLOCK):
             k1 = min(N, k0 + _BLOCK)
             for k in range(k0, k1):
-                row = R[k]
-                for dot, lo, hi in steps:
-                    tanh(dot(row[hi:]), out=row[lo:hi])
-                mdot(row, out=R[k + 1, xs])
+                for dot, src, dst in steps:
+                    tanh(dot(src[k]), out=dst[k])
+                mdot(R[k], out=nxt[k])
             if bound2 is not None:
-                X = R[k0 : k1 + 1, xs]
-                ok = np.einsum("ij,ij->i", X, X) <= bound2
+                Xb = X[k0 : k1 + 1]
+                ok = np.einsum("ij,ij->i", Xb, Xb) <= bound2
                 if not ok.all():
-                    return R, R[:, xs], k0 + int(np.argmin(ok))
-    return R, R[:, xs], None
+                    return R, X, k0 + int(np.argmin(ok))
+    return R, X, None
 
 
 def _free_run_output(lin: LinearSS, u: np.ndarray) -> np.ndarray:

@@ -11,17 +11,22 @@ the ball {x : x'Px <= psi*epsilon^2/phi}.
 
 Feasible triples come from a deterministic search. P solves the discrete
 Lyapunov equation A'PA - P = -Q for a small family of Q's, and phi and psi
-range over log grids. At each (P, phi) only the smallest feasible grid psi
-can win, and the Schur complement locates it without scanning: with
-X = A'PA + (phi-1)P, the block passes the tolerance test lambda_max < -tol
-exactly when X + tol*I is negative definite and
+range over log grids. Each P is checked for positive definiteness once; one
+that fails yields no candidate. At each (P, phi) only the smallest feasible
+grid psi can win, and the Schur complement locates it without scanning:
+with X = A'PA + (phi-1)P, the block passes the tolerance test
+lambda_max < -tol exactly when X + tol*I is negative definite and
 psi > tol + lambda_max(P - PA (X + tol*I)^-1 A'P) (Boyd et al., LMIs in
 System and Control Theory, 1994). The first grid psi above that threshold
 is confirmed by eigendecomposition, together with the grid psi below it, so
-the search picks the grid point a full scan would pick. The winning psi is
-then tightened by bisection. The LMI is tiny (2n x 2n), so this replaces a
-semidefinite-programming dependency without losing rigor: nothing is
-reported that verify() does not independently confirm.
+the search picks the grid point a full scan would pick. psi enters the
+block only as P_ii - psi on its lower diagonal, so the blocks of all phis
+are formed once per P, and each round of confirmations is one stacked
+eigensolve over the phis still stepping up or down. The winning psi is
+then tightened by bisection on the winner's block. The LMI is tiny
+(2n x 2n), so this replaces a semidefinite-programming dependency without
+losing rigor: nothing is reported that verify() does not independently
+confirm.
 """
 
 from __future__ import annotations
@@ -84,6 +89,18 @@ class IssCertificate:
         return self.P.shape[0]
 
 
+def _phi_blocks(A: np.ndarray, P: np.ndarray, phis: np.ndarray, psi: float) -> np.ndarray:
+    """The LMI blocks at psi for every phi in phis, stacked along a leading axis."""
+    n = A.shape[0]
+    AtP = A.T @ P
+    out = np.empty((phis.size, 2 * n, 2 * n))
+    out[:, :n, :n] = AtP @ A + (phis - 1.0)[:, None, None] * P
+    out[:, :n, n:] = AtP
+    out[:, n:, :n] = P @ A
+    out[:, n:, n:] = P - psi * np.eye(n)
+    return out
+
+
 def lmi_block(A: np.ndarray, P: np.ndarray, phi: float, psi: float) -> np.ndarray:
     """The 2n x 2n block whose negative definiteness certifies the decrement."""
     A = np.asarray(A, dtype=float)
@@ -93,10 +110,7 @@ def lmi_block(A: np.ndarray, P: np.ndarray, phi: float, psi: float) -> np.ndarra
         raise DataError(f"A and P must both be {n} x {n}, got {A.shape}, {P.shape}")
     if np.max(np.abs(P - P.T)) > SYMMETRY_TOL:
         raise DataError("P must be symmetric")
-    AtP = A.T @ P
-    top = np.hstack([AtP @ A + (phi - 1.0) * P, AtP])
-    bot = np.hstack([P @ A, P - psi * np.eye(n)])
-    return np.vstack([top, bot])
+    return _phi_blocks(A, P, np.array([phi], dtype=float), psi)[0]
 
 
 def _eig_extremes(A, P, phi, psi) -> tuple[float, float]:
@@ -150,69 +164,82 @@ def _q_family(n: int, scale: float) -> list[np.ndarray]:
     return out
 
 
-def _psi_thresholds(A: np.ndarray, P: np.ndarray, phis: np.ndarray) -> np.ndarray:
-    """psi* per phi: the block passes the tolerance test exactly when psi > psi*.
+def _psi_thresholds(blocks: np.ndarray) -> np.ndarray:
+    """psi* per psi = 0 block: the block passes the tolerance test exactly when psi > psi*.
 
-    With X = A'PA + (phi-1)P, the block plus tol*I is negative definite iff
-    X + tol*I is and psi > tol + lambda_max(P - PA (X + tol*I)^-1 A'P)
-    (Schur complement). X is formed as lmi_block forms it; phis where
-    X + tol*I is not negative definite get psi* = inf.
+    With X = A'PA + (phi-1)P, the block's top left, the block plus tol*I is
+    negative definite iff X + tol*I is and
+    psi > tol + lambda_max(P - PA (X + tol*I)^-1 A'P) (Schur complement).
+    Blocks where X + tol*I is not negative definite get psi* = inf.
     """
-    n = A.shape[0]
-    X = (A.T @ P) @ A + (phis - 1.0)[:, None, None] * P
-    w, V = np.linalg.eigh(X + LMI_TOL * np.eye(n))
-    out = np.full(phis.shape, np.inf)
+    n = blocks.shape[-1] // 2
+    PA, P = blocks[:1, n:, :n], blocks[:1, n:, n:]   # equal in every block; [:1] allows none
+    w, V = np.linalg.eigh(blocks[:, :n, :n] + LMI_TOL * np.eye(n))
+    out = np.full(blocks.shape[0], np.inf)
     nd = w[:, -1] < 0
-    W = (P @ A) @ V[nd]
+    W = PA @ V[nd]
     S = P - (W / w[nd][:, None, :]) @ W.transpose(0, 2, 1)
     out[nd] = LMI_TOL + np.linalg.eigvalsh(S)[:, -1]
     return out
 
 
-def _smallest_feasible_psi(A, P, phi, psis, j) -> tuple[int, float] | None:
-    """(index, lmi_max) of the smallest grid psi passing the tolerance test.
+def _lmi_max(blocks: np.ndarray, p_diag: np.ndarray, psi) -> np.ndarray:
+    """Largest eigenvalue of each block with its lower diagonal set to P_ii - psi.
 
-    Starts at grid index j, steps up while the test fails and then down
-    while the psi below also passes; the test is verify()'s. Feasibility is
-    monotone in psi (the block loses psi*diag(0, I)), so a correct start
-    needs one test plus one below it.
+    That diagonal is the only entry of lmi_block that depends on psi, so one
+    block per (P, phi) serves every psi. psi broadcasts over the leading
+    axes, and the whole stack is one eigvalsh call.
     """
-    def test(i):
-        p_min, lmi_max = _eig_extremes(A, P, phi, psis[i])
-        return p_min > 0 and lmi_max < -LMI_TOL, lmi_max
-
-    while j < len(psis):
-        ok, lmi_max = test(j)
-        if ok:
-            break
-        j += 1
-    else:
-        return None
-    while j > 0:
-        ok, below = test(j - 1)
-        if not ok:
-            break
-        j, lmi_max = j - 1, below
-    return j, lmi_max
+    m = blocks.copy()
+    n = p_diag.shape[-1]
+    i = np.arange(n, 2 * n)
+    m[..., i, i] = p_diag - psi
+    return np.linalg.eigvalsh(m)[..., -1]
 
 
-def _least_violating(A, candidates, phis, psi, rho) -> dict | None:
+def _smallest_feasible(blocks, p_diag, psis, starts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(feasible, grid index, lmi_max) per phi of the smallest grid psi passing, for P > 0.
+
+    Each phi starts at its index in starts, steps up while the test fails
+    and then down while the psi below also passes; the test is verify()'s.
+    Feasibility is monotone in psi (the block loses psi*diag(0, I)), so a
+    correct start needs one test plus one below it. Each round tests every
+    phi still moving in one stacked eigensolve.
+    """
+    j = np.array(starts)
+    lmi = np.zeros(j.shape)
+    down = np.zeros(j.shape, dtype=bool)    # passed at j; now testing j - 1
+    live = j < psis.size
+    while live.any():
+        idx = np.flatnonzero(live)
+        dn = down[idx]
+        vals = _lmi_max(blocks[idx], p_diag, psis[j[idx] - dn][:, None])
+        ok = vals < -LMI_TOL
+        lmi[idx[ok]] = vals[ok]
+        j[idx[ok & dn]] -= 1
+        j[idx[~ok & ~dn]] += 1
+        down[idx] |= ok
+        live[idx] = np.where(down[idx], (j[idx] > 0) & ok, j[idx] < psis.size)
+    return down, j, lmi
+
+
+def _least_violating(A, Ps, p_mins, phis, psi, rho) -> dict | None:
     """Diagnostics of the (P, phi) whose block at psi has the least max eigenvalue.
 
     Called when no grid point passes: the max eigenvalue falls as psi grows,
     so at every (P, phi) the largest grid psi is the least violating one.
+    All (P, phi) blocks go through one stacked eigensolve; ties go to the
+    first in (P, phi) order, as a scan would find it.
     """
-    out = None
-    for qi, P in candidates:
-        for phi in phis:
-            p_min, lmi_max = _eig_extremes(A, P, phi, psi)
-            if out is None or lmi_max < out["lmi_max_eig"]:
-                out = {
-                    "lmi_max_eig": lmi_max, "p_min_eig": p_min,
-                    "phi": float(phi), "psi": float(psi), "q_index": qi,
-                    "spectral_radius": rho,
-                }
-    return out
+    if not phis.size:
+        return None
+    lmi = np.linalg.eigvalsh(np.stack([_phi_blocks(A, P, phis, psi) for P in Ps]))[..., -1]
+    qi, i = np.unravel_index(np.argmin(lmi), lmi.shape)
+    return {
+        "lmi_max_eig": float(lmi[qi, i]), "p_min_eig": float(p_mins[qi]),
+        "phi": float(phis[i]), "psi": float(psi), "q_index": int(qi),
+        "spectral_radius": rho,
+    }
 
 
 def solve_certificate(A: np.ndarray, epsilon: float,
@@ -242,51 +269,55 @@ def solve_certificate(A: np.ndarray, epsilon: float,
             "no quadratic ISS certificate of this form exists"
         )
 
-    candidates = []
-    for qi, Q in enumerate(_q_family(n, cfg.q_entry_scale)):
+    Ps = []
+    for Q in _q_family(n, cfg.q_entry_scale):
         try:
             P = solve_discrete_lyapunov(A.T, Q)
         except (np.linalg.LinAlgError, ValueError) as exc:
             raise NumericalError(f"discrete Lyapunov solve failed: {exc}") from exc
-        P = 0.5 * (P + P.T)
-        candidates.append((qi, P))
+        Ps.append(0.5 * (P + P.T))
+    # a P that is not positive definite fails every test, so it is checked once
+    p_mins = np.linalg.eigvalsh(np.stack(Ps))[:, 0]
 
     phis, psis = cfg.phi_grid(), cfg.psi_grid()
-    best = None           # (radius, phi, psi, qi, P, lmi_max)
-    for qi, P in candidates:
-        starts = np.searchsorted(psis, _psi_thresholds(A, P, phis), side="right")
-        for phi, j in zip(phis, starts):
-            found = _smallest_feasible_psi(A, P, phi, psis, int(j))
-            if found is None:
-                continue
-            psi = psis[found[0]]
+    best = None           # (radius, phi, psi, qi, P, lmi_max, block)
+    for qi, P in enumerate(Ps):
+        if not p_mins[qi] > 0:
+            continue
+        blocks = _phi_blocks(A, P, phis, 0.0)
+        starts = np.searchsorted(psis, _psi_thresholds(blocks), side="right")
+        feasible, js, lmis = _smallest_feasible(blocks, np.diag(P), psis, starts)
+        for i in np.flatnonzero(feasible):
+            phi, psi = phis[i], psis[js[i]]
             radius = psi * epsilon**2 / phi
             key = (radius, phi, psi)
             if best is None or key < (best[0], best[1], best[2]):
-                best = (radius, float(phi), float(psi), qi, P, found[1])
+                best = (radius, float(phi), float(psi), qi, P, float(lmis[i]), blocks[i])
 
     if best is None:
         diag = {"spectral_radius": rho}
         if psis.size:
-            diag = _least_violating(A, candidates, phis, psis[-1], rho) or diag
+            diag = _least_violating(A, Ps, p_mins, phis, psis[-1], rho) or diag
         raise InfeasibleError(
             "no feasible (P, phi, psi) in the search grid; closest candidate "
             f"had largest LMI eigenvalue {diag.get('lmi_max_eig', float('nan')):.3e}",
             diagnostics=diag,
         )
 
-    _, phi, psi, qi, P, lmi_max = best
+    _, phi, psi, qi, P, lmi_max, block = best
     refined = False
     if cfg.refine_psi:
         # Feasibility is monotone increasing in psi at fixed (P, phi): shrink
-        # psi toward the boundary to shrink the reported radius.
+        # psi toward the boundary to shrink the reported radius. P > 0 was
+        # checked above, so each step is one eigensolve of the winner's block.
+        p_diag = np.diag(P)
         lo, hi = 0.0, psi
         for _ in range(cfg.refine_iters):
             mid = 0.5 * (lo + hi)
             if mid <= 0:
                 break
-            p_min, me = _eig_extremes(A, P, phi, mid)
-            if p_min > 0 and me < -LMI_TOL:
+            me = float(_lmi_max(block, p_diag, mid))
+            if me < -LMI_TOL:
                 hi, lmi_max = mid, me
                 refined = True
             else:

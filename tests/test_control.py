@@ -334,8 +334,7 @@ def test_closed_loop_nan_state_on_block_boundary():
                         eq=Equilibrium(x_e=np.zeros(2), u_e=np.zeros(2)))
     V = np.zeros((600, 2))
     V[255] = 1e10
-    with np.errstate(all="ignore"):   # ||A x + B v|| overflows at step 255
-        rec = simulate_closed_loop(model, V)
+    rec = simulate_closed_loop(model, V)   # ||A x + B v|| overflows at step 255
     assert rec.diverged and rec.diverged_at == 256
     assert rec.x.shape == (257, 2) and rec.omega.shape == (256, 2)
     assert np.all(np.isfinite(rec.x[:256])) and not np.isfinite(rec.x[256, 0])
@@ -366,3 +365,30 @@ def test_closed_loop_divergent_run_raises_no_warning():
         warnings.simplefilter("error")
         rec = simulate_closed_loop(model, np.ones((1000, 1)), x0=np.ones(2))
     assert rec.diverged and rec.diverged_at == 8
+
+
+@pytest.mark.parametrize("n_h, n_g", [(0, 6), (5, 0), (0, 0)])
+def test_empty_net_open_and_closed_loop_over_blocks(n_h, n_g):
+    # an empty net is a zero-width engine layer in the closed loop (and in
+    # the free run when both are empty): its views hold no columns
+    rng = np.random.default_rng(60 + 7 * n_h + n_g)
+    n, m, p, N = 3, 2, 2, 600
+    lin = LinearSS(A=0.6 * np.eye(n) + 0.05 * rng.normal(size=(n, n)),
+                   B=rng.normal(size=(n, m)), C=rng.normal(size=(p, n)))
+    model = AlSsnnModel(lin=lin, h_net=rand_net(p, m, n_h, 61, 0.5),
+                        g_net=rand_net(n + m, n, n_g, 62, 0.1),
+                        eq=Equilibrium(x_e=np.zeros(n), u_e=np.zeros(m)))
+    V = rng.normal(size=(N, m))
+    x0 = rng.normal(size=n)
+    xs = [x0]
+    for k in range(N):
+        xs.append(al_step(model, xs[-1], V[k]))
+    xs = np.array(xs)
+    traj = simulate(model, V, x0=x0)
+    assert not traj.diverged and traj.x.shape == xs.shape
+    assert np.max(np.abs(traj.x - xs)) <= 1e-12 * np.max(np.abs(xs))
+    xs, omegas, k = closed_loop_reference(model, V, x0, 1e8)
+    rec = simulate_closed_loop(model, V, x0=x0)
+    assert k is None and not rec.diverged and rec.x.shape == xs.shape
+    assert np.max(np.abs(rec.x - xs)) <= 1e-12 * np.max(np.abs(xs))
+    assert np.max(np.abs(rec.omega - omegas)) <= 1e-12 * np.max(np.abs(omegas))

@@ -5,7 +5,8 @@ from scipy.linalg import solve_discrete_lyapunov
 from alssnn.control import ClosedLoopRecord
 from alssnn.errors import DataError, InfeasibleError, NumericalError
 from alssnn.stability import (LMI_TOL, IssCertificate, SearchConfig,
-                              _eig_extremes, _psi_thresholds, _q_family,
+                              _eig_extremes, _phi_blocks, _psi_thresholds,
+                              _q_family, _smallest_feasible,
                               certificate_to_json_dict, check_convergence,
                               lmi_block, solve_certificate, verify)
 
@@ -130,7 +131,7 @@ def test_psi_threshold_is_the_tolerance_boundary():
     P = solve_discrete_lyapunov(A.T, np.eye(3))
     P = 0.5 * (P + P.T)
     phis = np.array([1e-3, 0.01, 0.05, 0.5])
-    thresholds = _psi_thresholds(A, P, phis)
+    thresholds = _psi_thresholds(_phi_blocks(A, P, phis, 0.0))
     assert np.isinf(thresholds[-1])  # A'PA - 0.5 P is not negative definite
     for phi, psi_star in zip(phis[:-1], thresholds[:-1]):
         assert psi_star > np.max(np.linalg.eigvalsh(P))
@@ -211,6 +212,45 @@ def test_infeasible_diagnostics_equal_full_grid_scan(a):
     with pytest.raises(InfeasibleError) as exc_info:
         solve_certificate(np.array([[a]]), 0.1, search_config=cfg)
     assert exc_info.value.diagnostics == expected
+
+
+def test_search_eigensolve_count(monkeypatch):
+    # P is checked once and each round of the psi search is one stacked
+    # eigensolve over the phi grid, so the count does not grow with n_phi
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    cert = solve_certificate(stable_a(6, seed=12, rho=0.97), epsilon=1.0)
+    assert cert.search["psi_refined"]
+    assert len(calls) <= 100
+
+
+def test_stacked_search_steps_up_and_down_from_wrong_starts():
+    # started below or above the Schur start, every phi steps to the same
+    # smallest passing grid psi with the same max eigenvalue
+    A = stable_a(3, seed=13, rho=0.9)
+    P = solve_discrete_lyapunov(A.T, np.eye(3))
+    P = 0.5 * (P + P.T)
+    cfg = SearchConfig()
+    phis, psis = cfg.phi_grid(), cfg.psi_grid()
+    blocks = _phi_blocks(A, P, phis, 0.0)
+    starts = np.searchsorted(psis, _psi_thresholds(blocks), side="right")
+    feasible, js, lmis = _smallest_feasible(blocks, np.diag(P), psis, starts)
+    assert feasible.any() and not feasible.all()
+    for i in np.flatnonzero(feasible):
+        assert _eig_extremes(A, P, phis[i], psis[js[i]])[1] == lmis[i] < -LMI_TOL
+        assert js[i] == 0 or _eig_extremes(A, P, phis[i], psis[js[i] - 1])[1] >= -LMI_TOL
+    for shift in (-5, 4):
+        got = _smallest_feasible(blocks, np.diag(P), psis,
+                                 np.clip(starts + shift, 0, psis.size))
+        assert np.array_equal(got[0], feasible)
+        assert np.array_equal(got[1][feasible], js[feasible])
+        assert np.array_equal(got[2][feasible], lmis[feasible])
 
 
 def test_psi_refinement_shrinks_radius():

@@ -48,8 +48,8 @@ from .control import (
 )
 from .dataio import SplitSpec, load_csv, normalize, save_csv, split
 from .errors import DataError, NumericalError
-from .linear_id import LinearSS, default_horizon, linear_init
-from .models import AlSsnnModel, GrSsnnModel, load_model, save_model
+from .linear_id import default_horizon, linear_init
+from .models import AlSsnnModel, _family, load_model, save_model
 from .stability import (certificate_to_json_dict, check_convergence,
                         solve_certificate, verify)
 from .training import TrainConfig, report_to_json_dict, train, train_gr
@@ -106,21 +106,11 @@ def _meta_path(out: str) -> Path:
     return Path(out).with_suffix(".meta.json")
 
 
-def _family_name(model) -> str:
-    if isinstance(model, AlSsnnModel):
-        return "al-ssnn"
-    if isinstance(model, GrSsnnModel):
-        return "gr-ssnn"
-    if isinstance(model, LinearSS):
-        return "lti"
-    raise DataError(f"unrecognized model type {type(model).__name__}")
-
-
 def _require_al(model, what: str) -> AlSsnnModel:
-    if not isinstance(model, AlSsnnModel):
+    if _family(model) != "al-ssnn":
         raise DataError(
             f"{what} requires an al-ssnn model (output-feedback form); "
-            f"got family '{_family_name(model)}'"
+            f"got family '{_family(model)}'"
         )
     return model
 
@@ -220,36 +210,22 @@ def cmd_identify(args) -> int:
     if args.family == "lti":
         return _lti_identify(args, ds_train)
 
-    if args.family == "gr-ssnn":
-        config = _make_train_config(args, gamma=0.0)
-        model, rep = train_gr(ds_train, args.order, args.nf, config)
-        stats = ratio_stats(model, ds_train)
-        save_model(model, str(args.out) + ".model.json")
-        _write_json(str(args.out) + ".report.json", {
-            "command": "identify",
-            "family": "gr-ssnn",
-            "data": args.data,
-            "train_fraction": args.train_frac,
-            "report": report_to_json_dict(rep, include_timing=args.record_timing),
-            "train_ratios": stats.as_dict(),
-        })
-        print(f"gr-ssnn: rmse_train={_fmt(rep.rmse_train)} "
-              f"f_ratio_mean={_fmt(stats.f_mean)} stop={rep.stop_reason} "
-              f"iters={rep.n_iterations}")
-        print(f"wrote {args.out}.model.json and {args.out}.report.json")
-        return 0
-
-    gammas = _parse_gammas(args.gamma)
+    # GR has no penalty, so it trains once, at gamma 0
+    gr = args.family == "gr-ssnn"
+    gammas = [0.0] if gr else _parse_gammas(args.gamma)
     sweep_rows = []
     for gamma in gammas:
         config = _make_train_config(args, gamma=gamma)
-        model, rep = train(ds_train, args.order, config)
+        if gr:
+            model, rep = train_gr(ds_train, args.order, args.nf, config)
+        else:
+            model, rep = train(ds_train, args.order, config)
         stats = ratio_stats(model, ds_train)
         suffix = f".gamma-{gamma:g}" if len(gammas) > 1 else ""
         save_model(model, str(args.out) + suffix + ".model.json")
         _write_json(str(args.out) + suffix + ".report.json", {
             "command": "identify",
-            "family": "al-ssnn",
+            "family": args.family,
             "data": args.data,
             "train_fraction": args.train_frac,
             "report": report_to_json_dict(rep, include_timing=args.record_timing),
@@ -264,9 +240,10 @@ def cmd_identify(args) -> int:
             "stop_reason": rep.stop_reason,
             "n_iterations": rep.n_iterations,
         })
-        print(f"al-ssnn gamma={gamma:g}: rmse_train={_fmt(rep.rmse_train)} "
-              f"g_ratio_mean={_fmt(stats.g_mean)} stop={rep.stop_reason} "
-              f"iters={rep.n_iterations}")
+        label, ratio = ("gr-ssnn", "f") if gr else (f"al-ssnn gamma={gamma:g}", "g")
+        print(f"{label}: rmse_train={_fmt(rep.rmse_train)} "
+              f"{ratio}_ratio_mean={_fmt(getattr(stats, ratio + '_mean'))} "
+              f"stop={rep.stop_reason} iters={rep.n_iterations}")
     if len(gammas) > 1:
         _write_json(str(args.out) + ".sweep.json", {
             "command": "identify-sweep",
@@ -298,7 +275,7 @@ def cmd_evaluate(args) -> int:
         "command": "evaluate",
         "model": args.model,
         "data": args.data,
-        "family": _family_name(model),
+        "family": _family(model),
     }
     if args.split is not None:
         _, ds_test = split(ds, SplitSpec(args.split))
@@ -308,7 +285,7 @@ def cmd_evaluate(args) -> int:
     else:
         result["rmse"] = rmse(model, ds)
         ratio_ds, partition = ds, "all"
-    if isinstance(model, (AlSsnnModel, GrSsnnModel)):
+    if isinstance(model, AlSsnnModel):
         stats = ratio_stats(model, ratio_ds)
         result["ratios"] = {"partition": partition, **stats.as_dict()}
 

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import Dataset, SplitSpec
-from .errors import DataError, DivergenceError
+from .errors import DataError
 from .linear_id import _step_engine
-from .models import DIVERGENCE_BOUND, AlSsnnModel, GrSsnnModel, _lin_of, simulate
+from .models import DIVERGENCE_BOUND, AlSsnnModel, _family, _lin_of, _run_states, simulate
 from .nets import mlp_forward, mlp_forward_batch
 
 __all__ = [
@@ -133,7 +133,7 @@ def simulate_closed_loop(model: AlSsnnModel, v_seq: np.ndarray,
     x+ = W_g,out t_g + A x + B v + b_g,out, and the disturbance
     omega = W_g,out t_g + b_g,out is formed from t_g after the loop.
     """
-    if not isinstance(model, AlSsnnModel):
+    if _family(model) != "al-ssnn":
         raise DataError("closed-loop simulation requires the h/g-split model family")
     lin = model.lin
     A, B, C = lin.A, lin.B, lin.C
@@ -178,32 +178,24 @@ def simulate_closed_loop(model: AlSsnnModel, v_seq: np.ndarray,
     )
 
 
-def _free_run(model, ds: Dataset) -> np.ndarray:
-    """States x(0..N-1) of the model's free run on ds.u from x(0) = 0."""
-    traj = simulate(model, ds.u)
-    if traj.diverged:
-        raise DivergenceError(traj.diverged_at)
-    return traj.x[: ds.n_samples]
-
-
 def ratio_stats(model, ds: Dataset) -> RatioStats:
-    """Open-loop nonlinearity ratios along the model's free run on ds.u."""
-    if not isinstance(model, (AlSsnnModel, GrSsnnModel)):
+    """Open-loop nonlinearity ratios along the model's free run on ds.u.
+
+    GR's f net is its g net, so its f_* ratios are the g ratios of the same
+    pass, under GR's names."""
+    if not isinstance(model, AlSsnnModel):
         raise DataError(
             f"ratio statistics need a model with networks, got {type(model).__name__}"
         )
-    X = _free_run(model, ds)
+    X = _run_states(simulate(model, ds.u))
     lin = model.lin
     dens = np.linalg.norm(X @ lin.A.T + ds.u @ lin.B.T, axis=1)
-    Z = np.hstack([X, ds.u])
-    if isinstance(model, GrSsnnModel):
-        f_norms = np.linalg.norm(mlp_forward_batch(model.f_net, Z), axis=1)
-        f_mean, f_max, n_excl = _ratio(f_norms, dens)
-        return RatioStats(n_steps=ds.n_samples, n_excluded=n_excl,
-                          f_mean=f_mean, f_max=f_max)
-    g_norms = np.linalg.norm(mlp_forward_batch(model.g_net, Z), axis=1)
-    h_norms = np.linalg.norm(mlp_forward_batch(model.h_net, X @ lin.C.T), axis=1)
+    g_norms = np.linalg.norm(mlp_forward_batch(model.g_net, np.hstack([X, ds.u])), axis=1)
     g_mean, g_max, n_excl = _ratio(g_norms, dens)
+    if _family(model) == "gr-ssnn":
+        return RatioStats(n_steps=ds.n_samples, n_excluded=n_excl,
+                          f_mean=g_mean, f_max=g_max)
+    h_norms = np.linalg.norm(mlp_forward_batch(model.h_net, X @ lin.C.T), axis=1)
     h_mean, h_max, _ = _ratio(h_norms, dens)
     return RatioStats(n_steps=ds.n_samples, n_excluded=n_excl, g_mean=g_mean, g_max=g_max,
                       h_mean=h_mean, h_max=h_max)
@@ -223,7 +215,7 @@ def estimate_epsilon(model: AlSsnnModel, datasets, records=()) -> float:
         raise DataError("epsilon estimation needs at least one dataset or record")
     eps = 0.0
     for ds in datasets:
-        Z = np.hstack([_free_run(model, ds), ds.u])
+        Z = np.hstack([_run_states(simulate(model, ds.u)), ds.u])
         g_norms = np.linalg.norm(mlp_forward_batch(model.g_net, Z), axis=1)
         if g_norms.size:
             eps = max(eps, float(np.max(g_norms)))
@@ -234,7 +226,7 @@ def estimate_epsilon(model: AlSsnnModel, datasets, records=()) -> float:
 
 def rmse(model, ds: Dataset) -> float:
     """Free-run output error sqrt((1/N) sum ||y(k) - y_model(k)||^2), x(0) = 0."""
-    e = ds.y - _free_run(model, ds) @ _lin_of(model).C.T
+    e = ds.y - _run_states(simulate(model, ds.u)) @ _lin_of(model).C.T
     return float(np.sqrt(np.mean(np.sum(e**2, axis=1))))
 
 
@@ -249,5 +241,6 @@ def rmse_split(model, ds: Dataset, train_fraction: float) -> tuple[float, float]
     the split point).
     """
     k = SplitSpec(train_fraction).index(ds.n_samples)
-    se = np.sum((ds.y - _free_run(model, ds) @ _lin_of(model).C.T) ** 2, axis=1)
+    X = _run_states(simulate(model, ds.u))
+    se = np.sum((ds.y - X @ _lin_of(model).C.T) ** 2, axis=1)
     return float(np.sqrt(np.mean(se[:k]))), float(np.sqrt(np.mean(se[k:])))

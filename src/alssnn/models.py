@@ -9,10 +9,14 @@ Three families share the JSON schema (tag `family`):
 The AL form splits the nonlinearity into an input-channel term B h(y),
 cancellable by output feedback, and a residual g(x, u) that training keeps
 small. Defining f(x, u) := B h(Cx) + g(x, u) recovers the GR step exactly.
+Conversely GR is AL with an empty h net and f in g's place: `GrSsnnModel`
+subclasses `AlSsnnModel`, so one step map, rollout and training path serve
+both, and GR differs only in its names (tag, f_net, n_f), in having no
+equilibrium pin or penalty, and in being refused by the closed loop.
 
-`al_step`/`gr_step` are the reference step maps; `simulate` folds each family
-into the step engine of `linear_id` (one tanh layer for AL and GR, none for
-LTI) and runs that instead.
+`al_step` is the reference step map; `simulate` folds each family into the
+step engine of `linear_id` (one tanh layer for AL and GR, none for LTI) and
+runs that instead.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, DivergenceError
 from .linear_id import LinearSS, _step_engine
 from .nets import Equilibrium, Mlp, mlp_forward
 
@@ -32,7 +36,7 @@ __all__ = [
     "GrSsnnModel",
     "Trajectory",
     "al_step",
-    "gr_step",
+    "gr_model",
     "simulate",
     "save_model",
     "load_model",
@@ -41,7 +45,7 @@ __all__ = [
 
 DIVERGENCE_BOUND = 1e8
 
-AnyModel = Union["AlSsnnModel", "GrSsnnModel", LinearSS]
+AnyModel = Union["AlSsnnModel", LinearSS]
 
 
 @dataclass(frozen=True)
@@ -79,27 +83,36 @@ class AlSsnnModel:
 
 
 @dataclass(frozen=True)
-class GrSsnnModel:
-    """Baseline model with an unconstrained state nonlinearity f(x, u)."""
-
-    lin: LinearSS
-    f_net: Mlp
+class GrSsnnModel(AlSsnnModel):
+    """Baseline x+ = A x + B u + f(x, u): AL with an empty h net, f as g."""
 
     def __post_init__(self):
-        n, m = self.lin.n_states, self.lin.n_inputs
-        if self.f_net.d_in != n + m or self.f_net.d_out != n:
-            raise DataError(
-                f"f net must map R^{n + m} -> R^{n}, got R^{self.f_net.d_in} -> R^{self.f_net.d_out}"
-            )
+        super().__post_init__()
+        if self.h_net.n_hidden or np.any(self.h_net.b_out):
+            raise DataError("a gr-ssnn model's h net must be empty: no hidden units "
+                            "and a zero output bias")
+
+    @property
+    def f_net(self) -> Mlp:
+        return self.g_net
 
     @property
     def dims(self) -> dict:
-        return {
-            "n": self.lin.n_states,
-            "m": self.lin.n_inputs,
-            "p": self.lin.n_outputs,
-            "n_f": self.f_net.n_hidden,
-        }
+        d = super().dims
+        return {"n": d["n"], "m": d["m"], "p": d["p"], "n_f": d["n_g"]}
+
+
+def gr_model(lin: LinearSS, f_net: Mlp) -> GrSsnnModel:
+    """The GR model x+ = A x + B u + f(x, u)."""
+    n, m, p = lin.n_states, lin.n_inputs, lin.n_outputs
+    if f_net.d_in != n + m or f_net.d_out != n:
+        raise DataError(
+            f"f net must map R^{n + m} -> R^{n}, got R^{f_net.d_in} -> R^{f_net.d_out}"
+        )
+    empty = Mlp(W_in=np.zeros((0, p)), b_in=np.zeros(0), W_out=np.zeros((m, 0)),
+                b_out=np.zeros(m))
+    return GrSsnnModel(lin=lin, h_net=empty, g_net=f_net,
+                       eq=Equilibrium(x_e=np.zeros(n), u_e=np.zeros(m)))
 
 
 @dataclass(frozen=True)
@@ -117,6 +130,25 @@ class Trajectory:
                 f"state sequence length {self.x.shape[0]} does not match "
                 f"output length {self.y.shape[0]} + 1"
             )
+
+
+def _run_states(traj: Trajectory) -> np.ndarray:
+    """States x(0..N-1) of a free run, those with an output, or a
+    DivergenceError if the run left its bound."""
+    if traj.diverged:
+        raise DivergenceError(traj.diverged_at)
+    return traj.x[:-1]
+
+
+def _family(model: AnyModel) -> str:
+    """The file tag of the model's family."""
+    if isinstance(model, GrSsnnModel):
+        return "gr-ssnn"
+    if isinstance(model, AlSsnnModel):
+        return "al-ssnn"
+    if isinstance(model, LinearSS):
+        return "lti"
+    raise DataError(f"unsupported model type {type(model).__name__}")
 
 
 def _lin_of(model: AnyModel) -> LinearSS:
@@ -139,20 +171,6 @@ def al_step(model: AlSsnnModel, x: np.ndarray, u: np.ndarray) -> np.ndarray:
     return lin.A @ x + lin.B @ (u + h) + g
 
 
-def gr_step(model: GrSsnnModel, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """One step A x + B u + f(x, u)."""
-    lin = model.lin
-    x = np.asarray(x, dtype=float).reshape(-1)
-    u = np.asarray(u, dtype=float).reshape(-1)
-    if x.shape != (lin.n_states,) or u.shape != (lin.n_inputs,):
-        raise DataError(
-            f"state/input shapes {x.shape}/{u.shape} do not match model dims "
-            f"({lin.n_states},)/({lin.n_inputs},)"
-        )
-    f = mlp_forward(model.f_net, np.concatenate([x, u]))
-    return lin.A @ x + lin.B @ u + f
-
-
 def _model_rollout(model: AnyModel, U: np.ndarray, x0: np.ndarray,
                    divergence_bound: float) -> tuple[np.ndarray, int | None]:
     """Free-run states of any model family through the step engine.
@@ -160,8 +178,8 @@ def _model_rollout(model: AnyModel, U: np.ndarray, x0: np.ndarray,
     AL folds h's input layer through C and B through h's output layer: with
     y = Cx, B(u + h(y)) + g(x, u) is B u + B b_h,out + b_g,out plus
     [B W_h,out, W_g,out] tanh(W [x; u; 1]), where W stacks
-    [W_h,in C, 0, b_h,in] on [W_g,in, b_g,in]. GR is the same with the single
-    f net; LTI has no layer.
+    [W_h,in C, 0, b_h,in] on [W_g,in, b_g,in]. For GR the h rows are empty;
+    LTI has no layer.
     """
     lin = _lin_of(model)
     A, B, n = lin.A, lin.B, lin.n_states
@@ -171,10 +189,6 @@ def _model_rollout(model: AnyModel, U: np.ndarray, x0: np.ndarray,
             np.column_stack([h.W_in @ lin.C, np.zeros((h.n_hidden, lin.n_inputs)), h.b_in]),
             np.column_stack([g.W_in, g.b_in])])]
         M = np.column_stack([B @ h.W_out, g.W_out, A, B, B @ h.b_out + g.b_out])
-    elif isinstance(model, GrSsnnModel):
-        f = model.f_net
-        layers = [np.column_stack([f.W_in, f.b_in])]
-        M = np.column_stack([f.W_out, A, B, f.b_out])
     else:
         layers, M = [], np.column_stack([A, B, np.zeros(n)])
     return _step_engine(layers, M, U, x0, divergence_bound)[1:]
@@ -189,7 +203,7 @@ def simulate(model: AnyModel, u_seq: np.ndarray, x0: np.ndarray | None = None,
     the bound, or the state stops being finite, the trajectory is truncated
     and flagged instead of propagating overflow.
     """
-    if not isinstance(model, (AlSsnnModel, GrSsnnModel, LinearSS)):
+    if not isinstance(model, (AlSsnnModel, LinearSS)):
         raise DataError(f"unsupported model type {type(model).__name__}")
     lin = _lin_of(model)
     n, m = lin.n_states, lin.n_inputs
@@ -252,36 +266,25 @@ def _net_from_json(obj: dict, what: str, d_in: int, d_out: int) -> Mlp:
 
 
 def model_to_json_dict(model: AnyModel) -> dict:
-    lin = _lin_of(model)
-    base = {
+    family, lin = _family(model), _lin_of(model)
+    dims = {"n": lin.n_states, "m": lin.n_inputs, "p": lin.n_outputs}
+    out = {
+        "family": family,
+        "dims": dims if family == "lti" else model.dims,
         "A": lin.A.tolist(),
         "B": lin.B.tolist(),
         "C": lin.C.tolist(),
     }
-    if isinstance(model, AlSsnnModel):
-        return {
-            "family": "al-ssnn",
-            "dims": model.dims,
-            **base,
+    if family == "gr-ssnn":
+        out["f_net"] = _net_to_json(model.f_net)
+    elif family == "al-ssnn":
+        out.update({
             "h_net": _net_to_json(model.h_net),
             "g_net": _net_to_json(model.g_net),
             "equilibrium": {"x_e": model.eq.x_e.tolist(), "u_e": model.eq.u_e.tolist()},
             "c_frozen": model.c_frozen,
-        }
-    if isinstance(model, GrSsnnModel):
-        return {
-            "family": "gr-ssnn",
-            "dims": model.dims,
-            **base,
-            "f_net": _net_to_json(model.f_net),
-        }
-    if isinstance(model, LinearSS):
-        return {
-            "family": "lti",
-            "dims": {"n": lin.n_states, "m": lin.n_inputs, "p": lin.n_outputs},
-            **base,
-        }
-    raise DataError(f"unsupported model type {type(model).__name__}")
+        })
+    return out
 
 
 def model_from_json_dict(obj: dict) -> AnyModel:
@@ -313,7 +316,7 @@ def model_from_json_dict(obj: dict) -> AnyModel:
     if family == "gr-ssnn":
         if "f_net" not in obj:
             raise DataError("model file: gr-ssnn requires field 'f_net'")
-        return GrSsnnModel(lin=lin, f_net=_net_from_json(obj["f_net"], "f_net", n + m, n))
+        return gr_model(lin, _net_from_json(obj["f_net"], "f_net", n + m, n))
     for key in ("h_net", "g_net", "equilibrium"):
         if key not in obj:
             raise DataError(f"model file: al-ssnn requires field {key!r}")

@@ -310,11 +310,13 @@ def solve_certificate(A: np.ndarray, epsilon: float,
         # Feasibility is monotone increasing in psi at fixed (P, phi): shrink
         # psi toward the boundary to shrink the reported radius. P > 0 was
         # checked above, so each step is one eigensolve of the winner's block.
+        # Once [lo, hi] has closed to adjacent floats, mid repeats an end
+        # point whose outcome is known, and the search stops.
         p_diag = np.diag(P)
         lo, hi = 0.0, psi
         for _ in range(cfg.refine_iters):
             mid = 0.5 * (lo + hi)
-            if mid <= 0:
+            if mid <= 0 or mid == lo or mid == hi:
                 break
             me = float(_lmi_max(block, p_diag, mid))
             if me < -LMI_TOL:

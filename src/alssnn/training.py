@@ -12,15 +12,15 @@ equations J'J and J'r from a pass over fixed-size chunks of samples, so
 training never holds the full Jacobian; jacobian_bptt is the assembled
 matrix from the same pass.
 
-Models without the h/g split (the f-net baseline) train through the same
-machinery with the penalty block absent.
+The GR baseline is an AL model with an empty h net (models.GrSsnnModel):
+it trains through the same initialisation, sensitivity pass and LM loop,
+with its f net as the g net, no equilibrium pin and no penalty rows.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, field, replace
-from typing import Union
 
 import numpy as np
 from scipy.linalg.blas import dsyrk
@@ -29,7 +29,7 @@ from scipy.linalg.lapack import dposv
 from .dataio import Dataset
 from .errors import DataError, DivergenceError
 from .linear_id import LinearSS, linear_init
-from .models import AlSsnnModel, GrSsnnModel, simulate
+from .models import AlSsnnModel, GrSsnnModel, _family, _run_states, simulate
 from .nets import Equilibrium, Mlp, enforce_equilibrium_zero, init_small, mlp_forward_batch
 
 __all__ = [
@@ -50,9 +50,6 @@ __all__ = [
     "train_gr",
     "report_to_json_dict",
 ]
-
-TrainableModel = Union[AlSsnnModel, GrSsnnModel]
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -110,7 +107,7 @@ class TrainConfig:
 class ResidualVector:
     """Stacked residuals: N*p output errors, then N*n_penalty penalty terms.
 
-    `states` keeps the free run x(0..N) the residuals came from, so the
+    `states` keeps the free run x(0..N-1) the residuals came from, so the
     Jacobian at the same model can reuse it instead of simulating again.
     """
 
@@ -141,18 +138,12 @@ class ResidualVector:
 _NET_SUFFIXES = ("W_in", "b_in", "W_out", "b_out")
 
 
-def _catalog(model: TrainableModel) -> list[tuple[str, int]]:
+def _catalog(model: AlSsnnModel) -> list[tuple[str, int]]:
     """Canonical (block name, size) order for the model's free parameters."""
     lin = model.lin
     n, m, p = lin.n_states, lin.n_inputs, lin.n_outputs
     out = [("A", n * n), ("B", n * m), ("C", p * n)]
-    if isinstance(model, AlSsnnModel):
-        nets = [("h", model.h_net), ("g", model.g_net)]
-    elif isinstance(model, GrSsnnModel):
-        nets = [("f", model.f_net)]
-    else:
-        raise DataError(f"unsupported model type {type(model).__name__}")
-    for tag, net in nets:
+    for tag, net in (("h", model.h_net), ("g", model.g_net)):
         h, d_in, d_out = net.n_hidden, net.d_in, net.d_out
         out += [
             (f"{tag}.W_in", h * d_in),
@@ -187,37 +178,38 @@ class ParamLayout:
             )
 
 
-def make_layout(model: TrainableModel, names, eq_constrained: bool = False) -> ParamLayout:
+def make_layout(model: AlSsnnModel, names, eq_constrained: bool = False) -> ParamLayout:
     """Layout from a set of block names, normalized to canonical order."""
     known = [name for name, _ in _catalog(model)]
     wanted = set(names)
     unknown = wanted - set(known)
     if unknown:
         raise DataError(f"unknown parameter blocks: {sorted(unknown)}")
-    if eq_constrained and not isinstance(model, AlSsnnModel):
-        raise DataError("equilibrium constraint applies only to models with a g net")
+    if eq_constrained and isinstance(model, GrSsnnModel):
+        raise DataError("equilibrium constraint applies only to models with a g net "
+                        "pinned at an equilibrium, which gr-ssnn is not")
     return ParamLayout(
         blocks=tuple(name for name in known if name in wanted),
         eq_constrained=eq_constrained,
     )
 
 
-def default_layout(model: TrainableModel, config: TrainConfig) -> ParamLayout:
-    """A and B free, C per freeze flag, all net weights except the constrained bias."""
-    names = ["A", "B"]
-    if not config.freeze_C:
-        names.append("C")
-    if isinstance(model, AlSsnnModel):
-        names += [f"h.{s}" for s in _NET_SUFFIXES]
-        names += [f"g.{s}" for s in _NET_SUFFIXES]
-        if config.enforce_equilibrium:
-            names.remove("g.b_out")
-        return make_layout(model, names, eq_constrained=config.enforce_equilibrium)
-    names += [f"f.{s}" for s in _NET_SUFFIXES]
-    return make_layout(model, names)
+def default_layout(model: AlSsnnModel, config: TrainConfig) -> ParamLayout:
+    """A and B free, C per freeze flag, all net weights except the constrained bias.
+
+    A GR model's empty h net is no parameter, and its g net (the f net) is
+    not pinned.
+    """
+    gr = isinstance(model, GrSsnnModel)
+    pinned = config.enforce_equilibrium and not gr
+    names = ["A", "B"] + ([] if config.freeze_C else ["C"])
+    names += [f"{tag}.{s}" for tag in (("g",) if gr else ("h", "g")) for s in _NET_SUFFIXES]
+    if pinned:
+        names.remove("g.b_out")
+    return make_layout(model, names, eq_constrained=pinned)
 
 
-def _layout_slices(model: TrainableModel, layout: ParamLayout) -> tuple[dict, int]:
+def _layout_slices(model: AlSsnnModel, layout: ParamLayout) -> tuple[dict, int]:
     sizes = dict(_catalog(model))
     cols = {}
     off = 0
@@ -227,20 +219,19 @@ def _layout_slices(model: TrainableModel, layout: ParamLayout) -> tuple[dict, in
     return cols, off
 
 
-def _block_array(model: TrainableModel, name: str) -> np.ndarray:
+def _block_array(model: AlSsnnModel, name: str) -> np.ndarray:
     if name in ("A", "B", "C"):
         return getattr(model.lin, name)
     tag, suffix = name.split(".")
-    net = {"h": "h_net", "g": "g_net", "f": "f_net"}[tag]
-    return getattr(getattr(model, net), suffix)
+    return getattr(getattr(model, f"{tag}_net"), suffix)
 
 
-def pack_params(model: TrainableModel, layout: ParamLayout) -> np.ndarray:
+def pack_params(model: AlSsnnModel, layout: ParamLayout) -> np.ndarray:
     return np.concatenate([_block_array(model, b).ravel() for b in layout.blocks])
 
 
-def unpack_params(model: TrainableModel, layout: ParamLayout,
-                  theta: np.ndarray) -> TrainableModel:
+def unpack_params(model: AlSsnnModel, layout: ParamLayout,
+                  theta: np.ndarray) -> AlSsnnModel:
     """Rebuild the model from a flat parameter vector.
 
     Blocks outside the layout keep their current values; when the layout is
@@ -268,24 +259,24 @@ def unpack_params(model: TrainableModel, layout: ParamLayout,
                 updates[suffix] = new[key].reshape(getattr(net, suffix).shape)
         return replace(net, **updates) if updates else net
 
-    if isinstance(model, AlSsnnModel):
-        g_net = rebuild(model.g_net, "g")
-        if layout.eq_constrained:
-            g_net = enforce_equilibrium_zero(g_net, model.eq)
-        return replace(model, lin=lin, h_net=rebuild(model.h_net, "h"), g_net=g_net)
-    return replace(model, lin=lin, f_net=rebuild(model.f_net, "f"))
+    g_net = rebuild(model.g_net, "g")
+    if layout.eq_constrained:
+        g_net = enforce_equilibrium_zero(g_net, model.eq)
+    return replace(model, lin=lin, h_net=rebuild(model.h_net, "h"), g_net=g_net)
 
 
 # --- residuals and loss -----------------------------------------------------
 
-def _free_run_states(model, ds: Dataset) -> np.ndarray:
-    traj = simulate(model, ds.u)
-    if traj.diverged:
-        raise DivergenceError(traj.diverged_at)
-    return traj.x
+def _penalty_weight(model: AlSsnnModel, gamma: float) -> float | None:
+    """sqrt(gamma), the weight of the penalty rows; None for GR, which has none."""
+    if isinstance(model, GrSsnnModel):
+        return None
+    if gamma < 0:
+        raise DataError(f"gamma must be non-negative, got {gamma}")
+    return np.sqrt(gamma)
 
 
-def residuals(model: TrainableModel, ds: Dataset, gamma: float = 0.0) -> ResidualVector:
+def residuals(model: AlSsnnModel, ds: Dataset, gamma: float = 0.0) -> ResidualVector:
     """Stacked residual vector from a free run at x(0) = 0."""
     lin = model.lin
     if ds.n_inputs != lin.n_inputs or ds.n_outputs != lin.n_outputs:
@@ -293,23 +284,19 @@ def residuals(model: TrainableModel, ds: Dataset, gamma: float = 0.0) -> Residua
             f"dataset dims (m={ds.n_inputs}, p={ds.n_outputs}) do not match model "
             f"(m={lin.n_inputs}, p={lin.n_outputs})"
         )
-    xs = _free_run_states(model, ds)
+    sqrt_g = _penalty_weight(model, gamma)
+    xs = _run_states(simulate(model, ds.u))
     N = ds.n_samples
-    e = ds.y - xs[:N] @ lin.C.T
-    if isinstance(model, AlSsnnModel):
-        if gamma < 0:
-            raise DataError(f"gamma must be non-negative, got {gamma}")
-        Z = np.hstack([xs[:N], ds.u])
-        gvals = mlp_forward_batch(model.g_net, Z)
-        r = np.concatenate([e.ravel(), np.sqrt(gamma) * gvals.ravel()])
-        return ResidualVector(r=r, n_samples=N, n_outputs=lin.n_outputs,
-                              n_penalty_states=lin.n_states, states=xs)
-    r = e.ravel()
+    r = (ds.y - xs @ lin.C.T).ravel()
+    if sqrt_g is not None:
+        gvals = mlp_forward_batch(model.g_net, np.hstack([xs, ds.u]))
+        r = np.concatenate([r, sqrt_g * gvals.ravel()])
     return ResidualVector(r=r, n_samples=N, n_outputs=lin.n_outputs,
-                          n_penalty_states=0, states=xs)
+                          n_penalty_states=0 if sqrt_g is None else lin.n_states,
+                          states=xs)
 
 
-def loss(model: TrainableModel, ds: Dataset, gamma: float = 0.0) -> float:
+def loss(model: AlSsnnModel, ds: Dataset, gamma: float = 0.0) -> float:
     """J_N, identically ||residuals||^2 / N."""
     return residuals(model, ds, gamma).loss_value()
 
@@ -345,7 +332,7 @@ def _tanh_stats(net: Mlp, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return t, 1.0 - t**2
 
 
-def jacobian_bptt(model: TrainableModel, ds: Dataset, gamma: float = 0.0,
+def jacobian_bptt(model: AlSsnnModel, ds: Dataset, gamma: float = 0.0,
                   layout: ParamLayout | None = None,
                   states: np.ndarray | None = None) -> np.ndarray:
     """Exact residual Jacobian, shape (N*(p [+ n]), P).
@@ -368,9 +355,9 @@ def jacobian_bptt(model: TrainableModel, ds: Dataset, gamma: float = 0.0,
             ),
         )
     if states is None:
-        states = _free_run_states(model, ds)
+        states = _run_states(simulate(model, ds.u))
     N, p = ds.n_samples, model.lin.n_outputs
-    q = model.lin.n_states if isinstance(model, AlSsnnModel) else 0
+    q = 0 if _penalty_weight(model, gamma) is None else model.lin.n_states
     J = np.empty((N * (p + q), _layout_slices(model, layout)[1]))
     for k0, k1, J_out, J_pen in _sensitivity_chunks(model, ds, gamma, layout, states):
         J[k0 * p : k1 * p] = J_out
@@ -386,14 +373,13 @@ def jacobian_bptt(model: TrainableModel, ds: Dataset, gamma: float = 0.0,
 _CHUNK = 256
 
 
-def _sensitivity_chunks(model: TrainableModel, ds: Dataset, gamma: float,
+def _sensitivity_chunks(model: AlSsnnModel, ds: Dataset, gamma: float,
                         layout: ParamLayout, states: np.ndarray):
     """The residual Jacobian of jacobian_bptt in row blocks, chunk by chunk.
 
     Yields (k0, k1, J_out, J_pen) for samples k0..k1-1: their output rows,
     shape ((k1 - k0) * p, P), and their penalty rows, shape
-    ((k1 - k0) * n, P), or None for a model without a penalty. A GR model
-    runs as AL with no h net, f as the additive net and no penalty rows.
+    ((k1 - k0) * n, P), or None for a GR model, which has no penalty.
     Only the recursion S(k+1) = F_x(k) S(k) + F_theta(k) steps sample by
     sample; the rows are batched products on the chunk's stored S.
     """
@@ -404,14 +390,11 @@ def _sensitivity_chunks(model: TrainableModel, ds: Dataset, gamma: float,
     X = np.asarray(states, dtype=float)[:N]
     if X.shape != (N, n):
         raise DataError(f"states have shape {X.shape}, expected ({N}, {n})")
-    if isinstance(model, AlSsnnModel):
-        h_net, g_net, g_tag, sqrt_g = model.h_net, model.g_net, "g", np.sqrt(gamma)
-    else:
-        h_net, g_net, g_tag, sqrt_g = None, model.f_net, "f", None
+    h_net, g_net, sqrt_g = model.h_net, model.g_net, _penalty_weight(model, gamma)
 
     cols, P = _layout_slices(model, layout)
     h_wanted = [s for s in _NET_SUFFIXES if f"h.{s}" in cols]
-    g_wanted = [s for s in _NET_SUFFIXES if f"{g_tag}.{s}" in cols]
+    g_wanted = [s for s in _NET_SUFFIXES if f"g.{s}" in cols]
     gb0 = None
     if g_wanted and layout.eq_constrained:
         # b_out eliminated: effective g is g_raw(z) - g_raw(z_e), so every
@@ -432,25 +415,18 @@ def _sensitivity_chunks(model: TrainableModel, ds: Dataset, gamma: float,
         tg, sg = _tanh_stats(g_net, Z)
         Gx = ((sg[:, None, :] * g_net.W_out[None, :, :]) @ g_net.W_in)[:, :, :n]
         F = buf[1 : c + 1]
-        drive = U
-        if h_net is None:
-            Fx = A[None, :, :] + Gx
-            if "C" in cols:
-                F[:, :, cols["C"]] = 0.0   # C enters only the output map here
-        else:
-            Y = Xc @ C.T
-            th, sh = _tanh_stats(h_net, Y)
-            drive = U + (th @ h_net.W_out.T + h_net.b_out)
-            Hy = (sh[:, None, :] * h_net.W_out[None, :, :]) @ h_net.W_in   # (c, m, p)
-            BH = np.matmul(B, Hy)                                          # (c, n, p)
-            Fx = A[None, :, :] + np.matmul(BH, C) + Gx
-            if "C" in cols:
-                F[:, :, cols["C"]] = np.einsum("kai,kj->kaij", BH, Xc).reshape(
-                    c, n, p * n)
-            if h_wanted:
-                hb = _batch_param_blocks(h_net, Y, th, sh, h_wanted)
-                for suffix in h_wanted:
-                    F[:, :, cols[f"h.{suffix}"]] = np.matmul(B, hb[suffix])
+        Y = Xc @ C.T
+        th, sh = _tanh_stats(h_net, Y)
+        drive = U + (th @ h_net.W_out.T + h_net.b_out)
+        Hy = (sh[:, None, :] * h_net.W_out[None, :, :]) @ h_net.W_in   # (c, m, p)
+        BH = np.matmul(B, Hy)                                          # (c, n, p)
+        Fx = A[None, :, :] + np.matmul(BH, C) + Gx
+        if "C" in cols:
+            F[:, :, cols["C"]] = np.einsum("kai,kj->kaij", BH, Xc).reshape(c, n, p * n)
+        if h_wanted:
+            hb = _batch_param_blocks(h_net, Y, th, sh, h_wanted)
+            for suffix in h_wanted:
+                F[:, :, cols[f"h.{suffix}"]] = np.matmul(B, hb[suffix])
         if "A" in cols:
             F[:, :, cols["A"]] = np.einsum("ab,kj->kabj", eye_n, Xc).reshape(c, n, n * n)
         if "B" in cols:
@@ -463,7 +439,7 @@ def _sensitivity_chunks(model: TrainableModel, ds: Dataset, gamma: float,
                 for suffix in g_wanted:   # never b_out, a read-only view
                     gb[suffix] -= gb0[suffix]
             for suffix in g_wanted:
-                F[:, :, cols[f"{g_tag}.{suffix}"]] = gb[suffix]
+                F[:, :, cols[f"g.{suffix}"]] = gb[suffix]
 
         for fx, s, f in zip(Fx, buf[:c], F):
             np.add(f, fx.dot(s), out=f)
@@ -485,7 +461,7 @@ def _sensitivity_chunks(model: TrainableModel, ds: Dataset, gamma: float,
         buf[0] = buf[c]
 
 
-def _normal_equations(model: TrainableModel, ds: Dataset, gamma: float,
+def _normal_equations(model: AlSsnnModel, ds: Dataset, gamma: float,
                       layout: ParamLayout, rv: ResidualVector):
     """J'J and J'r accumulated chunk by chunk; the full J is never formed.
 
@@ -555,7 +531,7 @@ class LmWorkspace:
         return residuals(model, ds, gamma)
 
 
-def lm_step(model: TrainableModel, ds: Dataset, config: TrainConfig, lam: float,
+def lm_step(model: AlSsnnModel, ds: Dataset, config: TrainConfig, lam: float,
             layout: ParamLayout | None = None,
             workspace: LmWorkspace | None = None):
     """One damped Gauss-Newton step with strict-decrease acceptance.
@@ -693,7 +669,7 @@ def _enrich_basis(net: Mlp, config: TrainConfig) -> Mlp:
                    b_in=net.b_in * config.hidden_bias_scale)
 
 
-def _run_lm(model: TrainableModel, ds: Dataset, config: TrainConfig,
+def _run_lm(model: AlSsnnModel, ds: Dataset, config: TrainConfig,
             layout: ParamLayout):
     ws = LmWorkspace()
     lam = config.lambda0
@@ -754,10 +730,35 @@ def _run_lm(model: TrainableModel, ds: Dataset, config: TrainConfig,
     }
 
 
-def _report(family: str, model: TrainableModel, config: TrainConfig, scaling: dict,
-            stats: dict, t0: float) -> TrainReport:
-    return TrainReport(
-        family=family,
+def _train(family: type, ds_train: Dataset, n: int, n_h: int, n_g: int,
+           config: TrainConfig):
+    """Linear init, zero-function nets and LM, for AL (family AlSsnnModel)
+    and GR (GrSsnnModel, n_h = 0, its f net as the g net)."""
+    t0 = time.perf_counter()
+    lin0 = linear_init(ds_train, n, config.horizon)
+    m, p = ds_train.n_inputs, ds_train.n_outputs
+    h_net = _enrich_basis(init_small(p, n_h, m, scale=0.0, seed=config.seed), config)
+    g_net = _enrich_basis(init_small(n + m, n_g, n, scale=0.0, seed=config.seed + 1),
+                          config)
+    y_scale, z_scale = np.ones(p), np.ones(n + m)
+    if config.scale_hidden_inputs:
+        y_scale, z_scale = _hidden_input_scales(lin0, ds_train)
+        h_net = _scale_input_layer(h_net, y_scale)
+        g_net = _scale_input_layer(g_net, z_scale)
+    model = family(lin=lin0, h_net=h_net, g_net=g_net,
+                   eq=Equilibrium(x_e=np.zeros(n), u_e=np.zeros(m)), c_frozen=config.freeze_C)
+    layout = default_layout(model, config)
+    if layout.eq_constrained:
+        model = replace(model, g_net=enforce_equilibrium_zero(model.g_net, model.eq))
+    model, stats = _run_lm(model, ds_train, config, layout)
+    if layout.eq_constrained:
+        model = replace(model, g_net=enforce_equilibrium_zero(model.g_net, model.eq))
+    scaling = {"h_input_scale": [float(v) for v in y_scale],
+               "g_input_scale": [float(v) for v in z_scale]}
+    if family is GrSsnnModel:
+        scaling = {"f_input_scale": scaling["g_input_scale"]}
+    return model, TrainReport(
+        family=_family(model),
         dims=model.dims,
         config=asdict(config),
         input_scaling=scaling,
@@ -785,48 +786,12 @@ def train(ds_train: Dataset, n: int, config: TrainConfig) -> tuple[AlSsnnModel, 
     its initial value when freeze_C is set. The returned loss never exceeds
     the initialization's (steps are only ever accepted on strict decrease).
     """
-    t0 = time.perf_counter()
-    lin0 = linear_init(ds_train, n, config.horizon)
-    m, p = ds_train.n_inputs, ds_train.n_outputs
-    h_net = _enrich_basis(init_small(p, config.n_h, m, scale=0.0, seed=config.seed), config)
-    g_net = _enrich_basis(init_small(n + m, config.n_g, n, scale=0.0, seed=config.seed + 1),
-                          config)
-    scaling = {"h_input_scale": [1.0] * p, "g_input_scale": [1.0] * (n + m)}
-    if config.scale_hidden_inputs:
-        y_scale, z_scale = _hidden_input_scales(lin0, ds_train)
-        h_net = _scale_input_layer(h_net, y_scale)
-        g_net = _scale_input_layer(g_net, z_scale)
-        scaling = {
-            "h_input_scale": [float(v) for v in y_scale],
-            "g_input_scale": [float(v) for v in z_scale],
-        }
-    eq = Equilibrium(x_e=np.zeros(n), u_e=np.zeros(m))
-    if config.enforce_equilibrium:
-        g_net = enforce_equilibrium_zero(g_net, eq)
-    model = AlSsnnModel(lin=lin0, h_net=h_net, g_net=g_net, eq=eq,
-                        c_frozen=config.freeze_C)
-    layout = default_layout(model, config)
-    model, stats = _run_lm(model, ds_train, config, layout)
-    if config.enforce_equilibrium:
-        model = replace(model, g_net=enforce_equilibrium_zero(model.g_net, model.eq))
-    return model, _report("al-ssnn", model, config, scaling, stats, t0)
+    return _train(AlSsnnModel, ds_train, n, config.n_h, config.n_g, config)
 
 
 def train_gr(ds_train: Dataset, n: int, n_f: int,
              config: TrainConfig) -> tuple[GrSsnnModel, TrainReport]:
-    """Baseline pipeline: single f net, no penalty term, C frozen the same way."""
-    t0 = time.perf_counter()
-    lin0 = linear_init(ds_train, n, config.horizon)
-    m = ds_train.n_inputs
-    f_net = _enrich_basis(init_small(n + m, n_f, n, scale=0.0, seed=config.seed + 1), config)
-    scaling = {"f_input_scale": [1.0] * (n + m)}
-    if config.scale_hidden_inputs:
-        _, z_scale = _hidden_input_scales(lin0, ds_train)
-        f_net = _scale_input_layer(f_net, z_scale)
-        scaling = {"f_input_scale": [float(v) for v in z_scale]}
-    model = GrSsnnModel(lin=lin0, f_net=f_net)
-    names = ["A", "B"] + ([] if config.freeze_C else ["C"])
-    names += [f"f.{s}" for s in _NET_SUFFIXES]
-    layout = make_layout(model, names)
-    model, stats = _run_lm(model, ds_train, config, layout)
-    return model, _report("gr-ssnn", model, config, scaling, stats, t0)
+    """Baseline pipeline: train's, with an empty h net and an f net of n_f
+    units in g's place; no equilibrium pin and no penalty, whatever the
+    config says."""
+    return _train(GrSsnnModel, ds_train, n, 0, n_f, config)

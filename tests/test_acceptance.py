@@ -33,7 +33,7 @@ from alssnn.control import (
 )
 from alssnn.dataio import Dataset, SplitSpec, normalize, split
 from alssnn.linear_id import LinearSS, linear_init
-from alssnn.models import AlSsnnModel, GrSsnnModel, al_step, simulate
+from alssnn.models import AlSsnnModel, al_step, gr_model, simulate
 from alssnn.nets import Equilibrium, Mlp, enforce_equilibrium_zero, mlp_forward
 from alssnn.stability import (
     LMI_TOL,
@@ -91,8 +91,7 @@ def _rand_al(rng, n, m, p, nh=3, ng=3):
 
 
 def _rand_gr(rng, n, m, p, nf=3):
-    return GrSsnnModel(lin=_rand_lin(rng, n, m, p),
-                       f_net=_rand_net(rng, n + m, nf, n, scale=0.2))
+    return gr_model(_rand_lin(rng, n, m, p), _rand_net(rng, n + m, nf, n, scale=0.2))
 
 
 def _rand_ds(rng, N, m, p, model):

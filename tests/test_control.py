@@ -9,7 +9,7 @@ from alssnn.control import (DENOMINATOR_GUARD, estimate_epsilon,
 from alssnn.dataio import Dataset
 from alssnn.errors import DataError, DivergenceError
 from alssnn.linear_id import LinearSS
-from alssnn.models import AlSsnnModel, GrSsnnModel, al_step, simulate
+from alssnn.models import AlSsnnModel, al_step, gr_model, simulate
 from alssnn.nets import Equilibrium, Mlp, mlp_forward
 
 
@@ -147,7 +147,7 @@ def test_closed_loop_non_finite_x0_diverges_at_zero(bad):
 
 
 def test_closed_loop_rejects_other_families():
-    gr = GrSsnnModel(lin=stable_lin(), f_net=rand_net(3, 2, 3, 0))
+    gr = gr_model(stable_lin(), rand_net(3, 2, 3, 0))
     with pytest.raises(DataError, match="h/g-split"):
         simulate_closed_loop(gr, np.zeros((5, 1)))
 
@@ -172,7 +172,7 @@ def test_ratio_stats_al_manual():
 
 
 def test_ratio_stats_gr_has_f_only():
-    gr = GrSsnnModel(lin=stable_lin(), f_net=rand_net(3, 2, 3, 11))
+    gr = gr_model(stable_lin(), rand_net(3, 2, 3, 11))
     rng = np.random.default_rng(11)
     ds = Dataset(u=rng.normal(size=(20, 1)), y=rng.normal(size=(20, 1)))
     stats = ratio_stats(gr, ds)

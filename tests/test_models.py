@@ -5,7 +5,7 @@ import pytest
 
 from alssnn.errors import DataError
 from alssnn.linear_id import LinearSS
-from alssnn.models import (AlSsnnModel, GrSsnnModel, al_step, gr_step,
+from alssnn.models import (AlSsnnModel, GrSsnnModel, al_step, gr_model,
                            load_model, model_from_json_dict,
                            model_to_json_dict, save_model, simulate)
 from alssnn.nets import Equilibrium, Mlp, mlp_forward
@@ -34,8 +34,8 @@ def al_model(seed=0):
                        eq=Equilibrium(x_e=np.zeros(2), u_e=np.zeros(1)))
 
 
-def gr_model(seed=0):
-    return GrSsnnModel(lin=small_lin(), f_net=small_net(3, 2, seed))
+def small_gr(seed=0):
+    return gr_model(small_lin(), small_net(3, 2, seed))
 
 
 def test_al_step_formula():
@@ -49,13 +49,34 @@ def test_al_step_formula():
     assert np.allclose(al_step(model, x, u), expected, atol=1e-15)
 
 
-def test_gr_step_formula():
-    model = gr_model()
-    x = np.array([0.3, -0.2])
-    u = np.array([0.7])
-    expected = (model.lin.A @ x + model.lin.B @ u
-                + mlp_forward(model.f_net, np.concatenate([x, u])))
-    assert np.allclose(gr_step(model, x, u), expected, atol=1e-15)
+def test_al_step_on_gr_is_the_gr_formula():
+    # the empty h net adds an exact zero to u, so the AL step is A x + B u + f
+    model = small_gr()
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        x, u = rng.normal(size=2), rng.normal(size=1)
+        expected = (model.lin.A @ x + model.lin.B @ u
+                    + mlp_forward(model.f_net, np.concatenate([x, u])))
+        assert np.array_equal(al_step(model, x, u), expected)
+
+
+def test_gr_model_requires_an_empty_h_net():
+    gr = small_gr()
+    with pytest.raises(DataError, match="empty"):
+        GrSsnnModel(lin=gr.lin, h_net=small_net(1, 1, 0), g_net=gr.g_net, eq=gr.eq)
+    bias = Mlp(W_in=np.zeros((0, 1)), b_in=np.zeros(0), W_out=np.zeros((1, 0)),
+               b_out=np.array([0.5]))
+    with pytest.raises(DataError, match="empty"):
+        GrSsnnModel(lin=gr.lin, h_net=bias, g_net=gr.g_net, eq=gr.eq)
+    assert gr.h_net.n_hidden == 0 and not np.any(gr.h_net.b_out)
+    assert gr.f_net is gr.g_net
+
+
+def test_gr_model_file_keeps_its_names():
+    obj = model_to_json_dict(small_gr())
+    assert set(obj) == {"family", "dims", "A", "B", "C", "f_net"}
+    assert obj["family"] == "gr-ssnn"
+    assert obj["dims"] == {"n": 2, "m": 1, "p": 1, "n_f": 4}
 
 
 def test_step_shape_validation():
@@ -63,7 +84,7 @@ def test_step_shape_validation():
     with pytest.raises(DataError):
         al_step(model, np.zeros(3), np.zeros(1))
     with pytest.raises(DataError):
-        gr_step(gr_model(), np.zeros(2), np.zeros(2))
+        al_step(small_gr(), np.zeros(2), np.zeros(2))
 
 
 def test_dims_validation():
@@ -78,7 +99,7 @@ def test_dims_validation():
         AlSsnnModel(lin=lin, h_net=small_net(1, 1, 0), g_net=small_net(3, 2, 1),
                     eq=Equilibrium(x_e=np.zeros(3), u_e=np.zeros(1)))
     with pytest.raises(DataError, match="f net"):
-        GrSsnnModel(lin=lin, f_net=small_net(4, 2, 0))
+        gr_model(lin, small_net(4, 2, 0))
 
 
 def test_simulate_matches_manual_loop():
@@ -138,7 +159,7 @@ def test_json_round_trip_bit_exact_al():
 
 
 def test_json_round_trip_bit_exact_gr_and_lti():
-    gr = gr_model(seed=9)
+    gr = small_gr(seed=9)
     back = model_from_json_dict(model_to_json_dict(gr))
     assert isinstance(back, GrSsnnModel)
     assert np.array_equal(back.f_net.W_out, gr.f_net.W_out)
@@ -176,7 +197,7 @@ def test_from_json_dict_errors():
     del obj["h_net"]
     with pytest.raises(DataError, match="h_net"):
         model_from_json_dict(obj)
-    obj = model_to_json_dict(gr_model())
+    obj = model_to_json_dict(small_gr())
     del obj["f_net"]
     with pytest.raises(DataError, match="f_net"):
         model_from_json_dict(obj)
@@ -210,14 +231,14 @@ def three_families(seed, a_scale=1.0):
                    b_out=0.3 * rng.normal(size=d_out))
     al = AlSsnnModel(lin=lin, h_net=net(p, m, 5), g_net=net(n + m, n, 6),
                      eq=Equilibrium(x_e=np.zeros(n), u_e=np.zeros(m)))
-    gr = GrSsnnModel(lin=lin, f_net=net(n + m, n, 7))
+    gr = gr_model(lin, net(n + m, n, 7))
     return al, gr, lin
 
 
 def family_steppers(seed, a_scale=1.0):
     al, gr, lin = three_families(seed, a_scale)
     return [(al, lambda x, u: al_step(al, x, u)),
-            (gr, lambda x, u: gr_step(gr, x, u)),
+            (gr, lambda x, u: al_step(gr, x, u)),
             (lin, lambda x, u: lin.A @ x + lin.B @ u)]
 
 
@@ -290,7 +311,7 @@ def test_from_json_dict_array_not_fitting_dims():
 
 
 def test_from_json_dict_missing_dims_key():
-    obj = model_to_json_dict(gr_model())
+    obj = model_to_json_dict(small_gr())
     del obj["dims"]["n"]
     with pytest.raises(DataError, match="dims.n"):
         model_from_json_dict(obj)
@@ -310,10 +331,10 @@ def growing_families(seed, N, nh=5):
                    b_out=0.01 * rng.normal(size=d_out))
     al = AlSsnnModel(lin=lin, h_net=net(p, m), g_net=net(n + m, n),
                      eq=Equilibrium(x_e=np.zeros(n), u_e=np.zeros(m)))
-    gr = GrSsnnModel(lin=lin, f_net=net(n + m, n))
+    gr = gr_model(lin, net(n + m, n))
     U = rng.normal(size=(N, m))
     return [(al, lambda x, u: al_step(al, x, u)),
-            (gr, lambda x, u: gr_step(gr, x, u)),
+            (gr, lambda x, u: al_step(gr, x, u)),
             (lin, lambda x, u: lin.A @ x + lin.B @ u)], U
 
 
@@ -349,7 +370,7 @@ def test_simulate_nan_state_on_block_boundary():
     h = Mlp(W_in=h.W_in, b_in=h.b_in, W_out=0.0 * h.W_out, b_out=np.zeros(2))
     al = AlSsnnModel(lin=lin, h_net=h, g_net=small_net(n + 2, n, 42),
                      eq=Equilibrium(x_e=np.zeros(n), u_e=np.zeros(2)))
-    gr = GrSsnnModel(lin=lin, f_net=small_net(n + 2, n, 43))
+    gr = gr_model(lin, small_net(n + 2, n, 43))
     U = np.zeros((600, 2))
     U[255] = 1e10
     for model in (al, gr, lin):
@@ -370,11 +391,11 @@ def test_simulate_wide_nets_over_three_blocks_match_step_maps():
                    b_out=0.1 * rng.normal(size=d_out))
     al = AlSsnnModel(lin=lin, h_net=net(p, m), g_net=net(n + m, n),
                      eq=Equilibrium(x_e=np.zeros(n), u_e=np.zeros(m)))
-    gr = GrSsnnModel(lin=lin, f_net=net(n + m, n))
+    gr = gr_model(lin, net(n + m, n))
     U = rng.normal(size=(700, m))
     x0 = rng.normal(size=n)
     for model, step in ((al, lambda x, u: al_step(al, x, u)),
-                        (gr, lambda x, u: gr_step(gr, x, u))):
+                        (gr, lambda x, u: al_step(gr, x, u))):
         xs, ys, k = reference_run(step, lin.C, U, x0, 1e8)
         traj = simulate(model, U, x0=x0)
         assert k is None and not traj.diverged
@@ -389,7 +410,7 @@ def test_simulate_divergent_run_raises_no_warning():
     lin = LinearSS(A=10.0 * np.eye(2), B=np.ones((2, 1)), C=np.array([[1.0, 0.0]]))
     al = AlSsnnModel(lin=lin, h_net=small_net(1, 1, 45), g_net=small_net(3, 2, 46),
                      eq=Equilibrium(x_e=np.zeros(2), u_e=np.zeros(1)))
-    gr = GrSsnnModel(lin=lin, f_net=small_net(3, 2, 47))
+    gr = gr_model(lin, small_net(3, 2, 47))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for model in (al, gr, lin):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_discrete_lyapunov
 
+from alssnn import stability
 from alssnn.control import ClosedLoopRecord
 from alssnn.errors import DataError, InfeasibleError, NumericalError
 from alssnn.stability import (LMI_TOL, IssCertificate, SearchConfig,
@@ -228,6 +229,25 @@ def test_search_eigensolve_count(monkeypatch):
     cert = solve_certificate(stable_a(6, seed=12, rho=0.97), epsilon=1.0)
     assert cert.search["psi_refined"]
     assert len(calls) <= 100
+
+
+def test_psi_bisection_tests_no_psi_twice(monkeypatch):
+    # the bisection is the only caller that passes a scalar psi; once its
+    # interval has closed to adjacent floats it must stop, not re-test an end
+    tested = []
+    lmi_max = stability._lmi_max
+
+    def recorded(blocks, p_diag, psi):
+        if np.ndim(psi) == 0:
+            tested.append(psi)
+        return lmi_max(blocks, p_diag, psi)
+
+    monkeypatch.setattr(stability, "_lmi_max", recorded)
+    for n in (1, 3, 6):
+        tested.clear()
+        cert = solve_certificate(stable_a(n, seed=1), epsilon=1.0)
+        assert cert.search["psi_refined"]
+        assert 0 < len(tested) == len(set(tested))
 
 
 def test_stacked_search_steps_up_and_down_from_wrong_starts():

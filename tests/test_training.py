@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from alssnn import training
 from alssnn.dataio import Dataset
 from alssnn.errors import DataError, DivergenceError
 from alssnn.linear_id import LinearSS
-from alssnn.models import AlSsnnModel, GrSsnnModel, simulate
+from alssnn.models import AlSsnnModel, GrSsnnModel, gr_model, simulate
 from alssnn.nets import Equilibrium, Mlp, mlp_forward, mlp_forward_batch
 from alssnn.training import _CHUNK as CHUNK
 from alssnn.training import (LmWorkspace, TrainConfig, default_layout,
@@ -40,7 +41,7 @@ def rand_gr(n=2, m=1, p=1, nf=3, seed=0, net_scale=0.3):
     A = rng.normal(size=(n, n)) * 0.3
     A = A / max(1.0, 1.3 * np.max(np.abs(np.linalg.eigvals(A))))
     lin = LinearSS(A=A, B=rng.normal(size=(n, m)), C=rng.normal(size=(p, n)))
-    return GrSsnnModel(lin=lin, f_net=rand_net(n + m, n, nf, seed + 1, net_scale))
+    return gr_model(lin, rand_net(n + m, n, nf, seed + 1, net_scale))
 
 
 def rand_ds(m=1, p=1, N=15, seed=0):
@@ -247,7 +248,7 @@ def test_al_gamma_zero_equals_stacked_gr():
                 b_in=np.concatenate([h.b_in, g.b_in]),
                 W_out=np.hstack([lin.B @ h.W_out, g.W_out]),
                 b_out=lin.B @ h.b_out + g.b_out)
-    gr = GrSsnnModel(lin=lin, f_net=f_net)
+    gr = gr_model(lin, f_net)
     ds = rand_ds(N=30, seed=13)
     t_al = simulate(model, ds.u)
     t_gr = simulate(gr, ds.u)
@@ -283,7 +284,7 @@ def test_lm_step_rejects_at_exact_minimum():
     ds = Dataset(u=u, y=y)
     f_net = Mlp(W_in=np.zeros((2, 2)), b_in=np.zeros(2),
                 W_out=np.zeros((1, 2)), b_out=np.zeros(1))
-    model = GrSsnnModel(lin=lin, f_net=f_net)
+    model = gr_model(lin, f_net)
     assert loss(model, ds) == 0.0  # exact data: residual already zero
     config = TrainConfig()
     new, lam, accepted = lm_step(model, ds, config, 1e-2)
@@ -294,16 +295,16 @@ def test_lm_step_rejects_at_exact_minimum():
 
 def test_lm_step_bias_only_reaches_lstsq_optimum():
     # with W_in = 0 the net output is constant in (x, u), so the free run is
-    # affine in f.b_out and one Gauss-Newton step at tiny lambda must land on
+    # affine in g.b_out and one Gauss-Newton step at tiny lambda must land on
     # the independently computed least-squares optimum
     rng = np.random.default_rng(16)
     lin = LinearSS(A=np.array([[0.6, 0.1], [0.0, 0.5]]),
                    B=np.array([[1.0], [0.3]]), C=np.array([[1.0, 0.5]]))
     f_net = Mlp(W_in=np.zeros((2, 3)), b_in=rng.normal(size=2),
                 W_out=rng.normal(size=(2, 2)) * 0.1, b_out=np.zeros(2))
-    model = GrSsnnModel(lin=lin, f_net=f_net)
+    model = gr_model(lin, f_net)
     ds = rand_ds(N=40, seed=16)
-    layout = make_layout(model, ["f.b_out"])
+    layout = make_layout(model, ["g.b_out"])
 
     def res_of(bias):
         theta = np.asarray(bias, dtype=float)
@@ -447,7 +448,7 @@ def test_residuals_raise_on_non_finite_free_run():
     # than give a NaN loss
     lin = LinearSS(A=np.array([[0.5]]), B=np.array([[1e300, -1e300]]),
                    C=np.array([[1.0]]))
-    model = GrSsnnModel(lin=lin, f_net=rand_net(3, 1, 2, 0))
+    model = gr_model(lin, rand_net(3, 1, 2, 0))
     ds = Dataset(u=np.full((6, 2), 1e10), y=np.zeros((6, 1)))
     with np.errstate(all="ignore"), pytest.raises(DivergenceError) as info:
         residuals(model, ds)
@@ -595,6 +596,22 @@ def test_train_gr_baseline():
     model, report = train_gr(ds, 2, 3, TrainConfig(max_iters=8))
     assert report.family == "gr-ssnn"
     assert report.final_loss <= report.init_loss
+    assert report.final_penalty_mse == 0.0
+
+
+def test_train_gr_keeps_gr_names_and_the_callers_config():
+    ds = linear_ds(N=80, seed=22)
+    config = TrainConfig(gamma=0.7, max_iters=2, n_h=5, n_g=6)
+    model, report = train_gr(ds, 2, 3, config)
+    assert isinstance(model, GrSsnnModel) and model.h_net.n_hidden == 0
+    assert report.dims == {"n": 2, "m": 1, "p": 1, "n_f": 3}
+    assert set(report.input_scaling) == {"f_input_scale"}
+    assert report.config == asdict(config)
+    layout = default_layout(model, config)
+    assert layout.blocks == ("A", "B", "g.W_in", "g.b_in", "g.W_out", "g.b_out")
+    assert not layout.eq_constrained
+    # no penalty rows, whatever gamma is
+    assert residuals(model, ds, 5.0).r.shape == (ds.n_samples,)
     assert report.final_penalty_mse == 0.0
 
 

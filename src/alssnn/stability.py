@@ -9,24 +9,17 @@ which implies V(x) = x'Px satisfies dV < -phi*V + psi*||omega||^2 for every
 (x, omega). With ||omega|| <= epsilon the state then enters and stays near
 the ball {x : x'Px <= psi*epsilon^2/phi}.
 
-Feasible triples come from a deterministic search. P solves the discrete
-Lyapunov equation A'PA - P = -Q for a small family of Q's, and phi and psi
-range over log grids. Each P is checked for positive definiteness once; one
-that fails yields no candidate. At each (P, phi) only the smallest feasible
-grid psi can win, and the Schur complement locates it without scanning:
-with X = A'PA + (phi-1)P, the block passes the tolerance test
-lambda_max < -tol exactly when X + tol*I is negative definite and
-psi > tol + lambda_max(P - PA (X + tol*I)^-1 A'P) (Boyd et al., LMIs in
-System and Control Theory, 1994). The first grid psi above that threshold
-is confirmed by eigendecomposition, together with the grid psi below it, so
-the search picks the grid point a full scan would pick. psi enters the
-block only as P_ii - psi on its lower diagonal, so the blocks of all phis
-are formed once per P, and each round of confirmations is one stacked
-eigensolve over the phis still stepping up or down. The winning psi is
-then tightened by bisection on the winner's block. The LMI is tiny
-(2n x 2n), so this replaces a semidefinite-programming dependency without
-losing rigor: nothing is reported that verify() does not independently
-confirm.
+The search is deterministic. P solves the discrete Lyapunov equation
+A'PA - P = -Q for a small family of Q's, and phi ranges over a fixed log
+grid. There is no psi grid: at each (P, phi) the Schur complement gives the
+exact boundary psi* of the tolerance test. With X = A'PA + (phi-1)P, the
+block passes lambda_max < -tol exactly when X + tol*I is negative definite
+and psi > psi* = tol + lambda_max(P - PA (X + tol*I)^-1 A'P) (Boyd et al.,
+LMIs in System and Control Theory, 1994). The radius is psi*epsilon^2/phi,
+so the (P, phi) with the least psi*/phi wins, and one eigendecomposition
+confirms a psi just above its psi*. The LMI is tiny (2n x 2n), so this
+replaces a semidefinite-programming dependency without losing rigor:
+nothing is reported that verify() does not independently confirm.
 """
 
 from __future__ import annotations
@@ -41,7 +34,6 @@ from .errors import DataError, InfeasibleError, NumericalError
 
 __all__ = [
     "IssCertificate",
-    "SearchConfig",
     "lmi_block",
     "verify",
     "solve_certificate",
@@ -51,6 +43,15 @@ __all__ = [
 
 LMI_TOL = 1e-9
 SYMMETRY_TOL = 1e-12
+# The search family: P solves A'PA - P = -Q for Q = I and for Q = I with one
+# diagonal entry raised to Q_SCALE; phi ranges over PHI_GRID.
+PHI_GRID = np.logspace(-5, np.log10(0.9999), 40)
+Q_SCALE = 10.0
+# psi is first tried this far above psi*, relative to it; the margin doubles
+# while roundoff keeps the block on the failing side, at most MAX_DOUBLINGS
+# times.
+PSI_MARGIN = 2.0**-40
+MAX_DOUBLINGS = 60
 
 
 @dataclass(frozen=True)
@@ -131,35 +132,11 @@ def verify(cert: IssCertificate, A: np.ndarray) -> tuple[bool, dict]:
     return ok, {"p_min_eig": p_min, "lmi_max_eig": lmi_max, "tol": LMI_TOL}
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    """Grid and refinement settings for the certificate search."""
-
-    n_phi: int = 40
-    phi_min: float = 1e-5
-    phi_max: float = 0.9999
-    # psi must dominate lambda_max(P)^2-scale terms, and P ~ 1/(1 - rho^2),
-    # so near-unit spectral radii need psi far above O(1); the bisection pass
-    # tightens whatever slack the wide grid leaves.
-    n_psi: int = 60
-    psi_min: float = 1e-3
-    psi_max: float = 1e9
-    q_entry_scale: float = 10.0
-    refine_psi: bool = True
-    refine_iters: int = 60
-
-    def phi_grid(self) -> np.ndarray:
-        return np.logspace(np.log10(self.phi_min), np.log10(self.phi_max), self.n_phi)
-
-    def psi_grid(self) -> np.ndarray:
-        return np.logspace(np.log10(self.psi_min), np.log10(self.psi_max), self.n_psi)
-
-
-def _q_family(n: int, scale: float) -> list[np.ndarray]:
+def _q_family(n: int) -> list[np.ndarray]:
     out = [np.eye(n)]
     for i in range(n):
         q = np.eye(n)
-        q[i, i] = scale
+        q[i, i] = Q_SCALE
         out.append(q)
     return out
 
@@ -170,88 +147,46 @@ def _psi_thresholds(blocks: np.ndarray) -> np.ndarray:
     With X = A'PA + (phi-1)P, the block's top left, the block plus tol*I is
     negative definite iff X + tol*I is and
     psi > tol + lambda_max(P - PA (X + tol*I)^-1 A'P) (Schur complement).
-    Blocks where X + tol*I is not negative definite get psi* = inf.
+    Blocks where X + tol*I is not negative definite get psi* = inf. Leading
+    axes are kept, and the whole stack is one eigh and one eigvalsh call.
     """
     n = blocks.shape[-1] // 2
-    PA, P = blocks[:1, n:, :n], blocks[:1, n:, n:]   # equal in every block; [:1] allows none
-    w, V = np.linalg.eigh(blocks[:, :n, :n] + LMI_TOL * np.eye(n))
-    out = np.full(blocks.shape[0], np.inf)
-    nd = w[:, -1] < 0
-    W = PA @ V[nd]
-    S = P - (W / w[nd][:, None, :]) @ W.transpose(0, 2, 1)
+    w, V = np.linalg.eigh(blocks[..., :n, :n] + LMI_TOL * np.eye(n))
+    out = np.full(blocks.shape[:-2], np.inf)
+    nd = w[..., -1] < 0
+    b = blocks[nd]
+    W = b[:, n:, :n] @ V[nd]    # PA V
+    S = b[:, n:, n:] - (W / w[nd][:, None, :]) @ W.transpose(0, 2, 1)
     out[nd] = LMI_TOL + np.linalg.eigvalsh(S)[:, -1]
     return out
 
 
-def _lmi_max(blocks: np.ndarray, p_diag: np.ndarray, psi) -> np.ndarray:
-    """Largest eigenvalue of each block with its lower diagonal set to P_ii - psi.
+def _diagnostics(lmi_max, p_min, qi, phi, rho) -> dict:
+    return {"lmi_max_eig": float(lmi_max), "p_min_eig": float(p_min),
+            "phi": float(phi), "q_index": int(qi), "spectral_radius": rho}
 
-    That diagonal is the only entry of lmi_block that depends on psi, so one
-    block per (P, phi) serves every psi. psi broadcasts over the leading
-    axes, and the whole stack is one eigvalsh call.
+
+def _least_violating(blocks, p_mins, rho) -> dict:
+    """Diagnostics of the (P, phi) whose block comes closest to passing.
+
+    The block's largest eigenvalue falls toward lambda_max(A'PA + (phi-1)P)
+    as psi grows, so that value is the least any psi reaches at (P, phi).
+    All pairs go through one stacked eigensolve; ties go to the first in
+    (P, phi) order.
     """
-    m = blocks.copy()
-    n = p_diag.shape[-1]
-    i = np.arange(n, 2 * n)
-    m[..., i, i] = p_diag - psi
-    return np.linalg.eigvalsh(m)[..., -1]
-
-
-def _smallest_feasible(blocks, p_diag, psis, starts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(feasible, grid index, lmi_max) per phi of the smallest grid psi passing, for P > 0.
-
-    Each phi starts at its index in starts, steps up while the test fails
-    and then down while the psi below also passes; the test is verify()'s.
-    Feasibility is monotone in psi (the block loses psi*diag(0, I)), so a
-    correct start needs one test plus one below it. Each round tests every
-    phi still moving in one stacked eigensolve.
-    """
-    j = np.array(starts)
-    lmi = np.zeros(j.shape)
-    down = np.zeros(j.shape, dtype=bool)    # passed at j; now testing j - 1
-    live = j < psis.size
-    while live.any():
-        idx = np.flatnonzero(live)
-        dn = down[idx]
-        vals = _lmi_max(blocks[idx], p_diag, psis[j[idx] - dn][:, None])
-        ok = vals < -LMI_TOL
-        lmi[idx[ok]] = vals[ok]
-        j[idx[ok & dn]] -= 1
-        j[idx[~ok & ~dn]] += 1
-        down[idx] |= ok
-        live[idx] = np.where(down[idx], (j[idx] > 0) & ok, j[idx] < psis.size)
-    return down, j, lmi
-
-
-def _least_violating(A, Ps, p_mins, phis, psi, rho) -> dict | None:
-    """Diagnostics of the (P, phi) whose block at psi has the least max eigenvalue.
-
-    Called when no grid point passes: the max eigenvalue falls as psi grows,
-    so at every (P, phi) the largest grid psi is the least violating one.
-    All (P, phi) blocks go through one stacked eigensolve; ties go to the
-    first in (P, phi) order, as a scan would find it.
-    """
-    if not phis.size:
-        return None
-    lmi = np.linalg.eigvalsh(np.stack([_phi_blocks(A, P, phis, psi) for P in Ps]))[..., -1]
+    n = blocks.shape[-1] // 2
+    lmi = np.linalg.eigvalsh(blocks[..., :n, :n])[..., -1]
     qi, i = np.unravel_index(np.argmin(lmi), lmi.shape)
-    return {
-        "lmi_max_eig": float(lmi[qi, i]), "p_min_eig": float(p_mins[qi]),
-        "phi": float(phis[i]), "psi": float(psi), "q_index": int(qi),
-        "spectral_radius": rho,
-    }
+    return _diagnostics(lmi[qi, i], p_mins[qi], qi, PHI_GRID[i], rho)
 
 
-def solve_certificate(A: np.ndarray, epsilon: float,
-                      search_config: SearchConfig | None = None) -> IssCertificate:
-    """Smallest-radius feasible certificate over the deterministic search family.
+def solve_certificate(A: np.ndarray, epsilon: float) -> IssCertificate:
+    """Smallest-radius certificate over the deterministic search family.
 
-    Candidates are ordered by (radius, phi, psi) so the result is independent
-    of evaluation order; at each (P, phi) only the smallest feasible grid psi
-    can win, and its Schur threshold locates it. After the grid pass, psi is
-    tightened by bisection at the winning (P, phi): feasibility is monotone
-    in psi, so the bisection stays sound and every reported triple is
-    re-verified.
+    The (P, phi) with the least psi*/phi wins, ties going to the smaller phi,
+    then the smaller psi*; the result does not depend on epsilon. psi starts
+    at psi*(1 + PSI_MARGIN) and is confirmed by eigendecomposition, with the
+    margin doubling while roundoff keeps the block on the failing side.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -260,7 +195,6 @@ def solve_certificate(A: np.ndarray, epsilon: float,
         raise DataError("A contains non-finite entries")
     if epsilon < 0:
         raise DataError(f"epsilon must be non-negative, got {epsilon}")
-    cfg = search_config or SearchConfig()
     n = A.shape[0]
     rho = float(np.max(np.abs(np.linalg.eigvals(A))))
     if rho >= 1.0:
@@ -270,72 +204,44 @@ def solve_certificate(A: np.ndarray, epsilon: float,
         )
 
     Ps = []
-    for Q in _q_family(n, cfg.q_entry_scale):
+    for Q in _q_family(n):
         try:
             P = solve_discrete_lyapunov(A.T, Q)
         except (np.linalg.LinAlgError, ValueError) as exc:
             raise NumericalError(f"discrete Lyapunov solve failed: {exc}") from exc
         Ps.append(0.5 * (P + P.T))
-    # a P that is not positive definite fails every test, so it is checked once
     p_mins = np.linalg.eigvalsh(np.stack(Ps))[:, 0]
-
-    phis, psis = cfg.phi_grid(), cfg.psi_grid()
-    best = None           # (radius, phi, psi, qi, P, lmi_max, block)
-    for qi, P in enumerate(Ps):
-        if not p_mins[qi] > 0:
-            continue
-        blocks = _phi_blocks(A, P, phis, 0.0)
-        starts = np.searchsorted(psis, _psi_thresholds(blocks), side="right")
-        feasible, js, lmis = _smallest_feasible(blocks, np.diag(P), psis, starts)
-        for i in np.flatnonzero(feasible):
-            phi, psi = phis[i], psis[js[i]]
-            radius = psi * epsilon**2 / phi
-            key = (radius, phi, psi)
-            if best is None or key < (best[0], best[1], best[2]):
-                best = (radius, float(phi), float(psi), qi, P, float(lmis[i]), blocks[i])
-
-    if best is None:
-        diag = {"spectral_radius": rho}
-        if psis.size:
-            diag = _least_violating(A, Ps, p_mins, phis, psis[-1], rho) or diag
+    blocks = np.stack([_phi_blocks(A, P, PHI_GRID, 0.0) for P in Ps])
+    thresholds = _psi_thresholds(blocks)
+    thresholds[~(p_mins > 0)] = np.inf     # such a P fails every test
+    candidates = list(zip(*np.nonzero(np.isfinite(thresholds))))
+    if not candidates:
+        diag = _least_violating(blocks, p_mins, rho)
         raise InfeasibleError(
-            "no feasible (P, phi, psi) in the search grid; closest candidate "
-            f"had largest LMI eigenvalue {diag.get('lmi_max_eig', float('nan')):.3e}",
+            "no (P, phi) in the search family admits any psi; closest candidate "
+            f"had largest LMI eigenvalue {diag['lmi_max_eig']:.3e}",
             diagnostics=diag,
         )
-
-    _, phi, psi, qi, P, lmi_max, block = best
-    refined = False
-    if cfg.refine_psi:
-        # Feasibility is monotone increasing in psi at fixed (P, phi): shrink
-        # psi toward the boundary to shrink the reported radius. P > 0 was
-        # checked above, so each step is one eigensolve of the winner's block.
-        # Once [lo, hi] has closed to adjacent floats, mid repeats an end
-        # point whose outcome is known, and the search stops.
-        p_diag = np.diag(P)
-        lo, hi = 0.0, psi
-        for _ in range(cfg.refine_iters):
-            mid = 0.5 * (lo + hi)
-            if mid <= 0 or mid == lo or mid == hi:
-                break
-            me = float(_lmi_max(block, p_diag, mid))
-            if me < -LMI_TOL:
-                hi, lmi_max = mid, me
-                refined = True
-            else:
-                lo = mid
-        psi = hi
+    qi, i = min(candidates, key=lambda c: (thresholds[c] / PHI_GRID[c[1]],
+                                           PHI_GRID[c[1]], thresholds[c]))
+    P, phi, psi_star = Ps[qi], float(PHI_GRID[i]), float(thresholds[qi, i])
+    margin = PSI_MARGIN
+    for _ in range(MAX_DOUBLINGS + 1):
+        psi = psi_star * (1.0 + margin)
+        lmi_max = float(np.linalg.eigvalsh(lmi_block(A, P, phi, psi))[-1])
+        if lmi_max < -LMI_TOL:
+            break
+        margin *= 2.0
+    else:
+        raise InfeasibleError(
+            f"psi threshold {psi_star:.6g} at phi {phi:.6g} not confirmed within "
+            f"{MAX_DOUBLINGS} doublings of its margin",
+            diagnostics=_diagnostics(lmi_max, p_mins[qi], qi, phi, rho),
+        )
 
     cert = IssCertificate(
         P=P, phi=phi, psi=psi, epsilon=float(epsilon), lmi_max_eig=lmi_max,
-        search={
-            "q_index": qi,
-            "n_phi": cfg.n_phi, "phi_min": cfg.phi_min, "phi_max": cfg.phi_max,
-            "n_psi": cfg.n_psi, "psi_min": cfg.psi_min, "psi_max": cfg.psi_max,
-            "q_entry_scale": cfg.q_entry_scale,
-            "psi_refined": refined,
-            "spectral_radius": rho,
-        },
+        search={"q_index": int(qi), "spectral_radius": rho},
     )
     ok, diag = verify(cert, A)
     if not ok:  # pragma: no cover - the search only emits verified triples

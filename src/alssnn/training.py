@@ -69,7 +69,6 @@ class TrainConfig:
     freeze_C: bool = True
     enforce_equilibrium: bool = True
     horizon: int | None = None
-    scale_hidden_inputs: bool = True
     # Multipliers on the freshly drawn input layer. Output weights start at
     # zero, so these cost nothing at iteration 0, but they set the basis the
     # optimizer gets to combine: wider input weights and, above all, nonzero
@@ -730,21 +729,18 @@ def _run_lm(model: AlSsnnModel, ds: Dataset, config: TrainConfig,
     }
 
 
-def _train(family: type, ds_train: Dataset, n: int, n_h: int, n_g: int,
-           config: TrainConfig):
+def _train(family: type, ds_train: Dataset, n: int, config: TrainConfig):
     """Linear init, zero-function nets and LM, for AL (family AlSsnnModel)
     and GR (GrSsnnModel, n_h = 0, its f net as the g net)."""
     t0 = time.perf_counter()
     lin0 = linear_init(ds_train, n, config.horizon)
     m, p = ds_train.n_inputs, ds_train.n_outputs
-    h_net = _enrich_basis(init_small(p, n_h, m, scale=0.0, seed=config.seed), config)
-    g_net = _enrich_basis(init_small(n + m, n_g, n, scale=0.0, seed=config.seed + 1),
+    y_scale, z_scale = _hidden_input_scales(lin0, ds_train)
+    h_net = _enrich_basis(init_small(p, config.n_h, m, scale=0.0, seed=config.seed), config)
+    g_net = _enrich_basis(init_small(n + m, config.n_g, n, scale=0.0, seed=config.seed + 1),
                           config)
-    y_scale, z_scale = np.ones(p), np.ones(n + m)
-    if config.scale_hidden_inputs:
-        y_scale, z_scale = _hidden_input_scales(lin0, ds_train)
-        h_net = _scale_input_layer(h_net, y_scale)
-        g_net = _scale_input_layer(g_net, z_scale)
+    h_net = _scale_input_layer(h_net, y_scale)
+    g_net = _scale_input_layer(g_net, z_scale)
     model = family(lin=lin0, h_net=h_net, g_net=g_net,
                    eq=Equilibrium(x_e=np.zeros(n), u_e=np.zeros(m)), c_frozen=config.freeze_C)
     layout = default_layout(model, config)
@@ -786,12 +782,13 @@ def train(ds_train: Dataset, n: int, config: TrainConfig) -> tuple[AlSsnnModel, 
     its initial value when freeze_C is set. The returned loss never exceeds
     the initialization's (steps are only ever accepted on strict decrease).
     """
-    return _train(AlSsnnModel, ds_train, n, config.n_h, config.n_g, config)
+    return _train(AlSsnnModel, ds_train, n, config)
 
 
 def train_gr(ds_train: Dataset, n: int, n_f: int,
              config: TrainConfig) -> tuple[GrSsnnModel, TrainReport]:
     """Baseline pipeline: train's, with an empty h net and an f net of n_f
-    units in g's place; no equilibrium pin and no penalty, whatever the
-    config says."""
-    return _train(GrSsnnModel, ds_train, n, 0, n_f, config)
+    units in g's place; no equilibrium pin and no penalty. The report's
+    config records n_h = 0, n_g = n_f and enforce_equilibrium = False."""
+    config = replace(config, n_h=0, n_g=n_f, enforce_equilibrium=False)
+    return _train(GrSsnnModel, ds_train, n, config)

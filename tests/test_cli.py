@@ -271,8 +271,9 @@ def test_certify_epsilon_override_zero(ws, tmp_path):
     assert cert["epsilon_source"] == "override"
 
 
-def test_certify_unstable_model_exit_3(tmp_path, capsys):
-    lin = LinearSS(A=np.array([[1.1]]), B=np.array([[1.0]]), C=np.array([[1.0]]))
+def certify_zero_net_model(tmp_path, a):
+    """Run certify on x+ = a x + u with zero nets; returns the exit code."""
+    lin = LinearSS(A=np.array([[a]]), B=np.array([[1.0]]), C=np.array([[1.0]]))
     zero1 = Mlp(W_in=np.zeros((1, 1)), b_in=np.zeros(1),
                 W_out=np.zeros((1, 1)), b_out=np.zeros(1))
     zero2 = Mlp(W_in=np.zeros((1, 2)), b_in=np.zeros(1),
@@ -284,10 +285,21 @@ def test_certify_unstable_model_exit_3(tmp_path, capsys):
     rng = np.random.default_rng(0)
     save_csv(Dataset(u=rng.normal(size=(30, 1)) * 0.01,
                      y=rng.normal(size=(30, 1)) * 0.01), tmp_path / "d.csv")
-    rc = main(["certify", "--model", str(mpath), "--data", str(tmp_path / "d.csv"),
-               "-o", str(tmp_path / "c")])
-    assert rc == 3
+    return main(["certify", "--model", str(mpath), "--data", str(tmp_path / "d.csv"),
+                 "-o", str(tmp_path / "c")])
+
+
+def test_certify_unstable_model_exit_3(tmp_path, capsys):
+    assert certify_zero_net_model(tmp_path, 1.1) == 3
     assert "not Schur stable" in capsys.readouterr().err
+
+
+def test_certify_infeasible_model_exit_3(tmp_path, capsys):
+    # Schur stable, but no grid phi lies below 1 - a^2 = 2e-6
+    assert certify_zero_net_model(tmp_path, 0.999999) == 3
+    err = capsys.readouterr().err
+    assert "no (P, phi)" in err and "lmi_max_eig:" in err
+    assert not (tmp_path / "c.certificate.json").exists()
 
 
 # ---------------------------------------------------------------- run

@@ -5,9 +5,8 @@ from scipy.linalg import solve_discrete_lyapunov
 from alssnn import stability
 from alssnn.control import ClosedLoopRecord
 from alssnn.errors import DataError, InfeasibleError, NumericalError
-from alssnn.stability import (LMI_TOL, IssCertificate, SearchConfig,
-                              _eig_extremes, _phi_blocks, _psi_thresholds,
-                              _q_family, _smallest_feasible,
+from alssnn.stability import (LMI_TOL, PHI_GRID, IssCertificate, _eig_extremes,
+                              _phi_blocks, _psi_thresholds, _q_family,
                               certificate_to_json_dict, check_convergence,
                               lmi_block, solve_certificate, verify)
 
@@ -116,13 +115,38 @@ def test_non_finite_a_raises_data_error():
             solve_certificate(A, 0.1)
 
 
+def lyapunov_family(A):
+    """The search family's P per Q, as the search forms them."""
+    Ps = []
+    for Q in _q_family(A.shape[0]):
+        P = solve_discrete_lyapunov(A.T, Q)
+        Ps.append(0.5 * (P + P.T))
+    return Ps
+
+
+def least_violating_scan(A):
+    """Diagnostics of the (P, phi) with the least lambda_max(A'PA + (phi-1)P),
+    one eigensolve per pair, the first least in (P, phi) order."""
+    best = None
+    for qi, P in enumerate(lyapunov_family(A)):
+        for phi in PHI_GRID:
+            x_max = np.linalg.eigvalsh(A.T @ P @ A + (phi - 1.0) * P)[-1]
+            if best is None or x_max < best["lmi_max_eig"]:
+                best = {"lmi_max_eig": float(x_max),
+                        "p_min_eig": float(np.linalg.eigvalsh(P)[0]),
+                        "phi": float(phi), "q_index": qi,
+                        "spectral_radius": float(np.max(np.abs(np.linalg.eigvals(A))))}
+    return best
+
+
 def test_infeasible_grid_raises_with_diagnostics():
-    # phi pinned above the scalar boundary 1 - 0.25: nothing can be feasible
-    cfg = SearchConfig(n_phi=1, phi_min=0.99, phi_max=0.99)
+    # feasibility needs phi < 1 - a^2 = 2e-6, below the smallest grid phi
+    A = np.array([[0.999999]])
     with pytest.raises(InfeasibleError) as exc_info:
-        solve_certificate(np.array([[0.5]]), epsilon=0.1, search_config=cfg)
+        solve_certificate(A, epsilon=0.1)
     diag = exc_info.value.diagnostics
-    assert "lmi_max_eig" in diag and "spectral_radius" in diag
+    assert set(diag) == {"lmi_max_eig", "p_min_eig", "phi", "q_index", "spectral_radius"}
+    assert diag["lmi_max_eig"] == least_violating_scan(A)["lmi_max_eig"] > 0
 
 
 def test_psi_threshold_is_the_tolerance_boundary():
@@ -141,83 +165,100 @@ def test_psi_threshold_is_the_tolerance_boundary():
         assert above < -LMI_TOL < below
 
 
-def reference_scan(A, epsilon, cfg):
-    """The full (Q, phi, psi) grid scan, every candidate eigensolved."""
-    rho = float(np.max(np.abs(np.linalg.eigvals(A))))
-    candidates = []
-    for qi, Q in enumerate(_q_family(A.shape[0], cfg.q_entry_scale)):
-        P = solve_discrete_lyapunov(A.T, Q)
-        candidates.append((qi, 0.5 * (P + P.T)))
-    best = None
-    least_violating = None
-    for qi, P in candidates:
-        for phi in cfg.phi_grid():
-            for psi in cfg.psi_grid():
-                p_min, lmi_max = _eig_extremes(A, P, phi, psi)
-                if not (p_min > 0 and lmi_max < -LMI_TOL):
-                    if least_violating is None or lmi_max < least_violating[0]:
-                        least_violating = (lmi_max, {
-                            "lmi_max_eig": lmi_max, "p_min_eig": p_min,
-                            "phi": float(phi), "psi": float(psi), "q_index": qi,
-                            "spectral_radius": rho,
-                        })
-                    continue
-                key = (psi * epsilon**2 / phi, phi, psi)
-                if best is None or key < (best[0], best[1], best[2]):
-                    best = (key[0], float(phi), float(psi), qi, P, lmi_max)
-    if best is None:
-        return None, least_violating[1]
-    _, phi, psi, qi, P, lmi_max = best
-    refined = False
-    if cfg.refine_psi:
-        lo, hi = 0.0, psi
-        for _ in range(cfg.refine_iters):
-            mid = 0.5 * (lo + hi)
-            if mid <= 0:
-                break
-            p_min, me = _eig_extremes(A, P, phi, mid)
-            if p_min > 0 and me < -LMI_TOL:
-                hi, lmi_max, refined = mid, me, True
-            else:
-                lo = mid
-        psi = hi
-    search = {
-        "q_index": qi,
-        "n_phi": cfg.n_phi, "phi_min": cfg.phi_min, "phi_max": cfg.phi_max,
-        "n_psi": cfg.n_psi, "psi_min": cfg.psi_min, "psi_max": cfg.psi_max,
-        "q_entry_scale": cfg.q_entry_scale, "psi_refined": refined,
-        "spectral_radius": rho,
-    }
-    return (P, phi, psi, psi * epsilon**2 / phi, lmi_max, search), None
+def tolerance_boundary(A, P, phi):
+    """Least psi that passes verify's test at (P, phi), by doubling and then
+    bisection with the eigensolves verify makes; inf when psi = 1e15 fails."""
+    def passes(psi):
+        p_min, lmi_max = _eig_extremes(A, P, phi, psi)
+        return p_min > 0 and lmi_max < -LMI_TOL
+
+    if not passes(1e15):
+        return np.inf
+    lo, hi = 0.0, 1.0
+    while not passes(hi):
+        lo, hi = hi, 2.0 * hi
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (lo, mid) if passes(mid) else (mid, hi)
+    return hi
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_search_equals_full_grid_scan(n):
-    # the Schur-threshold search must pick exactly what the full scan picks
+    # the search's (P, phi) is the argmin of psi/phi over the whole (P, phi)
+    # grid, each psi found independently by bisection, and its psi is that
+    # boundary up to the confirmation margin
     for i, rho in enumerate((0.3, 0.9, 0.995)):
         A = stable_a(n, seed=100 + 10 * n + i, rho=rho)
-        eps = (0.0, 0.01, 1.0, 37.0)[(n + i) % 4]
-        cfg = SearchConfig(refine_psi=bool((n + i) % 2))
-        (P, phi, psi, radius, lmi_max, search), _ = reference_scan(A, eps, cfg)
-        cert = solve_certificate(A, eps, cfg)
-        assert np.array_equal(cert.P, P)
-        assert (cert.phi, cert.psi, cert.radius, cert.lmi_max_eig) == (
-            phi, psi, radius, lmi_max)
-        assert cert.search == search
+        scan = [(psi / phi, phi, psi, qi)
+                for qi, P in enumerate(lyapunov_family(A)) for phi in PHI_GRID
+                if np.isfinite(psi := tolerance_boundary(A, P, phi))]
+        _, phi, psi, qi = min(scan)
+        cert = solve_certificate(A, (0.0, 0.01, 1.0, 37.0)[(n + i) % 4])
+        assert (cert.search["q_index"], cert.phi) == (qi, phi)
+        assert cert.psi == pytest.approx(psi, rel=1e-9)
+
+
+def psi_grid_scan(A):
+    """psi/phi of the former search: every (Q, phi, psi) on a 60-point log psi
+    grid over [1e-3, 1e9] eigensolved, the least (psi/phi, phi, psi) taken,
+    then its psi bisected 60 times toward the tolerance boundary."""
+    psis = np.logspace(-3, 9, 60)
+    best = None
+    for P in lyapunov_family(A):
+        if not np.linalg.eigvalsh(P)[0] > 0:
+            continue
+        blocks = np.stack([_phi_blocks(A, P, PHI_GRID, psi) for psi in psis])
+        passing = np.linalg.eigvalsh(blocks)[..., -1] < -LMI_TOL
+        for j, i in zip(*np.nonzero(passing)):
+            key = (psis[j] / PHI_GRID[i], PHI_GRID[i], psis[j])
+            if best is None or key < best[0]:
+                best = (key, P)
+    (_, phi, psi), P = best
+    lo, hi = 0.0, psi
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        p_min, lmi_max = _eig_extremes(A, P, phi, mid)
+        lo, hi = (lo, mid) if p_min > 0 and lmi_max < -LMI_TOL else (mid, hi)
+    return hi / phi
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_radius_at_most_psi_grid_scan(n):
+    # ranking by the exact threshold never loses to a grid point above it
+    for i, rho in enumerate((0.3, 0.9, 0.995)):
+        A = stable_a(n, seed=100 + 10 * n + i, rho=rho)
+        cert = solve_certificate(A, 1.0)
+        assert cert.radius <= psi_grid_scan(A) * (1 + 1e-9)
 
 
 @pytest.mark.parametrize("a", [0.5, -0.7, 0.9])
 def test_infeasible_diagnostics_equal_full_grid_scan(a):
-    cfg = SearchConfig(n_phi=1, phi_min=0.99, phi_max=0.99)
-    _, expected = reference_scan(np.array([[a]]), 0.1, cfg)
+    # spectral radius 0.999999: no grid phi admits any psi, whatever P is
+    A = np.array([[a, 1.0], [0.0, 0.999999]])
     with pytest.raises(InfeasibleError) as exc_info:
-        solve_certificate(np.array([[a]]), 0.1, search_config=cfg)
-    assert exc_info.value.diagnostics == expected
+        solve_certificate(A, 0.1)
+    assert exc_info.value.diagnostics == least_violating_scan(A)
+
+
+def test_low_threshold_is_raised_by_doubling_then_refused(monkeypatch):
+    A = stable_a(3, seed=14, rho=0.9)
+    exact = solve_certificate(A, 1.0)
+    thresholds = stability._psi_thresholds
+    # a threshold 1e-6 too low is confirmed after about 20 doublings
+    monkeypatch.setattr(stability, "_psi_thresholds", lambda b: thresholds(b) * (1 - 1e-6))
+    cert = solve_certificate(A, 1.0)
+    assert verify(cert, A)[0]
+    assert exact.psi < cert.psi < exact.psi * (1 + 1e-5)
+    # one a factor 1e9 too low still fails after the last doubling
+    monkeypatch.setattr(stability, "_psi_thresholds", lambda b: thresholds(b) * 1e-9)
+    with pytest.raises(InfeasibleError, match="not confirmed") as exc_info:
+        solve_certificate(A, 1.0)
+    assert exc_info.value.diagnostics["lmi_max_eig"] > 0
 
 
 def test_search_eigensolve_count(monkeypatch):
-    # P is checked once and each round of the psi search is one stacked
-    # eigensolve over the phi grid, so the count does not grow with n_phi
+    # P is checked once, the thresholds of all (P, phi) are one stacked
+    # solve, and one confirmation plus verify() follow
     calls = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -226,60 +267,8 @@ def test_search_eigensolve_count(monkeypatch):
         return eigvalsh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-    cert = solve_certificate(stable_a(6, seed=12, rho=0.97), epsilon=1.0)
-    assert cert.search["psi_refined"]
-    assert len(calls) <= 100
-
-
-def test_psi_bisection_tests_no_psi_twice(monkeypatch):
-    # the bisection is the only caller that passes a scalar psi; once its
-    # interval has closed to adjacent floats it must stop, not re-test an end
-    tested = []
-    lmi_max = stability._lmi_max
-
-    def recorded(blocks, p_diag, psi):
-        if np.ndim(psi) == 0:
-            tested.append(psi)
-        return lmi_max(blocks, p_diag, psi)
-
-    monkeypatch.setattr(stability, "_lmi_max", recorded)
-    for n in (1, 3, 6):
-        tested.clear()
-        cert = solve_certificate(stable_a(n, seed=1), epsilon=1.0)
-        assert cert.search["psi_refined"]
-        assert 0 < len(tested) == len(set(tested))
-
-
-def test_stacked_search_steps_up_and_down_from_wrong_starts():
-    # started below or above the Schur start, every phi steps to the same
-    # smallest passing grid psi with the same max eigenvalue
-    A = stable_a(3, seed=13, rho=0.9)
-    P = solve_discrete_lyapunov(A.T, np.eye(3))
-    P = 0.5 * (P + P.T)
-    cfg = SearchConfig()
-    phis, psis = cfg.phi_grid(), cfg.psi_grid()
-    blocks = _phi_blocks(A, P, phis, 0.0)
-    starts = np.searchsorted(psis, _psi_thresholds(blocks), side="right")
-    feasible, js, lmis = _smallest_feasible(blocks, np.diag(P), psis, starts)
-    assert feasible.any() and not feasible.all()
-    for i in np.flatnonzero(feasible):
-        assert _eig_extremes(A, P, phis[i], psis[js[i]])[1] == lmis[i] < -LMI_TOL
-        assert js[i] == 0 or _eig_extremes(A, P, phis[i], psis[js[i] - 1])[1] >= -LMI_TOL
-    for shift in (-5, 4):
-        got = _smallest_feasible(blocks, np.diag(P), psis,
-                                 np.clip(starts + shift, 0, psis.size))
-        assert np.array_equal(got[0], feasible)
-        assert np.array_equal(got[1][feasible], js[feasible])
-        assert np.array_equal(got[2][feasible], lmis[feasible])
-
-
-def test_psi_refinement_shrinks_radius():
-    A = stable_a(2, seed=8)
-    coarse = solve_certificate(A, 1.0, SearchConfig(refine_psi=False))
-    fine = solve_certificate(A, 1.0, SearchConfig(refine_psi=True))
-    assert fine.radius <= coarse.radius
-    ok, _ = verify(fine, A)
-    assert ok
+    solve_certificate(stable_a(6, seed=12, rho=0.97), epsilon=1.0)
+    assert len(calls) <= 20
 
 
 def test_certificate_validation():

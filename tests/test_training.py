@@ -1,5 +1,5 @@
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -606,7 +606,8 @@ def test_train_gr_keeps_gr_names_and_the_callers_config():
     assert isinstance(model, GrSsnnModel) and model.h_net.n_hidden == 0
     assert report.dims == {"n": 2, "m": 1, "p": 1, "n_f": 3}
     assert set(report.input_scaling) == {"f_input_scale"}
-    assert report.config == asdict(config)
+    assert report.config == asdict(
+        replace(config, n_h=0, n_g=3, enforce_equilibrium=False))
     layout = default_layout(model, config)
     assert layout.blocks == ("A", "B", "g.W_in", "g.b_in", "g.W_out", "g.b_out")
     assert not layout.eq_constrained

@@ -132,6 +132,11 @@ def simulate_closed_loop(model: AlSsnnModel, v_seq: np.ndarray,
     + (b_g,in - W_g,u b_h,out), a second layer reading [t_h; x; v; 1]. Then
     x+ = W_g,out t_g + A x + B v + b_g,out, and the disturbance
     omega = W_g,out t_g + b_g,out is formed from t_g after the loop.
+    When h has at most the engine's fold width (`linear_id._FOLD_MAX`, 64)
+    units and v is finite, the engine folds h into the state map: row k
+    gains v(k+1) and one matvec writes [h's pre-activation(k+1); x(k+1)]
+    into row k+1, so a step is g's matvec and tanh, that matvec and one
+    tanh; a wider h keeps three matvecs and two tanh calls per step.
     """
     if _family(model) != "al-ssnn":
         raise DataError("closed-loop simulation requires the h/g-split model family")

@@ -7,8 +7,11 @@ Hankel matrix. The realization is balanced, so raw matrices are only defined
 up to similarity; compare Markov parameters, never entries.
 
 The module also holds the step engine behind every free run and closed loop
-(`_step_engine`): one row buffer per run, one matvec and one tanh per net
-layer plus one matvec per step.
+(`_step_engine`): one row buffer per run. A first tanh layer of at most
+`_FOLD_MAX` units is folded into the state map, so that layer and the state
+update cost one matvec and one in-place tanh per step; a wider first layer
+costs one matvec and one tanh, and so does every later layer, plus one
+matvec for the state.
 """
 
 from __future__ import annotations
@@ -45,6 +48,16 @@ _OUTPUT_MODE_CAP = 0.90
 
 # Rows stepped by _step_engine between two divergence checks.
 _BLOCK = 256
+
+# Widest first tanh layer that _step_engine folds into the state map. Folding
+# saves one numpy call per step but adds a (width x width) block to the
+# step's matvec; past 64 units the gain is within noise, then a loss.
+# Per-step time folded over unfolded, n = 4, one input, one BLAS thread
+# (free run; closed loop with a 10-unit g):
+#   width        6     20    40    64    80    100   160
+#   free run     0.67  0.64  0.72  0.86  0.93  1.04  1.54
+#   closed loop  0.74  0.82  0.83  0.93  0.97  1.07  1.42
+_FOLD_MAX = 64
 
 
 @dataclass(frozen=True)
@@ -213,47 +226,73 @@ def _step_engine(layers, M: np.ndarray, inputs: np.ndarray, x0: np.ndarray,
     tanh(W R[k, after:]), reading everything after that block, so the first
     layer sees [x; input; 1], the second [t_1; x; input; 1]. Callers fold
     input weights and biases into the layers and input terms and biases into
-    M, so a step is one matvec and one tanh per layer plus one matvec for
-    the state. Each layer's input and output columns, and the next-state
-    columns, are sliced out of the buffer once per run, so a step indexes
-    one view per operand; a layer of zero width has empty views and writes
-    nothing. x0 may carry trailing axes (an n x r block of r runs sharing
-    the maps), and then the inputs carry the same ones.
+    M. Each operand's columns are sliced out of the buffer once per run; a
+    layer of zero width has empty views and writes nothing. x0 may carry
+    trailing axes (an n x r block of r runs sharing the maps), and then the
+    inputs carry the same ones.
 
-    Returns (R, X, k): the buffer, its state columns X = x(0..N) as a view,
-    and the divergence step. With a bound, squared state norms are checked
-    once per block of rows: the first x(k) whose squared norm is not
-    <= bound^2 (NaN and inf count) is returned as k, and rows after it are
-    unspecified. The steps taken after it are thrown away, so floating-point
-    errors are not reported. Otherwise k is None.
+    A first layer W = [W_x, W_in, w_b] of width 1.._FOLD_MAX is folded into
+    the state map: row k gains input(k+1) after its 1, and
+    G = [[W_x M + w_b on the 1 column, W_in]; [M, 0]] writes
+    [pre-activation(k+1); x(k+1)] into row k+1, so that layer and the state
+    cost one matvec and one in-place tanh per step; later layers (the closed
+    loop's g) run as above. A wider first layer, or inputs that are not all
+    finite (0 * inf in G's M rows would move the divergence step), keep the
+    unfolded step: one matvec and one tanh per layer plus one matvec.
+
+    Returns (R, X, k): the buffer's [t; x; input; 1] columns, its state
+    columns X = x(0..N) as a view, and the divergence step. With a bound,
+    squared state norms are checked once per block of rows: the first x(k)
+    whose squared norm is not <= bound^2 (NaN and inf count) is returned as
+    k, and rows after it are unspecified. The steps taken after it are thrown
+    away, so floating-point errors are not reported. Otherwise k is None.
     """
-    N, n = inputs.shape[0], x0.shape[0]
+    N, n, d = inputs.shape[0], x0.shape[0], inputs.shape[1]
     a = sum(W.shape[0] for W in layers)
-    R = np.empty((N + 1, a + n + inputs.shape[1] + 1) + x0.shape[1:])
+    w = a + n + d + 1
+    a1 = layers[0].shape[0] if layers else 0
+    fold = 0 < a1 <= _FOLD_MAX and bool(np.isfinite(inputs).all())
+    R = np.empty((N + 1, w + (d if fold else 0)) + x0.shape[1:])
     R[0, a : a + n] = x0
-    R[:N, a + n : -1] = inputs
-    R[:, -1] = 1.0
-    steps, top = [], a
-    for W in layers:
-        steps.append((W.dot, R[:, top:], R[:, top - W.shape[0] : top]))
+    R[:N, a + n : w - 1] = inputs
+    R[:, w - 1] = 1.0
+    steps, top = [], a - a1 if fold else a
+    for W in layers[1:] if fold else layers:
+        steps.append((W.dot, R[:, top:w], R[:, top - W.shape[0] : top]))
         top -= W.shape[0]
     X = R[:, a : a + n]
-    nxt = X[1:]
     bound2 = None if divergence_bound is None else divergence_bound * divergence_bound
-    mdot, tanh = M.dot, np.tanh
+    tanh = np.tanh
     with np.errstate(all="ignore"):
+        if fold:
+            W1 = layers[0]
+            R[: N - 1, w:], R[N - 1 :, w:] = inputs[1:], 0.0
+            G = np.vstack([np.hstack([W1[:, :n] @ M, W1[:, n:-1]]),
+                           np.hstack([M, np.zeros((n, d))])])
+            G[:a1, w - 1] += W1[:, -1]
+            tanh(W1.dot(R[0, a:w]), out=R[0, a - a1 : a])
+            mdot, nxt, pre = G.dot, R[1:, a - a1 : a + n], R[1:, a - a1 : a]
+        else:
+            mdot, nxt = M.dot, X[1:]
         for k0 in range(0, N, _BLOCK):
             k1 = min(N, k0 + _BLOCK)
-            for k in range(k0, k1):
-                for dot, src, dst in steps:
-                    tanh(dot(src[k]), out=dst[k])
-                mdot(R[k], out=nxt[k])
+            if fold:   # rows as views from zip; z in and out skips the overlap check
+                for k, r, o, z in zip(range(k0, k1), R[k0:k1], nxt[k0:k1], pre[k0:k1]):
+                    for dot, src, dst in steps:
+                        tanh(dot(src[k]), out=dst[k])
+                    mdot(r, out=o)
+                    tanh(z, out=z)
+            else:
+                for k in range(k0, k1):
+                    for dot, src, dst in steps:
+                        tanh(dot(src[k]), out=dst[k])
+                    mdot(R[k], out=nxt[k])
             if bound2 is not None:
                 Xb = X[k0 : k1 + 1]
                 ok = np.einsum("ij,ij->i", Xb, Xb) <= bound2
                 if not ok.all():
-                    return R, X, k0 + int(np.argmin(ok))
-    return R, X, None
+                    return R[:, :w], X, k0 + int(np.argmin(ok))
+    return R[:, :w], X, None
 
 
 def _free_run_output(lin: LinearSS, u: np.ndarray) -> np.ndarray:

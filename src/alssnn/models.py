@@ -16,7 +16,7 @@ equilibrium pin or penalty, and in being refused by the closed loop.
 
 `al_step` is the reference step map; `simulate` folds each family into the
 step engine of `linear_id` (one tanh layer for AL and GR, none for LTI) and
-runs that instead.
+runs that instead; the engine folds a narrow layer into the state map too.
 """
 
 from __future__ import annotations

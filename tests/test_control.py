@@ -8,7 +8,7 @@ from alssnn.control import (DENOMINATOR_GUARD, estimate_epsilon,
                             simulate_closed_loop)
 from alssnn.dataio import Dataset
 from alssnn.errors import DataError, DivergenceError
-from alssnn.linear_id import LinearSS
+from alssnn.linear_id import _FOLD_MAX, LinearSS
 from alssnn.models import AlSsnnModel, al_step, gr_model, simulate
 from alssnn.nets import Equilibrium, Mlp, mlp_forward
 
@@ -298,13 +298,13 @@ def closed_loop_reference(model, V, x0, bound):
     return np.array(xs), np.array(omegas), k
 
 
-def growing_model(seed, nh=5):
+def growing_model(seed, n_h=5, n_g=5):
     rng = np.random.default_rng(seed)
     n, m, p = 3, 2, 2
     lin = LinearSS(A=1.2 * np.eye(n) + 0.01 * rng.normal(size=(n, n)),
                    B=0.1 * rng.normal(size=(n, m)), C=rng.normal(size=(p, n)))
-    return AlSsnnModel(lin=lin, h_net=rand_net(p, m, nh, seed + 1, 1.0),
-                       g_net=rand_net(n + m, n, nh, seed + 2, 0.01),
+    return AlSsnnModel(lin=lin, h_net=rand_net(p, m, n_h, seed + 1, 1.0),
+                       g_net=rand_net(n + m, n, n_g, seed + 2, 0.01),
                        eq=Equilibrium(x_e=np.zeros(n), u_e=np.zeros(m)))
 
 
@@ -358,13 +358,15 @@ def test_closed_loop_wide_nets_over_three_blocks_match_reference():
 
 
 def test_closed_loop_divergent_run_raises_no_warning():
-    lin = LinearSS(A=10.0 * np.eye(2), B=np.ones((2, 1)), C=np.array([[1.0, 0.0]]))
-    model = AlSsnnModel(lin=lin, h_net=rand_net(1, 1, 3, 57), g_net=rand_net(3, 2, 3, 58),
-                        eq=Equilibrium(x_e=np.zeros(2), u_e=np.zeros(1)))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        rec = simulate_closed_loop(model, np.ones((1000, 1)), x0=np.ones(2))
-    assert rec.diverged and rec.diverged_at == 8
+    # at scale 1e200, building the folded state map overflows as well
+    for scale, k_div in ((10.0, 8), (1e200, 1)):
+        lin = LinearSS(A=scale * np.eye(2), B=np.ones((2, 1)), C=np.array([[scale, 0.0]]))
+        model = AlSsnnModel(lin=lin, h_net=rand_net(1, 1, 3, 57), g_net=rand_net(3, 2, 3, 58),
+                            eq=Equilibrium(x_e=np.zeros(2), u_e=np.zeros(1)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rec = simulate_closed_loop(model, np.ones((1000, 1)), x0=np.ones(2))
+        assert rec.diverged and rec.diverged_at == k_div
 
 
 @pytest.mark.parametrize("n_h, n_g", [(0, 6), (5, 0), (0, 0)])
@@ -390,5 +392,44 @@ def test_empty_net_open_and_closed_loop_over_blocks(n_h, n_g):
     xs, omegas, k = closed_loop_reference(model, V, x0, 1e8)
     rec = simulate_closed_loop(model, V, x0=x0)
     assert k is None and not rec.diverged and rec.x.shape == xs.shape
+    assert np.max(np.abs(rec.x - xs)) <= 1e-12 * np.max(np.abs(xs))
+    assert np.max(np.abs(rec.omega - omegas)) <= 1e-12 * np.max(np.abs(omegas))
+
+
+# --- step engine: the folded h layer and its width switch -----------------------
+
+@pytest.mark.parametrize("row", [20, 255, 256])
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_closed_loop_non_finite_input_diverges_at_the_reference_step(bad, row):
+    # v(row) first reaches the state in x(row + 1)
+    model = al_model(seed=80)
+    rng = np.random.default_rng(81)
+    V = rng.normal(size=(600, 1))
+    V[row, 0] = bad
+    x0 = rng.normal(size=2)
+    with np.errstate(all="ignore"):
+        xs, _, k = closed_loop_reference(model, V, x0, 1e8)
+    rec = simulate_closed_loop(model, V, x0=x0)
+    assert k == row + 1 and rec.diverged and rec.diverged_at == k
+    assert rec.x.shape == xs.shape and rec.v.shape == (k, 1)
+    assert np.max(np.abs(rec.x[:k] - xs[:k])) <= 1e-12 * np.max(np.abs(xs[:k]))
+
+
+@pytest.mark.parametrize("k_div", [None, 255, 256, 257])
+@pytest.mark.parametrize("n_h, n_g", [(_FOLD_MAX - 1, 5), (_FOLD_MAX + 1, 5),
+                                      (5, 2 * _FOLD_MAX), (0, 6)])
+def test_closed_loop_either_side_of_the_fold_width_matches_reference(n_h, n_g, k_div):
+    # h, the first layer, folds up to the switch width whatever g's width;
+    # an empty h is a zero-width layer and does not fold
+    model = growing_model(82, n_h, n_g)
+    V = np.random.default_rng(83).normal(size=(300, 2))
+    x0 = np.ones(3)
+    xs, _, _ = closed_loop_reference(model, V, x0, np.inf)
+    norms = np.linalg.norm(xs, axis=1)
+    bound = np.inf if k_div is None else 0.5 * (np.max(norms[:k_div]) + norms[k_div])
+    xs, omegas, k = closed_loop_reference(model, V, x0, bound)
+    rec = simulate_closed_loop(model, V, x0=x0, divergence_bound=bound)
+    assert k == k_div and rec.diverged_at == k_div
+    assert rec.x.shape == xs.shape and rec.omega.shape == omegas.shape
     assert np.max(np.abs(rec.x - xs)) <= 1e-12 * np.max(np.abs(xs))
     assert np.max(np.abs(rec.omega - omegas)) <= 1e-12 * np.max(np.abs(omegas))

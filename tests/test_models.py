@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from alssnn.errors import DataError
-from alssnn.linear_id import LinearSS
+from alssnn.linear_id import _FOLD_MAX, LinearSS
 from alssnn.models import (AlSsnnModel, GrSsnnModel, al_step, gr_model,
                            load_model, model_from_json_dict,
                            model_to_json_dict, save_model, simulate)
@@ -319,19 +319,19 @@ def test_from_json_dict_missing_dims_key():
 
 # --- step engine: block-wise divergence checks and wide nets -------------------
 
-def growing_families(seed, N, nh=5):
+def growing_families(seed, N, n_h=5, n_g=5, n_f=5):
     """AL, GR and LTI models whose state norm grows about 1.2x per step."""
     rng = np.random.default_rng(seed)
     n, m, p = 3, 2, 2
     lin = LinearSS(A=1.2 * np.eye(n) + 0.01 * rng.normal(size=(n, n)),
                    B=0.1 * rng.normal(size=(n, m)), C=rng.normal(size=(p, n)))
-    def net(d_in, d_out):
+    def net(d_in, d_out, nh):
         return Mlp(W_in=rng.normal(size=(nh, d_in)), b_in=rng.normal(size=nh),
                    W_out=0.01 * rng.normal(size=(d_out, nh)),
                    b_out=0.01 * rng.normal(size=d_out))
-    al = AlSsnnModel(lin=lin, h_net=net(p, m), g_net=net(n + m, n),
+    al = AlSsnnModel(lin=lin, h_net=net(p, m, n_h), g_net=net(n + m, n, n_g),
                      eq=Equilibrium(x_e=np.zeros(n), u_e=np.zeros(m)))
-    gr = gr_model(lin, net(n + m, n))
+    gr = gr_model(lin, net(n + m, n, n_f))
     U = rng.normal(size=(N, m))
     return [(al, lambda x, u: al_step(al, x, u)),
             (gr, lambda x, u: al_step(gr, x, u)),
@@ -406,13 +406,55 @@ def test_simulate_wide_nets_over_three_blocks_match_step_maps():
 
 def test_simulate_divergent_run_raises_no_warning():
     # after x(k) leaves the bound the run keeps stepping to the end of its
-    # block, through overflow to inf and NaN; none of that may surface
-    lin = LinearSS(A=10.0 * np.eye(2), B=np.ones((2, 1)), C=np.array([[1.0, 0.0]]))
-    al = AlSsnnModel(lin=lin, h_net=small_net(1, 1, 45), g_net=small_net(3, 2, 46),
-                     eq=Equilibrium(x_e=np.zeros(2), u_e=np.zeros(1)))
-    gr = gr_model(lin, small_net(3, 2, 47))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for model in (al, gr, lin):
-            traj = simulate(model, np.ones((1000, 1)), x0=np.ones(2))
-            assert traj.diverged and traj.diverged_at == 8
+    # block, through overflow to inf and NaN; none of that may surface, nor
+    # the overflow of W_h,in C A in the folded state map at scale 1e200
+    for scale, k_div in ((10.0, 8), (1e200, 1)):
+        lin = LinearSS(A=scale * np.eye(2), B=np.ones((2, 1)), C=np.array([[scale, 0.0]]))
+        al = AlSsnnModel(lin=lin, h_net=small_net(1, 1, 45), g_net=small_net(3, 2, 46),
+                         eq=Equilibrium(x_e=np.zeros(2), u_e=np.zeros(1)))
+        gr = gr_model(lin, small_net(3, 2, 47))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for model in (al, gr, lin):
+                traj = simulate(model, np.ones((1000, 1)), x0=np.ones(2))
+                assert traj.diverged and traj.diverged_at == k_div
+
+
+# --- step engine: the folded first layer and its width switch -------------------
+
+@pytest.mark.parametrize("row", [20, 255, 256])
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_simulate_non_finite_input_diverges_at_the_reference_step(bad, row):
+    # input(row) first reaches the state in x(row + 1); a fold that reads
+    # input(row) one step early in G's zero M columns would report row
+    rng = np.random.default_rng(70)
+    U = rng.normal(size=(600, 2))
+    U[row, 0] = bad
+    x0 = rng.normal(size=3)
+    for model, step in family_steppers(seed=71):
+        C = model.C if isinstance(model, LinearSS) else model.lin.C
+        with np.errstate(all="ignore"):
+            xs, ys, k = reference_run(step, C, U, x0, 1e8)
+        traj = simulate(model, U, x0=x0)
+        assert k == row + 1 and traj.diverged and traj.diverged_at == k
+        assert traj.x.shape == xs.shape and traj.y.shape == ys.shape
+        assert np.max(np.abs(traj.x[:k] - xs[:k])) <= 1e-12 * np.max(np.abs(xs[:k]))
+
+
+@pytest.mark.parametrize("k_div", [None, 255, 256, 257])
+@pytest.mark.parametrize("width", [_FOLD_MAX - 1, _FOLD_MAX + 1])
+def test_simulate_either_side_of_the_fold_width_matches_step_maps(width, k_div):
+    # the AL and GR first layers are `width` wide: folded below the switch,
+    # stepped unfolded above it
+    families, U = growing_families(72, 300, width // 2, width - width // 2, width)
+    x0 = np.ones(3)
+    for model, step in families[:2]:
+        xs, _, _ = reference_run(step, model.lin.C, U, x0, np.inf)
+        bound = (np.inf if k_div is None
+                 else bound_first_crossed_at(np.linalg.norm(xs, axis=1), k_div))
+        xs, ys, k = reference_run(step, model.lin.C, U, x0, bound)
+        traj = simulate(model, U, x0=x0, divergence_bound=bound)
+        assert k == k_div and traj.diverged_at == k_div
+        assert traj.x.shape == xs.shape and traj.y.shape == ys.shape
+        assert np.max(np.abs(traj.x - xs)) <= 1e-12 * np.max(np.abs(xs))
+        assert np.max(np.abs(traj.y - ys)) <= 1e-12 * np.max(np.abs(ys))

@@ -104,15 +104,6 @@ class LinearSS:
     def n_outputs(self) -> int:
         return self.C.shape[0]
 
-    def markov(self, count: int) -> list[np.ndarray]:
-        """Impulse response matrices C A^{i-1} B for i = 1..count."""
-        out = []
-        Ak = np.eye(self.n_states)
-        for _ in range(count):
-            out.append(self.C @ Ak @ self.B)
-            Ak = self.A @ Ak
-        return out
-
     def spectral_radius(self) -> float:
         return float(np.max(np.abs(np.linalg.eigvals(self.A))))
 

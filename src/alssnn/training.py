@@ -8,9 +8,10 @@ with x(k) from a free run started at x(0) = 0. The residual vector stacks all
 N*p output errors first, then the N*n penalty values scaled by sqrt(gamma),
 so J_N = ||r||^2 / N exactly. Jacobians are exact (forward accumulation of
 state sensitivities through the recursion). lm_step streams the normal
-equations J'J and J'r from a pass over fixed-size chunks of samples, so
-training never holds the full Jacobian; jacobian_bptt is the assembled
-matrix from the same pass.
+equations from one pass over chunks of samples sized to stay in cache: each
+chunk's rows [J | r] go through one dsyrk into [J | r]'[J | r], which holds
+J'J and J'r, so training never holds the full Jacobian; jacobian_bptt is
+the assembled matrix from the same pass.
 
 The GR baseline is an AL model with an empty h net (models.GrSsnnModel):
 it trains through the same initialisation, sensitivity pass and LM loop,
@@ -23,6 +24,7 @@ import time
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from scipy.linalg.blas import dsyrk
 from scipy.linalg.lapack import dposv
 
@@ -43,7 +45,6 @@ __all__ = [
     "pack_params",
     "unpack_params",
     "residuals",
-    "loss",
     "jacobian_bptt",
     "lm_step",
     "train",
@@ -295,36 +296,7 @@ def residuals(model: AlSsnnModel, ds: Dataset, gamma: float = 0.0) -> ResidualVe
                           states=xs)
 
 
-def loss(model: AlSsnnModel, ds: Dataset, gamma: float = 0.0) -> float:
-    """J_N, identically ||residuals||^2 / N."""
-    return residuals(model, ds, gamma).loss_value()
-
-
 # --- Jacobian by forward sensitivity accumulation ---------------------------
-
-def _batch_param_blocks(net: Mlp, Z: np.ndarray, t: np.ndarray, s: np.ndarray,
-                        wanted) -> dict:
-    """Per-sample Jacobians of the net output w.r.t. each parameter block.
-
-    Returns name -> array of shape (N, d_out, block size), columns matching
-    the flat row-major order used by pack_params.
-    """
-    N = Z.shape[0]
-    h, d_in, d_out = net.n_hidden, net.d_in, net.d_out
-    out = {}
-    ws = s[:, None, :] * net.W_out[None, :, :]          # (N, d_out, h)
-    if "W_in" in wanted:
-        out["W_in"] = np.einsum("kor,kc->korc", ws, Z).reshape(N, d_out, h * d_in)
-    if "b_in" in wanted:
-        out["b_in"] = ws
-    if "W_out" in wanted:
-        out["W_out"] = np.einsum("oq,kr->koqr", np.eye(d_out), t).reshape(
-            N, d_out, d_out * h
-        )
-    if "b_out" in wanted:
-        out["b_out"] = np.broadcast_to(np.eye(d_out), (N, d_out, d_out))
-    return out
-
 
 def _tanh_stats(net: Mlp, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     t = np.tanh(Z @ net.W_in.T + net.b_in)
@@ -357,129 +329,183 @@ def jacobian_bptt(model: AlSsnnModel, ds: Dataset, gamma: float = 0.0,
         states = _run_states(simulate(model, ds.u))
     N, p = ds.n_samples, model.lin.n_outputs
     q = 0 if _penalty_weight(model, gamma) is None else model.lin.n_states
-    J = np.empty((N * (p + q), _layout_slices(model, layout)[1]))
-    for k0, k1, J_out, J_pen in _sensitivity_chunks(model, ds, gamma, layout, states):
-        J[k0 * p : k1 * p] = J_out
-        if J_pen is not None:
-            J[N * p + k0 * q : N * p + k1 * q] = J_pen
+    P = _layout_slices(model, layout)[1]
+    J = np.empty((N * (p + q), P))
+    J_out, J_pen = J[: N * p].reshape(N, p, P), J[N * p :].reshape(N, q, P)
+    for k0, k1, rows in _sensitivity_chunks(model, ds, gamma, layout, states):
+        J_out[k0:k1] = rows[:, :p, :P]
+        J_pen[k0:k1] = rows[:, p:, :P]
     return J
 
 
-# Samples per chunk of the sensitivity pass. The pass holds a few arrays of
-# chunk x n x P doubles at a time, whatever the record length. Chunks of 192
-# to 512 samples refilled J'J equally fast (dsyrk dominates at large P); 256
-# keeps the P = 1,061, N = 2,000 refill at 51 MB against its 85 MB Jacobian.
-_CHUNK = 256
+# Bytes of one chunk's n x P array in the sensitivity pass, which sets the
+# samples per chunk: about 30 at n = 4, P = 1,061 and 300 at n = 3, P = 147.
+# A chunk's S, F and rows then stay in cache from their fill to its dsyrk.
+# 1 MiB refilled P = 1,061 faster than 0.5 or 2 MiB; at P = 147 they tied.
+_CHUNK_BYTES = 1 << 20
+
+
+def _chunk_len(n: int, P: int) -> int:
+    """Samples per chunk of the sensitivity pass for n states, P parameters."""
+    return max(1, _CHUNK_BYTES // (8 * n * P))
+
+
+def _diagonal_blocks(a: np.ndarray, start: int, width: int) -> np.ndarray:
+    """Writable view V of a (c, d, cols) array, V[k, i] =
+    a[k, i, start + i*width : start + (i+1)*width]: the nonzero part of a
+    column block laid out as I_d kron (a row of `width`)."""
+    sk, si, s = a.strides
+    return as_strided(a[:, :, start:], shape=(a.shape[0], a.shape[1], width),
+                      strides=(sk, si + width * s, s))
+
+
+def _fill_outer(out: np.ndarray, left: np.ndarray, right: np.ndarray) -> None:
+    """out[k, a, i, j] = left[k, a, i] * right[k, j], one j at a time so that
+    each product runs along i rather than along the short j."""
+    for j in range(right.shape[1]):
+        np.multiply(left, right[:, j, None, None], out=out[..., j])
 
 
 def _sensitivity_chunks(model: AlSsnnModel, ds: Dataset, gamma: float,
-                        layout: ParamLayout, states: np.ndarray):
-    """The residual Jacobian of jacobian_bptt in row blocks, chunk by chunk.
+                        layout: ParamLayout, states: np.ndarray,
+                        r: np.ndarray | None = None):
+    """Rows [J | r] of jacobian_bptt's matrix, chunk by chunk.
 
-    Yields (k0, k1, J_out, J_pen) for samples k0..k1-1: their output rows,
-    shape ((k1 - k0) * p, P), and their penalty rows, shape
-    ((k1 - k0) * n, P), or None for a GR model, which has no penalty.
-    Only the recursion S(k+1) = F_x(k) S(k) + F_theta(k) steps sample by
-    sample; the rows are batched products on the chunk's stored S.
+    Yields (k0, k1, R) for samples k0..k1-1. R has shape
+    (k1 - k0, p + q, P + 1): R[k - k0] holds sample k's p output rows, then
+    its q penalty rows (q = n, or 0 for a GR model, which has no penalty),
+    and its last column their residuals from r (unset when r is None). R is
+    a buffer that the next chunk overwrites.
+
+    Only the recursion S(k+1) = [F_x(k), I] [S(k); F(k)] steps sample by
+    sample, one product each; F, F_x and the rows are batched over the
+    chunk. F(k) = dx(k+1)/dtheta at fixed x(k) is stored under S(k), never
+    over it, so its zero and constant entries are written once per pass, and
+    its g columns, which are dg/dtheta_g, are still there after the
+    recursion: the rows are [-C; sqrt(gamma) G_x(k)] S(k) on the other
+    columns and [-C, 0; sqrt(gamma) G_x(k), sqrt(gamma) I] [S(k); F(k)] on
+    the g columns, the last block of the layout.
     """
     lin = model.lin
     A, B, C = lin.A, lin.B, lin.C
-    n, p = lin.n_states, lin.n_outputs
+    n, m, p = lin.n_states, lin.n_inputs, lin.n_outputs
     N = ds.n_samples
     X = np.asarray(states, dtype=float)[:N]
     if X.shape != (N, n):
         raise DataError(f"states have shape {X.shape}, expected ({N}, {n})")
     h_net, g_net, sqrt_g = model.h_net, model.g_net, _penalty_weight(model, gamma)
-
+    n_h, n_g = h_net.n_hidden, g_net.n_hidden
+    q = 0 if sqrt_g is None else n
     cols, P = _layout_slices(model, layout)
-    h_wanted = [s for s in _NET_SUFFIXES if f"h.{s}" in cols]
-    g_wanted = [s for s in _NET_SUFFIXES if f"g.{s}" in cols]
-    gb0 = None
-    if g_wanted and layout.eq_constrained:
-        # b_out eliminated: effective g is g_raw(z) - g_raw(z_e), so every
-        # remaining column gets the equilibrium-point jacobian subtracted.
-        z_e = model.eq.stacked()[None, :]
-        gb0 = _batch_param_blocks(g_net, z_e, *_tanh_stats(g_net, z_e), g_wanted)
-    eye_n = np.eye(n)
+    g0 = min((sl.start for name, sl in cols.items() if name.startswith("g.")), default=P)
 
-    # buf[0] holds S at the chunk's first sample; buf[1:c+1] is filled with
-    # F_theta and turned in place into S at the samples after it.
-    buf = np.empty((min(N, _CHUNK) + 1, n, P))
-    buf[0] = 0.0
-    for k0 in range(0, N, _CHUNK):
-        k1 = min(N, k0 + _CHUNK)
+    c_max = min(N, _chunk_len(n, P))
+    SF = np.zeros((c_max + 1, 2 * n, P))   # SF[k] = [S(k); F(k)]; SF[0] starts the chunk
+    S, F = SF[:, :n], SF[:c_max, n:]
+    R = np.empty((c_max, p + q, P + 1))
+    L = np.zeros((c_max, p + q, 2 * n))    # [-C, 0; sqrt(gamma) G_x(k), sqrt(gamma) I]
+    L[:, :p, :n] = -C
+    if q:
+        L[:, p:, n:] = sqrt_g * np.eye(n)
+    tail = g0 if q else P                  # first column whose rows read F too
+    FxI = np.zeros((c_max, n, 2 * n))      # [F_x(k), I]: S(k+1) = FxI[k] SF[k]
+    FxI[:, :, n:] = np.eye(n)
+    # Views of the blocks of F rewritten per chunk: Kronecker blocks by their
+    # nonzero part, and blocks whose column i * width + j holds entry (i, j)
+    # of an outer product as (c, n, rows, width). The C columns of the
+    # output rows also take the direct term of C in y = C x.
+    diag = {name: _diagonal_blocks(F, cols[name].start, width)
+            for name, width in (("A", n), ("B", m), ("g.W_out", n_g)) if name in cols}
+    outer = {name: F[:, :, cols[name]].reshape(c_max, n, rows, width)
+             for name, rows, width in (("C", p, n), ("h.W_in", n_h, p),
+                                       ("h.W_out", m, n_h), ("g.W_in", n_g, n + m))
+             if name in cols}
+    R_c = _diagonal_blocks(R[:, :p], cols["C"].start, n) if "C" in cols else None
+    if "h.b_out" in cols:
+        F[:, :, cols["h.b_out"]] = B
+    if "g.b_out" in cols:
+        _diagonal_blocks(F, cols["g.b_out"].start, 1)[...] = 1.0
+    # With g's output bias pinned, g is g_raw(z) - g_raw(z_e), so its
+    # columns lose the equilibrium point's: t - t_e, ws - ws_e and
+    # ws z - ws_e z_e (whose second term vanishes at z_e = 0).
+    t_e, ws_e, z_e = np.zeros(n_g), np.zeros((n, n_g)), None
+    if layout.eq_constrained:
+        z = model.eq.stacked()
+        t_e, s_e = _tanh_stats(g_net, z[None, :])
+        ws_e = s_e * g_net.W_out
+        z_e = z if np.any(z) else None
+    BW = B @ h_net.W_out
+    W_gx = g_net.W_in[:, :n]
+
+    for k0 in range(0, N, c_max):
+        k1 = min(N, k0 + c_max)
         c = k1 - k0
+        Fc, Rc, Lc = F[:c], R[:c], L[:c]
         Xc, U = X[k0:k1], ds.u[k0:k1]
-        Z = np.hstack([Xc, U])
-        tg, sg = _tanh_stats(g_net, Z)
-        Gx = ((sg[:, None, :] * g_net.W_out[None, :, :]) @ g_net.W_in)[:, :, :n]
-        F = buf[1 : c + 1]
         Y = Xc @ C.T
         th, sh = _tanh_stats(h_net, Y)
-        drive = U + (th @ h_net.W_out.T + h_net.b_out)
-        Hy = (sh[:, None, :] * h_net.W_out[None, :, :]) @ h_net.W_in   # (c, m, p)
-        BH = np.matmul(B, Hy)                                          # (c, n, p)
-        Fx = A[None, :, :] + np.matmul(BH, C) + Gx
-        if "C" in cols:
-            F[:, :, cols["C"]] = np.einsum("kai,kj->kaij", BH, Xc).reshape(c, n, p * n)
-        if h_wanted:
-            hb = _batch_param_blocks(h_net, Y, th, sh, h_wanted)
-            for suffix in h_wanted:
-                F[:, :, cols[f"h.{suffix}"]] = np.matmul(B, hb[suffix])
-        if "A" in cols:
-            F[:, :, cols["A"]] = np.einsum("ab,kj->kabj", eye_n, Xc).reshape(c, n, n * n)
-        if "B" in cols:
-            F[:, :, cols["B"]] = np.einsum("ab,kj->kabj", eye_n, drive).reshape(
-                c, n, drive.shape[1] * n)
-        gb = {}
-        if g_wanted:
-            gb = _batch_param_blocks(g_net, Z, tg, sg, g_wanted)
-            if gb0 is not None:
-                for suffix in g_wanted:   # never b_out, a read-only view
-                    gb[suffix] -= gb0[suffix]
-            for suffix in g_wanted:
-                F[:, :, cols[f"g.{suffix}"]] = gb[suffix]
+        Bws = sh[:, None, :] * BW                 # B dh/db_in, (c, n, n_h)
+        BH = Bws @ h_net.W_in                     # B dh/dy, (c, n, p)
+        Z = np.hstack([Xc, U])
+        tg, sg = _tanh_stats(g_net, Z)
+        ws = sg[:, None, :] * g_net.W_out         # unpinned dg/db_in, (c, n, n_g)
+        Gx = ws @ W_gx                            # dg/dx, (c, n, n)
+        FxI[:c, :, :n] = A + BH @ C + Gx
 
-        for fx, s, f in zip(Fx, buf[:c], F):
-            np.add(f, fx.dot(s), out=f)
-        S = buf[:c]
+        if "A" in diag:
+            diag["A"][:c] = Xc[:, None, :]
+        if "B" in diag:
+            diag["B"][:c] = (U + (th @ h_net.W_out.T + h_net.b_out))[:, None, :]
+        if "C" in outer:
+            _fill_outer(outer["C"][:c], BH, Xc)
+        if "h.W_in" in outer:
+            _fill_outer(outer["h.W_in"][:c], Bws, Y)
+        if "h.b_in" in cols:
+            Fc[:, :, cols["h.b_in"]] = Bws
+        if "h.W_out" in outer:
+            np.multiply(B[:, :, None], th[:, None, None, :], out=outer["h.W_out"][:c])
+        if "g.W_in" in outer:
+            _fill_outer(outer["g.W_in"][:c], ws, Z)
+            if z_e is not None:
+                outer["g.W_in"][:c] -= ws_e[:, :, None] * z_e
+        if "g.b_in" in cols:
+            np.subtract(ws, ws_e, out=Fc[:, :, cols["g.b_in"]])
+        if "g.W_out" in diag:
+            np.subtract(tg[:, None, :], t_e, out=diag["g.W_out"][:c])
 
-        J_out = np.matmul(C, S)
-        np.negative(J_out, out=J_out)
-        if "C" in cols:
-            J_out[:, :, cols["C"]] -= np.einsum("ai,kj->kaij", np.eye(p), Xc).reshape(
-                c, p, p * n)
-        J_pen = None
-        if sqrt_g is not None:
-            J_pen = np.matmul(Gx, S)
-            J_pen *= sqrt_g
-            for suffix in g_wanted:
-                J_pen[:, :, cols[f"g.{suffix}"]] += sqrt_g * gb[suffix]
-            J_pen = J_pen.reshape(c * n, P)
-        yield k0, k1, J_out.reshape(c * p, P), J_pen
-        buf[0] = buf[c]
+        for fxi, sf, s_next in zip(FxI[:c], SF[:c], S[1 : c + 1]):
+            np.dot(fxi, sf, out=s_next)
+
+        if q:
+            np.multiply(Gx, sqrt_g, out=Lc[:, p:, :n])
+        np.matmul(Lc[:, :, :n], S[:c, :, :tail], out=Rc[:, :, :tail])
+        if tail < P:
+            np.matmul(Lc, SF[:c, :, tail:], out=Rc[:, :, tail:P])
+        if R_c is not None:
+            R_c[:c] -= Xc[:, None, :]
+        if r is not None:
+            Rc[:, :p, P] = r[k0 * p : k1 * p].reshape(c, p)
+            Rc[:, p:, P] = r[N * p + k0 * q : N * p + k1 * q].reshape(c, q)
+        yield k0, k1, Rc
+        S[0] = S[c]
 
 
 def _normal_equations(model: AlSsnnModel, ds: Dataset, gamma: float,
                       layout: ParamLayout, rv: ResidualVector):
     """J'J and J'r accumulated chunk by chunk; the full J is never formed.
 
-    Each chunk's rows add to the upper triangle of J'J (dsyrk) and to J'r
-    (gemv); the lower triangle is mirrored once at the end, so J'J is
-    exactly symmetric.
+    Each cache-sized chunk of rows [J | r] adds to the upper triangle of
+    [J | r]'[J | r] in one dsyrk; J'J and J'r are its leading P x P block
+    and the rest of its last column. The lower triangle of J'J is mirrored
+    once at the end, so J'J is exactly symmetric.
     """
-    N, p, q = rv.n_samples, rv.n_outputs, rv.n_penalty_states
     P = _layout_slices(model, layout)[1]
-    JtJ = np.zeros((P, P), order="F")
-    Jtr = np.zeros(P)
-    r_out, r_pen = rv.r[: N * p], rv.r[N * p :]
-    for k0, k1, J_out, J_pen in _sensitivity_chunks(model, ds, gamma, layout, rv.states):
-        for rows, r in ((J_out, r_out[k0 * p : k1 * p]), (J_pen, r_pen[k0 * q : k1 * q])):
-            if rows is not None:
-                JtJ = dsyrk(1.0, rows.T, beta=1.0, c=JtJ, overwrite_c=1)
-                Jtr += rows.T @ r
-    JtJ += np.triu(JtJ, 1).T
-    return JtJ, Jtr
+    G = np.zeros((P + 1, P + 1), order="F")
+    for _, _, rows in _sensitivity_chunks(model, ds, gamma, layout, rv.states, rv.r):
+        G = dsyrk(1.0, rows.reshape(-1, P + 1).T, beta=1.0, c=G, overwrite_c=1)
+    for j in range(P - 1):
+        G[j + 1 : P, j] = G[j, j + 1 : P]
+    return G[:P, :P], G[:P, P]
 
 
 # --- Levenberg-Marquardt ----------------------------------------------------
@@ -495,9 +521,10 @@ class LmWorkspace:
 
     Callers must leave `filled_for` and `accepted` alone. `filled_for` is the
     (model, dataset, gamma, layout) the cached loss, J'J and J'r belong to;
-    lm_step refills the cache whenever it is called with anything else,
-    streaming J'J and J'r chunk by chunk without forming J (J'J is exactly
-    symmetric).
+    lm_step refills the cache whenever it is called with anything else. It
+    clears the old J'J, J'r and key first, then streams the new ones from
+    one dsyrk per cache-sized chunk of rows [J | r], without forming J (J'J
+    is exactly symmetric).
     `accepted` keeps the (model, dataset, gamma, residuals) of the last
     accepted candidate, so the refill for that model reuses the candidate's
     free run instead of simulating it again; `loss` still holds the loss of
@@ -550,6 +577,9 @@ def lm_step(model: AlSsnnModel, ds: Dataset, config: TrainConfig, lam: float,
     ws = workspace if workspace is not None else LmWorkspace()
     if not (_same_problem(ws.filled_for, model, ds, config.gamma)
             and ws.filled_for[3] == layout):
+        # Drop the old fill first: its J'J is not kept alive through the
+        # refill, and a refill that raises leaves no stale key behind.
+        ws.filled_for = ws.JtJ = ws.Jtr = None
         rv = ws._residuals(model, ds, config.gamma)
         ws.jacobians += 1
         ws.JtJ, ws.Jtr = _normal_equations(model, ds, config.gamma, layout, rv)

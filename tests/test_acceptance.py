@@ -46,7 +46,6 @@ from alssnn.training import (
     TrainConfig,
     default_layout,
     jacobian_bptt,
-    loss,
     pack_params,
     residuals,
     train,
@@ -207,7 +206,7 @@ def test_criterion_02_loss_is_mean_squared_residual_norm():
         gamma = [0.0, 0.3, 1.0, 7.0][k % 4]
         r = residuals(model, ds, gamma).r
         direct = float(np.linalg.norm(r) ** 2) / ds.n_samples
-        worst = max(worst, abs(loss(model, ds, gamma) - direct))
+        worst = max(worst, abs(residuals(model, ds, gamma).loss_value() - direct))
     ok = worst <= 1e-12
     assert _line("02", ok, f"20 models, worst |loss - ||r||^2/N| = {worst:.2e}")
 

@@ -32,9 +32,18 @@ def test_linearss_validation():
         LinearSS(np.full((1, 1), np.nan), np.ones((1, 1)), np.ones((1, 1)))
 
 
+def markov(lin, count):
+    """Impulse response matrices C A^(i-1) B for i = 1..count."""
+    out, Ak = [], np.eye(lin.n_states)
+    for _ in range(count):
+        out.append(lin.C @ Ak @ lin.B)
+        Ak = lin.A @ Ak
+    return out
+
+
 def test_markov_analytic_scalar():
     lin = LinearSS([[0.5]], [[1.0]], [[1.0]])
-    G = lin.markov(5)
+    G = markov(lin, 5)
     for i, Gi in enumerate(G):
         assert Gi.shape == (1, 1)
         assert abs(Gi[0, 0] - 0.5**i) < 1e-15
@@ -59,7 +68,7 @@ def test_estimate_markov_two_state_oracle():
     ds = lin_data(lin, 2000, seed=2)
     # horizon long enough that truncation error is below tolerance
     G = estimate_markov(ds, 40)
-    ref = lin.markov(40)
+    ref = markov(lin, 40)
     worst = max(np.max(np.abs(g - r)) for g, r in zip(G, ref))
     assert worst < 1e-8
 
@@ -99,7 +108,7 @@ def test_estimate_markov_needs_enough_samples():
 def test_ho_kalman_scalar_realization():
     G = [np.array([[0.5**i]]) for i in range(8)]
     lin = ho_kalman(G, 1)
-    back = lin.markov(8)
+    back = markov(lin, 8)
     for i, Gi in enumerate(back):
         assert abs(Gi[0, 0] - 0.5**i) < 1e-8
 
@@ -118,10 +127,10 @@ def test_ho_kalman_order_exceeds_rank():
 
 def test_ho_kalman_two_state_transfer_match():
     lin = two_state()
-    G = [np.atleast_2d(g) for g in lin.markov(20)]
+    G = [np.atleast_2d(g) for g in markov(lin, 20)]
     real = ho_kalman(G, 2)
-    ref = lin.markov(20)
-    got = real.markov(20)
+    ref = markov(lin, 20)
+    got = markov(real, 20)
     worst = max(np.max(np.abs(a - b)) for a, b in zip(ref, got))
     assert worst < 1e-6
 
@@ -132,11 +141,11 @@ def test_ho_kalman_similarity_invariance():
     rng = np.random.default_rng(5)
     T = rng.normal(size=(2, 2)) + 3 * np.eye(2)
     sim = LinearSS(np.linalg.solve(T, lin.A @ T), np.linalg.solve(T, lin.B), lin.C @ T)
-    G_a = [np.atleast_2d(g) for g in lin.markov(16)]
-    G_b = [np.atleast_2d(g) for g in sim.markov(16)]
+    G_a = [np.atleast_2d(g) for g in markov(lin, 16)]
+    G_b = [np.atleast_2d(g) for g in markov(sim, 16)]
     ra = ho_kalman(G_a, 2)
     rb = ho_kalman(G_b, 2)
-    worst = max(np.max(np.abs(a - b)) for a, b in zip(ra.markov(16), rb.markov(16)))
+    worst = max(np.max(np.abs(a - b)) for a, b in zip(markov(ra, 16), markov(rb, 16)))
     assert worst < 1e-10
 
 

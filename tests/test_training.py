@@ -10,11 +10,19 @@ from alssnn.errors import DataError, DivergenceError
 from alssnn.linear_id import LinearSS
 from alssnn.models import AlSsnnModel, GrSsnnModel, gr_model, simulate
 from alssnn.nets import Equilibrium, Mlp, mlp_forward, mlp_forward_batch
-from alssnn.training import _CHUNK as CHUNK
 from alssnn.training import (LmWorkspace, TrainConfig, default_layout,
-                             jacobian_bptt, lm_step, loss, make_layout,
-                             pack_params, report_to_json_dict, residuals,
-                             train, train_gr, unpack_params)
+                             jacobian_bptt, lm_step, make_layout, pack_params,
+                             report_to_json_dict, residuals, train, train_gr,
+                             unpack_params)
+
+
+def loss(model, ds, gamma=0.0):
+    return residuals(model, ds, gamma).loss_value()
+
+
+def chunk_len(model, layout):
+    """Samples per chunk of the sensitivity pass for this model and layout."""
+    return training._chunk_len(model.lin.n_states, pack_params(model, layout).size)
 
 
 def rand_net(d_in, d_out, nh, seed, scale=0.4):
@@ -184,6 +192,21 @@ def test_jacobian_matches_fd_al_equilibrium_constrained():
     assert np.max(np.abs(J - J_fd)) < 1e-5
 
 
+def test_jacobian_matches_fd_al_pinned_at_a_nonzero_equilibrium():
+    # g pinned at (x_e, u_e) != 0: every g column, W_in included, loses the
+    # equilibrium point's term
+    from alssnn.nets import enforce_equilibrium_zero
+    model = rand_al(n=2, m=1, p=1, nh=2, ng=3, seed=29)
+    model = replace(model, eq=Equilibrium(x_e=np.array([0.4, -0.3]), u_e=np.array([0.6])))
+    model = replace(model, g_net=enforce_equilibrium_zero(model.g_net, model.eq))
+    ds = rand_ds(N=10, seed=29)
+    layout = default_layout(model, TrainConfig(gamma=1.3, enforce_equilibrium=True))
+    assert layout.eq_constrained
+    J = jacobian_bptt(model, ds, 1.3, layout=layout)
+    J_fd = fd_residual_jac(model, ds, 1.3, layout)
+    assert np.max(np.abs(J - J_fd)) < 1e-5
+
+
 def test_jacobian_matches_fd_gr():
     model = rand_gr(n=3, m=2, p=2, nf=3, seed=11)
     ds = rand_ds(m=2, p=2, N=10, seed=11)
@@ -194,12 +217,12 @@ def test_jacobian_matches_fd_gr():
 
 
 def test_jacobian_matches_fd_across_chunks():
-    # a record of two sensitivity chunks, C free: S and the C columns must
-    # carry over the chunk boundary
+    # a record of three sensitivity chunks, C free: S and the C columns must
+    # carry over both chunk boundaries
     model = rand_al(n=2, m=1, p=1, nh=2, ng=2, seed=25)
-    ds = rand_ds(N=CHUNK + 40, seed=25)
     config = TrainConfig(gamma=0.9, freeze_C=False, enforce_equilibrium=False)
     layout = default_layout(model, config)
+    ds = rand_ds(N=2 * chunk_len(model, layout) + 40, seed=25)
     J = jacobian_bptt(model, ds, 0.9, layout=layout)
     J_fd = fd_residual_jac(model, ds, 0.9, layout)
     assert np.max(np.abs(J - J_fd)) < 1e-5
@@ -381,16 +404,46 @@ def test_lm_workspace_refills_for_another_model():
     assert ws.jacobians == 2
 
 
-def chunk_case(kind, N):
+def test_lm_step_refill_drops_the_old_fill_first(monkeypatch):
+    # a refill starts with the old J'J, J'r and key cleared, so the old J'J
+    # is not alive through it and a refill that raises leaves no stale key:
+    # the next call refills instead of reusing the old J'J
+    m1, m2 = rand_al(seed=1), rand_al(seed=2)
+    ds = rand_ds(N=40)
+    config = TrainConfig(gamma=0.5)
+    layout = default_layout(m1, config)
+    ws = LmWorkspace()
+    lm_step(m1, ds, config, 1e-2, layout=layout, workspace=ws)
+    cleared = []
+    sensitivity_pass = training._sensitivity_chunks
+
+    def failing_pass(*args, **kwargs):
+        cleared.append(ws.JtJ is None and ws.Jtr is None and ws.filled_for is None)
+        raise MemoryError("refill failed")
+
+    monkeypatch.setattr(training, "_sensitivity_chunks", failing_pass)
+    with pytest.raises(MemoryError):
+        lm_step(m2, ds, config, 1e-2, layout=layout, workspace=ws)
+    assert cleared == [True]
+    monkeypatch.setattr(training, "_sensitivity_chunks", sensitivity_pass)
+    out = lm_step(m1, ds, config, 1e-2, layout=layout, workspace=ws)
+    fresh = LmWorkspace()
+    ref = lm_step(m1, ds, config, 1e-2, layout=layout, workspace=fresh)
+    assert ws.jacobians == 3
+    assert np.array_equal(ws.JtJ, fresh.JtJ) and np.array_equal(ws.Jtr, fresh.Jtr)
+    assert ws.loss == fresh.loss and out[1:] == ref[1:]
+
+
+def chunk_case(kind, N, n=7, m=2, p=2, nh=4, seed=26):
     """(model, dataset, config) for the streamed normal-equation checks."""
     from dataclasses import replace
     from alssnn.nets import enforce_equilibrium_zero
-    ds = rand_ds(m=2, p=2, N=N, seed=26)
+    ds = rand_ds(m=m, p=p, N=N, seed=seed)
     if kind == "gr":
-        return (rand_gr(n=3, m=2, p=2, nf=4, seed=26), ds,
+        return (rand_gr(n=n, m=m, p=p, nf=nh, seed=seed), ds,
                 TrainConfig(freeze_C=False))
-    nh = 0 if kind == "al_no_nets" else 4
-    model = rand_al(n=3, m=2, p=2, nh=nh, ng=nh, seed=26)
+    model = rand_al(n=n, m=m, p=p, nh=0 if kind == "al_no_nets" else nh,
+                    ng=0 if kind == "al_no_nets" else nh, seed=seed)
     if kind == "al_eq":
         model = replace(model, g_net=enforce_equilibrium_zero(model.g_net, model.eq))
         return model, ds, TrainConfig(gamma=0.8)
@@ -399,10 +452,7 @@ def chunk_case(kind, N):
     return model, ds, config
 
 
-@pytest.mark.parametrize("N", [CHUNK // 3, CHUNK + 37, 3 * CHUNK])
-@pytest.mark.parametrize("kind", ["al_eq", "al_free_c", "al_gamma0", "al_no_nets", "gr"])
-def test_streamed_normal_equations_equal_assembled_jacobian(kind, N):
-    model, ds, config = chunk_case(kind, N)
+def check_streamed_normal_equations(model, ds, config):
     layout = default_layout(model, config)
     ws = LmWorkspace()
     lm_step(model, ds, config, 1e-2, layout=layout, workspace=ws)
@@ -412,6 +462,40 @@ def test_streamed_normal_equations_equal_assembled_jacobian(kind, N):
     assert np.max(np.abs(ws.JtJ - JtJ)) <= 1e-12 * np.max(np.abs(JtJ))
     assert np.max(np.abs(ws.Jtr - Jtr)) <= 1e-12 * np.max(np.abs(Jtr))
     assert np.array_equal(ws.JtJ, ws.JtJ.T)
+
+
+# Every kind's chunk length c lies in (85, 293) (checked below): 85 samples
+# fit one chunk, 293 cross a chunk boundary and 768 at least two.
+@pytest.mark.parametrize("N", [85, 293, 768])
+@pytest.mark.parametrize("kind", ["al_eq", "al_free_c", "al_gamma0", "al_no_nets", "gr"])
+def test_streamed_normal_equations_equal_assembled_jacobian(kind, N):
+    model, ds, config = chunk_case(kind, N)
+    assert 85 < chunk_len(model, default_layout(model, config)) < 293
+    check_streamed_normal_equations(model, ds, config)
+
+
+@pytest.mark.parametrize("kind", ["al_eq", "al_free_c", "gr"])
+def test_streamed_normal_equations_equal_assembled_jacobian_wide(kind):
+    # P of about 1,000, as on the wide Wiener-Hammerstein nets: a few dozen
+    # samples per chunk, and a record of four chunks
+    model, ds, config = chunk_case(kind, 100, n=4, m=1, p=1, nh=80 if kind != "gr" else 100,
+                                   seed=28)
+    layout = default_layout(model, config)
+    assert 1000 <= pack_params(model, layout).size <= 1100
+    c = chunk_len(model, layout)
+    assert 10 <= c <= 50 and ds.n_samples > 3 * c
+    check_streamed_normal_equations(model, ds, config)
+    # and the pass itself, along random unit directions, against central
+    # differences of the residuals
+    J = jacobian_bptt(model, ds, config.gamma, layout=layout)
+    theta, h = pack_params(model, layout), 1e-6
+    rng = np.random.default_rng(28)
+    for _ in range(3):
+        v = rng.normal(size=theta.size)
+        v /= np.linalg.norm(v)
+        r_p, r_m = (residuals(unpack_params(model, layout, theta + s * h * v), ds,
+                              config.gamma).r for s in (1, -1))
+        assert np.max(np.abs(J @ v - (r_p - r_m) / (2 * h))) < 1e-5
 
 
 def test_lm_step_refill_memory_stays_below_a_quarter_of_the_jacobian():

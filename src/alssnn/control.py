@@ -135,8 +135,10 @@ def simulate_closed_loop(model: AlSsnnModel, v_seq: np.ndarray,
     When h has at most the engine's fold width (`linear_id._FOLD_MAX`, 64)
     units and v is finite, the engine folds h into the state map: row k
     gains v(k+1) and one matvec writes [h's pre-activation(k+1); x(k+1)]
-    into row k+1, so a step is g's matvec and tanh, that matvec and one
-    tanh; a wider h keeps three matvecs and two tanh calls per step.
+    into row k+1, so a step is two matvecs and two tanh calls (g's matvec
+    and tanh, then that matvec and h's tanh). A wider h, or a v that is not
+    all finite, keeps the unfolded step: three matvecs (h, g, state) and two
+    tanh calls. Every call writes into the engine's buffer in place.
     """
     if _family(model) != "al-ssnn":
         raise DataError("closed-loop simulation requires the h/g-split model family")

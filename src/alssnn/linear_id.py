@@ -11,7 +11,9 @@ The module also holds the step engine behind every free run and closed loop
 `_FOLD_MAX` units is folded into the state map, so that layer and the state
 update cost one matvec and one in-place tanh per step; a wider first layer
 costs one matvec and one tanh, and so does every later layer, plus one
-matvec for the state.
+matvec for the state. Every step takes its rows as views from `zip` over a
+block of the buffer, and every product and tanh writes into the buffer in
+place, so a step neither indexes nor allocates.
 """
 
 from __future__ import annotations
@@ -212,31 +214,35 @@ def _step_engine(layers, M: np.ndarray, inputs: np.ndarray, x0: np.ndarray,
                  divergence_bound: float | None = None):
     """Run x(k+1) = M R[k] over the rows R[k] = [t(k); x(k); input(k); 1] of one buffer.
 
-    The activations t(k) come from the tanh layers in `layers`, run in order
-    and stacked right to left ahead of x: each layer W writes its block as
-    tanh(W R[k, after:]), reading everything after that block, so the first
-    layer sees [x; input; 1], the second [t_1; x; input; 1]. Callers fold
-    input weights and biases into the layers and input terms and biases into
-    M. Each operand's columns are sliced out of the buffer once per run; a
-    layer of zero width has empty views and writes nothing. x0 may carry
-    trailing axes (an n x r block of r runs sharing the maps), and then the
-    inputs carry the same ones.
+    The activations t(k) come from the tanh layers in `layers` (at most two),
+    run in order and stacked right to left ahead of x: each layer W writes
+    its block as tanh(W R[k, after:]), reading everything after that block,
+    so the first layer sees [x; input; 1], the second [t_1; x; input; 1].
+    Callers fold input weights and biases into the layers and input terms
+    and biases into M. Each operand's columns are sliced out of the buffer
+    once per run; a layer of zero width has empty views and writes nothing.
+    x0 may carry trailing axes (an n x r block of r runs sharing the maps),
+    and then the inputs carry the same ones.
 
     A first layer W = [W_x, W_in, w_b] of width 1.._FOLD_MAX is folded into
     the state map: row k gains input(k+1) after its 1, and
     G = [[W_x M + w_b on the 1 column, W_in]; [M, 0]] writes
     [pre-activation(k+1); x(k+1)] into row k+1, so that layer and the state
-    cost one matvec and one in-place tanh per step; later layers (the closed
-    loop's g) run as above. A wider first layer, or inputs that are not all
-    finite (0 * inf in G's M rows would move the divergence step), keep the
-    unfolded step: one matvec and one tanh per layer plus one matvec.
+    cost one matvec and one in-place tanh per step. A wider first layer, or
+    inputs that are not all finite (0 * inf in G's M rows would move the
+    divergence step), keep the unfolded step. Per step, in calls:
+    LTI, one matvec; folded free run, one matvec and one tanh; unfolded free
+    run, two matvecs and one tanh; folded closed loop, two and two; unfolded
+    closed loop, three matvecs and two tanh calls. Every call writes into
+    the buffer through row views taken by zip over a block of rows.
 
     Returns (R, X, k): the buffer's [t; x; input; 1] columns, its state
     columns X = x(0..N) as a view, and the divergence step. With a bound,
-    squared state norms are checked once per block of rows: the first x(k)
-    whose squared norm is not <= bound^2 (NaN and inf count) is returned as
-    k, and rows after it are unspecified. The steps taken after it are thrown
-    away, so floating-point errors are not reported. Otherwise k is None.
+    squared state norms (over the state axis, per run) are checked once per
+    block of rows: the first x(k) of any run whose squared norm is not
+    <= bound^2 (NaN and inf count) is returned as k, and rows after it are
+    unspecified for every run. The steps taken after it are thrown away, so
+    floating-point errors are not reported. Otherwise k is None.
     """
     N, n, d = inputs.shape[0], x0.shape[0], inputs.shape[1]
     a = sum(W.shape[0] for W in layers)
@@ -247,11 +253,16 @@ def _step_engine(layers, M: np.ndarray, inputs: np.ndarray, x0: np.ndarray,
     R[0, a : a + n] = x0
     R[:N, a + n : w - 1] = inputs
     R[:, w - 1] = 1.0
-    steps, top = [], a - a1 if fold else a
-    for W in layers[1:] if fold else layers:
-        steps.append((W.dot, R[:, top:w], R[:, top - W.shape[0] : top]))
-        top -= W.shape[0]
     X = R[:, a : a + n]
+    # views: per unfolded layer its source and destination columns, then
+    # the state map's source rows, its destination rows and, folded, the
+    # pre-activation rows it leaves for the in-place tanh.
+    dots, views, top = [], [], a - a1 if fold else a
+    for W in layers[1:] if fold else layers:
+        dots.append(W.dot)
+        views += [R[:, top:w], R[:, top - W.shape[0] : top]]
+        top -= W.shape[0]
+    dot, dot2 = (dots + [None, None])[:2]
     bound2 = None if divergence_bound is None else divergence_bound * divergence_bound
     tanh = np.tanh
     with np.errstate(all="ignore"):
@@ -262,25 +273,45 @@ def _step_engine(layers, M: np.ndarray, inputs: np.ndarray, x0: np.ndarray,
                            np.hstack([M, np.zeros((n, d))])])
             G[:a1, w - 1] += W1[:, -1]
             tanh(W1.dot(R[0, a:w]), out=R[0, a - a1 : a])
-            mdot, nxt, pre = G.dot, R[1:, a - a1 : a + n], R[1:, a - a1 : a]
+            mdot = G.dot
+            views += [R, R[1:, a - a1 : a + n], R[1:, a - a1 : a]]
         else:
-            mdot, nxt = M.dot, X[1:]
+            mdot = M.dot
+            views += [R, X[1:]]
         for k0 in range(0, N, _BLOCK):
             k1 = min(N, k0 + _BLOCK)
-            if fold:   # rows as views from zip; z in and out skips the overlap check
-                for k, r, o, z in zip(range(k0, k1), R[k0:k1], nxt[k0:k1], pre[k0:k1]):
-                    for dot, src, dst in steps:
-                        tanh(dot(src[k]), out=dst[k])
-                    mdot(r, out=o)
-                    tanh(z, out=z)
+            rows = [v[k0:k1] for v in views]
+            # Positional outs skip keyword parsing; tanh(t, t) passes one view
+            # as input and output, which skips the overlap check.
+            if fold and dot is None:
+                for r, o, z in zip(*rows):
+                    mdot(r, o)
+                    tanh(z, z)
+            elif fold:
+                for s, t, r, o, z in zip(*rows):
+                    dot(s, t)
+                    tanh(t, t)
+                    mdot(r, o)
+                    tanh(z, z)
+            elif dot is None:
+                for r, o in zip(*rows):
+                    mdot(r, o)
+            elif dot2 is None:
+                for s, t, r, o in zip(*rows):
+                    dot(s, t)
+                    tanh(t, t)
+                    mdot(r, o)
             else:
-                for k in range(k0, k1):
-                    for dot, src, dst in steps:
-                        tanh(dot(src[k]), out=dst[k])
-                    mdot(R[k], out=nxt[k])
+                for s, t, s2, t2, r, o in zip(*rows):
+                    dot(s, t)
+                    tanh(t, t)
+                    dot2(s2, t2)
+                    tanh(t2, t2)
+                    mdot(r, o)
             if bound2 is not None:
                 Xb = X[k0 : k1 + 1]
-                ok = np.einsum("ij,ij->i", Xb, Xb) <= bound2
+                ok = np.einsum("ij...,ij...->i...", Xb, Xb) <= bound2
+                ok = ok.reshape(k1 + 1 - k0, -1).all(axis=1)
                 if not ok.all():
                     return R[:, :w], X, k0 + int(np.argmin(ok))
     return R[:, :w], X, None

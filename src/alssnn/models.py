@@ -22,6 +22,7 @@ runs that instead; the engine folds a narrow layer into the state map too.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -237,32 +238,81 @@ def _net_to_json(net: Mlp) -> dict:
     }
 
 
+# Fields of each family's file: required ones, then those with a default.
+_FIELDS = {
+    "lti": (("family", "dims", "A", "B", "C"), ()),
+    "gr-ssnn": (("family", "dims", "A", "B", "C", "f_net"), ()),
+    "al-ssnn": (("family", "dims", "A", "B", "C", "h_net", "g_net", "equilibrium"),
+                ("c_frozen",)),
+}
+_DIMS = {"lti": ("n", "m", "p"), "gr-ssnn": ("n", "m", "p", "n_f"),
+         "al-ssnn": ("n", "m", "p", "n_h", "n_g")}
+
+
+def _json_object(obj, path: str, required, optional=()) -> dict:
+    """obj if it is a JSON object holding every required field and no field
+    but those and the optional ones; `path` names it ("" for the top level,
+    which the caller has checked to be an object)."""
+    if not isinstance(obj, dict):
+        raise DataError(f"model file: field {path!r} must be a JSON object")
+    dotted = f"{path}." if path else ""
+    for key in required:
+        if key not in obj:
+            raise DataError(f"model file: missing field {dotted + key!r}")
+    for key in obj:
+        if key not in required and key not in optional:
+            raise DataError(f"model file: unknown field {dotted + key!r}")
+    return obj
+
+
+def _is_number_tree(value) -> bool:
+    """Whether value is a JSON number or nested lists of them (true and
+    false are not numbers, although Python's bool is an int)."""
+    stack = [value]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, list):
+            stack.extend(v)
+        elif isinstance(v, bool) or not isinstance(v, (int, float)):
+            return False
+    return True
+
+
 def _field_array(value, what: str, shape: tuple) -> np.ndarray:
-    """Field `what` as a float array of the given shape, or a DataError naming it."""
+    """Field `what` as a float array nested as `shape` says (a 2 x 1 matrix
+    is [[a], [b]]), or a DataError naming it."""
+    if not _is_number_tree(value):
+        raise DataError(f"model file: field {what!r} is not a numeric array")
     try:
         arr = np.array(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (ValueError, OverflowError) as exc:   # ragged lists, ints past the float range
         raise DataError(f"model file: field {what!r} is not a numeric array: {exc}") from exc
-    if -1 not in shape and arr.size != int(np.prod(shape)):
+    if not np.isfinite(arr).all():
+        raise DataError(f"model file: field {what!r} has non-finite entries")
+    # an empty array has no entries to nest: [] stands for any shape of size 0
+    if arr.shape != shape and not arr.size == math.prod(shape) == 0:
         raise DataError(
-            f"model file: field {what!r} has {arr.size} entries, dims need shape {shape}"
+            f"model file: field {what!r} has shape {arr.shape}, dims need shape {shape}"
         )
     return arr.reshape(shape)
 
 
-def _net_from_json(obj: dict, what: str, d_in: int, d_out: int) -> Mlp:
-    for key in ("w_in", "b_in", "w_out", "b_out"):
-        if key not in obj:
-            raise DataError(f"model file: {what} is missing field {key!r}")
-    b_in = _field_array(obj["b_in"], f"{what}.b_in", (-1,))
-    n_hidden = b_in.shape[0]
-    return Mlp(
-        W_in=_field_array(obj["w_in"], f"{what}.w_in", (n_hidden, d_in)),
-        b_in=b_in,
-        W_out=_field_array(obj["w_out"], f"{what}.w_out", (d_out, n_hidden)),
-        b_out=_field_array(obj["b_out"], f"{what}.b_out", (d_out,)),
-        activation=obj.get("activation", "tanh"),
-    )
+def _net_from_json(obj, what: str, d_in: int, d_out: int, dims: dict, key: str) -> Mlp:
+    """Net `what` of a model file, whose hidden width is the field dims.`key`."""
+    obj = _json_object(obj, what, ("w_in", "b_in", "w_out", "b_out"), ("activation",))
+    n_hidden = dims[key]
+    if isinstance(obj["b_in"], list) and len(obj["b_in"]) != n_hidden:
+        raise DataError(f"model file: field 'dims.{key}' is {n_hidden}, but "
+                        f"{what}.b_in has {len(obj['b_in'])} entries")
+    b_in = _field_array(obj["b_in"], f"{what}.b_in", (n_hidden,))
+    W_in = _field_array(obj["w_in"], f"{what}.w_in", (n_hidden, d_in))
+    W_out = _field_array(obj["w_out"], f"{what}.w_out", (d_out, n_hidden))
+    b_out = _field_array(obj["b_out"], f"{what}.b_out", (d_out,))
+    try:
+        return Mlp(W_in=W_in, b_in=b_in, W_out=W_out, b_out=b_out,
+                   activation=obj.get("activation", "tanh"))
+    except DataError as exc:
+        raise DataError(f"model file: field {what!r}: {exc}") from exc
 
 
 def model_to_json_dict(model: AnyModel) -> dict:
@@ -288,23 +338,21 @@ def model_to_json_dict(model: AnyModel) -> dict:
 
 
 def model_from_json_dict(obj: dict) -> AnyModel:
+    """The model a file's JSON object describes, or a DataError naming the
+    first field that is missing, unknown, mistyped or out of shape."""
     if not isinstance(obj, dict):
         raise DataError("model file: top level must be a JSON object")
     family = obj.get("family")
-    if family not in ("al-ssnn", "gr-ssnn", "lti"):
+    if not isinstance(family, str) or family not in _FIELDS:
         raise DataError(f"model file: unknown family tag {family!r}")
-    for key in ("A", "B", "C", "dims"):
-        if key not in obj:
-            raise DataError(f"model file: missing field {key!r}")
-    dims = obj["dims"]
-    if not isinstance(dims, dict):
-        raise DataError("model file: field 'dims' must be an object")
-    for key in ("n", "m", "p"):
-        val = dims.get(key)
-        if isinstance(val, bool) or not isinstance(val, int) or val < 1:
-            raise DataError(
-                f"model file: field 'dims.{key}' must be a positive integer, got {val!r}"
-            )
+    obj = _json_object(obj, "", *_FIELDS[family])
+    dims = _json_object(obj["dims"], "dims", _DIMS[family])
+    for key, val in dims.items():
+        low = 0 if key.startswith("n_") else 1
+        if isinstance(val, bool) or not isinstance(val, int) or val < low:
+            kind = "a positive" if low else "a non-negative"
+            raise DataError(f"model file: field 'dims.{key}' must be {kind} integer, "
+                            f"got {val!r}")
     n, m, p = dims["n"], dims["m"], dims["p"]
     lin = LinearSS(
         A=_field_array(obj["A"], "A", (n, n)),
@@ -314,26 +362,22 @@ def model_from_json_dict(obj: dict) -> AnyModel:
     if family == "lti":
         return lin
     if family == "gr-ssnn":
-        if "f_net" not in obj:
-            raise DataError("model file: gr-ssnn requires field 'f_net'")
-        return gr_model(lin, _net_from_json(obj["f_net"], "f_net", n + m, n))
-    for key in ("h_net", "g_net", "equilibrium"):
-        if key not in obj:
-            raise DataError(f"model file: al-ssnn requires field {key!r}")
-    eq_obj = obj["equilibrium"]
-    for key in ("x_e", "u_e"):
-        if not isinstance(eq_obj, dict) or key not in eq_obj:
-            raise DataError(f"model file: equilibrium is missing field {key!r}")
+        return gr_model(lin, _net_from_json(obj["f_net"], "f_net", n + m, n, dims, "n_f"))
+    eq_obj = _json_object(obj["equilibrium"], "equilibrium", ("x_e", "u_e"))
     eq = Equilibrium(
         x_e=_field_array(eq_obj["x_e"], "equilibrium.x_e", (n,)),
         u_e=_field_array(eq_obj["u_e"], "equilibrium.u_e", (m,)),
     )
+    c_frozen = obj.get("c_frozen", True)
+    if not isinstance(c_frozen, bool):
+        raise DataError(f"model file: field 'c_frozen' must be true or false, "
+                        f"got {c_frozen!r}")
     return AlSsnnModel(
         lin=lin,
-        h_net=_net_from_json(obj["h_net"], "h_net", p, m),
-        g_net=_net_from_json(obj["g_net"], "g_net", n + m, n),
+        h_net=_net_from_json(obj["h_net"], "h_net", p, m, dims, "n_h"),
+        g_net=_net_from_json(obj["g_net"], "g_net", n + m, n, dims, "n_g"),
         eq=eq,
-        c_frozen=bool(obj.get("c_frozen", True)),
+        c_frozen=c_frozen,
     )
 
 
@@ -350,6 +394,8 @@ def load_model(path) -> AnyModel:
             obj = json.load(fh)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise DataError(f"{path}: invalid JSON: arrays or objects nested too deeply") from None
     return model_from_json_dict(obj)

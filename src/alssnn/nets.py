@@ -57,7 +57,7 @@ class Mlp:
             )
         if b_out.shape != (W_out.shape[0],):
             raise DataError(f"b_out has shape {b_out.shape}, expected ({W_out.shape[0]},)")
-        if self.activation not in _ACTIVATIONS:
+        if not isinstance(self.activation, str) or self.activation not in _ACTIVATIONS:
             raise DataError(f"unsupported activation {self.activation!r}")
         if not all(np.all(np.isfinite(M)) for M in (W_in, b_in, W_out, b_out)):
             raise DataError("network parameters contain non-finite entries")

@@ -474,7 +474,7 @@ def _sensitivity_chunks(model: AlSsnnModel, ds: Dataset, gamma: float,
             np.subtract(tg[:, None, :], t_e, out=diag["g.W_out"][:c])
 
         for fxi, sf, s_next in zip(FxI[:c], SF[:c], S[1 : c + 1]):
-            np.dot(fxi, sf, out=s_next)
+            fxi.dot(sf, s_next)   # the method skips np.dot's dispatcher
 
         if q:
             np.multiply(Gx, sqrt_g, out=Lc[:, p:, :n])

@@ -175,15 +175,31 @@ def test_evaluate_missing_model_exit_2(ws, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("breakage", ["array_not_fitting_dims", "missing_dims_key"])
-def test_evaluate_malformed_model_exit_2(ws, tmp_path, capsys, breakage):
-    obj = read_json(str(ws["lti"]) + ".model.json")
+def _break_model(obj, breakage):
+    """Damage a model file's object; returns the field the error must name."""
     if breakage == "array_not_fitting_dims":
         obj["A"] = [[1, 2]]
-        field = "'A'"
-    else:
+        return "'A'"
+    if breakage == "missing_dims_key":
         del obj["dims"]["n"]
-        field = "dims.n"
+        return "dims.n"
+    if breakage == "activation_not_a_string":
+        obj["h_net"]["activation"] = [1]
+        return "h_net"
+    if breakage == "flag_as_a_string":
+        obj["c_frozen"] = "false"
+        return "c_frozen"
+    obj["dims"]["n_g"] += 1
+    return "dims.n_g"
+
+
+@pytest.mark.parametrize("breakage", ["array_not_fitting_dims", "missing_dims_key",
+                                      "activation_not_a_string", "flag_as_a_string",
+                                      "width_not_matching_dims"])
+def test_evaluate_malformed_model_exit_2(ws, tmp_path, capsys, breakage):
+    family = "lti" if breakage in ("array_not_fitting_dims", "missing_dims_key") else "al"
+    obj = read_json(str(ws[family]) + ".model.json")
+    field = _break_model(obj, breakage)
     bad = tmp_path / "bad.model.json"
     bad.write_text(json.dumps(obj))
     rc = main(["evaluate", "--model", str(bad), "--data", str(ws["wh"]),

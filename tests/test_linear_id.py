@@ -281,3 +281,19 @@ def test_fit_input_matrix_block_run_matches_unit_runs():
             cols.append(simulate(LinearSS(A=A, B=E, C=C), ds.u).y.ravel())
     coef = np.linalg.lstsq(np.stack(cols, axis=1), ds.y.ravel(), rcond=None)[0]
     assert np.max(np.abs(_fit_input_matrix(A, C, ds) - coef.reshape(2, 2))) < 1e-12
+
+
+def test_step_engine_block_of_runs_stops_where_the_first_run_leaves_the_bound():
+    # three runs on one trailing axis; only the middle one grows, as 1.1^k,
+    # and 1.1^72 = 955 < 1e3 < 1.1^73 = 1051
+    from alssnn.linear_id import _step_engine
+    A = np.array([[1.1, 0.0], [0.0, 0.5]])
+    M = np.column_stack([A, np.zeros((2, 1)), np.zeros(2)])
+    x0 = np.array([[0.0, 1.0, 0.0], [1.0, 1.0, -2.0]])
+    N, bound = 100, 1e3
+    _, X, k = _step_engine([], M, np.zeros((N, 1, 3)), x0, bound)
+    assert k == 73
+    for j in range(3):
+        _, Xj, kj = _step_engine([], M, np.zeros((N, 1)), x0[:, j], bound)
+        assert kj == (k if j == 1 else None)
+        np.testing.assert_array_equal(X[:k, :, j], Xj[:k])

@@ -185,9 +185,10 @@ def test_load_model_errors(tmp_path):
     with pytest.raises(DataError, match="cannot read"):
         load_model(tmp_path / "missing.json")
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    with pytest.raises(DataError, match="invalid JSON"):
-        load_model(bad)
+    for content in (b"{not json", b'{"family": "lti\xff"}', b"[" * 100_000):
+        bad.write_bytes(content)   # not JSON, not UTF-8, nested past the parser
+        with pytest.raises(DataError, match="invalid JSON"):
+            load_model(bad)
 
 
 def test_from_json_dict_errors():
@@ -314,6 +315,29 @@ def test_from_json_dict_missing_dims_key():
     obj = model_to_json_dict(small_gr())
     del obj["dims"]["n"]
     with pytest.raises(DataError, match="dims.n"):
+        model_from_json_dict(obj)
+
+
+@pytest.mark.parametrize("model, path, value, field", [
+    (al_model(), ("h_net", "activation"), [1], "'h_net'"),
+    (al_model(), ("c_frozen",), "false", "'c_frozen'"),
+    (al_model(), ("dims", "n_h"), 5, "'dims.n_h'"),
+    (al_model(), ("dims", "n_g"), 3, "'dims.n_g'"),
+    (small_gr(), ("dims", "n_f"), 7, "'dims.n_f'"),
+    (al_model(), ("B",), [[1.0, 0.5]], "'B'"),
+    (small_lin(), ("A",), [[True, 0.0], [0.0, 0.5]], "'A'"),
+    (small_lin(), ("h_net",), {}, "'h_net'"),
+], ids=["activation_list", "flag_string", "n_h", "n_g", "n_f", "transposed",
+        "true_as_number", "field_of_another_family"])
+def test_from_json_dict_mistyped_field_is_named(model, path, value, field):
+    # a list as activation, "false" as a flag, widths the nets do not have, a
+    # transposed matrix, true as a number and a field of another family
+    obj = model_to_json_dict(model)
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    with pytest.raises(DataError, match=field):
         model_from_json_dict(obj)
 
 

@@ -2,7 +2,8 @@
 synthetic Wiener-Hammerstein cascade.
 
 Both return plain Datasets in the package CSV layout. Generation is pure
-given (params, seed), so identical seeds give bit-identical data.
+given the arguments (the Wiener-Hammerstein record's include a seed), so
+equal arguments give bit-identical data.
 """
 
 from __future__ import annotations
@@ -119,7 +120,7 @@ def _square(v: float) -> float:
 
 
 def simulate_prey_predator(params: PreyPredatorParams, forcing: SinusoidalForcing,
-                           N: int, seed: int = 0) -> Dataset:
+                           N: int) -> Dataset:
     """Classical RK4 at step dt; inputs recorded as the raw sinusoids.
 
     The plant squares the inputs internally, so the recorded (u1, u2) -> x3
@@ -127,8 +128,7 @@ def simulate_prey_predator(params: PreyPredatorParams, forcing: SinusoidalForcin
     times t, t + dt/2 and t + dt is computed up front; the step itself runs
     on Python floats. Generation raises NumericalError at the first step
     whose state is non-finite or leaves the ball of radius
-    POPULATION_BOUND. The seed is accepted for interface symmetry with the
-    other generator; generation itself is deterministic.
+    POPULATION_BOUND. Generation is deterministic, so it takes no seed.
     """
     if N < 2:
         raise DataError(f"need at least 2 samples, got {N}")

@@ -12,16 +12,25 @@ import os
 import sys
 
 
-def _apply_thread_cap() -> None:
-    # Must run before numpy first loads a BLAS, hence the early placement.
+def _thread_cap() -> tuple[int | None, str | None]:
+    """(cap, error) from ALSSNN_THREADS: the positive integer it holds, or
+    the usage error main() reports when it holds anything else."""
     raw = os.environ.get("ALSSNN_THREADS")
     if raw is None:
-        return
+        return None, None
     try:
         cap = int(raw)
     except ValueError:
-        return  # reported as a usage error in main()
-    if cap >= 1:
+        cap = 0
+    if cap < 1:
+        return None, f"ALSSNN_THREADS must be a positive integer, got {raw!r}"
+    return cap, None
+
+
+def _apply_thread_cap() -> None:
+    # Must run before numpy first loads a BLAS, hence the early placement.
+    cap = _thread_cap()[0]
+    if cap is not None:
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                     "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
             os.environ[var] = str(cap)
@@ -46,7 +55,7 @@ from .control import (
     rmse_split,
     simulate_closed_loop,
 )
-from .dataio import SplitSpec, load_csv, normalize, save_csv, split
+from .dataio import SplitSpec, load_csv, load_json, normalize, save_csv, split
 from .errors import DataError, NumericalError
 from .linear_id import default_horizon, linear_init
 from .models import AlSsnnModel, _family, load_model, save_model
@@ -141,7 +150,7 @@ def cmd_gen_data(args) -> int:
     if args.generator == "prey-predator":
         params = PreyPredatorParams() if args.dt is None else PreyPredatorParams(dt=args.dt)
         forcing = SinusoidalForcing()
-        ds = simulate_prey_predator(params, forcing, args.n, seed=args.seed)
+        ds = simulate_prey_predator(params, forcing, args.n)
         source = pp_params_to_dict(params, forcing)
     else:
         params = default_wh_params(noise_std=args.noise_std)
@@ -213,9 +222,9 @@ def cmd_identify(args) -> int:
     # GR has no penalty, so it trains once, at gamma 0
     gr = args.family == "gr-ssnn"
     gammas = [0.0] if gr else _parse_gammas(args.gamma)
+    configs = [_make_train_config(args, gamma) for gamma in gammas]   # all checked up front
     sweep_rows = []
-    for gamma in gammas:
-        config = _make_train_config(args, gamma=gamma)
+    for gamma, config in zip(gammas, configs):
         if gr:
             model, rep = train_gr(ds_train, args.order, args.nf, config)
         else:
@@ -363,8 +372,6 @@ def cmd_certify(args) -> int:
     v_zero = np.zeros((datasets[0].n_samples, model.dims["m"]))
     regulation = simulate_closed_loop(model, v_zero, x0=x_far)
     if args.epsilon is not None:
-        if args.epsilon < 0:
-            raise DataError(f"--epsilon must be non-negative, got {args.epsilon}")
         epsilon, eps_source = args.epsilon, "override"
     else:
         epsilon = estimate_epsilon(model, datasets, records=[driven, regulation])
@@ -408,13 +415,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_run(args) -> int:
-    try:
-        with open(args.pipeline, encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise DataError(f"cannot read pipeline file: {exc}")
-    except json.JSONDecodeError as exc:
-        raise DataError(f"pipeline file is not valid JSON: {exc}")
+    obj = load_json(args.pipeline)
     steps = obj.get("steps") if isinstance(obj, dict) else None
     if (not isinstance(steps, list) or not steps
             or not all(isinstance(s, list) and s
@@ -510,20 +511,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _threads_env_error() -> str | None:
-    raw = os.environ.get("ALSSNN_THREADS")
-    if raw is None:
-        return None
-    try:
-        if int(raw) >= 1:
-            return None
-    except ValueError:
-        pass
-    return f"ALSSNN_THREADS must be a positive integer, got {raw!r}"
-
-
 def main(argv=None) -> int:
-    msg = _threads_env_error()
+    msg = _thread_cap()[1]
     if msg is not None:
         print(f"error: {msg}", file=sys.stderr)
         return 1

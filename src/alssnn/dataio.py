@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 from dataclasses import dataclass, field
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from .errors import DataError
 
-__all__ = ["Dataset", "SplitSpec", "load_csv", "normalize", "save_csv", "split"]
+__all__ = ["Dataset", "SplitSpec", "load_csv", "load_json", "normalize", "save_csv", "split"]
 
 # ASCII characters that float() skips or accepts inside a number but the
 # file format does not: digit separators and blanks around the digits. (A line
@@ -319,3 +320,18 @@ def _is_number(cell: str) -> bool:
         return True
     except ValueError:
         return False
+
+
+def load_json(path):
+    """The JSON value a UTF-8 file holds. A file that cannot be read, is not
+    UTF-8, is not JSON or nests past the parser's depth is a DataError
+    naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise DataError(f"{path}: invalid JSON: arrays or objects nested too deeply") from None

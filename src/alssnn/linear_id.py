@@ -114,23 +114,17 @@ def default_horizon(n: int) -> int:
     return max(20, 5 * n)
 
 
-def estimate_markov(ds: Dataset, horizon: int,
-                    on_deficient: str = "error") -> list[np.ndarray]:
+def estimate_markov(ds: Dataset, horizon: int) -> list[np.ndarray]:
     """Estimate FIR/Markov matrices G_1..G_L by one-step least squares.
 
     Fits y(k) = sum_i G_i u(k-i) over k = L..N-1 with the zero-initial-
     condition convention (G_0 = 0, no direct feedthrough). When the lagged
     regressor is rank deficient (narrow-band excitation, e.g. a few
-    sinusoids), the plain solve is underdetermined; `on_deficient` picks the
-    policy: "error" rejects the fit, "regularize" resolves the ambiguity
-    with a decay-weighted ridge that keeps the one-step fit on the excited
+    sinusoids), the plain solve is underdetermined; a decay-weighted ridge
+    then resolves the ambiguity: it keeps the one-step fit on the excited
     subspace but selects the geometrically decaying impulse response, so a
     stable realization exists downstream.
     """
-    if on_deficient not in ("error", "regularize"):
-        raise DataError(
-            f"on_deficient must be 'error' or 'regularize', got {on_deficient!r}"
-        )
     if horizon < 1:
         raise DataError(f"horizon must be positive, got {horizon}")
     N, m = ds.u.shape
@@ -148,11 +142,6 @@ def estimate_markov(ds: Dataset, horizon: int,
     Y = ds.y[L:]
     theta, _, rank, sv = np.linalg.lstsq(Phi, Y, rcond=None)
     if rank < L * m:
-        if on_deficient == "error":
-            raise NumericalError(
-                f"FIR regressor is rank deficient ({rank} < {L * m}); "
-                "use longer data or a smaller horizon"
-            )
         gram = Phi.T @ Phi
         alpha = _RIDGE_REL * np.trace(gram) / (L * m)
         if alpha <= 0.0:
@@ -372,8 +361,7 @@ def _output_informed_init(ds: Dataset, n: int) -> LinearSS:
     return LinearSS(A=A, B=B, C=lin.C)
 
 
-def linear_init(ds: Dataset, n: int, horizon: int | None = None,
-                on_deficient: str = "regularize") -> LinearSS:
+def linear_init(ds: Dataset, n: int, horizon: int | None = None) -> LinearSS:
     """Linear model fit by FIR estimation followed by Ho-Kalman realization.
 
     This is the initialization point for nonlinear training and doubles as
@@ -382,23 +370,23 @@ def linear_init(ds: Dataset, n: int, horizon: int | None = None,
     with spectral radius >= 1 (possible when the Markov sequence is only an
     approximation) is rescaled just inside the unit circle.
 
-    Under the "regularize" policy, a record whose output the FIR route cannot
-    explain at all (no linear input response, e.g. a plant driven by even
-    powers of a zero-mean excitation) is re-realized from the output's own
-    autocovariance sequence, which still carries the dominant modes; B is
-    then refit by least squares. Subspace methods that regress on past
-    outputs handle such records natively; the impulse-response route needs
-    this explicit second source of dynamics.
+    A record whose output the FIR route cannot explain at all (no linear
+    input response, e.g. a plant driven by even powers of a zero-mean
+    excitation) is re-realized from the output's own autocovariance
+    sequence, which still carries the dominant modes; B is then refit by
+    least squares. Subspace methods that regress on past outputs handle such
+    records natively; the impulse-response route needs this explicit second
+    source of dynamics.
     """
     if n < 1:
         raise DataError(f"model order must be positive, got {n}")
     L = default_horizon(n) if horizon is None else horizon
-    markov = estimate_markov(ds, L, on_deficient=on_deficient)
+    markov = estimate_markov(ds, L)
     lin = ho_kalman(markov, n)
     rho = lin.spectral_radius()
     if rho >= 1.0:
         lin = LinearSS(lin.A * (0.995 / rho), lin.B, lin.C)
-    if on_deficient == "regularize" and _is_output_blind(lin, ds):
+    if _is_output_blind(lin, ds):
         try:
             lin = _output_informed_init(ds, n)
         except NumericalError:

@@ -28,6 +28,7 @@ from typing import Union
 
 import numpy as np
 
+from .dataio import load_json
 from .errors import DataError, DivergenceError
 from .linear_id import LinearSS, _step_engine
 from .nets import Equilibrium, Mlp, mlp_forward
@@ -234,7 +235,7 @@ def _net_to_json(net: Mlp) -> dict:
         "b_in": net.b_in.tolist(),
         "w_out": net.W_out.tolist(),
         "b_out": net.b_out.tolist(),
-        "activation": net.activation,
+        "activation": "tanh",
     }
 
 
@@ -308,11 +309,10 @@ def _net_from_json(obj, what: str, d_in: int, d_out: int, dims: dict, key: str) 
     W_in = _field_array(obj["w_in"], f"{what}.w_in", (n_hidden, d_in))
     W_out = _field_array(obj["w_out"], f"{what}.w_out", (d_out, n_hidden))
     b_out = _field_array(obj["b_out"], f"{what}.b_out", (d_out,))
-    try:
-        return Mlp(W_in=W_in, b_in=b_in, W_out=W_out, b_out=b_out,
-                   activation=obj.get("activation", "tanh"))
-    except DataError as exc:
-        raise DataError(f"model file: field {what!r}: {exc}") from exc
+    if obj.get("activation", "tanh") != "tanh":
+        raise DataError(f"model file: field {what + '.activation'!r} must be 'tanh', "
+                        f"got {obj['activation']!r}")
+    return Mlp(W_in=W_in, b_in=b_in, W_out=W_out, b_out=b_out)
 
 
 def model_to_json_dict(model: AnyModel) -> dict:
@@ -389,13 +389,4 @@ def save_model(model: AnyModel, path) -> None:
 
 
 def load_model(path) -> AnyModel:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise DataError(f"{path}: invalid JSON: {exc}") from exc
-    except RecursionError:
-        raise DataError(f"{path}: invalid JSON: arrays or objects nested too deeply") from None
-    return model_from_json_dict(obj)
+    return model_from_json_dict(load_json(path))

@@ -20,22 +20,14 @@ __all__ = [
     "init_small",
 ]
 
-_ACTIVATIONS = {"tanh"}
-
-
 @dataclass(frozen=True)
 class Mlp:
-    """Feed-forward net  z -> W_out * act(W_in z + b_in) + b_out.
-
-    Only tanh is supported; the activation tag exists for forward
-    compatibility of the serialized form.
-    """
+    """Feed-forward net  z -> W_out * tanh(W_in z + b_in) + b_out."""
 
     W_in: np.ndarray
     b_in: np.ndarray
     W_out: np.ndarray
     b_out: np.ndarray
-    activation: str = "tanh"
 
     def __post_init__(self):
         W_in = np.atleast_2d(np.asarray(self.W_in, dtype=float))
@@ -57,8 +49,6 @@ class Mlp:
             )
         if b_out.shape != (W_out.shape[0],):
             raise DataError(f"b_out has shape {b_out.shape}, expected ({W_out.shape[0]},)")
-        if not isinstance(self.activation, str) or self.activation not in _ACTIVATIONS:
-            raise DataError(f"unsupported activation {self.activation!r}")
         if not all(np.all(np.isfinite(M)) for M in (W_in, b_in, W_out, b_out)):
             raise DataError("network parameters contain non-finite entries")
 

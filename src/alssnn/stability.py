@@ -81,8 +81,8 @@ class IssCertificate:
             raise DataError(f"phi must lie in (0, 1], got {self.phi}")
         if not (self.psi > 0):
             raise DataError(f"psi must be positive, got {self.psi}")
-        if self.epsilon < 0:
-            raise DataError(f"epsilon must be non-negative, got {self.epsilon}")
+        if not (np.isfinite(self.epsilon) and self.epsilon >= 0):
+            raise DataError(f"epsilon must be finite and non-negative, got {self.epsilon}")
         object.__setattr__(self, "radius", self.psi * self.epsilon**2 / self.phi)
 
     @property
@@ -193,8 +193,8 @@ def solve_certificate(A: np.ndarray, epsilon: float) -> IssCertificate:
         raise DataError(f"A must be square, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
         raise DataError("A contains non-finite entries")
-    if epsilon < 0:
-        raise DataError(f"epsilon must be non-negative, got {epsilon}")
+    if not (np.isfinite(epsilon) and epsilon >= 0):
+        raise DataError(f"epsilon must be finite and non-negative, got {epsilon}")
     n = A.shape[0]
     rho = float(np.max(np.abs(np.linalg.eigvals(A))))
     if rho >= 1.0:

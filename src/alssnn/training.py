@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -54,53 +55,46 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Hyperparameters for the identification pipeline."""
+    """What a caller sets for one identification run: penalty weight, LM
+    iteration budget, hidden widths, seed of the nets' input layers and the
+    linear initializer's horizon (None: its default).
+
+    The rest are class constants, readable as `config.lambda0`. LM damping
+    starts at lambda0 and moves by lambda_up after a rejected step and by
+    lambda_down after an accepted one; a run stops once max |gradient| <
+    grad_tol, or once ten accepted steps lowered the loss by less than
+    loss_tol relative.
+    """
 
     gamma: float = 1.0
     max_iters: int = 300
     n_h: int = 10
     n_g: int = 10
-    lambda0: float = 1e-2
-    lambda_up: float = 10.0
-    lambda_down: float = 0.1
-    grad_tol: float = 1e-10
-    step_tol: float = 0.0
-    loss_tol: float = 1e-10
     seed: int = 0
-    freeze_C: bool = True
-    enforce_equilibrium: bool = True
     horizon: int | None = None
+
+    lambda0: ClassVar[float] = 1e-2
+    lambda_up: ClassVar[float] = 10.0
+    lambda_down: ClassVar[float] = 0.1
+    grad_tol: ClassVar[float] = 1e-10
+    loss_tol: ClassVar[float] = 1e-10
     # Multipliers on the freshly drawn input layer. Output weights start at
     # zero, so these cost nothing at iteration 0, but they set the basis the
     # optimizer gets to combine: wider input weights and, above all, nonzero
     # biases expose tanh curvature (even terms need bias offsets; an odd
     # function of a zero-mean signal cannot produce them).
-    hidden_gain: float = 2.0
-    hidden_bias_scale: float = 3.0
+    hidden_gain: ClassVar[float] = 2.0
+    hidden_bias_scale: ClassVar[float] = 3.0
 
     def __post_init__(self):
-        if self.gamma < 0:
-            raise DataError(f"gamma must be non-negative, got {self.gamma}")
+        if not (np.isfinite(self.gamma) and self.gamma >= 0):
+            raise DataError(f"gamma must be finite and non-negative, got {self.gamma}")
         if self.max_iters < 1:
             raise DataError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not (self.lambda0 > 0 and np.isfinite(self.lambda0)):
-            raise DataError(f"lambda0 must be positive, got {self.lambda0}")
-        if not (self.lambda_up > 1 and np.isfinite(self.lambda_up)):
-            raise DataError(f"lambda_up must exceed 1, got {self.lambda_up}")
-        if not (0 < self.lambda_down < 1):
-            raise DataError(f"lambda_down must lie in (0, 1), got {self.lambda_down}")
-        for name in ("grad_tol", "step_tol", "loss_tol"):
-            if getattr(self, name) < 0:
-                raise DataError(f"{name} must be non-negative")
         if self.n_h < 0 or self.n_g < 0:
             raise DataError("hidden sizes must be non-negative")
         if self.horizon is not None and self.horizon < 1:
             raise DataError(f"horizon must be >= 1, got {self.horizon}")
-        if not (self.hidden_gain > 0 and np.isfinite(self.hidden_gain)):
-            raise DataError(f"hidden_gain must be positive, got {self.hidden_gain}")
-        if not (self.hidden_bias_scale > 0 and np.isfinite(self.hidden_bias_scale)):
-            raise DataError(
-                f"hidden_bias_scale must be positive, got {self.hidden_bias_scale}")
 
 
 @dataclass(frozen=True)
@@ -194,19 +188,20 @@ def make_layout(model: AlSsnnModel, names, eq_constrained: bool = False) -> Para
     )
 
 
-def default_layout(model: AlSsnnModel, config: TrainConfig) -> ParamLayout:
-    """A and B free, C per freeze flag, all net weights except the constrained bias.
+def default_layout(model: AlSsnnModel) -> ParamLayout:
+    """The layout the model trains under, and lm_step's and jacobian_bptt's
+    default: A, B and every net weight free, C free unless model.c_frozen.
 
-    A GR model's empty h net is no parameter, and its g net (the f net) is
-    not pinned.
+    An AL model's g is pinned at its equilibrium, so g's output bias is no
+    parameter but follows from the rest. A GR model's empty h net is no
+    parameter, and its g net (the f net) is not pinned.
     """
     gr = isinstance(model, GrSsnnModel)
-    pinned = config.enforce_equilibrium and not gr
-    names = ["A", "B"] + ([] if config.freeze_C else ["C"])
+    names = ["A", "B"] + ([] if model.c_frozen else ["C"])
     names += [f"{tag}.{s}" for tag in (("g",) if gr else ("h", "g")) for s in _NET_SUFFIXES]
-    if pinned:
+    if not gr:
         names.remove("g.b_out")
-    return make_layout(model, names, eq_constrained=pinned)
+    return make_layout(model, names, eq_constrained=not gr)
 
 
 def _layout_slices(model: AlSsnnModel, layout: ParamLayout) -> tuple[dict, int]:
@@ -271,8 +266,8 @@ def _penalty_weight(model: AlSsnnModel, gamma: float) -> float | None:
     """sqrt(gamma), the weight of the penalty rows; None for GR, which has none."""
     if isinstance(model, GrSsnnModel):
         return None
-    if gamma < 0:
-        raise DataError(f"gamma must be non-negative, got {gamma}")
+    if not (np.isfinite(gamma) and gamma >= 0):
+        raise DataError(f"gamma must be finite and non-negative, got {gamma}")
     return np.sqrt(gamma)
 
 
@@ -319,12 +314,7 @@ def jacobian_bptt(model: AlSsnnModel, ds: Dataset, gamma: float = 0.0,
     streams J'J and J'r from; training itself never builds this matrix.
     """
     if layout is None:
-        layout = default_layout(
-            model,
-            TrainConfig(
-                freeze_C=getattr(model, "c_frozen", True), enforce_equilibrium=True
-            ),
-        )
+        layout = default_layout(model)
     if states is None:
         states = _run_states(simulate(model, ds.u))
     N, p = ds.n_samples, model.lin.n_outputs
@@ -566,14 +556,14 @@ def lm_step(model: AlSsnnModel, ds: Dataset, config: TrainConfig, lam: float,
     entries replaced by 1. Unlike LU with partial pivoting, Cholesky loses
     no accuracy to badly scaled parameters (the diagonal scaling of the
     system). Returns (model', lam', accepted); the model is returned
-    unchanged on rejection and lam moves by the configured factors. Solve
+    unchanged on rejection and lam moves by TrainConfig's factors. Solve
     failures (including a system that is not numerically positive definite)
     and divergent candidates count as rejections; the workspace records why
     (`last_reject_reason`: solve_failed, non_finite_step, invalid_params,
     diverged or no_decrease).
     """
     if layout is None:
-        layout = default_layout(model, config)
+        layout = default_layout(model)
     ws = workspace if workspace is not None else LmWorkspace()
     if not (_same_problem(ws.filled_for, model, ds, config.gamma)
             and ws.filled_for[3] == layout):
@@ -693,9 +683,9 @@ def _scale_input_layer(net: Mlp, scale: np.ndarray) -> Mlp:
     return replace(net, W_in=net.W_in / scale[None, :])
 
 
-def _enrich_basis(net: Mlp, config: TrainConfig) -> Mlp:
-    return replace(net, W_in=net.W_in * config.hidden_gain,
-                   b_in=net.b_in * config.hidden_bias_scale)
+def _enrich_basis(net: Mlp) -> Mlp:
+    return replace(net, W_in=net.W_in * TrainConfig.hidden_gain,
+                   b_in=net.b_in * TrainConfig.hidden_bias_scale)
 
 
 def _run_lm(model: AlSsnnModel, ds: Dataset, config: TrainConfig,
@@ -740,11 +730,6 @@ def _run_lm(model: AlSsnnModel, ds: Dataset, config: TrainConfig,
             if old - newest < config.loss_tol * max(old, 1e-300):
                 stop_reason = "loss_tol"
                 break
-        if accepted and config.step_tol > 0:
-            ref = np.linalg.norm(pack_params(model, layout)) + config.step_tol
-            if ws.last_step_norm <= config.step_tol * ref:
-                stop_reason = "step_tol"
-                break
     return model, {
         "init_loss": init_loss,
         "final_loss": cur_loss,
@@ -766,14 +751,13 @@ def _train(family: type, ds_train: Dataset, n: int, config: TrainConfig):
     lin0 = linear_init(ds_train, n, config.horizon)
     m, p = ds_train.n_inputs, ds_train.n_outputs
     y_scale, z_scale = _hidden_input_scales(lin0, ds_train)
-    h_net = _enrich_basis(init_small(p, config.n_h, m, scale=0.0, seed=config.seed), config)
-    g_net = _enrich_basis(init_small(n + m, config.n_g, n, scale=0.0, seed=config.seed + 1),
-                          config)
+    h_net = _enrich_basis(init_small(p, config.n_h, m, scale=0.0, seed=config.seed))
+    g_net = _enrich_basis(init_small(n + m, config.n_g, n, scale=0.0, seed=config.seed + 1))
     h_net = _scale_input_layer(h_net, y_scale)
     g_net = _scale_input_layer(g_net, z_scale)
     model = family(lin=lin0, h_net=h_net, g_net=g_net,
-                   eq=Equilibrium(x_e=np.zeros(n), u_e=np.zeros(m)), c_frozen=config.freeze_C)
-    layout = default_layout(model, config)
+                   eq=Equilibrium(x_e=np.zeros(n), u_e=np.zeros(m)))
+    layout = default_layout(model)
     if layout.eq_constrained:
         model = replace(model, g_net=enforce_equilibrium_zero(model.g_net, model.eq))
     model, stats = _run_lm(model, ds_train, config, layout)
@@ -809,7 +793,7 @@ def train(ds_train: Dataset, n: int, config: TrainConfig) -> tuple[AlSsnnModel, 
 
     Linear init fixes the starting (A, B, C); both nets start as exact zero
     functions, so iteration 0 reproduces the linear model's loss. C stays at
-    its initial value when freeze_C is set. The returned loss never exceeds
+    its initial value (the model is c_frozen). The returned loss never exceeds
     the initialization's (steps are only ever accepted on strict decrease).
     """
     return _train(AlSsnnModel, ds_train, n, config)
@@ -819,6 +803,6 @@ def train_gr(ds_train: Dataset, n: int, n_f: int,
              config: TrainConfig) -> tuple[GrSsnnModel, TrainReport]:
     """Baseline pipeline: train's, with an empty h net and an f net of n_f
     units in g's place; no equilibrium pin and no penalty. The report's
-    config records n_h = 0, n_g = n_f and enforce_equilibrium = False."""
-    config = replace(config, n_h=0, n_g=n_f, enforce_equilibrium=False)
+    config records n_h = 0 and n_g = n_f."""
+    config = replace(config, n_h=0, n_g=n_f)
     return _train(GrSsnnModel, ds_train, n, config)

@@ -186,7 +186,7 @@ def test_criterion_01_jacobian_matches_finite_differences():
         else:
             model = _rand_gr(rng, n, m, p)
         ds = _rand_ds(rng, N, m, p, model)
-        layout = default_layout(model, TrainConfig(gamma=gamma))
+        layout = default_layout(model)
         J = jacobian_bptt(model, ds, gamma, layout=layout)
         J_fd = _fd_jacobian(model, ds, gamma, layout)
         rel = np.linalg.norm(J - J_fd) / max(np.linalg.norm(J_fd), 1e-12)

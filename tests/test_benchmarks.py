@@ -132,8 +132,8 @@ def test_default_prey_predator_bounded_and_alive():
 
 
 def test_prey_predator_deterministic():
-    a = simulate_prey_predator(PreyPredatorParams(), SinusoidalForcing(), 400, seed=3)
-    b = simulate_prey_predator(PreyPredatorParams(), SinusoidalForcing(), 400, seed=3)
+    a = simulate_prey_predator(PreyPredatorParams(), SinusoidalForcing(), 400)
+    b = simulate_prey_predator(PreyPredatorParams(), SinusoidalForcing(), 400)
     assert np.array_equal(a.u, b.u)
     assert np.array_equal(a.y, b.y)
 

@@ -136,6 +136,16 @@ def test_identify_bad_gamma(ws, tmp_path, capsys):
     assert "--gamma expects" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("gamma", ["nan", "inf", "1,nan"])
+def test_identify_non_finite_gamma_exit_2(ws, tmp_path, capsys, gamma):
+    rc = main(["identify", "al-ssnn", "--data", str(ws["wh"]), "--order", "2",
+               "--nh", "2", "--ng", "2", "--iters", "3", "--gamma", gamma,
+               "-o", str(tmp_path / "x")])
+    assert rc == 2
+    assert "gamma must be finite and non-negative" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------- evaluate
 
 def test_evaluate_whole_record(ws, tmp_path):
@@ -287,6 +297,15 @@ def test_certify_epsilon_override_zero(ws, tmp_path):
     assert cert["epsilon_source"] == "override"
 
 
+@pytest.mark.parametrize("epsilon", ["nan", "inf"])
+def test_certify_non_finite_epsilon_exit_2(ws, tmp_path, capsys, epsilon):
+    assert main(["certify", "--model", str(ws["al"]) + ".model.json",
+                 "--data", str(ws["wh"]), "--epsilon", epsilon,
+                 "-o", str(tmp_path / "c")]) == 2
+    assert "epsilon must be finite and non-negative" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def certify_zero_net_model(tmp_path, a):
     """Run certify on x+ = a x + u with zero nets; returns the exit code."""
     lin = LinearSS(A=np.array([[a]]), B=np.array([[1.0]]), C=np.array([[1.0]]))
@@ -347,6 +366,15 @@ def test_run_pipeline_shape_validation(tmp_path, capsys):
     bad.write_text(json.dumps({"steps": "gen-data"}))
     assert main(["run", str(bad)]) == 2
     assert "pipeline must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [b'{"steps": "\xff"}', b"[" * 100_000],
+                         ids=["not_utf8", "nested_too_deep"])
+def test_run_malformed_pipeline_file_exit_2(tmp_path, capsys, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    assert main(["run", str(bad)]) == 2
+    assert "invalid JSON" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- exit codes

@@ -73,30 +73,16 @@ def test_estimate_markov_two_state_oracle():
     assert worst < 1e-8
 
 
-def test_estimate_markov_rank_deficient_error():
+def test_estimate_markov_regularized_decays():
     t = np.arange(300.0)
     u = np.sin(0.3 * t)  # single sinusoid: lag space has rank 2
     ds = Dataset(u, np.sin(0.3 * t + 0.5), dt=1.0)
-    with pytest.raises(NumericalError, match="rank deficient"):
-        estimate_markov(ds, 8)
-
-
-def test_estimate_markov_regularized_decays():
-    t = np.arange(300.0)
-    u = np.sin(0.3 * t)
-    ds = Dataset(u, np.sin(0.3 * t + 0.5), dt=1.0)
-    G = estimate_markov(ds, 12, on_deficient="regularize")
+    G = estimate_markov(ds, 12)
     assert len(G) == 12
     mags = np.array([np.linalg.norm(g) for g in G])
     # decay prior: the tail must not dominate
     assert mags[-1] < mags.max()
     assert np.all(np.isfinite(mags))
-
-
-def test_estimate_markov_policy_validated():
-    ds = lin_data(two_state(), 100)
-    with pytest.raises(DataError):
-        estimate_markov(ds, 4, on_deficient="ignore")
 
 
 def test_estimate_markov_needs_enough_samples():
@@ -213,7 +199,7 @@ def test_linear_init_blind_trigger_and_swap():
     from alssnn.linear_id import _is_output_blind
 
     ds = blind_data()
-    markov = estimate_markov(ds, default_horizon(2), on_deficient="regularize")
+    markov = estimate_markov(ds, default_horizon(2))
     fir = ho_kalman(markov, 2)
     rho = fir.spectral_radius()
     if rho >= 1.0:
@@ -226,7 +212,7 @@ def test_linear_init_blind_trigger_and_swap():
 def test_linear_init_well_excited_record_keeps_fir_route():
     ds = lin_data(two_state(), 600, seed=4)
     lin = linear_init(ds, 2)
-    markov = estimate_markov(ds, default_horizon(2), on_deficient="regularize")
+    markov = estimate_markov(ds, default_horizon(2))
     fir = ho_kalman(markov, 2)
     assert np.allclose(lin.A, fir.A) and np.allclose(lin.B, fir.B)
     assert np.allclose(lin.C, fir.C)

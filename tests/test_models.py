@@ -311,6 +311,14 @@ def test_from_json_dict_array_not_fitting_dims():
         model_from_json_dict(obj)
 
 
+def test_from_json_dict_activation_key_is_optional():
+    obj = model_to_json_dict(al_model())
+    assert obj["h_net"]["activation"] == obj["g_net"]["activation"] == "tanh"
+    del obj["h_net"]["activation"], obj["g_net"]["activation"]
+    back = model_from_json_dict(obj)
+    assert np.array_equal(back.g_net.W_in, al_model().g_net.W_in)
+
+
 def test_from_json_dict_missing_dims_key():
     obj = model_to_json_dict(small_gr())
     del obj["dims"]["n"]
@@ -319,7 +327,8 @@ def test_from_json_dict_missing_dims_key():
 
 
 @pytest.mark.parametrize("model, path, value, field", [
-    (al_model(), ("h_net", "activation"), [1], "'h_net'"),
+    (al_model(), ("h_net", "activation"), [1], "'h_net.activation'"),
+    (al_model(), ("g_net", "activation"), "relu", "'g_net.activation'"),
     (al_model(), ("c_frozen",), "false", "'c_frozen'"),
     (al_model(), ("dims", "n_h"), 5, "'dims.n_h'"),
     (al_model(), ("dims", "n_g"), 3, "'dims.n_g'"),
@@ -327,11 +336,12 @@ def test_from_json_dict_missing_dims_key():
     (al_model(), ("B",), [[1.0, 0.5]], "'B'"),
     (small_lin(), ("A",), [[True, 0.0], [0.0, 0.5]], "'A'"),
     (small_lin(), ("h_net",), {}, "'h_net'"),
-], ids=["activation_list", "flag_string", "n_h", "n_g", "n_f", "transposed",
-        "true_as_number", "field_of_another_family"])
+], ids=["activation_list", "activation_relu", "flag_string", "n_h", "n_g", "n_f",
+        "transposed", "true_as_number", "field_of_another_family"])
 def test_from_json_dict_mistyped_field_is_named(model, path, value, field):
-    # a list as activation, "false" as a flag, widths the nets do not have, a
-    # transposed matrix, true as a number and a field of another family
+    # a list or another name as activation, "false" as a flag, widths the
+    # nets do not have, a transposed matrix, true as a number and a field of
+    # another family
     obj = model_to_json_dict(model)
     parent = obj
     for key in path[:-1]:

@@ -16,7 +16,7 @@ import numpy as np
 from .dataio import Dataset
 from .errors import DataError, NumericalError
 from .linear_id import LinearSS
-from .models import simulate
+from .models import DIVERGENCE_BOUND, simulate
 
 __all__ = [
     "PreyPredatorParams",
@@ -209,8 +209,8 @@ class WhParams:
                 )
         if self.nl_kind not in ("tanh-poly", "identity"):
             raise DataError(f"unknown nonlinearity kind {self.nl_kind!r}")
-        if self.noise_std < 0:
-            raise DataError(f"noise_std must be non-negative, got {self.noise_std}")
+        if not (np.isfinite(self.noise_std) and self.noise_std >= 0):
+            raise DataError(f"noise_std must be finite and non-negative, got {self.noise_std}")
 
     def nonlinearity(self, z: np.ndarray) -> np.ndarray:
         if self.nl_kind == "identity":
@@ -235,8 +235,8 @@ class WhInputSpec:
     smoothing: float = 0.5
 
     def __post_init__(self):
-        if self.std <= 0:
-            raise DataError(f"input std must be positive, got {self.std}")
+        if not (np.isfinite(self.std) and self.std > 0):
+            raise DataError(f"input std must be finite and positive, got {self.std}")
         if not (0 <= self.smoothing < 1):
             raise DataError(f"smoothing must lie in [0, 1), got {self.smoothing}")
 
@@ -254,16 +254,30 @@ class WhInputSpec:
         return (u * (self.std / s)).reshape(-1, 1)
 
 
+def _block_output(block: LinearSS, u: np.ndarray, name: str) -> np.ndarray:
+    traj = simulate(block, u)
+    if traj.diverged:
+        raise NumericalError(
+            f"wh-synthetic {name} block diverged at step {traj.diverged_at} "
+            f"(state norm above {DIVERGENCE_BOUND:g}); reduce the input std"
+        )
+    return traj.y
+
+
 def generate_wh(params: WhParams, input_spec: WhInputSpec, N: int,
                 seed: int = 0) -> Dataset:
-    """u -> front LTI -> static nonlinearity -> back LTI (+ output noise)."""
+    """u -> front LTI -> static nonlinearity -> back LTI (+ output noise).
+
+    Raises NumericalError when a block's free run leaves the simulation
+    bound, naming the block and the step.
+    """
     if N < 2:
         raise DataError(f"need at least 2 samples, got {N}")
     rng = np.random.default_rng(seed)
     u = input_spec.sample(N, rng)
-    z1 = simulate(params.front, u).y
+    z1 = _block_output(params.front, u, "front")
     z2 = params.nonlinearity(z1)
-    y = simulate(params.back, z2).y
+    y = _block_output(params.back, z2, "back")
     if params.noise_std > 0:
         y = y + rng.normal(0.0, params.noise_std, size=y.shape)
     return Dataset(u=u, y=y, name="wh-synthetic")

@@ -211,11 +211,10 @@ def ratio_stats(model, ds: Dataset) -> RatioStats:
 def estimate_epsilon(model: AlSsnnModel, datasets, records=()) -> float:
     """Data-driven disturbance bound: the largest residual norm observed.
 
-    Takes the max over open-loop ||g(x(k), u(k))|| on every dataset and, for
-    any closed-loop records supplied, over their ||omega(k)|| as well.
+    Takes the max over open-loop ||g(x(k), u(k))|| on every dataset of the
+    sequence `datasets` and, for any closed-loop records supplied, over
+    their ||omega(k)|| as well.
     """
-    if isinstance(datasets, Dataset):
-        datasets = [datasets]
     datasets = list(datasets)
     records = list(records)
     if not datasets and not records:
@@ -231,9 +230,17 @@ def estimate_epsilon(model: AlSsnnModel, datasets, records=()) -> float:
     return eps
 
 
+def _output_error(model, ds: Dataset) -> np.ndarray:
+    """y(k) - y_model(k) of the free run from x(0) = 0, one row per sample."""
+    lin = _lin_of(model)
+    if ds.n_outputs != lin.n_outputs:
+        raise DataError(f"record has {ds.n_outputs} output(s), model has {lin.n_outputs}")
+    return ds.y - _run_states(simulate(model, ds.u)) @ lin.C.T
+
+
 def rmse(model, ds: Dataset) -> float:
     """Free-run output error sqrt((1/N) sum ||y(k) - y_model(k)||^2), x(0) = 0."""
-    e = ds.y - _run_states(simulate(model, ds.u)) @ _lin_of(model).C.T
+    e = _output_error(model, ds)
     return float(np.sqrt(np.mean(np.sum(e**2, axis=1))))
 
 
@@ -248,6 +255,5 @@ def rmse_split(model, ds: Dataset, train_fraction: float) -> tuple[float, float]
     the split point).
     """
     k = SplitSpec(train_fraction).index(ds.n_samples)
-    X = _run_states(simulate(model, ds.u))
-    se = np.sum((ds.y - X @ _lin_of(model).C.T) ** 2, axis=1)
+    se = np.sum(_output_error(model, ds) ** 2, axis=1)
     return float(np.sqrt(np.mean(se[:k]))), float(np.sqrt(np.mean(se[k:])))

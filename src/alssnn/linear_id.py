@@ -77,8 +77,6 @@ class LinearSS:
         A = np.atleast_2d(np.asarray(self.A, dtype=float))
         B = np.atleast_2d(np.asarray(self.B, dtype=float))
         C = np.atleast_2d(np.asarray(self.C, dtype=float))
-        if B.shape[0] != A.shape[0] and B.shape[1] == A.shape[0]:
-            B = B.T
         for M in (A, B, C):
             M.setflags(write=False)
         object.__setattr__(self, "A", A)

@@ -13,6 +13,11 @@ chunk's rows [J | r] go through one dsyrk into [J | r]'[J | r], which holds
 J'J and J'r, so training never holds the full Jacobian; jacobian_bptt is
 the assembled matrix from the same pass.
 
+The model fixes its own parameter vector (pack_params): A, B, C unless
+model.c_frozen, and its nets' weights. An AL model's g is pinned at the
+equilibrium, g(x_e, u_e) = 0, so g's output bias is no parameter but is
+recomputed from the rest after every update.
+
 The GR baseline is an AL model with an empty h net (models.GrSsnnModel):
 it trains through the same initialisation, sensitivity pass and LM loop,
 with its f net as the g net, no equilibrium pin and no penalty rows.
@@ -38,11 +43,8 @@ from .nets import Equilibrium, Mlp, enforce_equilibrium_zero, init_small, mlp_fo
 __all__ = [
     "TrainConfig",
     "ResidualVector",
-    "ParamLayout",
     "TrainReport",
     "LmWorkspace",
-    "default_layout",
-    "make_layout",
     "pack_params",
     "unpack_params",
     "residuals",
@@ -127,91 +129,15 @@ class ResidualVector:
         return out, pen
 
 
-# --- parameter layout -------------------------------------------------------
+# --- parameter vector -------------------------------------------------------
 
 _NET_SUFFIXES = ("W_in", "b_in", "W_out", "b_out")
 
 
-def _catalog(model: AlSsnnModel) -> list[tuple[str, int]]:
-    """Canonical (block name, size) order for the model's free parameters."""
-    lin = model.lin
-    n, m, p = lin.n_states, lin.n_inputs, lin.n_outputs
-    out = [("A", n * n), ("B", n * m), ("C", p * n)]
-    for tag, net in (("h", model.h_net), ("g", model.g_net)):
-        h, d_in, d_out = net.n_hidden, net.d_in, net.d_out
-        out += [
-            (f"{tag}.W_in", h * d_in),
-            (f"{tag}.b_in", h),
-            (f"{tag}.W_out", d_out * h),
-            (f"{tag}.b_out", d_out),
-        ]
-    return out
-
-
-@dataclass(frozen=True)
-class ParamLayout:
-    """Ordered subset of parameter blocks exposed to the optimizer.
-
-    eq_constrained marks g's output bias as a dependent quantity: it is
-    recomputed after every unpack so g(x_e, u_e) = 0 holds exactly, and the
-    Jacobian uses the correspondingly corrected columns.
-    """
-
-    blocks: tuple[str, ...]
-    eq_constrained: bool = False
-
-    def __post_init__(self):
-        if len(set(self.blocks)) != len(self.blocks):
-            raise DataError("layout contains duplicate blocks")
-        if len(self.blocks) == 0:
-            raise DataError("layout must expose at least one block")
-        if self.eq_constrained and "g.b_out" in self.blocks:
-            raise DataError(
-                "g.b_out cannot be a free parameter while the equilibrium "
-                "constraint determines it"
-            )
-
-
-def make_layout(model: AlSsnnModel, names, eq_constrained: bool = False) -> ParamLayout:
-    """Layout from a set of block names, normalized to canonical order."""
-    known = [name for name, _ in _catalog(model)]
-    wanted = set(names)
-    unknown = wanted - set(known)
-    if unknown:
-        raise DataError(f"unknown parameter blocks: {sorted(unknown)}")
-    if eq_constrained and isinstance(model, GrSsnnModel):
-        raise DataError("equilibrium constraint applies only to models with a g net "
-                        "pinned at an equilibrium, which gr-ssnn is not")
-    return ParamLayout(
-        blocks=tuple(name for name in known if name in wanted),
-        eq_constrained=eq_constrained,
-    )
-
-
-def default_layout(model: AlSsnnModel) -> ParamLayout:
-    """The layout the model trains under, and lm_step's and jacobian_bptt's
-    default: A, B and every net weight free, C free unless model.c_frozen.
-
-    An AL model's g is pinned at its equilibrium, so g's output bias is no
-    parameter but follows from the rest. A GR model's empty h net is no
-    parameter, and its g net (the f net) is not pinned.
-    """
-    gr = isinstance(model, GrSsnnModel)
-    names = ["A", "B"] + ([] if model.c_frozen else ["C"])
-    names += [f"{tag}.{s}" for tag in (("g",) if gr else ("h", "g")) for s in _NET_SUFFIXES]
-    if not gr:
-        names.remove("g.b_out")
-    return make_layout(model, names, eq_constrained=not gr)
-
-
-def _layout_slices(model: AlSsnnModel, layout: ParamLayout) -> tuple[dict, int]:
-    sizes = dict(_catalog(model))
-    cols = {}
-    off = 0
-    for name in layout.blocks:
-        cols[name] = slice(off, off + sizes[name])
-        off += sizes[name]
-    return cols, off
+def _pinned(model: AlSsnnModel) -> bool:
+    """Whether g is pinned at the equilibrium, g(x_e, u_e) = 0: for AL, not
+    for GR. A pinned g has penalty rows and no free output bias."""
+    return not isinstance(model, GrSsnnModel)
 
 
 def _block_array(model: AlSsnnModel, name: str) -> np.ndarray:
@@ -221,41 +147,53 @@ def _block_array(model: AlSsnnModel, name: str) -> np.ndarray:
     return getattr(getattr(model, f"{tag}_net"), suffix)
 
 
-def pack_params(model: AlSsnnModel, layout: ParamLayout) -> np.ndarray:
-    return np.concatenate([_block_array(model, b).ravel() for b in layout.blocks])
+def _param_slices(model: AlSsnnModel) -> tuple[dict[str, slice], int]:
+    """Columns of each free block in the parameter vector, and its length P.
 
-
-def unpack_params(model: AlSsnnModel, layout: ParamLayout,
-                  theta: np.ndarray) -> AlSsnnModel:
-    """Rebuild the model from a flat parameter vector.
-
-    Blocks outside the layout keep their current values; when the layout is
-    equilibrium-constrained, g's output bias is recomputed afterwards.
+    A and B are free, C unless model.c_frozen. An AL model frees every h and
+    g weight but g's output bias, which its pin determines; a GR model frees
+    its g net (the f net) and has no h blocks.
     """
-    cols, total = _layout_slices(model, layout)
+    pinned = _pinned(model)
+    names = ["A", "B"] + ([] if model.c_frozen else ["C"])
+    names += [f"{tag}.{s}" for tag in (("h", "g") if pinned else ("g",))
+              for s in _NET_SUFFIXES]
+    if pinned:
+        names.remove("g.b_out")
+    cols, P = {}, 0
+    for name in names:
+        size = _block_array(model, name).size
+        cols[name] = slice(P, P + size)
+        P += size
+    return cols, P
+
+
+def pack_params(model: AlSsnnModel) -> np.ndarray:
+    return np.concatenate([_block_array(model, name).ravel()
+                           for name in _param_slices(model)[0]])
+
+
+def unpack_params(model: AlSsnnModel, theta: np.ndarray) -> AlSsnnModel:
+    """Rebuild the model from a flat parameter vector laid out as
+    pack_params's. A pinned g gets its output bias recomputed afterwards."""
+    cols, total = _param_slices(model)
     theta = np.asarray(theta, dtype=float).reshape(-1)
     if theta.shape != (total,):
         raise DataError(f"parameter vector length {theta.shape[0]} != {total}")
-    new = {name: theta[sl] for name, sl in cols.items()}
 
-    lin = model.lin
-    lin_updates = {}
-    for name in ("A", "B", "C"):
-        if name in new:
-            lin_updates[name] = new[name].reshape(getattr(lin, name).shape)
-    if lin_updates:
-        lin = replace(lin, **lin_updates)
+    def block(name: str) -> np.ndarray:
+        return theta[cols[name]].reshape(_block_array(model, name).shape)
+
+    lin = replace(model.lin, **{name: block(name) for name in ("A", "B", "C")
+                                if name in cols})
 
     def rebuild(net: Mlp, tag: str) -> Mlp:
-        updates = {}
-        for suffix in _NET_SUFFIXES:
-            key = f"{tag}.{suffix}"
-            if key in new:
-                updates[suffix] = new[key].reshape(getattr(net, suffix).shape)
+        updates = {suffix: block(f"{tag}.{suffix}") for suffix in _NET_SUFFIXES
+                   if f"{tag}.{suffix}" in cols}
         return replace(net, **updates) if updates else net
 
     g_net = rebuild(model.g_net, "g")
-    if layout.eq_constrained:
+    if _pinned(model):
         g_net = enforce_equilibrium_zero(g_net, model.eq)
     return replace(model, lin=lin, h_net=rebuild(model.h_net, "h"), g_net=g_net)
 
@@ -264,7 +202,7 @@ def unpack_params(model: AlSsnnModel, layout: ParamLayout,
 
 def _penalty_weight(model: AlSsnnModel, gamma: float) -> float | None:
     """sqrt(gamma), the weight of the penalty rows; None for GR, which has none."""
-    if isinstance(model, GrSsnnModel):
+    if not _pinned(model):
         return None
     if not (np.isfinite(gamma) and gamma >= 0):
         raise DataError(f"gamma must be finite and non-negative, got {gamma}")
@@ -298,31 +236,26 @@ def _tanh_stats(net: Mlp, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return t, 1.0 - t**2
 
 
-def jacobian_bptt(model: AlSsnnModel, ds: Dataset, gamma: float = 0.0,
-                  layout: ParamLayout | None = None,
-                  states: np.ndarray | None = None) -> np.ndarray:
-    """Exact residual Jacobian, shape (N*(p [+ n]), P).
+def jacobian_bptt(model: AlSsnnModel, ds: Dataset, gamma: float = 0.0) -> np.ndarray:
+    """Exact residual Jacobian, shape (N*(p [+ n]), P), columns in
+    pack_params's order.
 
     State sensitivities follow S(k+1) = F_x(k) S(k) + F_theta(k) with
     S(0) = 0 (the initial state is fixed, not a parameter); output rows are
     -C S(k) plus the direct C term when C is free, penalty rows are
-    sqrt(gamma) * (dg/dx S(k) + dg/dtheta_g). `states`, the model's free run
-    on ds.u (at least N rows, e.g. ResidualVector.states), saves simulating
-    it again.
+    sqrt(gamma) * (dg/dx S(k) + dg/dtheta_g).
 
     This is the assembled form of the chunked sensitivity pass that lm_step
-    streams J'J and J'r from; training itself never builds this matrix.
+    streams J'J and J'r from, kept as the reference that finite differences
+    check; training itself never builds this matrix.
     """
-    if layout is None:
-        layout = default_layout(model)
-    if states is None:
-        states = _run_states(simulate(model, ds.u))
+    states = _run_states(simulate(model, ds.u))
     N, p = ds.n_samples, model.lin.n_outputs
     q = 0 if _penalty_weight(model, gamma) is None else model.lin.n_states
-    P = _layout_slices(model, layout)[1]
+    P = _param_slices(model)[1]
     J = np.empty((N * (p + q), P))
     J_out, J_pen = J[: N * p].reshape(N, p, P), J[N * p :].reshape(N, q, P)
-    for k0, k1, rows in _sensitivity_chunks(model, ds, gamma, layout, states):
+    for k0, k1, rows in _sensitivity_chunks(model, ds, gamma, states):
         J_out[k0:k1] = rows[:, :p, :P]
         J_pen[k0:k1] = rows[:, p:, :P]
     return J
@@ -357,11 +290,11 @@ def _fill_outer(out: np.ndarray, left: np.ndarray, right: np.ndarray) -> None:
 
 
 def _sensitivity_chunks(model: AlSsnnModel, ds: Dataset, gamma: float,
-                        layout: ParamLayout, states: np.ndarray,
-                        r: np.ndarray | None = None):
+                        states: np.ndarray, r: np.ndarray | None = None):
     """Rows [J | r] of jacobian_bptt's matrix, chunk by chunk.
 
-    Yields (k0, k1, R) for samples k0..k1-1. R has shape
+    `states` is the model's free run x(0..N-1) on ds.u. Yields (k0, k1, R)
+    for samples k0..k1-1. R has shape
     (k1 - k0, p + q, P + 1): R[k - k0] holds sample k's p output rows, then
     its q penalty rows (q = n, or 0 for a GR model, which has no penalty),
     and its last column their residuals from r (unset when r is None). R is
@@ -374,20 +307,17 @@ def _sensitivity_chunks(model: AlSsnnModel, ds: Dataset, gamma: float,
     its g columns, which are dg/dtheta_g, are still there after the
     recursion: the rows are [-C; sqrt(gamma) G_x(k)] S(k) on the other
     columns and [-C, 0; sqrt(gamma) G_x(k), sqrt(gamma) I] [S(k); F(k)] on
-    the g columns, the last block of the layout.
+    the g columns, the last blocks of the parameter vector.
     """
     lin = model.lin
     A, B, C = lin.A, lin.B, lin.C
     n, m, p = lin.n_states, lin.n_inputs, lin.n_outputs
-    N = ds.n_samples
-    X = np.asarray(states, dtype=float)[:N]
-    if X.shape != (N, n):
-        raise DataError(f"states have shape {X.shape}, expected ({N}, {n})")
+    N, X = ds.n_samples, states
     h_net, g_net, sqrt_g = model.h_net, model.g_net, _penalty_weight(model, gamma)
     n_h, n_g = h_net.n_hidden, g_net.n_hidden
     q = 0 if sqrt_g is None else n
-    cols, P = _layout_slices(model, layout)
-    g0 = min((sl.start for name, sl in cols.items() if name.startswith("g.")), default=P)
+    cols, P = _param_slices(model)
+    g0 = cols["g.W_in"].start
 
     c_max = min(N, _chunk_len(n, P))
     SF = np.zeros((c_max + 1, 2 * n, P))   # SF[k] = [S(k); F(k)]; SF[0] starts the chunk
@@ -405,7 +335,7 @@ def _sensitivity_chunks(model: AlSsnnModel, ds: Dataset, gamma: float,
     # of an outer product as (c, n, rows, width). The C columns of the
     # output rows also take the direct term of C in y = C x.
     diag = {name: _diagonal_blocks(F, cols[name].start, width)
-            for name, width in (("A", n), ("B", m), ("g.W_out", n_g)) if name in cols}
+            for name, width in (("A", n), ("B", m), ("g.W_out", n_g))}
     outer = {name: F[:, :, cols[name]].reshape(c_max, n, rows, width)
              for name, rows, width in (("C", p, n), ("h.W_in", n_h, p),
                                        ("h.W_out", m, n_h), ("g.W_in", n_g, n + m))
@@ -419,7 +349,7 @@ def _sensitivity_chunks(model: AlSsnnModel, ds: Dataset, gamma: float,
     # columns lose the equilibrium point's: t - t_e, ws - ws_e and
     # ws z - ws_e z_e (whose second term vanishes at z_e = 0).
     t_e, ws_e, z_e = np.zeros(n_g), np.zeros((n, n_g)), None
-    if layout.eq_constrained:
+    if _pinned(model):
         z = model.eq.stacked()
         t_e, s_e = _tanh_stats(g_net, z[None, :])
         ws_e = s_e * g_net.W_out
@@ -442,10 +372,8 @@ def _sensitivity_chunks(model: AlSsnnModel, ds: Dataset, gamma: float,
         Gx = ws @ W_gx                            # dg/dx, (c, n, n)
         FxI[:c, :, :n] = A + BH @ C + Gx
 
-        if "A" in diag:
-            diag["A"][:c] = Xc[:, None, :]
-        if "B" in diag:
-            diag["B"][:c] = (U + (th @ h_net.W_out.T + h_net.b_out))[:, None, :]
+        diag["A"][:c] = Xc[:, None, :]
+        diag["B"][:c] = (U + (th @ h_net.W_out.T + h_net.b_out))[:, None, :]
         if "C" in outer:
             _fill_outer(outer["C"][:c], BH, Xc)
         if "h.W_in" in outer:
@@ -454,14 +382,11 @@ def _sensitivity_chunks(model: AlSsnnModel, ds: Dataset, gamma: float,
             Fc[:, :, cols["h.b_in"]] = Bws
         if "h.W_out" in outer:
             np.multiply(B[:, :, None], th[:, None, None, :], out=outer["h.W_out"][:c])
-        if "g.W_in" in outer:
-            _fill_outer(outer["g.W_in"][:c], ws, Z)
-            if z_e is not None:
-                outer["g.W_in"][:c] -= ws_e[:, :, None] * z_e
-        if "g.b_in" in cols:
-            np.subtract(ws, ws_e, out=Fc[:, :, cols["g.b_in"]])
-        if "g.W_out" in diag:
-            np.subtract(tg[:, None, :], t_e, out=diag["g.W_out"][:c])
+        _fill_outer(outer["g.W_in"][:c], ws, Z)
+        if z_e is not None:
+            outer["g.W_in"][:c] -= ws_e[:, :, None] * z_e
+        np.subtract(ws, ws_e, out=Fc[:, :, cols["g.b_in"]])
+        np.subtract(tg[:, None, :], t_e, out=diag["g.W_out"][:c])
 
         for fxi, sf, s_next in zip(FxI[:c], SF[:c], S[1 : c + 1]):
             fxi.dot(sf, s_next)   # the method skips np.dot's dispatcher
@@ -481,7 +406,7 @@ def _sensitivity_chunks(model: AlSsnnModel, ds: Dataset, gamma: float,
 
 
 def _normal_equations(model: AlSsnnModel, ds: Dataset, gamma: float,
-                      layout: ParamLayout, rv: ResidualVector):
+                      rv: ResidualVector):
     """J'J and J'r accumulated chunk by chunk; the full J is never formed.
 
     Each cache-sized chunk of rows [J | r] adds to the upper triangle of
@@ -489,9 +414,9 @@ def _normal_equations(model: AlSsnnModel, ds: Dataset, gamma: float,
     and the rest of its last column. The lower triangle of J'J is mirrored
     once at the end, so J'J is exactly symmetric.
     """
-    P = _layout_slices(model, layout)[1]
+    P = _param_slices(model)[1]
     G = np.zeros((P + 1, P + 1), order="F")
-    for _, _, rows in _sensitivity_chunks(model, ds, gamma, layout, rv.states, rv.r):
+    for _, _, rows in _sensitivity_chunks(model, ds, gamma, rv.states, rv.r):
         G = dsyrk(1.0, rows.reshape(-1, P + 1).T, beta=1.0, c=G, overwrite_c=1)
     for j in range(P - 1):
         G[j + 1 : P, j] = G[j, j + 1 : P]
@@ -501,7 +426,8 @@ def _normal_equations(model: AlSsnnModel, ds: Dataset, gamma: float,
 # --- Levenberg-Marquardt ----------------------------------------------------
 
 def _same_problem(key: tuple | None, model, ds: Dataset, gamma: float) -> bool:
-    """Whether a cache key starts with this (model, dataset, gamma)."""
+    """Whether a cache key (filled_for or accepted) starts with this
+    (model, dataset, gamma)."""
     return key is not None and key[0] is model and key[1] is ds and key[2] == gamma
 
 
@@ -510,17 +436,17 @@ class LmWorkspace:
     """Cache shared across lm_step calls while the model is unchanged.
 
     Callers must leave `filled_for` and `accepted` alone. `filled_for` is the
-    (model, dataset, gamma, layout) the cached loss, J'J and J'r belong to;
-    lm_step refills the cache whenever it is called with anything else. It
-    clears the old J'J, J'r and key first, then streams the new ones from
-    one dsyrk per cache-sized chunk of rows [J | r], without forming J (J'J
-    is exactly symmetric).
-    `accepted` keeps the (model, dataset, gamma, residuals) of the last
-    accepted candidate, so the refill for that model reuses the candidate's
-    free run instead of simulating it again; `loss` still holds the loss of
-    the model the accepted step started from. The counters add up over all
-    calls sharing the workspace: one free run per residual evaluation, one
-    Jacobian per refill and one solve per damped system attempted.
+    (model, dataset, gamma) the cached loss, J'J and J'r belong to; lm_step
+    refills the cache whenever it is called with anything else. It clears
+    the old J'J, J'r and key first, then streams the new ones from one dsyrk
+    per cache-sized chunk of rows [J | r], without forming J (J'J is exactly
+    symmetric). `accepted` keeps the (model, dataset, gamma, residuals) of
+    the last accepted candidate, so the refill for that model reuses the
+    candidate's free run instead of simulating it again; `loss` still holds
+    the loss of the model the accepted step started from. The counters add
+    up over all calls sharing the workspace: one free run per residual
+    evaluation, one Jacobian per refill and one solve per damped system
+    attempted.
     """
 
     filled_for: tuple | None = field(default=None, repr=False)
@@ -548,9 +474,9 @@ class LmWorkspace:
 
 
 def lm_step(model: AlSsnnModel, ds: Dataset, config: TrainConfig, lam: float,
-            layout: ParamLayout | None = None,
             workspace: LmWorkspace | None = None):
-    """One damped Gauss-Newton step with strict-decrease acceptance.
+    """One damped Gauss-Newton step with strict-decrease acceptance, over
+    the parameters the model frees (pack_params).
 
     Solves (J'J + lam*diag(J'J)) delta = -J'r by Cholesky, zero diagonal
     entries replaced by 1. Unlike LU with partial pivoting, Cholesky loses
@@ -562,21 +488,18 @@ def lm_step(model: AlSsnnModel, ds: Dataset, config: TrainConfig, lam: float,
     (`last_reject_reason`: solve_failed, non_finite_step, invalid_params,
     diverged or no_decrease).
     """
-    if layout is None:
-        layout = default_layout(model)
     ws = workspace if workspace is not None else LmWorkspace()
-    if not (_same_problem(ws.filled_for, model, ds, config.gamma)
-            and ws.filled_for[3] == layout):
+    if not _same_problem(ws.filled_for, model, ds, config.gamma):
         # Drop the old fill first: its J'J is not kept alive through the
         # refill, and a refill that raises leaves no stale key behind.
         ws.filled_for = ws.JtJ = ws.Jtr = None
         rv = ws._residuals(model, ds, config.gamma)
         ws.jacobians += 1
-        ws.JtJ, ws.Jtr = _normal_equations(model, ds, config.gamma, layout, rv)
+        ws.JtJ, ws.Jtr = _normal_equations(model, ds, config.gamma, rv)
         ws.loss = rv.loss_value()
         ws.output_mse, ws.penalty_mse = rv.components()
         ws.grad_inf = float(np.max(np.abs(2.0 / ds.n_samples * ws.Jtr)))
-        ws.filled_for = (model, ds, config.gamma, layout)
+        ws.filled_for = (model, ds, config.gamma)
 
     ws.last_candidate_loss = None
     ws.last_candidate_components = None
@@ -600,7 +523,7 @@ def lm_step(model: AlSsnnModel, ds: Dataset, config: TrainConfig, lam: float,
 
     ws.last_step_norm = float(np.linalg.norm(delta))
     try:
-        candidate = unpack_params(model, layout, pack_params(model, layout) + delta)
+        candidate = unpack_params(model, pack_params(model) + delta)
     except DataError:
         return reject("invalid_params")
     ws.free_runs += 1
@@ -688,8 +611,7 @@ def _enrich_basis(net: Mlp) -> Mlp:
                    b_in=net.b_in * TrainConfig.hidden_bias_scale)
 
 
-def _run_lm(model: AlSsnnModel, ds: Dataset, config: TrainConfig,
-            layout: ParamLayout):
+def _run_lm(model: AlSsnnModel, ds: Dataset, config: TrainConfig):
     ws = LmWorkspace()
     lam = config.lambda0
     rv0 = ws._residuals(model, ds, config.gamma)
@@ -702,9 +624,7 @@ def _run_lm(model: AlSsnnModel, ds: Dataset, config: TrainConfig,
     stop_reason = "max_iters"
     n_accepted = 0
     for it in range(1, config.max_iters + 1):
-        model_next, lam, accepted = lm_step(
-            model, ds, config, lam, layout=layout, workspace=ws
-        )
+        model_next, lam, accepted = lm_step(model, ds, config, lam, workspace=ws)
         if accepted:
             model = model_next
             n_accepted += 1
@@ -757,12 +677,9 @@ def _train(family: type, ds_train: Dataset, n: int, config: TrainConfig):
     g_net = _scale_input_layer(g_net, z_scale)
     model = family(lin=lin0, h_net=h_net, g_net=g_net,
                    eq=Equilibrium(x_e=np.zeros(n), u_e=np.zeros(m)))
-    layout = default_layout(model)
-    if layout.eq_constrained:
+    if _pinned(model):
         model = replace(model, g_net=enforce_equilibrium_zero(model.g_net, model.eq))
-    model, stats = _run_lm(model, ds_train, config, layout)
-    if layout.eq_constrained:
-        model = replace(model, g_net=enforce_equilibrium_zero(model.g_net, model.eq))
+    model, stats = _run_lm(model, ds_train, config)
     scaling = {"h_input_scale": [float(v) for v in y_scale],
                "g_input_scale": [float(v) for v in z_scale]}
     if family is GrSsnnModel:

@@ -44,7 +44,6 @@ from alssnn.stability import (
 )
 from alssnn.training import (
     TrainConfig,
-    default_layout,
     jacobian_bptt,
     pack_params,
     residuals,
@@ -100,14 +99,14 @@ def _rand_ds(rng, N, m, p, model):
     return Dataset(u=u, y=y)
 
 
-def _fd_jacobian(model, ds, gamma, layout, step=1e-6):
-    theta0 = pack_params(model, layout)
+def _fd_jacobian(model, ds, gamma, step=1e-6):
+    theta0 = pack_params(model)
     cols = []
     for i in range(theta0.size):
         tp = theta0.copy(); tp[i] += step
         tm = theta0.copy(); tm[i] -= step
-        rp = residuals(unpack_params(model, layout, tp), ds, gamma).r
-        rm = residuals(unpack_params(model, layout, tm), ds, gamma).r
+        rp = residuals(unpack_params(model, tp), ds, gamma).r
+        rm = residuals(unpack_params(model, tm), ds, gamma).r
         cols.append((rp - rm) / (2 * step))
     return np.stack(cols, axis=1)
 
@@ -186,9 +185,8 @@ def test_criterion_01_jacobian_matches_finite_differences():
         else:
             model = _rand_gr(rng, n, m, p)
         ds = _rand_ds(rng, N, m, p, model)
-        layout = default_layout(model)
-        J = jacobian_bptt(model, ds, gamma, layout=layout)
-        J_fd = _fd_jacobian(model, ds, gamma, layout)
+        J = jacobian_bptt(model, ds, gamma)
+        J_fd = _fd_jacobian(model, ds, gamma)
         rel = np.linalg.norm(J - J_fd) / max(np.linalg.norm(J_fd), 1e-12)
         worst = max(worst, rel)
     elapsed = time.perf_counter() - t0

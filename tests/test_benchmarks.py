@@ -213,6 +213,18 @@ def test_wh_validation():
         WhInputSpec(smoothing=1.0)
     with pytest.raises(DataError, match="at least 2"):
         generate_wh(default_wh_params(), WhInputSpec(), 1)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DataError, match="noise_std must be finite"):
+            default_wh_params(noise_std=bad)
+        with pytest.raises(DataError, match="input std must be finite"):
+            WhInputSpec(std=bad)
+
+
+def test_wh_divergent_block_names_block_and_step():
+    # an input std of 1e9 takes the front block's state past the simulation
+    # bound at its first update
+    with pytest.raises(NumericalError, match="front block diverged at step 1"):
+        generate_wh(default_wh_params(), WhInputSpec(std=1e9), 400)
 
 
 def test_params_validation():

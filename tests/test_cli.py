@@ -71,6 +71,20 @@ def test_gen_data_normalize(tmp_path):
     assert "y_mean" in meta["normalization"]
 
 
+@pytest.mark.parametrize("flag, value, rc, message", [
+    ("--noise-std", "nan", 2, "noise_std must be finite"),
+    ("--input-std", "inf", 2, "input std must be finite"),
+    ("--input-std", "1e9", 3, "front block diverged at step 1"),
+])
+def test_gen_data_wh_bad_input_exits_without_writing(tmp_path, capsys, flag, value, rc,
+                                                     message):
+    out = tmp_path / "wh.csv"
+    assert main(["gen-data", "wh-synthetic", "--n", "400", flag, value,
+                 "-o", str(out)]) == rc
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------- identify
 
 def test_identify_lti_outputs(ws):
@@ -238,6 +252,25 @@ def test_evaluate_non_utf8_data_exit_2(ws, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error:" in err and "line 4: not UTF-8" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_evaluate_output_count_mismatch_exit_2(ws, tmp_path, capsys, p):
+    # a p-output model on a record with p + 1 outputs and the same input
+    model = str(ws["al"]) + ".model.json"
+    if p == 2:
+        model = tmp_path / "lti2.model.json"
+        save_model(LinearSS(A=0.5 * np.eye(2), B=np.ones((2, 1)), C=np.eye(2)), model)
+    u = np.random.default_rng(0).normal(size=(50, 1))
+    data = tmp_path / "wide.csv"
+    save_csv(Dataset(u=u, y=np.zeros((50, p + 1))), data)
+    for split in ([], ["--split", "0.5"]):
+        rc = main(["evaluate", "--model", str(model), "--data", str(data), *split,
+                   "-o", str(tmp_path / "x")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"record has {p + 1} output(s), model has {p}" in err
+        assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------- closedloop

@@ -212,11 +212,11 @@ def test_estimate_epsilon_is_observed_max():
     g = np.array([np.linalg.norm(
         mlp_forward(model.g_net, np.concatenate([traj.x[k], ds.u[k]])))
         for k in range(30)])
-    assert estimate_epsilon(model, ds) == pytest.approx(np.max(g))
+    assert estimate_epsilon(model, [ds]) == pytest.approx(np.max(g))
     # adding a record can only raise the bound
     rec = simulate_closed_loop(model, rng.normal(size=(40, 1)) * 2.0)
     eps2 = estimate_epsilon(model, [ds], records=[rec])
-    assert eps2 >= estimate_epsilon(model, ds)
+    assert eps2 >= estimate_epsilon(model, [ds])
     assert eps2 == pytest.approx(max(np.max(g), rec.max_omega_norm))
     with pytest.raises(DataError, match="at least one"):
         estimate_epsilon(model, [])

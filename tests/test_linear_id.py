@@ -30,6 +30,9 @@ def test_linearss_validation():
         LinearSS(np.eye(2), np.zeros((3, 1)), np.zeros((1, 2)))
     with pytest.raises(DataError):
         LinearSS(np.full((1, 1), np.nan), np.ones((1, 1)), np.ones((1, 1)))
+    # B of shape (m, n) is an error, not silently transposed
+    with pytest.raises(DataError, match="B has 1 rows, expected 2"):
+        LinearSS(np.eye(2), np.ones((1, 2)), np.ones((1, 2)))
 
 
 def markov(lin, count):

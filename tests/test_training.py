@@ -9,20 +9,20 @@ from alssnn.dataio import Dataset
 from alssnn.errors import DataError, DivergenceError
 from alssnn.linear_id import LinearSS
 from alssnn.models import AlSsnnModel, GrSsnnModel, gr_model, simulate
-from alssnn.nets import Equilibrium, Mlp, mlp_forward, mlp_forward_batch
-from alssnn.training import (LmWorkspace, TrainConfig, default_layout,
-                             jacobian_bptt, lm_step, make_layout, pack_params,
-                             report_to_json_dict, residuals, train, train_gr,
-                             unpack_params)
+from alssnn.nets import (Equilibrium, Mlp, enforce_equilibrium_zero, mlp_forward,
+                         mlp_forward_batch)
+from alssnn.training import (LmWorkspace, TrainConfig, jacobian_bptt, lm_step,
+                             pack_params, report_to_json_dict, residuals, train,
+                             train_gr, unpack_params)
 
 
 def loss(model, ds, gamma=0.0):
     return residuals(model, ds, gamma).loss_value()
 
 
-def chunk_len(model, layout):
-    """Samples per chunk of the sensitivity pass for this model and layout."""
-    return training._chunk_len(model.lin.n_states, pack_params(model, layout).size)
+def chunk_len(model):
+    """Samples per chunk of the sensitivity pass for this model."""
+    return training._chunk_len(model.lin.n_states, pack_params(model).size)
 
 
 def rand_net(d_in, d_out, nh, seed, scale=0.4):
@@ -52,9 +52,10 @@ def rand_gr(n=2, m=1, p=1, nf=3, seed=0, net_scale=0.3):
     return gr_model(lin, rand_net(n + m, n, nf, seed + 1, net_scale))
 
 
-def unpinned_layout(model):
-    """default_layout(model) with g's output bias free instead of pinned."""
-    return make_layout(model, default_layout(model).blocks + ("g.b_out",))
+def pin(model):
+    """The AL model with g pinned at its equilibrium, as unpack_params keeps
+    it, so finite differences through pack/unpack start from the model."""
+    return replace(model, g_net=enforce_equilibrium_zero(model.g_net, model.eq))
 
 
 def rand_ds(m=1, p=1, N=15, seed=0):
@@ -62,14 +63,14 @@ def rand_ds(m=1, p=1, N=15, seed=0):
     return Dataset(u=rng.normal(size=(N, m)), y=rng.normal(size=(N, p)))
 
 
-def fd_residual_jac(model, ds, gamma, layout, h=1e-6):
-    theta0 = pack_params(model, layout)
+def fd_residual_jac(model, ds, gamma, h=1e-6):
+    theta0 = pack_params(model)
     cols = []
     for i in range(theta0.size):
         e = np.zeros_like(theta0)
         e[i] = h
-        rp = residuals(unpack_params(model, layout, theta0 + e), ds, gamma).r
-        rm = residuals(unpack_params(model, layout, theta0 - e), ds, gamma).r
+        rp = residuals(unpack_params(model, theta0 + e), ds, gamma).r
+        rm = residuals(unpack_params(model, theta0 - e), ds, gamma).r
         cols.append((rp - rm) / (2 * h))
     return np.column_stack(cols)
 
@@ -122,116 +123,81 @@ def test_residuals_dim_mismatch():
 # --- parameter packing -------------------------------------------------------
 
 def test_pack_unpack_round_trip():
-    model = rand_al(seed=5)
-    layout = unpinned_layout(model)
-    theta = pack_params(model, layout)
-    back = unpack_params(model, layout, theta)
-    assert np.array_equal(back.lin.A, model.lin.A)
-    assert np.array_equal(back.h_net.W_in, model.h_net.W_in)
-    assert np.array_equal(back.g_net.b_out, model.g_net.b_out)
-
-
-def test_unpack_touches_only_layout_blocks():
-    model = rand_al(seed=6)
-    layout = make_layout(model, ["B"])
-    theta = pack_params(model, layout) + 1.0
-    new = unpack_params(model, layout, theta)
-    assert np.allclose(new.lin.B, model.lin.B + 1.0)
-    assert np.array_equal(new.lin.A, model.lin.A)
-    assert np.array_equal(new.g_net.W_out, model.g_net.W_out)
+    # pinned AL with C free, and GR with its f net's output bias free
+    for model in (replace(pin(rand_al(seed=5)), c_frozen=False), rand_gr(seed=5)):
+        back = unpack_params(model, pack_params(model))
+        for name in ("A", "B", "C"):
+            assert np.array_equal(getattr(back.lin, name), getattr(model.lin, name))
+        for net in ("h_net", "g_net"):
+            for suffix in ("W_in", "b_in", "W_out", "b_out"):
+                assert np.array_equal(getattr(getattr(back, net), suffix),
+                                      getattr(getattr(model, net), suffix))
 
 
 def test_unpack_enforces_equilibrium():
     model = rand_al(seed=7)
-    layout = default_layout(model)
-    assert "g.b_out" not in layout.blocks
+    assert "g.b_out" not in training._param_slices(model)[0]
     rng = np.random.default_rng(8)
-    theta = pack_params(model, layout) + rng.normal(size=pack_params(model, layout).size)
-    new = unpack_params(model, layout, theta)
+    theta = pack_params(model) + rng.normal(size=pack_params(model).size)
+    new = unpack_params(model, theta)
     z_e = new.eq.stacked()
     assert np.max(np.abs(mlp_forward(new.g_net, z_e))) < 1e-14
-
-
-def test_layout_validation():
-    model = rand_al()
-    with pytest.raises(DataError, match="unknown parameter blocks"):
-        make_layout(model, ["A", "Q"])
-    with pytest.raises(DataError, match="cannot be a free parameter"):
-        make_layout(model, ["A", "g.b_out"], eq_constrained=True)
-    with pytest.raises(DataError, match="only to models with a g net"):
-        make_layout(rand_gr(), ["A"], eq_constrained=True)
-
-
-def test_canonical_block_order():
-    model = rand_al()
-    layout = make_layout(model, ["g.W_in", "A", "h.b_in"])
-    assert layout.blocks == ("A", "h.b_in", "g.W_in")
 
 
 # --- Jacobian ----------------------------------------------------------------
 
 def test_jacobian_matches_fd_al():
-    model = rand_al(n=2, m=1, p=1, nh=3, ng=3, seed=9)
+    model = replace(pin(rand_al(n=2, m=1, p=1, nh=3, ng=3, seed=9)), c_frozen=False)
     ds = rand_ds(N=12, seed=9)
-    layout = unpinned_layout(model)
-    J = jacobian_bptt(model, ds, 0.7, layout=layout)
-    J_fd = fd_residual_jac(model, ds, 0.7, layout)
+    J = jacobian_bptt(model, ds, 0.7)
+    J_fd = fd_residual_jac(model, ds, 0.7)
     assert np.max(np.abs(J - J_fd)) < 1e-5
 
 
 def test_jacobian_matches_fd_al_equilibrium_constrained():
     # the FD path goes through unpack, which re-pins g at the equilibrium,
     # so this checks the corrected columns the optimizer actually uses
-    model = rand_al(n=2, m=1, p=1, nh=2, ng=3, seed=10)
-    from dataclasses import replace
-    from alssnn.nets import enforce_equilibrium_zero
-    model = replace(model, g_net=enforce_equilibrium_zero(model.g_net, model.eq))
+    model = pin(rand_al(n=2, m=1, p=1, nh=2, ng=3, seed=10))
     ds = rand_ds(N=10, seed=10)
-    layout = default_layout(model)
-    J = jacobian_bptt(model, ds, 1.3, layout=layout)
-    J_fd = fd_residual_jac(model, ds, 1.3, layout)
+    J = jacobian_bptt(model, ds, 1.3)
+    J_fd = fd_residual_jac(model, ds, 1.3)
     assert np.max(np.abs(J - J_fd)) < 1e-5
 
 
 def test_jacobian_matches_fd_al_pinned_at_a_nonzero_equilibrium():
     # g pinned at (x_e, u_e) != 0: every g column, W_in included, loses the
     # equilibrium point's term
-    from alssnn.nets import enforce_equilibrium_zero
     model = rand_al(n=2, m=1, p=1, nh=2, ng=3, seed=29)
-    model = replace(model, eq=Equilibrium(x_e=np.array([0.4, -0.3]), u_e=np.array([0.6])))
-    model = replace(model, g_net=enforce_equilibrium_zero(model.g_net, model.eq))
+    model = pin(replace(model, eq=Equilibrium(x_e=np.array([0.4, -0.3]),
+                                              u_e=np.array([0.6]))))
     ds = rand_ds(N=10, seed=29)
-    layout = default_layout(model)
-    assert layout.eq_constrained
-    J = jacobian_bptt(model, ds, 1.3, layout=layout)
-    J_fd = fd_residual_jac(model, ds, 1.3, layout)
+    J = jacobian_bptt(model, ds, 1.3)
+    J_fd = fd_residual_jac(model, ds, 1.3)
     assert np.max(np.abs(J - J_fd)) < 1e-5
 
 
 def test_jacobian_matches_fd_gr():
     model = rand_gr(n=3, m=2, p=2, nf=3, seed=11)
     ds = rand_ds(m=2, p=2, N=10, seed=11)
-    layout = default_layout(model)
-    J = jacobian_bptt(model, ds, layout=layout)
-    J_fd = fd_residual_jac(model, ds, 0.0, layout)
+    J = jacobian_bptt(model, ds)
+    J_fd = fd_residual_jac(model, ds, 0.0)
     assert np.max(np.abs(J - J_fd)) < 1e-5
 
 
 def test_jacobian_matches_fd_across_chunks():
     # a record of three sensitivity chunks, C free: S and the C columns must
     # carry over both chunk boundaries
-    model = replace(rand_al(n=2, m=1, p=1, nh=2, ng=2, seed=25), c_frozen=False)
-    layout = unpinned_layout(model)
-    assert "C" in layout.blocks
-    ds = rand_ds(N=2 * chunk_len(model, layout) + 40, seed=25)
-    J = jacobian_bptt(model, ds, 0.9, layout=layout)
-    J_fd = fd_residual_jac(model, ds, 0.9, layout)
+    model = replace(pin(rand_al(n=2, m=1, p=1, nh=2, ng=2, seed=25)), c_frozen=False)
+    assert "C" in training._param_slices(model)[0]
+    ds = rand_ds(N=2 * chunk_len(model) + 40, seed=25)
+    J = jacobian_bptt(model, ds, 0.9)
+    J_fd = fd_residual_jac(model, ds, 0.9)
     assert np.max(np.abs(J - J_fd)) < 1e-5
 
 
 def test_jacobian_scalar_analytic_oracle():
-    # pure linear scalar model, only A free: the sensitivity has the closed
-    # form dx(k)/da = sum_j (k-1-j) a^(k-2-j) b u(j)
+    # pure linear scalar model, A's column (column 0): the sensitivity has
+    # the closed form dx(k)/da = sum_j (k-1-j) a^(k-2-j) b u(j)
     a, b, c = 0.7, 1.3, 0.9
     lin = LinearSS(A=np.array([[a]]), B=np.array([[b]]), C=np.array([[c]]))
     zero = Mlp(W_in=np.zeros((1, 1)), b_in=np.zeros(1),
@@ -244,8 +210,7 @@ def test_jacobian_scalar_analytic_oracle():
     rng = np.random.default_rng(12)
     u = rng.normal(size=(N, 1))
     ds = Dataset(u=u, y=np.zeros((N, 1)))
-    layout = make_layout(model, ["A"])
-    J = jacobian_bptt(model, ds, 0.0, layout=layout)
+    J = jacobian_bptt(model, ds, 0.0)
     expected = np.zeros(N)
     for k in range(N):
         s = 0.0
@@ -286,11 +251,9 @@ def test_lm_step_accept_reject_contract():
     model = rand_al(seed=14, net_scale=0.1)
     ds = rand_ds(N=20, seed=14)
     config = TrainConfig(gamma=0.5)
-    layout = default_layout(model)
     ws = LmWorkspace()
     l0 = loss(model, ds, 0.5)
-    new, lam, accepted = lm_step(model, ds, config, config.lambda0,
-                                 layout=layout, workspace=ws)
+    new, lam, accepted = lm_step(model, ds, config, config.lambda0, workspace=ws)
     if accepted:
         assert loss(new, ds, 0.5) < l0
         assert lam == pytest.approx(config.lambda0 * config.lambda_down)
@@ -317,46 +280,41 @@ def test_lm_step_rejects_at_exact_minimum():
     assert lam == pytest.approx(1e-2 * config.lambda_up)
 
 
-def test_lm_step_bias_only_reaches_lstsq_optimum():
-    # with W_in = 0 the net output is constant in (x, u), so the free run is
-    # affine in g.b_out and one Gauss-Newton step at tiny lambda must land on
-    # the independently computed least-squares optimum
-    rng = np.random.default_rng(16)
-    lin = LinearSS(A=np.array([[0.6, 0.1], [0.0, 0.5]]),
-                   B=np.array([[1.0], [0.3]]), C=np.array([[1.0, 0.5]]))
-    f_net = Mlp(W_in=np.zeros((2, 3)), b_in=rng.normal(size=2),
-                W_out=rng.normal(size=(2, 2)) * 0.1, b_out=np.zeros(2))
-    model = gr_model(lin, f_net)
+def test_lm_step_bias_only_reaches_lstsq_optimum(monkeypatch):
+    # at lambda = 1e-12 the step is the Gauss-Newton step, a least-squares
+    # solution of J delta = -r. lstsq finds one from the assembled Jacobian
+    # by an orthogonal factorization, independently of lm_step's streamed
+    # normal equations and Cholesky solve. Any T with C T = C changes the
+    # state basis but not the model, so J has a null space, and only
+    # J delta, the change of the residuals the step predicts, is unique.
+    model = rand_gr(seed=16)
     ds = rand_ds(N=40, seed=16)
-    layout = make_layout(model, ["g.b_out"])
+    J, r = jacobian_bptt(model, ds), residuals(model, ds).r
+    delta = np.linalg.lstsq(J, -r, rcond=None)[0]
+    steps = []
 
-    def res_of(bias):
-        theta = np.asarray(bias, dtype=float)
-        return residuals(unpack_params(model, layout, theta), ds).r
+    def capture(model, theta):
+        steps.append(theta - pack_params(model))
+        return unpack_params(model, theta)
 
-    r0 = res_of([0.0, 0.0])
-    M = np.column_stack([res_of([1.0, 0.0]) - r0, res_of([0.0, 1.0]) - r0])
-    b_star = np.linalg.lstsq(M, -r0, rcond=None)[0]
-
-    new, _, accepted = lm_step(model, ds, TrainConfig(), 1e-12, layout=layout)
-    assert accepted
+    monkeypatch.setattr(training, "unpack_params", capture)
+    lm_step(model, ds, TrainConfig(), 1e-12)
     # normal equations square the conditioning, so allow a small gap
-    assert np.max(np.abs(new.f_net.b_out - b_star)) < 1e-6
+    assert np.linalg.norm(J @ (steps[0] - delta)) < 1e-6 * np.linalg.norm(r)
 
 
 def test_lm_workspace_reuse_consistency():
     model = rand_al(seed=17, net_scale=0.1)
     ds = rand_ds(N=15, seed=17)
     config = TrainConfig(gamma=0.3)
-    layout = default_layout(model)
     ws = LmWorkspace()
     # two rejected-or-accepted calls from the same model must agree with a
     # fresh-workspace call (cache is transparent)
-    m1, l1, a1 = lm_step(model, ds, config, 1e6, layout=layout, workspace=ws)
-    m2, l2, a2 = lm_step(model, ds, config, 1e6, layout=layout)
+    m1, l1, a1 = lm_step(model, ds, config, 1e6, workspace=ws)
+    m2, l2, a2 = lm_step(model, ds, config, 1e6)
     assert a1 == a2
     if a1:
-        assert np.array_equal(pack_params(m1, layout), pack_params(m2, layout))
+        assert np.array_equal(pack_params(m1), pack_params(m2))
 
 
 def test_lm_step_reuses_accepted_candidate_states_bit_identically():
@@ -365,18 +323,17 @@ def test_lm_step_reuses_accepted_candidate_states_bit_identically():
     model = rand_al(seed=18, net_scale=0.1)
     ds = rand_ds(N=25, seed=18)
     config = TrainConfig(gamma=0.4)
-    layout = default_layout(model)
     ws = LmWorkspace()
     lam = 1e-3
     for _ in range(10):
-        new, lam, accepted = lm_step(model, ds, config, lam, layout=layout, workspace=ws)
+        new, lam, accepted = lm_step(model, ds, config, lam, workspace=ws)
         if accepted:
             break
     assert accepted and ws.accepted[0] is new
     runs_before = ws.free_runs
     fresh = LmWorkspace()
-    lm_step(new, ds, config, lam, layout=layout, workspace=ws)
-    lm_step(new, ds, config, lam, layout=layout, workspace=fresh)
+    lm_step(new, ds, config, lam, workspace=ws)
+    lm_step(new, ds, config, lam, workspace=fresh)
     # cached: only the candidate's free run; fresh: the refill's and the candidate's
     assert ws.free_runs == runs_before + 1
     assert fresh.free_runs == 2
@@ -391,17 +348,16 @@ def test_lm_workspace_refills_for_another_model():
     m1, m2 = rand_al(seed=1), rand_al(seed=2)
     ds = rand_ds(N=40)
     config = TrainConfig(gamma=0.5)
-    layout = default_layout(m1)
     ws = LmWorkspace()
-    lm_step(m1, ds, config, 1e-2, layout=layout, workspace=ws)
+    lm_step(m1, ds, config, 1e-2, workspace=ws)
     assert ws.loss == loss(m1, ds, 0.5)
     fresh = LmWorkspace()
-    out = lm_step(m2, ds, config, 1e-2, layout=layout, workspace=ws)
-    ref = lm_step(m2, ds, config, 1e-2, layout=layout, workspace=fresh)
+    out = lm_step(m2, ds, config, 1e-2, workspace=ws)
+    ref = lm_step(m2, ds, config, 1e-2, workspace=fresh)
     assert ws.loss == fresh.loss == loss(m2, ds, 0.5)
     assert np.array_equal(ws.JtJ, fresh.JtJ) and np.array_equal(ws.Jtr, fresh.Jtr)
     assert out[1:] == ref[1:]
-    assert np.array_equal(pack_params(out[0], layout), pack_params(ref[0], layout))
+    assert np.array_equal(pack_params(out[0]), pack_params(ref[0]))
     assert ws.jacobians == 2
 
 
@@ -412,9 +368,8 @@ def test_lm_step_refill_drops_the_old_fill_first(monkeypatch):
     m1, m2 = rand_al(seed=1), rand_al(seed=2)
     ds = rand_ds(N=40)
     config = TrainConfig(gamma=0.5)
-    layout = default_layout(m1)
     ws = LmWorkspace()
-    lm_step(m1, ds, config, 1e-2, layout=layout, workspace=ws)
+    lm_step(m1, ds, config, 1e-2, workspace=ws)
     cleared = []
     sensitivity_pass = training._sensitivity_chunks
 
@@ -424,38 +379,35 @@ def test_lm_step_refill_drops_the_old_fill_first(monkeypatch):
 
     monkeypatch.setattr(training, "_sensitivity_chunks", failing_pass)
     with pytest.raises(MemoryError):
-        lm_step(m2, ds, config, 1e-2, layout=layout, workspace=ws)
+        lm_step(m2, ds, config, 1e-2, workspace=ws)
     assert cleared == [True]
     monkeypatch.setattr(training, "_sensitivity_chunks", sensitivity_pass)
-    out = lm_step(m1, ds, config, 1e-2, layout=layout, workspace=ws)
+    out = lm_step(m1, ds, config, 1e-2, workspace=ws)
     fresh = LmWorkspace()
-    ref = lm_step(m1, ds, config, 1e-2, layout=layout, workspace=fresh)
+    ref = lm_step(m1, ds, config, 1e-2, workspace=fresh)
     assert ws.jacobians == 3
     assert np.array_equal(ws.JtJ, fresh.JtJ) and np.array_equal(ws.Jtr, fresh.Jtr)
     assert ws.loss == fresh.loss and out[1:] == ref[1:]
 
 
 def chunk_case(kind, N, n=7, m=2, p=2, nh=4, seed=26):
-    """(model, dataset, config, layout) for the streamed normal-equation checks."""
-    from alssnn.nets import enforce_equilibrium_zero
+    """(model, dataset, config) for the streamed normal-equation checks: GR
+    with C free, or pinned AL with C frozen (al_eq), C free (al_free_c),
+    gamma = 0 (al_gamma0) or empty nets (al_no_nets)."""
     ds = rand_ds(m=m, p=p, N=N, seed=seed)
     if kind == "gr":
         model = replace(rand_gr(n=n, m=m, p=p, nf=nh, seed=seed), c_frozen=False)
-        return model, ds, TrainConfig(), default_layout(model)
-    model = rand_al(n=n, m=m, p=p, nh=0 if kind == "al_no_nets" else nh,
-                    ng=0 if kind == "al_no_nets" else nh, seed=seed)
-    if kind == "al_eq":
-        model = replace(model, g_net=enforce_equilibrium_zero(model.g_net, model.eq))
-        return model, ds, TrainConfig(gamma=0.8), default_layout(model)
+        return model, ds, TrainConfig()
+    model = pin(rand_al(n=n, m=m, p=p, nh=0 if kind == "al_no_nets" else nh,
+                        ng=0 if kind == "al_no_nets" else nh, seed=seed))
     model = replace(model, c_frozen=kind != "al_free_c")
-    config = TrainConfig(gamma=0.0 if kind == "al_gamma0" else 0.8)
-    return model, ds, config, unpinned_layout(model)
+    return model, ds, TrainConfig(gamma=0.0 if kind == "al_gamma0" else 0.8)
 
 
-def check_streamed_normal_equations(model, ds, config, layout):
+def check_streamed_normal_equations(model, ds, config):
     ws = LmWorkspace()
-    lm_step(model, ds, config, 1e-2, layout=layout, workspace=ws)
-    J = jacobian_bptt(model, ds, config.gamma, layout=layout)
+    lm_step(model, ds, config, 1e-2, workspace=ws)
+    J = jacobian_bptt(model, ds, config.gamma)
     r = residuals(model, ds, config.gamma).r
     JtJ, Jtr = J.T @ J, J.T @ r
     assert np.max(np.abs(ws.JtJ - JtJ)) <= 1e-12 * np.max(np.abs(JtJ))
@@ -468,30 +420,30 @@ def check_streamed_normal_equations(model, ds, config, layout):
 @pytest.mark.parametrize("N", [85, 293, 768])
 @pytest.mark.parametrize("kind", ["al_eq", "al_free_c", "al_gamma0", "al_no_nets", "gr"])
 def test_streamed_normal_equations_equal_assembled_jacobian(kind, N):
-    model, ds, config, layout = chunk_case(kind, N)
-    assert 85 < chunk_len(model, layout) < 293
-    check_streamed_normal_equations(model, ds, config, layout)
+    model, ds, config = chunk_case(kind, N)
+    assert 85 < chunk_len(model) < 293
+    check_streamed_normal_equations(model, ds, config)
 
 
 @pytest.mark.parametrize("kind", ["al_eq", "al_free_c", "gr"])
 def test_streamed_normal_equations_equal_assembled_jacobian_wide(kind):
     # P of about 1,000, as on the wide Wiener-Hammerstein nets: a few dozen
     # samples per chunk, and a record of four chunks
-    model, ds, config, layout = chunk_case(kind, 100, n=4, m=1, p=1,
-                                           nh=80 if kind != "gr" else 100, seed=28)
-    assert 1000 <= pack_params(model, layout).size <= 1100
-    c = chunk_len(model, layout)
+    model, ds, config = chunk_case(kind, 100, n=4, m=1, p=1,
+                                   nh=80 if kind != "gr" else 100, seed=28)
+    assert 1000 <= pack_params(model).size <= 1100
+    c = chunk_len(model)
     assert 10 <= c <= 50 and ds.n_samples > 3 * c
-    check_streamed_normal_equations(model, ds, config, layout)
+    check_streamed_normal_equations(model, ds, config)
     # and the pass itself, along random unit directions, against central
     # differences of the residuals
-    J = jacobian_bptt(model, ds, config.gamma, layout=layout)
-    theta, h = pack_params(model, layout), 1e-6
+    J = jacobian_bptt(model, ds, config.gamma)
+    theta, h = pack_params(model), 1e-6
     rng = np.random.default_rng(28)
     for _ in range(3):
         v = rng.normal(size=theta.size)
         v /= np.linalg.norm(v)
-        r_p, r_m = (residuals(unpack_params(model, layout, theta + s * h * v), ds,
+        r_p, r_m = (residuals(unpack_params(model, theta + s * h * v), ds,
                               config.gamma).r for s in (1, -1))
         assert np.max(np.abs(J @ v - (r_p - r_m) / (2 * h))) < 1e-5
 
@@ -502,27 +454,16 @@ def test_lm_step_refill_memory_stays_below_a_quarter_of_the_jacobian():
     model = rand_al(n=2, m=1, p=1, nh=30, ng=30, seed=27, net_scale=0.1)
     ds = rand_ds(N=8000, seed=27)
     config = TrainConfig(gamma=0.5)
-    layout = default_layout(model)
-    jac_bytes = ds.n_samples * 3 * pack_params(model, layout).size * 8
+    jac_bytes = ds.n_samples * 3 * pack_params(model).size * 8
     assert jac_bytes >= 32e6
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        lm_step(model, ds, config, 1e-2, layout=layout, workspace=LmWorkspace())
+        lm_step(model, ds, config, 1e-2, workspace=LmWorkspace())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < jac_bytes / 4
-
-
-def test_jacobian_from_given_states_equals_own_free_run():
-    model = rand_al(seed=19, net_scale=0.2)
-    ds = rand_ds(N=20, seed=19)
-    rv = residuals(model, ds, 0.7)
-    J = jacobian_bptt(model, ds, 0.7)
-    assert np.array_equal(jacobian_bptt(model, ds, 0.7, states=rv.states), J)
-    with pytest.raises(DataError, match="states"):
-        jacobian_bptt(model, ds, 0.7, states=rv.states[:5])
 
 
 def test_residuals_raise_on_non_finite_free_run():
@@ -570,9 +511,9 @@ def test_lm_step_reject_reasons():
     model = rand_al(seed=24, net_scale=0.1)
     ds = rand_ds(N=20, seed=24)
     config = TrainConfig(gamma=0.5)
-    P = pack_params(model, default_layout(model)).size
+    P = pack_params(model).size
     # a filled workspace whose normal equations are NaN: no usable step
-    key = (model, ds, 0.5, default_layout(model))
+    key = (model, ds, 0.5)
     ws = LmWorkspace(filled_for=key, loss=1.0, JtJ=np.full((P, P), np.nan),
                      Jtr=np.ones(P))
     _, _, accepted = lm_step(model, ds, config, 1e-2, workspace=ws)
@@ -594,15 +535,14 @@ def test_lm_step_solve_is_accurate_on_badly_scaled_normal_equations(monkeypatch)
     model = rand_al(seed=24, net_scale=0.1)
     ds = rand_ds(N=20, seed=24)
     config = TrainConfig(gamma=0.5)
-    layout = default_layout(model)
-    P = pack_params(model, layout).size
+    P = pack_params(model).size
     steps = []
 
-    def capture(model, layout, theta):  # theta = 0 + delta
+    def capture(model, theta):  # theta = 0 + delta
         steps.append(theta.copy())
         raise DataError("step captured")
 
-    monkeypatch.setattr(training, "pack_params", lambda model, layout: np.zeros(P))
+    monkeypatch.setattr(training, "pack_params", lambda model: np.zeros(P))
     monkeypatch.setattr(training, "unpack_params", capture)
     lam = 1e-3
     for seed in range(4):
@@ -614,7 +554,7 @@ def test_lm_step_solve_is_accurate_on_badly_scaled_normal_equations(monkeypatch)
         JtJ = s[:, None] * (J.T @ J) * s[None, :]
         JtJ = 0.5 * (JtJ + JtJ.T)
         Jtr = s * rng.normal(size=P)
-        ws = LmWorkspace(filled_for=(model, ds, 0.5, layout), loss=1.0, JtJ=JtJ, Jtr=Jtr)
+        ws = LmWorkspace(filled_for=(model, ds, 0.5), loss=1.0, JtJ=JtJ, Jtr=Jtr)
         lm_step(model, ds, config, lam, workspace=ws)
         assert ws.last_reject_reason == "invalid_params"
         damped = JtJ + lam * np.diag(np.diag(JtJ))
@@ -694,13 +634,14 @@ def test_train_gr_keeps_gr_names_and_the_callers_config():
     al, al_report = train(ds, 2, config)
     assert list(report.config) == list(al_report.config) == settable
     assert al_report.config == asdict(config)
-    # the layout follows from the model: C per c_frozen, g pinned for AL only
-    layout = default_layout(replace(al, c_frozen=False))
-    assert {"C", "h.b_out"} <= set(layout.blocks) and "g.b_out" not in layout.blocks
-    assert layout.eq_constrained
-    layout = default_layout(model)
-    assert layout.blocks == ("A", "B", "g.W_in", "g.b_in", "g.W_out", "g.b_out")
-    assert not layout.eq_constrained
+    # the parameter vector follows from the model, counted by hand (n = 2,
+    # m = p = 1): A 4 + B 2, then pinned AL's h (5 + 5 + 5 + 1) and g but
+    # its output bias (18 + 6 + 12), C's 2 when free, GR's f (9 + 3 + 6 + 2)
+    assert pack_params(al).size == 6 + 16 + 36
+    assert pack_params(replace(al, c_frozen=False)).size == 6 + 2 + 16 + 36
+    assert pack_params(model).size == 6 + 20
+    for gone in ("ParamLayout", "make_layout", "default_layout"):
+        assert not hasattr(training, gone) and gone not in training.__all__
     # no penalty rows, whatever gamma is
     assert residuals(model, ds, 5.0).r.shape == (ds.n_samples,)
     assert report.final_penalty_mse == 0.0

@@ -124,6 +124,16 @@ def _require_al(model, what: str) -> AlSsnnModel:
     return model
 
 
+def _require_channels(model, ds, path: str) -> None:
+    """DataError unless the record at `path` has the model's input and
+    output counts."""
+    for what, have, want in (("input", ds.n_inputs, model.dims["m"]),
+                             ("output", ds.n_outputs, model.dims["p"])):
+        if have != want:
+            raise DataError(f"record {path} has {have} {what} channels, "
+                            f"model expects {want}")
+
+
 def _train_part(ds, train_frac: float):
     if not (0.0 < train_frac <= 1.0):
         raise DataError(f"train fraction must lie in (0, 1], got {train_frac}")
@@ -320,10 +330,7 @@ def cmd_evaluate(args) -> int:
 def cmd_closedloop(args) -> int:
     model = _require_al(load_model(args.model), "closed-loop analysis")
     ds = load_csv(args.data)
-    if ds.n_inputs != model.dims["m"]:
-        raise DataError(
-            f"dataset has {ds.n_inputs} input channels, model expects {model.dims['m']}"
-        )
+    _require_channels(model, ds, args.data)
     _ensure_parent(str(args.out) + ".json")
     record = simulate_closed_loop(model, ds.u)
     epsilon = estimate_epsilon(model, [ds], records=[record])
@@ -364,6 +371,8 @@ def cmd_closedloop(args) -> int:
 def cmd_certify(args) -> int:
     model = _require_al(load_model(args.model), "certification")
     datasets = [load_csv(p) for p in args.data]
+    for path, ds in zip(args.data, datasets):
+        _require_channels(model, ds, path)
     driven = simulate_closed_loop(model, datasets[0].u)
     # The certificate's decrement statement is about the regulation loop
     # (v = 0), so convergence is checked on a v = 0 run started from the

@@ -9,9 +9,11 @@ N*p output errors first, then the N*n penalty values scaled by sqrt(gamma),
 so J_N = ||r||^2 / N exactly. Jacobians are exact (forward accumulation of
 state sensitivities through the recursion). lm_step streams the normal
 equations from one pass over chunks of samples sized to stay in cache: each
-chunk's rows [J | r] go through one dsyrk into [J | r]'[J | r], which holds
-J'J and J'r, so training never holds the full Jacobian; jacobian_bptt is
-the assembled matrix from the same pass.
+chunk's rows of J go through one dsyrk into J'J and one gemv into J'r, so
+training never holds the full Jacobian; jacobian_bptt is the assembled
+matrix from the same pass. J'J is the only P x P array an LM fill holds:
+every damped solve factors in place inside it, and its strict lower
+triangle keeps J'J for the next solve.
 
 The model fixes its own parameter vector (pack_params): A, B, C unless
 model.c_frozen, and its nets' weights. An AL model's g is pinned at the
@@ -31,7 +33,7 @@ from typing import ClassVar
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from scipy.linalg.blas import dsyrk
+from scipy.linalg.blas import dgemv, dsyrk
 from scipy.linalg.lapack import dposv
 
 from .dataio import Dataset
@@ -256,8 +258,8 @@ def jacobian_bptt(model: AlSsnnModel, ds: Dataset, gamma: float = 0.0) -> np.nda
     J = np.empty((N * (p + q), P))
     J_out, J_pen = J[: N * p].reshape(N, p, P), J[N * p :].reshape(N, q, P)
     for k0, k1, rows in _sensitivity_chunks(model, ds, gamma, states):
-        J_out[k0:k1] = rows[:, :p, :P]
-        J_pen[k0:k1] = rows[:, p:, :P]
+        J_out[k0:k1] = rows[:, :p]
+        J_pen[k0:k1] = rows[:, p:]
     return J
 
 
@@ -290,15 +292,14 @@ def _fill_outer(out: np.ndarray, left: np.ndarray, right: np.ndarray) -> None:
 
 
 def _sensitivity_chunks(model: AlSsnnModel, ds: Dataset, gamma: float,
-                        states: np.ndarray, r: np.ndarray | None = None):
-    """Rows [J | r] of jacobian_bptt's matrix, chunk by chunk.
+                        states: np.ndarray):
+    """Rows of jacobian_bptt's matrix, chunk by chunk.
 
     `states` is the model's free run x(0..N-1) on ds.u. Yields (k0, k1, R)
-    for samples k0..k1-1. R has shape
-    (k1 - k0, p + q, P + 1): R[k - k0] holds sample k's p output rows, then
-    its q penalty rows (q = n, or 0 for a GR model, which has no penalty),
-    and its last column their residuals from r (unset when r is None). R is
-    a buffer that the next chunk overwrites.
+    for samples k0..k1-1. R is a contiguous array of shape (k1 - k0, p + q,
+    P): R[k - k0] holds sample k's p output rows, then its q penalty rows
+    (q = n, or 0 for a GR model, which has no penalty). R is a buffer that
+    the next chunk overwrites.
 
     Only the recursion S(k+1) = [F_x(k), I] [S(k); F(k)] steps sample by
     sample, one product each; F, F_x and the rows are batched over the
@@ -322,7 +323,7 @@ def _sensitivity_chunks(model: AlSsnnModel, ds: Dataset, gamma: float,
     c_max = min(N, _chunk_len(n, P))
     SF = np.zeros((c_max + 1, 2 * n, P))   # SF[k] = [S(k); F(k)]; SF[0] starts the chunk
     S, F = SF[:, :n], SF[:c_max, n:]
-    R = np.empty((c_max, p + q, P + 1))
+    R = np.empty((c_max, p + q, P))
     L = np.zeros((c_max, p + q, 2 * n))    # [-C, 0; sqrt(gamma) G_x(k), sqrt(gamma) I]
     L[:, :p, :n] = -C
     if q:
@@ -395,32 +396,52 @@ def _sensitivity_chunks(model: AlSsnnModel, ds: Dataset, gamma: float,
             np.multiply(Gx, sqrt_g, out=Lc[:, p:, :n])
         np.matmul(Lc[:, :, :n], S[:c, :, :tail], out=Rc[:, :, :tail])
         if tail < P:
-            np.matmul(Lc, SF[:c, :, tail:], out=Rc[:, :, tail:P])
+            np.matmul(Lc, SF[:c, :, tail:], out=Rc[:, :, tail:])
         if R_c is not None:
             R_c[:c] -= Xc[:, None, :]
-        if r is not None:
-            Rc[:, :p, P] = r[k0 * p : k1 * p].reshape(c, p)
-            Rc[:, p:, P] = r[N * p + k0 * q : N * p + k1 * q].reshape(c, q)
         yield k0, k1, Rc
         S[0] = S[c]
 
 
+# Width of the block columns _mirror copies: a 64 x 64 diagonal block is a
+# 32 KiB temporary, and the strip below it goes across in one transposed
+# assignment.
+_MIRROR_BLOCK = 64
+
+
+def _mirror(a: np.ndarray) -> None:
+    """Copy the strict upper triangle of the square array `a` onto its strict
+    lower one, block column by block column; _mirror(a.T) copies the lower
+    onto the upper."""
+    tri = np.tri(_MIRROR_BLOCK, k=-1, dtype=bool)   # strict lower of a block
+    for j0 in range(0, a.shape[0], _MIRROR_BLOCK):
+        j1 = j0 + _MIRROR_BLOCK
+        block = a[j0:j1, j0:j1]
+        a[j1:, j0:j1] = a[j0:j1, j1:].T
+        w = block.shape[0]
+        np.copyto(block, block.T, where=tri[:w, :w])
+
+
 def _normal_equations(model: AlSsnnModel, ds: Dataset, gamma: float,
-                      rv: ResidualVector):
+                      rv: ResidualVector) -> tuple[np.ndarray, np.ndarray]:
     """J'J and J'r accumulated chunk by chunk; the full J is never formed.
 
-    Each cache-sized chunk of rows [J | r] adds to the upper triangle of
-    [J | r]'[J | r] in one dsyrk; J'J and J'r are its leading P x P block
-    and the rest of its last column. The lower triangle of J'J is mirrored
-    once at the end, so J'J is exactly symmetric.
+    J'J is one P x P Fortran-order array. Each cache-sized chunk of J's rows
+    adds to its upper triangle in one dsyrk and to J'r in one gemv, with the
+    chunk's residuals in their own small array. The upper triangle is
+    mirrored once at the end, so J'J is exactly symmetric.
     """
     P = _param_slices(model)[1]
-    G = np.zeros((P + 1, P + 1), order="F")
-    for _, _, rows in _sensitivity_chunks(model, ds, gamma, rv.states, rv.r):
-        G = dsyrk(1.0, rows.reshape(-1, P + 1).T, beta=1.0, c=G, overwrite_c=1)
-    for j in range(P - 1):
-        G[j + 1 : P, j] = G[j, j + 1 : P]
-    return G[:P, :P], G[:P, P]
+    N, p, q = rv.n_samples, rv.n_outputs, rv.n_penalty_states
+    r_out, r_pen = rv.r[: N * p].reshape(N, p), rv.r[N * p :].reshape(N, q)
+    JtJ, Jtr = np.zeros((P, P), order="F"), np.zeros(P)
+    for k0, k1, rows in _sensitivity_chunks(model, ds, gamma, rv.states):
+        Jc = rows.reshape(-1, P).T   # Fortran order, so the wrappers copy nothing
+        r_c = np.concatenate((r_out[k0:k1], r_pen[k0:k1]), axis=1).ravel()
+        JtJ = dsyrk(1.0, Jc, beta=1.0, c=JtJ, overwrite_c=1)
+        Jtr = dgemv(1.0, Jc, r_c, beta=1.0, y=Jtr, overwrite_y=1)
+    _mirror(JtJ)
+    return JtJ, Jtr
 
 
 # --- Levenberg-Marquardt ----------------------------------------------------
@@ -435,12 +456,17 @@ def _same_problem(key: tuple | None, model, ds: Dataset, gamma: float) -> bool:
 class LmWorkspace:
     """Cache shared across lm_step calls while the model is unchanged.
 
-    Callers must leave `filled_for` and `accepted` alone. `filled_for` is the
-    (model, dataset, gamma) the cached loss, J'J and J'r belong to; lm_step
-    refills the cache whenever it is called with anything else. It clears
-    the old J'J, J'r and key first, then streams the new ones from one dsyrk
-    per cache-sized chunk of rows [J | r], without forming J (J'J is exactly
-    symmetric). `accepted` keeps the (model, dataset, gamma, residuals) of
+    Callers must leave `filled_for`, `factored` and `accepted` alone.
+    `filled_for` is the (model, dataset, gamma) the cached loss, J'J and J'r
+    belong to; lm_step refills the cache whenever it is called with anything
+    else. It clears the old J'J, J'r and key first, then streams the new ones
+    from one dsyrk and one gemv per cache-sized chunk of J's rows, without
+    forming J. `JtJ` is then the exactly symmetric P x P J'J in Fortran
+    order, and `JtJ_diag` its diagonal. Each solve factors in place inside
+    `JtJ` and sets `factored`: from then on its upper triangle and diagonal
+    hold the last solve's Cholesky factor and only its strict lower triangle
+    and `JtJ_diag` hold J'J, from which the next solve restores the upper
+    triangle. `accepted` keeps the (model, dataset, gamma, residuals) of
     the last accepted candidate, so the refill for that model reuses the
     candidate's free run instead of simulating it again; `loss` still holds
     the loss of the model the accepted step started from. The counters add
@@ -455,7 +481,9 @@ class LmWorkspace:
     output_mse: float = float("nan")
     penalty_mse: float = float("nan")
     JtJ: np.ndarray | None = None
+    JtJ_diag: np.ndarray | None = None
     Jtr: np.ndarray | None = None
+    factored: bool = field(default=False, repr=False)
     last_candidate_loss: float | None = None
     last_candidate_components: tuple[float, float] | None = None
     last_step_norm: float | None = None
@@ -481,21 +509,25 @@ def lm_step(model: AlSsnnModel, ds: Dataset, config: TrainConfig, lam: float,
     Solves (J'J + lam*diag(J'J)) delta = -J'r by Cholesky, zero diagonal
     entries replaced by 1. Unlike LU with partial pivoting, Cholesky loses
     no accuracy to badly scaled parameters (the diagonal scaling of the
-    system). Returns (model', lam', accepted); the model is returned
-    unchanged on rejection and lam moves by TrainConfig's factors. Solve
-    failures (including a system that is not numerically positive definite)
-    and divergent candidates count as rejections; the workspace records why
-    (`last_reject_reason`: solve_failed, non_finite_step, invalid_params,
-    diverged or no_decrease).
+    system). The damped system is written into the workspace's J'J and
+    factored there (dposv on its upper triangle); a re-solve on the same
+    fill first copies J'J back from the strict lower triangle, so no solve
+    allocates a P x P array. Returns (model', lam', accepted); the model is
+    returned unchanged on rejection and lam moves by TrainConfig's factors.
+    Solve failures (including a system that is not numerically positive
+    definite) and divergent candidates count as rejections; the workspace
+    records why (`last_reject_reason`: solve_failed, non_finite_step,
+    invalid_params, diverged or no_decrease).
     """
     ws = workspace if workspace is not None else LmWorkspace()
     if not _same_problem(ws.filled_for, model, ds, config.gamma):
         # Drop the old fill first: its J'J is not kept alive through the
         # refill, and a refill that raises leaves no stale key behind.
-        ws.filled_for = ws.JtJ = ws.Jtr = None
+        ws.filled_for = ws.JtJ = ws.JtJ_diag = ws.Jtr = None
         rv = ws._residuals(model, ds, config.gamma)
         ws.jacobians += 1
         ws.JtJ, ws.Jtr = _normal_equations(model, ds, config.gamma, rv)
+        ws.JtJ_diag, ws.factored = ws.JtJ.diagonal().copy(), False
         ws.loss = rv.loss_value()
         ws.output_mse, ws.penalty_mse = rv.components()
         ws.grad_inf = float(np.max(np.abs(2.0 / ds.n_samples * ws.Jtr)))
@@ -510,12 +542,13 @@ def lm_step(model: AlSsnnModel, ds: Dataset, config: TrainConfig, lam: float,
         ws.last_reject_reason = reason
         return model, lam * config.lambda_up, False
 
-    damping = np.diag(ws.JtJ).copy()
-    damping[damping == 0.0] = 1.0
-    damped = np.array(ws.JtJ, order="F")
-    damped.flat[:: damped.shape[0] + 1] += lam * damping
+    if ws.factored:
+        _mirror(ws.JtJ.T)   # J'J back over the last factor
+    damping = np.where(ws.JtJ_diag == 0.0, 1.0, ws.JtJ_diag)
+    np.fill_diagonal(ws.JtJ, ws.JtJ_diag + lam * damping)
     ws.solves += 1
-    _, delta, info = dposv(damped, -ws.Jtr, lower=0, overwrite_a=1, overwrite_b=1)
+    ws.factored = True
+    _, delta, info = dposv(ws.JtJ, -ws.Jtr, lower=0, overwrite_a=1, overwrite_b=1)
     if info != 0:
         return reject("solve_failed")
     if not np.all(np.isfinite(delta)):

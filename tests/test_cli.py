@@ -304,6 +304,24 @@ def test_closedloop_channel_mismatch(ws, tmp_path, capsys):
     assert "input channels" in capsys.readouterr().err
 
 
+def two_output_record(tmp_path):
+    """A record with the AL model's one input and two outputs."""
+    data = tmp_path / "two-out.csv"
+    u = np.random.default_rng(1).normal(size=(300, 1))
+    save_csv(Dataset(u=u, y=np.zeros((300, 2))), data)
+    return data
+
+
+def test_closedloop_output_count_mismatch_exit_2(ws, tmp_path, capsys):
+    data = two_output_record(tmp_path)
+    rc = main(["closedloop", "--model", str(ws["al"]) + ".model.json",
+               "--data", str(data), "-o", str(tmp_path / "x")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"record {data} has 2 output channels, model expects 1" in err
+    assert not (tmp_path / "x.json").exists()
+
+
 # ---------------------------------------------------------------- certify
 
 def test_certify_outputs(ws, tmp_path):
@@ -337,6 +355,17 @@ def test_certify_non_finite_epsilon_exit_2(ws, tmp_path, capsys, epsilon):
                  "-o", str(tmp_path / "c")]) == 2
     assert "epsilon must be finite and non-negative" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_certify_output_count_mismatch_exit_2(ws, tmp_path, capsys):
+    # every record is checked, not only the first, which drives the loops
+    data = two_output_record(tmp_path)
+    rc = main(["certify", "--model", str(ws["al"]) + ".model.json",
+               "--data", str(ws["wh"]), str(data), "-o", str(tmp_path / "x")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"record {data} has 2 output channels, model expects 1" in err
+    assert not (tmp_path / "x.certificate.json").exists()
 
 
 def certify_zero_net_model(tmp_path, a):

@@ -405,14 +405,21 @@ def chunk_case(kind, N, n=7, m=2, p=2, nh=4, seed=26):
 
 
 def check_streamed_normal_equations(model, ds, config):
+    # J'J straight after the fill, before any solve factors inside it
+    rv = residuals(model, ds, config.gamma)
+    fill_JtJ, fill_Jtr = training._normal_equations(model, ds, config.gamma, rv)
+    J = jacobian_bptt(model, ds, config.gamma)
+    JtJ, Jtr = J.T @ J, J.T @ rv.r
+    assert np.max(np.abs(fill_JtJ - JtJ)) <= 1e-12 * np.max(np.abs(JtJ))
+    assert np.max(np.abs(fill_Jtr - Jtr)) <= 1e-12 * np.max(np.abs(Jtr))
+    assert np.array_equal(fill_JtJ, fill_JtJ.T)
+    # lm_step fills the same, and its solve leaves J'J in the strict lower
+    # triangle and the diagonal vector
     ws = LmWorkspace()
     lm_step(model, ds, config, 1e-2, workspace=ws)
-    J = jacobian_bptt(model, ds, config.gamma)
-    r = residuals(model, ds, config.gamma).r
-    JtJ, Jtr = J.T @ J, J.T @ r
-    assert np.max(np.abs(ws.JtJ - JtJ)) <= 1e-12 * np.max(np.abs(JtJ))
-    assert np.max(np.abs(ws.Jtr - Jtr)) <= 1e-12 * np.max(np.abs(Jtr))
-    assert np.array_equal(ws.JtJ, ws.JtJ.T)
+    assert ws.factored and np.array_equal(ws.Jtr, fill_Jtr)
+    assert np.array_equal(ws.JtJ_diag, np.diag(fill_JtJ))
+    assert np.array_equal(np.tril(ws.JtJ, -1), np.tril(fill_JtJ, -1))
 
 
 # Every kind's chunk length c lies in (85, 293) (checked below): 85 samples
@@ -466,6 +473,70 @@ def test_lm_step_refill_memory_stays_below_a_quarter_of_the_jacobian():
     assert peak < jac_bytes / 4
 
 
+@pytest.mark.parametrize("P", [1, 63, 64, 65, 130, 200])
+def test_mirror_copies_one_strict_triangle_onto_the_other(P):
+    # sizes around the block width, against numpy's triangles
+    a = np.asfortranarray(np.random.default_rng(P).normal(size=(P, P)))
+    up, lo = a.copy(order="F"), a.copy(order="F")
+    training._mirror(up)
+    training._mirror(lo.T)
+    assert np.array_equal(up, np.triu(a) + np.triu(a, 1).T)
+    assert np.array_equal(lo, np.tril(a) + np.tril(a, -1).T)
+
+
+def wide_case():
+    """chunk_case's AL model with 80-unit nets: P = 1,061, as on wh-wide."""
+    model, ds, config = chunk_case("al_eq", 100, n=4, m=1, p=1, nh=80, seed=28)
+    assert pack_params(model).size == 1061
+    return model, ds, config
+
+
+def test_lm_step_solve_allocates_no_normal_matrix():
+    # a solve factors inside the workspace's J'J; a damped copy of J'J
+    # (P^2 * 8 bytes) would break this bound
+    model, ds, config = wide_case()
+    P = pack_params(model).size
+    ws = LmWorkspace()
+    _, lam, _ = lm_step(model, ds, config, 1e-2, workspace=ws)
+    runs = ws.free_runs
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        # the same model: a re-solve on the same fill, with its candidate's free run
+        lm_step(model, ds, config, lam, workspace=ws)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert ws.jacobians == 1 and ws.free_runs == runs + 1
+    assert ws.last_candidate_loss is not None
+    assert peak < 0.5 * P * P * 8
+
+
+def test_lm_step_resolve_equals_a_fresh_fill_bit_for_bit(monkeypatch):
+    # after a rejected step, the re-solve restores J'J from the strict lower
+    # triangle over the last factor; its step must be the one a fresh fill
+    # solves at that lambda, and a second solve at one lambda must repeat it
+    model, ds, config = wide_case()
+    steps, dposv = [], training.dposv
+
+    def recording_dposv(*args, **kwargs):
+        out = dposv(*args, **kwargs)
+        steps.append(out[1].copy())
+        return out
+
+    monkeypatch.setattr(training, "dposv", recording_dposv)
+    ws = LmWorkspace()
+    _, lam, accepted = lm_step(model, ds, config, 1e-8, workspace=ws)
+    assert not accepted
+    for _ in range(2):
+        lm_step(model, ds, config, lam, workspace=ws)
+    lm_step(model, ds, config, lam, workspace=LmWorkspace())
+    assert ws.jacobians == 1 and ws.solves == 3 and len(steps) == 4
+    assert not np.array_equal(steps[0], steps[1])
+    assert np.array_equal(steps[1], steps[3]) and np.array_equal(steps[2], steps[1])
+
+
 def test_residuals_raise_on_non_finite_free_run():
     # B u = inf - inf makes x(1) NaN; it must count as divergence rather
     # than give a NaN loss
@@ -514,15 +585,15 @@ def test_lm_step_reject_reasons():
     P = pack_params(model).size
     # a filled workspace whose normal equations are NaN: no usable step
     key = (model, ds, 0.5)
-    ws = LmWorkspace(filled_for=key, loss=1.0, JtJ=np.full((P, P), np.nan),
-                     Jtr=np.ones(P))
+    ws = LmWorkspace(filled_for=key, loss=1.0, JtJ=np.full((P, P), np.nan, order="F"),
+                     JtJ_diag=np.full(P, np.nan), Jtr=np.ones(P))
     _, _, accepted = lm_step(model, ds, config, 1e-2, workspace=ws)
     assert not accepted
     assert ws.last_reject_reason in ("solve_failed", "non_finite_step")
     assert ws.last_step_norm is None and ws.free_runs == 0 and ws.solves == 1
     # a zero step cannot strictly decrease the loss
-    ws = LmWorkspace(filled_for=key, loss=loss(model, ds, 0.5), JtJ=np.eye(P),
-                     Jtr=np.zeros(P))
+    ws = LmWorkspace(filled_for=key, loss=loss(model, ds, 0.5), JtJ=np.eye(P, order="F"),
+                     JtJ_diag=np.ones(P), Jtr=np.zeros(P))
     _, _, accepted = lm_step(model, ds, config, 1e-2, workspace=ws)
     assert not accepted and ws.last_reject_reason == "no_decrease"
     assert ws.last_step_norm == 0.0 and ws.free_runs == 1
@@ -554,7 +625,8 @@ def test_lm_step_solve_is_accurate_on_badly_scaled_normal_equations(monkeypatch)
         JtJ = s[:, None] * (J.T @ J) * s[None, :]
         JtJ = 0.5 * (JtJ + JtJ.T)
         Jtr = s * rng.normal(size=P)
-        ws = LmWorkspace(filled_for=(model, ds, 0.5), loss=1.0, JtJ=JtJ, Jtr=Jtr)
+        ws = LmWorkspace(filled_for=(model, ds, 0.5), loss=1.0,
+                         JtJ=JtJ.copy(order="F"), JtJ_diag=np.diag(JtJ).copy(), Jtr=Jtr)
         lm_step(model, ds, config, lam, workspace=ws)
         assert ws.last_reject_reason == "invalid_params"
         damped = JtJ + lam * np.diag(np.diag(JtJ))

@@ -9,7 +9,7 @@ equal arguments give bit-identical data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -286,15 +286,8 @@ def generate_wh(params: WhParams, input_spec: WhInputSpec, N: int,
 # --- metadata helpers for file sidecars --------------------------------------
 
 def pp_params_to_dict(params: PreyPredatorParams, forcing: SinusoidalForcing) -> dict:
-    return {
-        "system": "prey-predator",
-        "a1": params.a1, "a2": params.a2, "b1": params.b1, "b2": params.b2,
-        "c1": params.c1, "c2": params.c2, "d1": params.d1, "d2": params.d2,
-        "e": params.e, "f": params.f, "g": params.g,
-        "dt": params.dt, "x0": list(params.x0),
-        "forcing": {"A1": forcing.A1, "A2": forcing.A2,
-                    "phi1": forcing.phi1, "phi2": forcing.phi2},
-    }
+    return {"system": "prey-predator", **asdict(params), "x0": list(params.x0),
+            "forcing": asdict(forcing)}
 
 
 def wh_params_to_dict(params: WhParams, input_spec: WhInputSpec) -> dict:

@@ -446,59 +446,40 @@ def _normal_equations(model: AlSsnnModel, ds: Dataset, gamma: float,
 
 # --- Levenberg-Marquardt ----------------------------------------------------
 
-def _same_problem(key: tuple | None, model, ds: Dataset, gamma: float) -> bool:
-    """Whether a cache key (filled_for or accepted) starts with this
-    (model, dataset, gamma)."""
-    return key is not None and key[0] is model and key[1] is ds and key[2] == gamma
-
-
 @dataclass
 class LmWorkspace:
-    """Cache shared across lm_step calls while the model is unchanged.
+    """State shared across lm_step calls: one model's residuals and fill.
 
-    Callers must leave `filled_for`, `factored` and `accepted` alone.
-    `filled_for` is the (model, dataset, gamma) the cached loss, J'J and J'r
-    belong to; lm_step refills the cache whenever it is called with anything
-    else. It clears the old J'J, J'r and key first, then streams the new ones
-    from one dsyrk and one gemv per cache-sized chunk of J's rows, without
-    forming J. `JtJ` is then the exactly symmetric P x P J'J in Fortran
-    order, and `JtJ_diag` its diagonal. Each solve factors in place inside
-    `JtJ` and sets `factored`: from then on its upper triangle and diagonal
-    hold the last solve's Cholesky factor and only its strict lower triangle
-    and `JtJ_diag` hold J'J, from which the next solve restores the upper
-    triangle. `accepted` keeps the (model, dataset, gamma, residuals) of
-    the last accepted candidate, so the refill for that model reuses the
-    candidate's free run instead of simulating it again; `loss` still holds
-    the loss of the model the accepted step started from. The counters add
-    up over all calls sharing the workspace: one free run per residual
-    evaluation, one Jacobian per refill and one solve per damped system
-    attempted.
+    Callers must leave `problem` and `rv` alone. `problem` is the (model,
+    dataset, gamma) the workspace holds, and `rv` that model's residuals,
+    free run included; `JtJ`, `JtJ_diag`, `Jtr`, `loss` and `grad_inf`
+    belong to the same model once filled, and `JtJ is None` means not filled
+    yet. A call with another problem drops all of it and computes a fresh
+    free run. A fill streams J'J and J'r from one dsyrk and one gemv per
+    cache-sized chunk of J's rows, without forming J: `JtJ` is then the
+    exactly symmetric P x P J'J in Fortran order, and `JtJ_diag` its
+    diagonal. Each solve factors in place inside `JtJ`, after which only its
+    strict lower triangle and `JtJ_diag` hold J'J. An accepted step moves
+    `problem` and `rv` to the candidate and drops the old fill, so the next
+    call fills from the candidate's free run; `loss` still holds the loss of
+    the model the step started from. The counters add up over all calls
+    sharing the workspace: one free run per residual evaluation, one
+    Jacobian per fill and one solve per damped system attempted.
     """
 
-    filled_for: tuple | None = field(default=None, repr=False)
-    loss: float = float("nan")
-    grad_inf: float = float("nan")
-    output_mse: float = float("nan")
-    penalty_mse: float = float("nan")
+    problem: tuple | None = field(default=None, repr=False)
+    rv: ResidualVector | None = field(default=None, repr=False)
     JtJ: np.ndarray | None = None
     JtJ_diag: np.ndarray | None = None
     Jtr: np.ndarray | None = None
-    factored: bool = field(default=False, repr=False)
+    loss: float = float("nan")
+    grad_inf: float = float("nan")
     last_candidate_loss: float | None = None
-    last_candidate_components: tuple[float, float] | None = None
     last_step_norm: float | None = None
     last_reject_reason: str | None = None
     free_runs: int = 0
     jacobians: int = 0
     solves: int = 0
-    accepted: tuple | None = field(default=None, repr=False)
-
-    def _residuals(self, model, ds: Dataset, gamma: float) -> ResidualVector:
-        """Residuals of `model`, from the cache when it holds this model's."""
-        if _same_problem(self.accepted, model, ds, gamma):
-            return self.accepted[3]
-        self.free_runs += 1
-        return residuals(model, ds, gamma)
 
 
 def lm_step(model: AlSsnnModel, ds: Dataset, config: TrainConfig, lam: float,
@@ -510,8 +491,8 @@ def lm_step(model: AlSsnnModel, ds: Dataset, config: TrainConfig, lam: float,
     entries replaced by 1. Unlike LU with partial pivoting, Cholesky loses
     no accuracy to badly scaled parameters (the diagonal scaling of the
     system). The damped system is written into the workspace's J'J and
-    factored there (dposv on its upper triangle); a re-solve on the same
-    fill first copies J'J back from the strict lower triangle, so no solve
+    factored there (dposv on its upper triangle); every solve first copies
+    J'J from the strict lower triangle onto the upper one, so no solve
     allocates a P x P array. Returns (model', lam', accepted); the model is
     returned unchanged on rejection and lam moves by TrainConfig's factors.
     Solve failures (including a system that is not numerically positive
@@ -520,34 +501,31 @@ def lm_step(model: AlSsnnModel, ds: Dataset, config: TrainConfig, lam: float,
     invalid_params, diverged or no_decrease).
     """
     ws = workspace if workspace is not None else LmWorkspace()
-    if not _same_problem(ws.filled_for, model, ds, config.gamma):
-        # Drop the old fill first: its J'J is not kept alive through the
-        # refill, and a refill that raises leaves no stale key behind.
-        ws.filled_for = ws.JtJ = ws.JtJ_diag = ws.Jtr = None
-        rv = ws._residuals(model, ds, config.gamma)
+    held, held_ds, held_gamma = ws.problem or (None, None, None)
+    if held is not model or held_ds is not ds or held_gamma != config.gamma:
+        # Drop the old state first: its J'J is not kept alive through the
+        # refill, and a free run that raises leaves no stale problem behind.
+        ws.problem = ws.rv = ws.JtJ = ws.JtJ_diag = ws.Jtr = None
+        ws.free_runs += 1
+        ws.rv = residuals(model, ds, config.gamma)
+        ws.problem = (model, ds, config.gamma)
+    if ws.JtJ is None:
         ws.jacobians += 1
-        ws.JtJ, ws.Jtr = _normal_equations(model, ds, config.gamma, rv)
-        ws.JtJ_diag, ws.factored = ws.JtJ.diagonal().copy(), False
-        ws.loss = rv.loss_value()
-        ws.output_mse, ws.penalty_mse = rv.components()
+        ws.JtJ, ws.Jtr = _normal_equations(model, ds, config.gamma, ws.rv)
+        ws.JtJ_diag = ws.JtJ.diagonal().copy()
+        ws.loss = ws.rv.loss_value()
         ws.grad_inf = float(np.max(np.abs(2.0 / ds.n_samples * ws.Jtr)))
-        ws.filled_for = (model, ds, config.gamma)
 
-    ws.last_candidate_loss = None
-    ws.last_candidate_components = None
-    ws.last_step_norm = None
-    ws.last_reject_reason = None
+    ws.last_candidate_loss = ws.last_step_norm = ws.last_reject_reason = None
 
     def reject(reason: str):
         ws.last_reject_reason = reason
         return model, lam * config.lambda_up, False
 
-    if ws.factored:
-        _mirror(ws.JtJ.T)   # J'J back over the last factor
+    _mirror(ws.JtJ.T)   # J'J over the last factor, if any
     damping = np.where(ws.JtJ_diag == 0.0, 1.0, ws.JtJ_diag)
     np.fill_diagonal(ws.JtJ, ws.JtJ_diag + lam * damping)
     ws.solves += 1
-    ws.factored = True
     _, delta, info = dposv(ws.JtJ, -ws.Jtr, lower=0, overwrite_a=1, overwrite_b=1)
     if info != 0:
         return reject("solve_failed")
@@ -566,11 +544,10 @@ def lm_step(model: AlSsnnModel, ds: Dataset, config: TrainConfig, lam: float,
         return reject("diverged")
     except DataError:
         return reject("invalid_params")
-    loss_c = rv_c.loss_value()
-    ws.last_candidate_loss = loss_c
-    ws.last_candidate_components = rv_c.components()
-    if loss_c < ws.loss:
-        ws.accepted = (candidate, ds, config.gamma, rv_c)
+    ws.last_candidate_loss = rv_c.loss_value()
+    if ws.last_candidate_loss < ws.loss:
+        ws.problem, ws.rv = (candidate, ds, config.gamma), rv_c
+        ws.JtJ = ws.JtJ_diag = ws.Jtr = None
         return candidate, lam * config.lambda_down, True
     return reject("no_decrease")
 
@@ -644,31 +621,42 @@ def _enrich_basis(net: Mlp) -> Mlp:
                    b_in=net.b_in * TrainConfig.hidden_bias_scale)
 
 
-def _run_lm(model: AlSsnnModel, ds: Dataset, config: TrainConfig):
-    ws = LmWorkspace()
+def _train(family: type, ds: Dataset, n: int, config: TrainConfig):
+    """Linear init, zero-function nets and LM, for AL (family AlSsnnModel)
+    and GR (GrSsnnModel, n_h = 0, its f net as the g net)."""
+    t0 = time.perf_counter()
+    lin0 = linear_init(ds, n, config.horizon)
+    m, p = ds.n_inputs, ds.n_outputs
+    y_scale, z_scale = _hidden_input_scales(lin0, ds)
+    h_net = _enrich_basis(init_small(p, config.n_h, m, scale=0.0, seed=config.seed))
+    g_net = _enrich_basis(init_small(n + m, config.n_g, n, scale=0.0, seed=config.seed + 1))
+    h_net = _scale_input_layer(h_net, y_scale)
+    g_net = _scale_input_layer(g_net, z_scale)
+    model = family(lin=lin0, h_net=h_net, g_net=g_net,
+                   eq=Equilibrium(x_e=np.zeros(n), u_e=np.zeros(m)))
+    if _pinned(model):
+        model = replace(model, g_net=enforce_equilibrium_zero(model.g_net, model.eq))
+    scaling = {"h_input_scale": [float(v) for v in y_scale],
+               "g_input_scale": [float(v) for v in z_scale]}
+    if family is GrSsnnModel:
+        scaling = {"f_input_scale": scaling["g_input_scale"]}
+
+    # The workspace starts at the initial model; its first fill reuses this run.
+    ws = LmWorkspace(problem=(model, ds, config.gamma), free_runs=1,
+                     rv=residuals(model, ds, config.gamma))
     lam = config.lambda0
-    rv0 = ws._residuals(model, ds, config.gamma)
-    ws.accepted = (model, ds, config.gamma, rv0)   # the first refill reuses this run
-    init_loss = rv0.loss_value()
-    cur_loss = init_loss
-    cur_out, cur_pen = rv0.components()
-    accepted_losses = [init_loss]
-    records = []
-    stop_reason = "max_iters"
-    n_accepted = 0
+    losses = [ws.rv.loss_value()]   # the initial model's, then each accepted step's
+    records, stop_reason = [], "max_iters"
     for it in range(1, config.max_iters + 1):
-        model_next, lam, accepted = lm_step(model, ds, config, lam, workspace=ws)
+        model, lam, accepted = lm_step(model, ds, config, lam, workspace=ws)
         if accepted:
-            model = model_next
-            n_accepted += 1
-            cur_loss = ws.last_candidate_loss
-            cur_out, cur_pen = ws.last_candidate_components
-            accepted_losses.append(cur_loss)
+            losses.append(ws.rv.loss_value())
+        output_mse, penalty_mse = ws.rv.components()
         records.append({
             "iteration": it,
-            "loss": cur_loss,
-            "output_mse": cur_out,
-            "penalty_mse": cur_pen,
+            "loss": losses[-1],
+            "output_mse": output_mse,
+            "penalty_mse": penalty_mse,
             "lambda": lam,
             "accepted": accepted,
             "grad_inf": ws.grad_inf,
@@ -678,62 +666,29 @@ def _run_lm(model: AlSsnnModel, ds: Dataset, config: TrainConfig):
         if ws.grad_inf < config.grad_tol:
             stop_reason = "grad_tol"
             break
-        if accepted and len(accepted_losses) >= 11:
-            old, newest = accepted_losses[-11], accepted_losses[-1]
-            if old - newest < config.loss_tol * max(old, 1e-300):
+        if accepted and len(losses) >= 11:
+            old = losses[-11]
+            if old - losses[-1] < config.loss_tol * max(old, 1e-300):
                 stop_reason = "loss_tol"
                 break
-    return model, {
-        "init_loss": init_loss,
-        "final_loss": cur_loss,
-        "final_output_mse": cur_out,
-        "final_penalty_mse": cur_pen,
-        "records": records,
-        "stop_reason": stop_reason,
-        "n_accepted": n_accepted,
-        "free_runs": ws.free_runs,
-        "jacobians": ws.jacobians,
-        "solves": ws.solves,
-    }
-
-
-def _train(family: type, ds_train: Dataset, n: int, config: TrainConfig):
-    """Linear init, zero-function nets and LM, for AL (family AlSsnnModel)
-    and GR (GrSsnnModel, n_h = 0, its f net as the g net)."""
-    t0 = time.perf_counter()
-    lin0 = linear_init(ds_train, n, config.horizon)
-    m, p = ds_train.n_inputs, ds_train.n_outputs
-    y_scale, z_scale = _hidden_input_scales(lin0, ds_train)
-    h_net = _enrich_basis(init_small(p, config.n_h, m, scale=0.0, seed=config.seed))
-    g_net = _enrich_basis(init_small(n + m, config.n_g, n, scale=0.0, seed=config.seed + 1))
-    h_net = _scale_input_layer(h_net, y_scale)
-    g_net = _scale_input_layer(g_net, z_scale)
-    model = family(lin=lin0, h_net=h_net, g_net=g_net,
-                   eq=Equilibrium(x_e=np.zeros(n), u_e=np.zeros(m)))
-    if _pinned(model):
-        model = replace(model, g_net=enforce_equilibrium_zero(model.g_net, model.eq))
-    model, stats = _run_lm(model, ds_train, config)
-    scaling = {"h_input_scale": [float(v) for v in y_scale],
-               "g_input_scale": [float(v) for v in z_scale]}
-    if family is GrSsnnModel:
-        scaling = {"f_input_scale": scaling["g_input_scale"]}
+    final = records[-1]
     return model, TrainReport(
         family=_family(model),
         dims=model.dims,
         config=asdict(config),
         input_scaling=scaling,
-        init_loss=stats["init_loss"],
-        final_loss=stats["final_loss"],
-        final_output_mse=stats["final_output_mse"],
-        final_penalty_mse=stats["final_penalty_mse"],
-        rmse_train=float(np.sqrt(stats["final_output_mse"])),
-        n_iterations=len(stats["records"]),
-        n_accepted=stats["n_accepted"],
-        stop_reason=stats["stop_reason"],
-        iterations=stats["records"],
-        free_runs=stats["free_runs"],
-        jacobians=stats["jacobians"],
-        solves=stats["solves"],
+        init_loss=losses[0],
+        final_loss=final["loss"],
+        final_output_mse=final["output_mse"],
+        final_penalty_mse=final["penalty_mse"],
+        rmse_train=float(np.sqrt(final["output_mse"])),
+        n_iterations=len(records),
+        n_accepted=len(losses) - 1,
+        stop_reason=stop_reason,
+        iterations=records,
+        free_runs=ws.free_runs,
+        jacobians=ws.jacobians,
+        solves=ws.solves,
         wall_time_s=time.perf_counter() - t0,
     )
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from alssnn.cli import main
-from alssnn.dataio import Dataset, load_csv, save_csv
+from alssnn.control import ratio_stats, rmse, rmse_split
+from alssnn.dataio import Dataset, SplitSpec, load_csv, save_csv, split
 from alssnn.linear_id import LinearSS
 from alssnn.models import AlSsnnModel, GrSsnnModel, load_model, save_model
 from alssnn.nets import Equilibrium, Mlp
@@ -182,6 +183,21 @@ def test_evaluate_split(ws, tmp_path):
     res = read_json(str(out) + ".json")
     assert "rmse_train" in res and "rmse_test" in res
     assert res["ratios"]["partition"] == "test"
+
+
+def test_evaluate_split_ratios_restart_the_test_half(ws, tmp_path):
+    # the (test) ratios come from a free run of the test half alone,
+    # restarted at x(0) = 0, while rmse_test continues the one free run over
+    # the whole record
+    out = tmp_path / "evr"
+    model_path = str(ws["al"]) + ".model.json"
+    assert main(["evaluate", "--model", model_path, "--data", str(ws["wh"]),
+                 "--split", "0.5", "-o", str(out)]) == 0
+    res = read_json(str(out) + ".json")
+    model, ds = load_model(model_path), load_csv(ws["wh"])
+    _, test_half = split(ds, SplitSpec(0.5))
+    assert res["ratios"] == {"partition": "test", **ratio_stats(model, test_half).as_dict()}
+    assert res["rmse_test"] == rmse_split(model, ds, 0.5)[1] != rmse(model, test_half)
 
 
 def test_evaluate_lti_has_no_ratios(ws, tmp_path):

@@ -329,10 +329,10 @@ def test_lm_step_reuses_accepted_candidate_states_bit_identically():
         new, lam, accepted = lm_step(model, ds, config, lam, workspace=ws)
         if accepted:
             break
-    assert accepted and ws.accepted[0] is new
+    assert accepted and ws.problem[0] is new
     runs_before = ws.free_runs
     fresh = LmWorkspace()
-    lm_step(new, ds, config, lam, workspace=ws)
+    assert not lm_step(new, ds, config, lam, workspace=ws)[2]   # keeps its fill
     lm_step(new, ds, config, lam, workspace=fresh)
     # cached: only the candidate's free run; fresh: the refill's and the candidate's
     assert ws.free_runs == runs_before + 1
@@ -340,6 +340,24 @@ def test_lm_step_reuses_accepted_candidate_states_bit_identically():
     assert np.array_equal(ws.JtJ, fresh.JtJ)
     assert np.array_equal(ws.Jtr, fresh.Jtr)
     assert ws.loss == fresh.loss
+
+
+def test_lm_step_accept_moves_the_workspace_to_the_candidate():
+    # an accepted step leaves the candidate's free run and no fill, and the
+    # loss of the model it started from; that model is then another
+    # problem, so a call with it again simulates and fills afresh
+    model = rand_al(seed=18, net_scale=0.1)
+    ds = rand_ds(N=25, seed=18)
+    config = TrainConfig(gamma=0.4)
+    ws = LmWorkspace()
+    candidate, _, accepted = lm_step(model, ds, config, 1e2, workspace=ws)
+    assert accepted and candidate is not model
+    assert ws.JtJ is None and ws.JtJ_diag is None and ws.Jtr is None
+    assert ws.problem[0] is candidate and ws.rv.loss_value() == ws.last_candidate_loss
+    assert ws.loss == loss(model, ds, 0.4)
+    assert (ws.free_runs, ws.jacobians) == (2, 1)
+    lm_step(model, ds, config, 1e2, workspace=ws)
+    assert (ws.free_runs, ws.jacobians) == (4, 2) and ws.loss == loss(model, ds, 0.4)
 
 
 def test_lm_workspace_refills_for_another_model():
@@ -355,16 +373,19 @@ def test_lm_workspace_refills_for_another_model():
     out = lm_step(m2, ds, config, 1e-2, workspace=ws)
     ref = lm_step(m2, ds, config, 1e-2, workspace=fresh)
     assert ws.loss == fresh.loss == loss(m2, ds, 0.5)
-    assert np.array_equal(ws.JtJ, fresh.JtJ) and np.array_equal(ws.Jtr, fresh.Jtr)
+    # the step is accepted, which drops the fill; the gradient norm and the
+    # step stay to show both solved m2's normal equations
+    assert out[2] and ws.JtJ is None and ws.grad_inf == fresh.grad_inf
     assert out[1:] == ref[1:]
     assert np.array_equal(pack_params(out[0]), pack_params(ref[0]))
     assert ws.jacobians == 2
 
 
 def test_lm_step_refill_drops_the_old_fill_first(monkeypatch):
-    # a refill starts with the old J'J, J'r and key cleared, so the old J'J
-    # is not alive through it and a refill that raises leaves no stale key:
-    # the next call refills instead of reusing the old J'J
+    # a call with another model drops the old J'J and J'r before it fills,
+    # so the old J'J is not alive through the refill; a refill that raises
+    # leaves the new model unfilled, so the next call fills instead of
+    # reusing the old J'J
     m1, m2 = rand_al(seed=1), rand_al(seed=2)
     ds = rand_ds(N=40)
     config = TrainConfig(gamma=0.5)
@@ -374,7 +395,7 @@ def test_lm_step_refill_drops_the_old_fill_first(monkeypatch):
     sensitivity_pass = training._sensitivity_chunks
 
     def failing_pass(*args, **kwargs):
-        cleared.append(ws.JtJ is None and ws.Jtr is None and ws.filled_for is None)
+        cleared.append(ws.JtJ is None and ws.Jtr is None and ws.problem[0] is m2)
         raise MemoryError("refill failed")
 
     monkeypatch.setattr(training, "_sensitivity_chunks", failing_pass)
@@ -386,7 +407,8 @@ def test_lm_step_refill_drops_the_old_fill_first(monkeypatch):
     fresh = LmWorkspace()
     ref = lm_step(m1, ds, config, 1e-2, workspace=fresh)
     assert ws.jacobians == 3
-    assert np.array_equal(ws.JtJ, fresh.JtJ) and np.array_equal(ws.Jtr, fresh.Jtr)
+    assert ws.JtJ is not None and np.array_equal(ws.JtJ, fresh.JtJ)
+    assert np.array_equal(ws.Jtr, fresh.Jtr)
     assert ws.loss == fresh.loss and out[1:] == ref[1:]
 
 
@@ -404,7 +426,7 @@ def chunk_case(kind, N, n=7, m=2, p=2, nh=4, seed=26):
     return model, ds, TrainConfig(gamma=0.0 if kind == "al_gamma0" else 0.8)
 
 
-def check_streamed_normal_equations(model, ds, config):
+def check_streamed_normal_equations(model, ds, config, monkeypatch):
     # J'J straight after the fill, before any solve factors inside it
     rv = residuals(model, ds, config.gamma)
     fill_JtJ, fill_Jtr = training._normal_equations(model, ds, config.gamma, rv)
@@ -414,10 +436,17 @@ def check_streamed_normal_equations(model, ds, config):
     assert np.max(np.abs(fill_Jtr - Jtr)) <= 1e-12 * np.max(np.abs(Jtr))
     assert np.array_equal(fill_JtJ, fill_JtJ.T)
     # lm_step fills the same, and its solve leaves J'J in the strict lower
-    # triangle and the diagonal vector
+    # triangle and the diagonal vector. An accepted step would drop the
+    # fill, so the candidate is refused (invalid_params) after the solve.
+    def refuse(model, theta):
+        raise DataError("candidate refused")
+
     ws = LmWorkspace()
-    lm_step(model, ds, config, 1e-2, workspace=ws)
-    assert ws.factored and np.array_equal(ws.Jtr, fill_Jtr)
+    with monkeypatch.context() as patch:
+        patch.setattr(training, "unpack_params", refuse)
+        lm_step(model, ds, config, 1e-2, workspace=ws)
+    assert ws.last_reject_reason == "invalid_params" and ws.solves == 1
+    assert np.array_equal(ws.Jtr, fill_Jtr)
     assert np.array_equal(ws.JtJ_diag, np.diag(fill_JtJ))
     assert np.array_equal(np.tril(ws.JtJ, -1), np.tril(fill_JtJ, -1))
 
@@ -426,14 +455,14 @@ def check_streamed_normal_equations(model, ds, config):
 # fit one chunk, 293 cross a chunk boundary and 768 at least two.
 @pytest.mark.parametrize("N", [85, 293, 768])
 @pytest.mark.parametrize("kind", ["al_eq", "al_free_c", "al_gamma0", "al_no_nets", "gr"])
-def test_streamed_normal_equations_equal_assembled_jacobian(kind, N):
+def test_streamed_normal_equations_equal_assembled_jacobian(kind, N, monkeypatch):
     model, ds, config = chunk_case(kind, N)
     assert 85 < chunk_len(model) < 293
-    check_streamed_normal_equations(model, ds, config)
+    check_streamed_normal_equations(model, ds, config, monkeypatch)
 
 
 @pytest.mark.parametrize("kind", ["al_eq", "al_free_c", "gr"])
-def test_streamed_normal_equations_equal_assembled_jacobian_wide(kind):
+def test_streamed_normal_equations_equal_assembled_jacobian_wide(kind, monkeypatch):
     # P of about 1,000, as on the wide Wiener-Hammerstein nets: a few dozen
     # samples per chunk, and a record of four chunks
     model, ds, config = chunk_case(kind, 100, n=4, m=1, p=1,
@@ -441,7 +470,7 @@ def test_streamed_normal_equations_equal_assembled_jacobian_wide(kind):
     assert 1000 <= pack_params(model).size <= 1100
     c = chunk_len(model)
     assert 10 <= c <= 50 and ds.n_samples > 3 * c
-    check_streamed_normal_equations(model, ds, config)
+    check_streamed_normal_equations(model, ds, config, monkeypatch)
     # and the pass itself, along random unit directions, against central
     # differences of the residuals
     J = jacobian_bptt(model, ds, config.gamma)
@@ -497,13 +526,15 @@ def test_lm_step_solve_allocates_no_normal_matrix():
     model, ds, config = wide_case()
     P = pack_params(model).size
     ws = LmWorkspace()
-    _, lam, _ = lm_step(model, ds, config, 1e-2, workspace=ws)
+    _, lam, accepted = lm_step(model, ds, config, 1e-8, workspace=ws)
+    assert not accepted
     runs = ws.free_runs
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        # the same model: a re-solve on the same fill, with its candidate's free run
+        # after a rejected step: a re-solve on the same fill, with its
+        # candidate's free run
         lm_step(model, ds, config, lam, workspace=ws)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
@@ -578,6 +609,17 @@ def test_report_counters_and_reasons_al_and_gr():
             rep.free_runs, rep.jacobians, rep.solves)
 
 
+def test_train_final_losses_are_the_returned_models_residuals():
+    ds = linear_ds(N=120, seed=23)
+    ds = Dataset(u=ds.u, y=ds.y + 0.05 * np.tanh(3 * ds.y))
+    config = TrainConfig(gamma=0.5, max_iters=8, n_h=3, n_g=3)
+    for model, report in (train(ds, 2, config), train_gr(ds, 2, 3, config)):
+        assert report.n_accepted > 0
+        rv = residuals(model, ds, config.gamma)
+        assert report.final_loss == rv.loss_value()
+        assert (report.final_output_mse, report.final_penalty_mse) == rv.components()
+
+
 def test_lm_step_reject_reasons():
     model = rand_al(seed=24, net_scale=0.1)
     ds = rand_ds(N=20, seed=24)
@@ -585,14 +627,14 @@ def test_lm_step_reject_reasons():
     P = pack_params(model).size
     # a filled workspace whose normal equations are NaN: no usable step
     key = (model, ds, 0.5)
-    ws = LmWorkspace(filled_for=key, loss=1.0, JtJ=np.full((P, P), np.nan, order="F"),
+    ws = LmWorkspace(problem=key, loss=1.0, JtJ=np.full((P, P), np.nan, order="F"),
                      JtJ_diag=np.full(P, np.nan), Jtr=np.ones(P))
     _, _, accepted = lm_step(model, ds, config, 1e-2, workspace=ws)
     assert not accepted
     assert ws.last_reject_reason in ("solve_failed", "non_finite_step")
     assert ws.last_step_norm is None and ws.free_runs == 0 and ws.solves == 1
     # a zero step cannot strictly decrease the loss
-    ws = LmWorkspace(filled_for=key, loss=loss(model, ds, 0.5), JtJ=np.eye(P, order="F"),
+    ws = LmWorkspace(problem=key, loss=loss(model, ds, 0.5), JtJ=np.eye(P, order="F"),
                      JtJ_diag=np.ones(P), Jtr=np.zeros(P))
     _, _, accepted = lm_step(model, ds, config, 1e-2, workspace=ws)
     assert not accepted and ws.last_reject_reason == "no_decrease"
@@ -625,7 +667,7 @@ def test_lm_step_solve_is_accurate_on_badly_scaled_normal_equations(monkeypatch)
         JtJ = s[:, None] * (J.T @ J) * s[None, :]
         JtJ = 0.5 * (JtJ + JtJ.T)
         Jtr = s * rng.normal(size=P)
-        ws = LmWorkspace(filled_for=(model, ds, 0.5), loss=1.0,
+        ws = LmWorkspace(problem=(model, ds, 0.5), loss=1.0,
                          JtJ=JtJ.copy(order="F"), JtJ_diag=np.diag(JtJ).copy(), Jtr=Jtr)
         lm_step(model, ds, config, lam, workspace=ws)
         assert ws.last_reject_reason == "invalid_params"

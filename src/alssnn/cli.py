@@ -2,44 +2,16 @@
 closed-loop analysis and certification into reproducible runs.
 
 Every command is deterministic given (flags, files, seed); reports embed the
-resolved configuration. Exit codes: 0 success, 1 usage error, 2 data error,
-3 numerical or infeasibility error.
+resolved configuration. Exit codes: 0 success, 1 usage error, 2 data error
+(including an output that cannot be written), 3 numerical or infeasibility
+error.
 """
 
 from __future__ import annotations
 
-import os
-import sys
-
-
-def _thread_cap() -> tuple[int | None, str | None]:
-    """(cap, error) from ALSSNN_THREADS: the positive integer it holds, or
-    the usage error main() reports when it holds anything else."""
-    raw = os.environ.get("ALSSNN_THREADS")
-    if raw is None:
-        return None, None
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        return None, f"ALSSNN_THREADS must be a positive integer, got {raw!r}"
-    return cap, None
-
-
-def _apply_thread_cap() -> None:
-    # Must run before numpy first loads a BLAS, hence the early placement.
-    cap = _thread_cap()[0]
-    if cap is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                    "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
-            os.environ[var] = str(cap)
-
-
-_apply_thread_cap()
-
 import argparse
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -192,7 +164,6 @@ def cmd_gen_data(args) -> int:
 def _lti_identify(args, ds_train) -> int:
     horizon = args.horizon if args.horizon is not None else default_horizon(args.order)
     lin = linear_init(ds_train, args.order, horizon=horizon)
-    save_model(lin, str(args.out) + ".model.json")
     report = {
         "command": "identify",
         "family": "lti",
@@ -203,7 +174,8 @@ def _lti_identify(args, ds_train) -> int:
         "rmse_train": rmse(lin, ds_train),
         "spectral_radius": lin.spectral_radius(),
     }
-    _write_json(str(args.out) + ".report.json", report)
+    _write_json(str(args.out) + ".report.json", report)   # creates the directory
+    save_model(lin, str(args.out) + ".model.json")
     print(f"lti: n={args.order} rmse_train={_fmt(report['rmse_train'])} "
           f"rho(A)={_fmt(report['spectral_radius'])}")
     print(f"wrote {args.out}.model.json and {args.out}.report.json")
@@ -224,7 +196,6 @@ def _make_train_config(args, gamma: float) -> TrainConfig:
 def cmd_identify(args) -> int:
     ds_full = load_csv(args.data)
     ds_train = _train_part(ds_full, args.train_frac)
-    Path(str(args.out)).parent.mkdir(parents=True, exist_ok=True)
 
     if args.family == "lti":
         return _lti_identify(args, ds_train)
@@ -241,8 +212,7 @@ def cmd_identify(args) -> int:
             model, rep = train(ds_train, args.order, config)
         stats = ratio_stats(model, ds_train)
         suffix = f".gamma-{gamma:g}" if len(gammas) > 1 else ""
-        save_model(model, str(args.out) + suffix + ".model.json")
-        _write_json(str(args.out) + suffix + ".report.json", {
+        _write_json(str(args.out) + suffix + ".report.json", {   # creates the directory
             "command": "identify",
             "family": args.family,
             "data": args.data,
@@ -250,6 +220,7 @@ def cmd_identify(args) -> int:
             "report": report_to_json_dict(rep, include_timing=args.record_timing),
             "train_ratios": stats.as_dict(),
         })
+        save_model(model, str(args.out) + suffix + ".model.json")
         sweep_rows.append({
             "gamma": gamma,
             "rmse_train": rep.rmse_train,
@@ -308,7 +279,6 @@ def cmd_evaluate(args) -> int:
         stats = ratio_stats(model, ratio_ds)
         result["ratios"] = {"partition": partition, **stats.as_dict()}
 
-    _ensure_parent(str(args.out) + ".json")
     rows = [(k, result[k]) for k in ("rmse", "rmse_train", "rmse_test") if k in result]
     if "ratios" in result:
         for k, v in result["ratios"].items():
@@ -331,7 +301,6 @@ def cmd_closedloop(args) -> int:
     model = _require_al(load_model(args.model), "closed-loop analysis")
     ds = load_csv(args.data)
     _require_channels(model, ds, args.data)
-    _ensure_parent(str(args.out) + ".json")
     record = simulate_closed_loop(model, ds.u)
     epsilon = estimate_epsilon(model, [ds], records=[record])
     summary = {
@@ -433,6 +402,10 @@ def cmd_run(args) -> int:
             'pipeline must be {"steps": [["gen-data", ...], ["identify", ...], ...]}'
         )
     for i, step in enumerate(steps, start=1):
+        if step[0] == "run":   # a pipeline that runs itself would never end
+            raise DataError(f"pipeline step {i} ({' '.join(step)}) is a 'run' step; "
+                            "pipelines do not nest")
+    for i, step in enumerate(steps, start=1):
         print(f"[{i}/{len(steps)}] alssnn {' '.join(step)}")
         rc = main(step)
         if rc != 0:
@@ -521,10 +494,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    msg = _thread_cap()[1]
-    if msg is not None:
-        print(f"error: {msg}", file=sys.stderr)
-        return 1
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -542,6 +511,10 @@ def main(argv=None) -> int:
         for key, val in getattr(exc, "diagnostics", {}).items():
             print(f"  {key}: {val}", file=sys.stderr)
         return 3
+    except OSError as exc:   # inputs fail as DataErrors, so an output failed
+        path = "an output" if exc.filename is None else exc.filename
+        print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -58,7 +58,6 @@ class AlSsnnModel:
     h_net: Mlp
     g_net: Mlp
     eq: Equilibrium
-    c_frozen: bool = True
 
     def __post_init__(self):
         n, m, p = self.lin.n_states, self.lin.n_inputs, self.lin.n_outputs
@@ -243,6 +242,7 @@ def _net_to_json(net: Mlp) -> dict:
 _FIELDS = {
     "lti": (("family", "dims", "A", "B", "C"), ()),
     "gr-ssnn": (("family", "dims", "A", "B", "C", "f_net"), ()),
+    # "c_frozen" only as true, which files of earlier versions hold
     "al-ssnn": (("family", "dims", "A", "B", "C", "h_net", "g_net", "equilibrium"),
                 ("c_frozen",)),
 }
@@ -332,7 +332,6 @@ def model_to_json_dict(model: AnyModel) -> dict:
             "h_net": _net_to_json(model.h_net),
             "g_net": _net_to_json(model.g_net),
             "equilibrium": {"x_e": model.eq.x_e.tolist(), "u_e": model.eq.u_e.tolist()},
-            "c_frozen": model.c_frozen,
         })
     return out
 
@@ -368,16 +367,14 @@ def model_from_json_dict(obj: dict) -> AnyModel:
         x_e=_field_array(eq_obj["x_e"], "equilibrium.x_e", (n,)),
         u_e=_field_array(eq_obj["u_e"], "equilibrium.u_e", (m,)),
     )
-    c_frozen = obj.get("c_frozen", True)
-    if not isinstance(c_frozen, bool):
-        raise DataError(f"model file: field 'c_frozen' must be true or false, "
-                        f"got {c_frozen!r}")
+    if obj.get("c_frozen", True) is not True:
+        raise DataError(f"model file: field 'c_frozen' must be true (C is never "
+                        f"a parameter), got {obj['c_frozen']!r}")
     return AlSsnnModel(
         lin=lin,
         h_net=_net_from_json(obj["h_net"], "h_net", p, m, dims, "n_h"),
         g_net=_net_from_json(obj["g_net"], "g_net", n + m, n, dims, "n_g"),
         eq=eq,
-        c_frozen=c_frozen,
     )
 
 

@@ -121,19 +121,13 @@ def enforce_equilibrium_zero(net: Mlp, eq: Equilibrium) -> Mlp:
     return replace(net, b_out=b_out)
 
 
-def init_small(d_in: int, n_hidden: int, d_out: int, scale: float = 0.0,
-               seed: int = 0) -> Mlp:
-    """Seeded network whose output layer is scaled by `scale`.
-
-    scale=0 gives exactly the zero function while keeping the input layer
-    generic (uniform in [-0.5, 0.5]), so the output-layer gradient is
-    nonzero and training can leave the zero init.
+def init_small(d_in: int, n_hidden: int, d_out: int, seed: int = 0) -> Mlp:
+    """Seeded zero-function network: the output layer is zero, and the input
+    layer is generic (uniform in [-0.5, 0.5]), so the output-layer gradient
+    is nonzero and training can leave the zero init.
     """
-    if scale < 0:
-        raise DataError(f"scale must be non-negative, got {scale}")
     rng = np.random.default_rng(seed)
     W_in = rng.uniform(-0.5, 0.5, size=(n_hidden, d_in))
     b_in = rng.uniform(-0.5, 0.5, size=n_hidden)
-    W_out = scale * rng.uniform(-0.5, 0.5, size=(d_out, n_hidden))
-    b_out = np.zeros(d_out)
-    return Mlp(W_in=W_in, b_in=b_in, W_out=W_out, b_out=b_out)
+    return Mlp(W_in=W_in, b_in=b_in, W_out=np.zeros((d_out, n_hidden)),
+               b_out=np.zeros(d_out))

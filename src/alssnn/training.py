@@ -15,14 +15,17 @@ matrix from the same pass. J'J is the only P x P array an LM fill holds:
 every damped solve factors in place inside it, and its strict lower
 triangle keeps J'J for the next solve.
 
-The model fixes its own parameter vector (pack_params): A, B, C unless
-model.c_frozen, and its nets' weights. An AL model's g is pinned at the
-equilibrium, g(x_e, u_e) = 0, so g's output bias is no parameter but is
-recomputed from the rest after every update.
+The model fixes its own parameter vector (pack_params): A, B and its nets'
+weights. C is never a parameter: it stays at the linear initialization's
+value. An AL model's g is pinned at the equilibrium, g(x_e, u_e) = 0, so
+g's output bias is no parameter but is recomputed from the rest after every
+update.
 
 The GR baseline is an AL model with an empty h net (models.GrSsnnModel):
-it trains through the same initialisation, sensitivity pass and LM loop,
-with its f net as the g net, no equilibrium pin and no penalty rows.
+it trains through the same initialisation, parameter layout, sensitivity
+pass and LM loop, with its f net as the g net, no equilibrium pin and no
+penalty rows. Its h blocks are zero-width, and its free output bias is g's
+rather than h's.
 """
 
 from __future__ import annotations
@@ -134,6 +137,7 @@ class ResidualVector:
 # --- parameter vector -------------------------------------------------------
 
 _NET_SUFFIXES = ("W_in", "b_in", "W_out", "b_out")
+_BLOCKS = ("A", "B", *(f"{tag}.{s}" for tag in ("h", "g") for s in _NET_SUFFIXES))
 
 
 def _pinned(model: AlSsnnModel) -> bool:
@@ -143,7 +147,7 @@ def _pinned(model: AlSsnnModel) -> bool:
 
 
 def _block_array(model: AlSsnnModel, name: str) -> np.ndarray:
-    if name in ("A", "B", "C"):
+    if name in ("A", "B"):
         return getattr(model.lin, name)
     tag, suffix = name.split(".")
     return getattr(getattr(model, f"{tag}_net"), suffix)
@@ -152,18 +156,14 @@ def _block_array(model: AlSsnnModel, name: str) -> np.ndarray:
 def _param_slices(model: AlSsnnModel) -> tuple[dict[str, slice], int]:
     """Columns of each free block in the parameter vector, and its length P.
 
-    A and B are free, C unless model.c_frozen. An AL model frees every h and
-    g weight but g's output bias, which its pin determines; a GR model frees
-    its g net (the f net) and has no h blocks.
+    One layout serves both families: A, B, h's blocks, then g's, every
+    weight free but one output bias. An AL model's g.b_out is fixed by its
+    pin, and a GR model's h.b_out is zero; GR's other h blocks are
+    zero-width, so its vector is A, B and its g net (the f net).
     """
-    pinned = _pinned(model)
-    names = ["A", "B"] + ([] if model.c_frozen else ["C"])
-    names += [f"{tag}.{s}" for tag in (("h", "g") if pinned else ("g",))
-              for s in _NET_SUFFIXES]
-    if pinned:
-        names.remove("g.b_out")
+    fixed = "g.b_out" if _pinned(model) else "h.b_out"
     cols, P = {}, 0
-    for name in names:
+    for name in (name for name in _BLOCKS if name != fixed):
         size = _block_array(model, name).size
         cols[name] = slice(P, P + size)
         P += size
@@ -186,13 +186,11 @@ def unpack_params(model: AlSsnnModel, theta: np.ndarray) -> AlSsnnModel:
     def block(name: str) -> np.ndarray:
         return theta[cols[name]].reshape(_block_array(model, name).shape)
 
-    lin = replace(model.lin, **{name: block(name) for name in ("A", "B", "C")
-                                if name in cols})
+    lin = replace(model.lin, A=block("A"), B=block("B"))
 
     def rebuild(net: Mlp, tag: str) -> Mlp:
-        updates = {suffix: block(f"{tag}.{suffix}") for suffix in _NET_SUFFIXES
-                   if f"{tag}.{suffix}" in cols}
-        return replace(net, **updates) if updates else net
+        return replace(net, **{suffix: block(f"{tag}.{suffix}") for suffix in _NET_SUFFIXES
+                               if f"{tag}.{suffix}" in cols})
 
     g_net = rebuild(model.g_net, "g")
     if _pinned(model):
@@ -244,8 +242,7 @@ def jacobian_bptt(model: AlSsnnModel, ds: Dataset, gamma: float = 0.0) -> np.nda
 
     State sensitivities follow S(k+1) = F_x(k) S(k) + F_theta(k) with
     S(0) = 0 (the initial state is fixed, not a parameter); output rows are
-    -C S(k) plus the direct C term when C is free, penalty rows are
-    sqrt(gamma) * (dg/dx S(k) + dg/dtheta_g).
+    -C S(k), penalty rows are sqrt(gamma) * (dg/dx S(k) + dg/dtheta_g).
 
     This is the assembled form of the chunked sensitivity pass that lm_step
     streams J'J and J'r from, kept as the reference that finite differences
@@ -333,15 +330,13 @@ def _sensitivity_chunks(model: AlSsnnModel, ds: Dataset, gamma: float,
     FxI[:, :, n:] = np.eye(n)
     # Views of the blocks of F rewritten per chunk: Kronecker blocks by their
     # nonzero part, and blocks whose column i * width + j holds entry (i, j)
-    # of an outer product as (c, n, rows, width). The C columns of the
-    # output rows also take the direct term of C in y = C x.
+    # of an outer product as (c, n, rows, width). A GR model's h blocks are
+    # zero-width.
     diag = {name: _diagonal_blocks(F, cols[name].start, width)
             for name, width in (("A", n), ("B", m), ("g.W_out", n_g))}
     outer = {name: F[:, :, cols[name]].reshape(c_max, n, rows, width)
-             for name, rows, width in (("C", p, n), ("h.W_in", n_h, p),
-                                       ("h.W_out", m, n_h), ("g.W_in", n_g, n + m))
-             if name in cols}
-    R_c = _diagonal_blocks(R[:, :p], cols["C"].start, n) if "C" in cols else None
+             for name, rows, width in (("h.W_in", n_h, p), ("h.W_out", m, n_h),
+                                       ("g.W_in", n_g, n + m))}
     if "h.b_out" in cols:
         F[:, :, cols["h.b_out"]] = B
     if "g.b_out" in cols:
@@ -375,14 +370,9 @@ def _sensitivity_chunks(model: AlSsnnModel, ds: Dataset, gamma: float,
 
         diag["A"][:c] = Xc[:, None, :]
         diag["B"][:c] = (U + (th @ h_net.W_out.T + h_net.b_out))[:, None, :]
-        if "C" in outer:
-            _fill_outer(outer["C"][:c], BH, Xc)
-        if "h.W_in" in outer:
-            _fill_outer(outer["h.W_in"][:c], Bws, Y)
-        if "h.b_in" in cols:
-            Fc[:, :, cols["h.b_in"]] = Bws
-        if "h.W_out" in outer:
-            np.multiply(B[:, :, None], th[:, None, None, :], out=outer["h.W_out"][:c])
+        _fill_outer(outer["h.W_in"][:c], Bws, Y)
+        Fc[:, :, cols["h.b_in"]] = Bws
+        np.multiply(B[:, :, None], th[:, None, None, :], out=outer["h.W_out"][:c])
         _fill_outer(outer["g.W_in"][:c], ws, Z)
         if z_e is not None:
             outer["g.W_in"][:c] -= ws_e[:, :, None] * z_e
@@ -397,8 +387,6 @@ def _sensitivity_chunks(model: AlSsnnModel, ds: Dataset, gamma: float,
         np.matmul(Lc[:, :, :n], S[:c, :, :tail], out=Rc[:, :, :tail])
         if tail < P:
             np.matmul(Lc, SF[:c, :, tail:], out=Rc[:, :, tail:])
-        if R_c is not None:
-            R_c[:c] -= Xc[:, None, :]
         yield k0, k1, Rc
         S[0] = S[c]
 
@@ -612,12 +600,11 @@ def _hidden_input_scales(lin0: LinearSS, ds: Dataset) -> tuple[np.ndarray, np.nd
     return y_scale, z_scale
 
 
-def _scale_input_layer(net: Mlp, scale: np.ndarray) -> Mlp:
-    return replace(net, W_in=net.W_in / scale[None, :])
-
-
-def _enrich_basis(net: Mlp) -> Mlp:
-    return replace(net, W_in=net.W_in * TrainConfig.hidden_gain,
+def _input_layer(net: Mlp, scale: np.ndarray) -> Mlp:
+    """The drawn net with its input layer widened by the class constants
+    hidden_gain and hidden_bias_scale, and its input columns divided by the
+    per-channel input scales."""
+    return replace(net, W_in=(net.W_in * TrainConfig.hidden_gain) / scale[None, :],
                    b_in=net.b_in * TrainConfig.hidden_bias_scale)
 
 
@@ -628,10 +615,8 @@ def _train(family: type, ds: Dataset, n: int, config: TrainConfig):
     lin0 = linear_init(ds, n, config.horizon)
     m, p = ds.n_inputs, ds.n_outputs
     y_scale, z_scale = _hidden_input_scales(lin0, ds)
-    h_net = _enrich_basis(init_small(p, config.n_h, m, scale=0.0, seed=config.seed))
-    g_net = _enrich_basis(init_small(n + m, config.n_g, n, scale=0.0, seed=config.seed + 1))
-    h_net = _scale_input_layer(h_net, y_scale)
-    g_net = _scale_input_layer(g_net, z_scale)
+    h_net = _input_layer(init_small(p, config.n_h, m, seed=config.seed), y_scale)
+    g_net = _input_layer(init_small(n + m, config.n_g, n, seed=config.seed + 1), z_scale)
     model = family(lin=lin0, h_net=h_net, g_net=g_net,
                    eq=Equilibrium(x_e=np.zeros(n), u_e=np.zeros(m)))
     if _pinned(model):
@@ -696,10 +681,10 @@ def _train(family: type, ds: Dataset, n: int, config: TrainConfig):
 def train(ds_train: Dataset, n: int, config: TrainConfig) -> tuple[AlSsnnModel, TrainReport]:
     """Full identification pipeline for the h/g-split model.
 
-    Linear init fixes the starting (A, B, C); both nets start as exact zero
-    functions, so iteration 0 reproduces the linear model's loss. C stays at
-    its initial value (the model is c_frozen). The returned loss never exceeds
-    the initialization's (steps are only ever accepted on strict decrease).
+    Linear init fixes the starting (A, B) and C, which is never a parameter;
+    both nets start as exact zero functions, so iteration 0 reproduces the
+    linear model's loss. The returned loss never exceeds the
+    initialization's (steps are only ever accepted on strict decrease).
     """
     return _train(AlSsnnModel, ds_train, n, config)
 

@@ -98,6 +98,14 @@ def test_identify_lti_outputs(ws):
     assert rep["spectral_radius"] < 1.0
 
 
+def test_identify_creates_the_output_directory(ws, tmp_path):
+    out = tmp_path / "new" / "sub" / "lti"
+    assert main(["identify", "lti", "--data", str(ws["wh"]), "--order", "2",
+                 "-o", str(out)]) == 0
+    assert load_model(str(out) + ".model.json").n_states == 2
+    assert read_json(str(out) + ".report.json")["family"] == "lti"
+
+
 def test_identify_al_outputs(ws):
     model = load_model(str(ws["al"]) + ".model.json")
     assert isinstance(model, AlSsnnModel)
@@ -229,13 +237,16 @@ def _break_model(obj, breakage):
     if breakage == "flag_as_a_string":
         obj["c_frozen"] = "false"
         return "c_frozen"
+    if breakage == "flag_false":   # C is never a parameter: only true loads
+        obj["c_frozen"] = False
+        return "c_frozen"
     obj["dims"]["n_g"] += 1
     return "dims.n_g"
 
 
 @pytest.mark.parametrize("breakage", ["array_not_fitting_dims", "missing_dims_key",
                                       "activation_not_a_string", "flag_as_a_string",
-                                      "width_not_matching_dims"])
+                                      "flag_false", "width_not_matching_dims"])
 def test_evaluate_malformed_model_exit_2(ws, tmp_path, capsys, breakage):
     family = "lti" if breakage in ("array_not_fitting_dims", "missing_dims_key") else "al"
     obj = read_json(str(ws[family]) + ".model.json")
@@ -446,13 +457,19 @@ def test_run_pipeline_shape_validation(tmp_path, capsys):
     assert "pipeline must be" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("content", [b'{"steps": "\xff"}', b"[" * 100_000],
-                         ids=["not_utf8", "nested_too_deep"])
-def test_run_malformed_pipeline_file_exit_2(tmp_path, capsys, content):
+@pytest.mark.parametrize("content, message", [
+    (b'{"steps": "\xff"}', "invalid JSON"),
+    (b"[" * 100_000, "invalid JSON"),
+    (b'{"steps": [["run", SELF]]}', "step 1 (run "),
+], ids=["not_utf8", "nested_too_deep", "runs_itself"])
+def test_run_malformed_pipeline_file_exit_2(tmp_path, capsys, content, message):
+    # SELF stands for the pipeline's own path: a pipeline that runs itself
+    # is refused before any step runs, as pipelines do not nest
     bad = tmp_path / "bad.json"
-    bad.write_bytes(content)
+    bad.write_bytes(content.replace(b"SELF", json.dumps(str(bad)).encode()))
     assert main(["run", str(bad)]) == 2
-    assert "invalid JSON" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert message in err and out == ""
 
 
 # ---------------------------------------------------------------- exit codes
@@ -464,17 +481,25 @@ def test_usage_errors_exit_1(capsys):
     assert "usage:" in err
 
 
-def test_threads_env_validation(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("ALSSNN_THREADS", "abc")
-    assert main(["gen-data", "wh-synthetic", "--n", "50",
-                 "-o", str(tmp_path / "a.csv")]) == 1
-    assert "ALSSNN_THREADS" in capsys.readouterr().err
-    monkeypatch.setenv("ALSSNN_THREADS", "0")
-    assert main(["gen-data", "wh-synthetic", "--n", "50",
-                 "-o", str(tmp_path / "a.csv")]) == 1
-    monkeypatch.setenv("ALSSNN_THREADS", "2")
-    assert main(["gen-data", "wh-synthetic", "--n", "50",
-                 "-o", str(tmp_path / "a.csv")]) == 0
+def test_unwritable_identify_output_exit_2(ws, tmp_path, capsys):
+    # the output prefix lies under a regular file
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    rc = main(["identify", "lti", "--data", str(ws["wh"]), "--order", "2",
+               "-o", str(afile / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"cannot write {afile / 'out'}" in err and "Traceback" not in err
+
+
+def test_unwritable_evaluate_output_exit_2(ws, tmp_path, capsys):
+    # the JSON output's name is taken by a directory
+    (tmp_path / "adir.json").mkdir()
+    rc = main(["evaluate", "--model", str(ws["lti"]) + ".model.json",
+               "--data", str(ws["wh"]), "-o", str(tmp_path / "adir")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"cannot write {tmp_path / 'adir.json'}" in err and "Traceback" not in err
 
 
 def test_version_flag(capsys):

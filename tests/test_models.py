@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -155,7 +156,39 @@ def test_json_round_trip_bit_exact_al():
     assert np.array_equal(back.h_net.W_in, model.h_net.W_in)
     assert np.array_equal(back.g_net.b_out, model.g_net.b_out)
     assert np.array_equal(back.eq.x_e, model.eq.x_e)
-    assert back.c_frozen == model.c_frozen
+    assert "c_frozen" not in model_to_json_dict(model)
+
+
+# An al-ssnn file as earlier versions wrote it, with the "c_frozen" flag that
+# files no longer carry.
+EARLIER_AL_FILE = """{
+ "family": "al-ssnn", "dims": {"n": 1, "m": 1, "p": 1, "n_h": 1, "n_g": 1},
+ "A": [[0.5]], "B": [[1.0]], "C": [[2.0]],
+ "h_net": {"w_in": [[0.25]], "b_in": [0.5], "w_out": [[-1.5]], "b_out": [0.125],
+           "activation": "tanh"},
+ "g_net": {"w_in": [[0.75, -0.25]], "b_in": [0.0], "w_out": [[0.375]], "b_out": [0.0],
+           "activation": "tanh"},
+ "equilibrium": {"x_e": [0.0], "u_e": [0.0]},
+ "c_frozen": true
+}
+"""
+
+
+def test_loads_an_earlier_file_with_c_frozen_true(tmp_path):
+    path = tmp_path / "earlier.model.json"
+    path.write_text(EARLIER_AL_FILE)
+    model = load_model(path)
+    want = AlSsnnModel(lin=LinearSS(A=[[0.5]], B=[[1.0]], C=[[2.0]]),
+                       h_net=Mlp(W_in=[[0.25]], b_in=[0.5], W_out=[[-1.5]], b_out=[0.125]),
+                       g_net=Mlp(W_in=[[0.75, -0.25]], b_in=[0.0], W_out=[[0.375]],
+                                 b_out=[0.0]),
+                       eq=Equilibrium(x_e=[0.0], u_e=[0.0]))
+    assert model_to_json_dict(model) == model_to_json_dict(want)
+    # saved again, the file says the same but for the flag
+    save_model(model, tmp_path / "again.model.json")
+    again = json.loads((tmp_path / "again.model.json").read_text())
+    earlier = json.loads(EARLIER_AL_FILE)
+    assert earlier.pop("c_frozen") is True and again == earlier
 
 
 def test_json_round_trip_bit_exact_gr_and_lti():

@@ -123,8 +123,8 @@ def test_residuals_dim_mismatch():
 # --- parameter packing -------------------------------------------------------
 
 def test_pack_unpack_round_trip():
-    # pinned AL with C free, and GR with its f net's output bias free
-    for model in (replace(pin(rand_al(seed=5)), c_frozen=False), rand_gr(seed=5)):
+    # pinned AL, and GR with its f net's output bias free
+    for model in (pin(rand_al(seed=5)), rand_gr(seed=5)):
         back = unpack_params(model, pack_params(model))
         for name in ("A", "B", "C"):
             assert np.array_equal(getattr(back.lin, name), getattr(model.lin, name))
@@ -144,10 +144,28 @@ def test_unpack_enforces_equilibrium():
     assert np.max(np.abs(mlp_forward(new.g_net, z_e))) < 1e-14
 
 
+def test_one_layout_for_al_and_gr():
+    # A, B, h's blocks, then g's; only the free output bias differs: h's for
+    # pinned AL, g's for GR, whose h blocks are zero-width
+    al, gr = pin(rand_al(seed=30)), rand_gr(seed=30)
+    al_cols, gr_cols = training._param_slices(al)[0], training._param_slices(gr)[0]
+    nets = [f"{tag}.{s}" for tag in ("h", "g") for s in ("W_in", "b_in", "W_out", "b_out")]
+    assert list(al_cols) == ["A", "B"] + [b for b in nets if b != "g.b_out"]
+    assert list(gr_cols) == ["A", "B"] + [b for b in nets if b != "h.b_out"]
+    assert all(gr_cols[b].start == gr_cols[b].stop for b in ("h.W_in", "h.b_in", "h.W_out"))
+    # so GR's vector is A, B and its f net, AL's A, B, h and g but g.b_out
+    def flat(model, blocks):
+        return np.concatenate([model.lin.A.ravel(), model.lin.B.ravel()] + [
+            getattr(getattr(model, f"{b[0]}_net"), b[2:]).ravel() for b in blocks])
+
+    assert np.array_equal(pack_params(al), flat(al, nets[:4] + nets[4:7]))
+    assert np.array_equal(pack_params(gr), flat(gr, nets[4:]))
+
+
 # --- Jacobian ----------------------------------------------------------------
 
 def test_jacobian_matches_fd_al():
-    model = replace(pin(rand_al(n=2, m=1, p=1, nh=3, ng=3, seed=9)), c_frozen=False)
+    model = pin(rand_al(n=2, m=1, p=1, nh=3, ng=3, seed=9))
     ds = rand_ds(N=12, seed=9)
     J = jacobian_bptt(model, ds, 0.7)
     J_fd = fd_residual_jac(model, ds, 0.7)
@@ -185,11 +203,11 @@ def test_jacobian_matches_fd_gr():
 
 
 def test_jacobian_matches_fd_across_chunks():
-    # a record of three sensitivity chunks, C free: S and the C columns must
-    # carry over both chunk boundaries
-    model = replace(pin(rand_al(n=2, m=1, p=1, nh=2, ng=2, seed=25)), c_frozen=False)
-    assert "C" in training._param_slices(model)[0]
+    # a record of three sensitivity chunks: S must carry over both chunk
+    # boundaries
+    model = pin(rand_al(n=2, m=1, p=1, nh=2, ng=2, seed=25))
     ds = rand_ds(N=2 * chunk_len(model) + 40, seed=25)
+    assert ds.n_samples > 2 * chunk_len(model)
     J = jacobian_bptt(model, ds, 0.9)
     J_fd = fd_residual_jac(model, ds, 0.9)
     assert np.max(np.abs(J - J_fd)) < 1e-5
@@ -413,16 +431,14 @@ def test_lm_step_refill_drops_the_old_fill_first(monkeypatch):
 
 
 def chunk_case(kind, N, n=7, m=2, p=2, nh=4, seed=26):
-    """(model, dataset, config) for the streamed normal-equation checks: GR
-    with C free, or pinned AL with C frozen (al_eq), C free (al_free_c),
-    gamma = 0 (al_gamma0) or empty nets (al_no_nets)."""
+    """(model, dataset, config) for the streamed normal-equation checks: GR,
+    or pinned AL (al_eq), at gamma = 0 (al_gamma0) or with empty nets
+    (al_no_nets)."""
     ds = rand_ds(m=m, p=p, N=N, seed=seed)
     if kind == "gr":
-        model = replace(rand_gr(n=n, m=m, p=p, nf=nh, seed=seed), c_frozen=False)
-        return model, ds, TrainConfig()
+        return rand_gr(n=n, m=m, p=p, nf=nh, seed=seed), ds, TrainConfig()
     model = pin(rand_al(n=n, m=m, p=p, nh=0 if kind == "al_no_nets" else nh,
                         ng=0 if kind == "al_no_nets" else nh, seed=seed))
-    model = replace(model, c_frozen=kind != "al_free_c")
     return model, ds, TrainConfig(gamma=0.0 if kind == "al_gamma0" else 0.8)
 
 
@@ -454,14 +470,14 @@ def check_streamed_normal_equations(model, ds, config, monkeypatch):
 # Every kind's chunk length c lies in (85, 293) (checked below): 85 samples
 # fit one chunk, 293 cross a chunk boundary and 768 at least two.
 @pytest.mark.parametrize("N", [85, 293, 768])
-@pytest.mark.parametrize("kind", ["al_eq", "al_free_c", "al_gamma0", "al_no_nets", "gr"])
+@pytest.mark.parametrize("kind", ["al_eq", "al_gamma0", "al_no_nets", "gr"])
 def test_streamed_normal_equations_equal_assembled_jacobian(kind, N, monkeypatch):
     model, ds, config = chunk_case(kind, N)
     assert 85 < chunk_len(model) < 293
     check_streamed_normal_equations(model, ds, config, monkeypatch)
 
 
-@pytest.mark.parametrize("kind", ["al_eq", "al_free_c", "gr"])
+@pytest.mark.parametrize("kind", ["al_eq", "gr"])
 def test_streamed_normal_equations_equal_assembled_jacobian_wide(kind, monkeypatch):
     # P of about 1,000, as on the wide Wiener-Hammerstein nets: a few dozen
     # samples per chunk, and a record of four chunks
@@ -750,9 +766,8 @@ def test_train_gr_keeps_gr_names_and_the_callers_config():
     assert al_report.config == asdict(config)
     # the parameter vector follows from the model, counted by hand (n = 2,
     # m = p = 1): A 4 + B 2, then pinned AL's h (5 + 5 + 5 + 1) and g but
-    # its output bias (18 + 6 + 12), C's 2 when free, GR's f (9 + 3 + 6 + 2)
+    # its output bias (18 + 6 + 12), GR's f (9 + 3 + 6 + 2); C is never in it
     assert pack_params(al).size == 6 + 16 + 36
-    assert pack_params(replace(al, c_frozen=False)).size == 6 + 2 + 16 + 36
     assert pack_params(model).size == 6 + 20
     for gone in ("ParamLayout", "make_layout", "default_layout"):
         assert not hasattr(training, gone) and gone not in training.__all__
@@ -784,14 +799,15 @@ def test_train_config_validation():
 
 def test_basis_enrichment_multiplies_input_layer():
     from alssnn.nets import init_small
-    from alssnn.training import _enrich_basis
 
-    net = init_small(3, 5, 2, scale=0.0, seed=9)
+    net = init_small(3, 5, 2, seed=9)
     assert (TrainConfig.hidden_gain, TrainConfig.hidden_bias_scale) == (2.0, 3.0)
-    out = _enrich_basis(net)
-    assert np.allclose(out.W_in, 2.0 * net.W_in)
-    assert np.allclose(out.b_in, 3.0 * net.b_in)
-    assert np.allclose(out.W_out, net.W_out)
+    scale = np.array([0.5, 3.0, 7.0])
+    out = training._input_layer(net, scale)
+    # the gain first, then the input scales, bit for bit
+    assert np.array_equal(out.W_in, (2.0 * net.W_in) / scale)
+    assert np.array_equal(out.b_in, 3.0 * net.b_in)
+    assert np.array_equal(out.W_out, net.W_out) and np.array_equal(out.b_out, net.b_out)
 
 
 def test_hidden_input_scales_floor_tiny_states():

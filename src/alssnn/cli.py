@@ -122,6 +122,11 @@ def _parse_gammas(text: str) -> list[float]:
         raise DataError(f"--gamma expects a number or comma list, got {text!r}")
     if not vals:
         raise DataError(f"--gamma expects at least one value, got {text!r}")
+    labels = [f"{val:g}" for val in vals]   # a sweep writes <out>.gamma-<label>.*
+    for j, label in enumerate(labels):
+        if (i := labels.index(label)) < j:
+            raise DataError(f"--gamma values {vals[i]!r} and {vals[j]!r} would both "
+                            f"write the files .gamma-{label}.*")
     return vals
 
 
@@ -373,7 +378,7 @@ def cmd_certify(args) -> int:
         **conv,
     })
     rows = [
-        ("spectral_radius(A)", float(np.max(np.abs(np.linalg.eigvals(model.lin.A))))),
+        ("spectral_radius(A)", model.lin.spectral_radius()),
         ("epsilon", epsilon),
         ("phi", cert.phi),
         ("psi", cert.psi),

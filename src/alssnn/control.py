@@ -17,8 +17,7 @@ import numpy as np
 
 from .dataio import Dataset, SplitSpec
 from .errors import DataError
-from .linear_id import _step_engine
-from .models import DIVERGENCE_BOUND, AlSsnnModel, _family, _lin_of, _run_states, simulate
+from .models import AlSsnnModel, _family, _lin_of, _rollout, _run_states, simulate
 from .nets import mlp_forward, mlp_forward_batch
 
 __all__ = [
@@ -122,8 +121,7 @@ def _ratio(nums: np.ndarray, dens: np.ndarray) -> tuple[float, float, int]:
 
 
 def simulate_closed_loop(model: AlSsnnModel, v_seq: np.ndarray,
-                         x0: np.ndarray | None = None,
-                         divergence_bound: float = DIVERGENCE_BOUND) -> ClosedLoopRecord:
+                         x0: np.ndarray | None = None) -> ClosedLoopRecord:
     """Iterate the closed loop, recording the disturbance at every step.
 
     The loop runs on the step engine with rows [t_g; t_h; x; v; 1]:
@@ -131,50 +129,33 @@ def simulate_closed_loop(model: AlSsnnModel, v_seq: np.ndarray,
     g's pre-activation is -(W_g,u W_h,out) t_h + W_g,x x + W_g,u v
     + (b_g,in - W_g,u b_h,out), a second layer reading [t_h; x; v; 1]. Then
     x+ = W_g,out t_g + A x + B v + b_g,out, and the disturbance
-    omega = W_g,out t_g + b_g,out is formed from t_g after the loop.
-    When h has at most the engine's fold width (`linear_id._FOLD_MAX`, 64)
-    units and v is finite, the engine folds h into the state map: row k
-    gains v(k+1) and one matvec writes [h's pre-activation(k+1); x(k+1)]
-    into row k+1, so a step is two matvecs and two tanh calls (g's matvec
-    and tanh, then that matvec and h's tanh). A wider h, or a v that is not
-    all finite, keeps the unfolded step: three matvecs (h, g, state) and two
-    tanh calls. Every call writes into the engine's buffer in place.
+    omega = W_g,out t_g + b_g,out is formed from t_g after the loop. h is
+    the engine's first layer, so h's width alone decides whether the engine
+    folds it into the state map. A run that diverges at x(k) keeps x(0..k)
+    and the k steps before it, as `simulate` does.
     """
     if _family(model) != "al-ssnn":
         raise DataError("closed-loop simulation requires the h/g-split model family")
     lin = model.lin
     A, B, C = lin.A, lin.B, lin.C
     n, m = lin.n_states, lin.n_inputs
-    V = np.asarray(v_seq, dtype=float)
-    if V.ndim == 1:
-        V = V.reshape(-1, 1)
-    if V.shape[0] < 1 or V.shape[1] != m:
-        raise DataError(f"v sequence has shape {V.shape}, expected (N, {m})")
-    N = V.shape[0]
-    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).reshape(-1)
-    if x.shape != (n,):
-        raise DataError(f"x0 has shape {x.shape}, expected ({n},)")
-
     h, g = model.h_net, model.g_net
     W_gu = g.W_in[:, n:]
     W_h = np.column_stack([h.W_in @ C, np.zeros((h.n_hidden, m)), h.b_in])
     W_g = np.column_stack([-(W_gu @ h.W_out), g.W_in[:, :n], W_gu, g.b_in - W_gu @ h.b_out])
     M = np.column_stack([g.W_out, np.zeros((n, h.n_hidden)), A, B, g.b_out])
-    R, xs, k = _step_engine([W_h, W_g], M, V, x, divergence_bound)
-    steps = N if k is None else min(k, N)
-    X = xs[:steps]
-    omegas = R[:steps, : g.n_hidden] @ g.W_out.T + g.b_out
+    R, xs, k = _rollout(lin, [W_h, W_g], M, v_seq, x0, "v")
+    X, a = xs[:-1], g.n_hidden + h.n_hidden
+    V = R[:, a + n : a + n + m]
+    omegas = R[:, : g.n_hidden] @ g.W_out.T + g.b_out
     with np.errstate(over="ignore", invalid="ignore"):   # a divergent run's last steps
-        lin_norms = np.linalg.norm(X @ A.T + V[:steps] @ B.T, axis=1)
+        lin_norms = np.linalg.norm(X @ A.T + V @ B.T, axis=1)
     omega_norms = np.linalg.norm(omegas, axis=1)
-    if steps:
-        mean, mx, n_excl = _ratio(omega_norms, lin_norms)
-    else:
-        mean, mx, n_excl = 0.0, 0.0, 0
+    mean, mx, n_excl = _ratio(omega_norms, lin_norms) if len(X) else (0.0, 0.0, 0)
     return ClosedLoopRecord(
-        x=xs[: steps + 1].copy(),
+        x=xs.copy(),
         y=X @ C.T,
-        v=V[:steps].copy(),
+        v=V.copy(),
         omega=omegas,
         lin_norm=lin_norms,
         omega_ratio_mean=mean,

@@ -53,12 +53,13 @@ _BLOCK = 256
 
 # Widest first tanh layer that _step_engine folds into the state map. Folding
 # saves one numpy call per step but adds a (width x width) block to the
-# step's matvec; past 64 units the gain is within noise, then a loss.
-# Per-step time folded over unfolded, n = 4, one input, one BLAS thread
-# (free run; closed loop with a 10-unit g):
+# step's matvec. Per-step time folded over unfolded (n = 4, one input, one
+# BLAS thread, medians of 31 interleaved runs of 5,000 steps; closed loop
+# with a 10-unit g): the fold pays up to 40 units and loses from 80, and at
+# 64 four such medians ranged 0.77-1.12 (free run) and 0.85-1.09 (closed loop).
 #   width        6     20    40    64    80    100   160
-#   free run     0.67  0.64  0.72  0.86  0.93  1.04  1.54
-#   closed loop  0.74  0.82  0.83  0.93  0.97  1.07  1.42
+#   free run     0.57  0.67  0.77  1.12  1.15  1.48  2.14
+#   closed loop  0.74  0.75  0.96  1.09  1.18  1.54  1.67
 _FOLD_MAX = 64
 
 
@@ -198,7 +199,7 @@ def ho_kalman(markov: list[np.ndarray], n: int) -> LinearSS:
 
 
 def _step_engine(layers, M: np.ndarray, inputs: np.ndarray, x0: np.ndarray,
-                 divergence_bound: float | None = None):
+                 bound: float | None = None):
     """Run x(k+1) = M R[k] over the rows R[k] = [t(k); x(k); input(k); 1] of one buffer.
 
     The activations t(k) come from the tanh layers in `layers` (at most two),
@@ -215,9 +216,9 @@ def _step_engine(layers, M: np.ndarray, inputs: np.ndarray, x0: np.ndarray,
     the state map: row k gains input(k+1) after its 1, and
     G = [[W_x M + w_b on the 1 column, W_in]; [M, 0]] writes
     [pre-activation(k+1); x(k+1)] into row k+1, so that layer and the state
-    cost one matvec and one in-place tanh per step. A wider first layer, or
-    inputs that are not all finite (0 * inf in G's M rows would move the
-    divergence step), keep the unfolded step. Per step, in calls:
+    cost one matvec and one in-place tanh per step. The layer's width alone
+    picks the fold, so inputs must be finite (`models._rollout` checks): 0 *
+    inf in G's M rows would reach the state a step early. Per step, in calls:
     LTI, one matvec; folded free run, one matvec and one tanh; unfolded free
     run, two matvecs and one tanh; folded closed loop, two and two; unfolded
     closed loop, three matvecs and two tanh calls. Every call writes into
@@ -235,7 +236,7 @@ def _step_engine(layers, M: np.ndarray, inputs: np.ndarray, x0: np.ndarray,
     a = sum(W.shape[0] for W in layers)
     w = a + n + d + 1
     a1 = layers[0].shape[0] if layers else 0
-    fold = 0 < a1 <= _FOLD_MAX and bool(np.isfinite(inputs).all())
+    fold = 0 < a1 <= _FOLD_MAX
     R = np.empty((N + 1, w + (d if fold else 0)) + x0.shape[1:])
     R[0, a : a + n] = x0
     R[:N, a + n : w - 1] = inputs
@@ -250,7 +251,7 @@ def _step_engine(layers, M: np.ndarray, inputs: np.ndarray, x0: np.ndarray,
         views += [R[:, top:w], R[:, top - W.shape[0] : top]]
         top -= W.shape[0]
     dot, dot2 = (dots + [None, None])[:2]
-    bound2 = None if divergence_bound is None else divergence_bound * divergence_bound
+    bound2 = None if bound is None else bound * bound
     tanh = np.tanh
     with np.errstate(all="ignore"):
         if fold:

@@ -15,8 +15,9 @@ both, and GR differs only in its names (tag, f_net, n_f), in having no
 equilibrium pin or penalty, and in being refused by the closed loop.
 
 `al_step` is the reference step map; `simulate` folds each family into the
-step engine of `linear_id` (one tanh layer for AL and GR, none for LTI) and
-runs that instead; the engine folds a narrow layer into the state map too.
+step engine of `linear_id` (one tanh layer for AL and GR, none for LTI).
+It and the closed loop of `control` reach the engine only through
+`_rollout`, which checks their inputs and truncates both runs alike.
 """
 
 from __future__ import annotations
@@ -118,7 +119,8 @@ def gr_model(lin: LinearSS, f_net: Mlp) -> GrSsnnModel:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Free-run result: states x(0..N), outputs y(0..N-1)."""
+    """Free-run result: states x(0..N), outputs y(0..N-1); a run that
+    diverged at x(k) keeps x(0..k) and y(0..k-1)."""
 
     x: np.ndarray
     y: np.ndarray
@@ -126,7 +128,7 @@ class Trajectory:
     diverged_at: int | None = None
 
     def __post_init__(self):
-        if not self.diverged and self.x.shape[0] != self.y.shape[0] + 1:
+        if self.x.shape[0] != self.y.shape[0] + 1:
             raise DataError(
                 f"state sequence length {self.x.shape[0]} does not match "
                 f"output length {self.y.shape[0]} + 1"
@@ -172,9 +174,8 @@ def al_step(model: AlSsnnModel, x: np.ndarray, u: np.ndarray) -> np.ndarray:
     return lin.A @ x + lin.B @ (u + h) + g
 
 
-def _model_rollout(model: AnyModel, U: np.ndarray, x0: np.ndarray,
-                   divergence_bound: float) -> tuple[np.ndarray, int | None]:
-    """Free-run states of any model family through the step engine.
+def _free_run_maps(model: AnyModel) -> tuple[list, np.ndarray]:
+    """The step engine's layers and state map M for a free run of any family.
 
     AL folds h's input layer through C and B through h's output layer: with
     y = Cx, B(u + h(y)) + g(x, u) is B u + B b_h,out + b_g,out plus
@@ -184,46 +185,57 @@ def _model_rollout(model: AnyModel, U: np.ndarray, x0: np.ndarray,
     """
     lin = _lin_of(model)
     A, B, n = lin.A, lin.B, lin.n_states
-    if isinstance(model, AlSsnnModel):
-        h, g = model.h_net, model.g_net
-        layers = [np.vstack([
-            np.column_stack([h.W_in @ lin.C, np.zeros((h.n_hidden, lin.n_inputs)), h.b_in]),
-            np.column_stack([g.W_in, g.b_in])])]
-        M = np.column_stack([B @ h.W_out, g.W_out, A, B, B @ h.b_out + g.b_out])
-    else:
-        layers, M = [], np.column_stack([A, B, np.zeros(n)])
-    return _step_engine(layers, M, U, x0, divergence_bound)[1:]
+    if not isinstance(model, AlSsnnModel):
+        return [], np.column_stack([A, B, np.zeros(n)])
+    h, g = model.h_net, model.g_net
+    layers = [np.vstack([
+        np.column_stack([h.W_in @ lin.C, np.zeros((h.n_hidden, lin.n_inputs)), h.b_in]),
+        np.column_stack([g.W_in, g.b_in])])]
+    return layers, np.column_stack([B @ h.W_out, g.W_out, A, B, B @ h.b_out + g.b_out])
 
 
-def simulate(model: AnyModel, u_seq: np.ndarray, x0: np.ndarray | None = None,
-             divergence_bound: float = DIVERGENCE_BOUND) -> Trajectory:
+def _rollout(lin: LinearSS, layers, M: np.ndarray, inputs, x0, what: str):
+    """Check a run's inputs, step the engine and keep the steps before divergence.
+
+    `inputs` (named `what` in errors) must be an (N, m) array of finite
+    numbers, N >= 1, and x0 an n-vector (None for zeros). The engine steps
+    at `DIVERGENCE_BOUND`; with k the first step whose state leaves it (N if
+    none does), the run keeps x(0..k) and the steps from x(0..k-1). Returns
+    (R, X, k): the engine's rows [t; x; input; 1] of those k steps, the
+    states X = x(0..k), and the divergence step or None.
+    """
+    n, m = lin.n_states, lin.n_inputs
+    U = np.asarray(inputs, dtype=float)
+    if U.ndim == 1:
+        U = U.reshape(-1, 1)
+    if U.ndim != 2 or U.shape[0] < 1 or U.shape[1] != m:
+        raise DataError(f"{what} sequence has shape {U.shape}, expected (N, {m})")
+    bad = ~np.isfinite(U).all(axis=1)
+    if bad.any():
+        raise DataError(f"{what} sequence row {int(np.argmax(bad))} is not finite")
+    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).reshape(-1)
+    if x.shape != (n,):
+        raise DataError(f"x0 has shape {x.shape}, expected ({n},)")
+    R, X, k = _step_engine(layers, M, U, x, DIVERGENCE_BOUND)
+    steps = U.shape[0] if k is None else k
+    return R[:steps], X[: steps + 1], k
+
+
+def simulate(model: AnyModel, u_seq: np.ndarray, x0: np.ndarray | None = None) -> Trajectory:
     """Free-run simulation driven by recorded inputs only.
 
     y(k) = C x(k) is the output before the state update, so the input
     nonlinearity sees the current output. If the state norm ever exceeds
-    the bound, or the state stops being finite, the trajectory is truncated
-    and flagged instead of propagating overflow.
+    `DIVERGENCE_BOUND`, or the state stops being finite, the trajectory is
+    truncated at that state, x(k), and flagged instead of propagating
+    overflow; it keeps y(0..k-1).
     """
     if not isinstance(model, (AlSsnnModel, LinearSS)):
         raise DataError(f"unsupported model type {type(model).__name__}")
     lin = _lin_of(model)
-    n, m = lin.n_states, lin.n_inputs
-    U = np.asarray(u_seq, dtype=float)
-    if U.ndim == 1:
-        U = U.reshape(-1, 1)
-    if U.shape[0] < 1 or U.shape[1] != m:
-        raise DataError(f"input sequence has shape {U.shape}, expected (N, {m})")
-    N = U.shape[0]
-    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).reshape(-1)
-    if x.shape != (n,):
-        raise DataError(f"x0 has shape {x.shape}, expected ({n},)")
-    xs, k = _model_rollout(model, U, x, divergence_bound)
-    if k is None:   # a copy, so the trajectory does not hold the engine's buffer
-        return Trajectory(x=xs.copy(), y=xs[:N] @ lin.C.T)
-    # a bad final state drops the last output too, as x(N) has no output slot
-    keep = k + 1 if k < N else N
-    return Trajectory(x=xs[:keep].copy(), y=xs[: keep - 1] @ lin.C.T,
-                      diverged=True, diverged_at=k)
+    _, xs, k = _rollout(lin, *_free_run_maps(model), u_seq, x0, "input")
+    return Trajectory(x=xs.copy(),   # a copy, not a view that holds the engine's buffer
+                      y=xs[:-1] @ lin.C.T, diverged=k is not None, diverged_at=k)
 
 
 # --- JSON persistence -------------------------------------------------------

@@ -152,6 +152,19 @@ def test_identify_gamma_sweep(ws, tmp_path):
     assert all("g_ratio_mean" in e for e in sweep["entries"])
 
 
+@pytest.mark.parametrize("gammas, first, second", [
+    ("0.1234567,0.1234568", "0.1234567", "0.1234568"), ("1,1", "1.0", "1.0")])
+def test_identify_gammas_sharing_a_file_name_exit_2(ws, tmp_path, capsys, gammas,
+                                                     first, second):
+    # both would write <out>.gamma-<value:g>.*, so the first model would be lost
+    rc = main(["identify", "al-ssnn", "--data", str(ws["wh"]), "--order", "2",
+               "--nh", "2", "--ng", "2", "--iters", "2", "--gamma", gammas,
+               "-o", str(tmp_path / "sweep")])
+    assert rc == 2
+    assert f"--gamma values {first} and {second}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []   # refused before any training
+
+
 def test_identify_bad_gamma(ws, tmp_path, capsys):
     rc = main(["identify", "al-ssnn", "--data", str(ws["wh"]), "--order", "2",
                "--gamma", "abc", "-o", str(tmp_path / "x")])

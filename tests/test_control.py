@@ -64,16 +64,26 @@ def test_closed_loop_matches_independent_stepper():
     assert not rec.diverged
 
 
-def test_closed_loop_equals_open_loop_with_substituted_input():
+@pytest.mark.parametrize("k_div", [None, 17, 30], ids=["none", "mid_run", "last_state"])
+def test_closed_loop_equals_open_loop_with_substituted_input(k_div, set_bound):
     # feeding u(k) = v(k) - h(y(k)) back through the plain simulator must
-    # reproduce the closed-loop states exactly: the cancellation is algebraic
-    model = al_model(seed=4)
-    V = np.random.default_rng(5).normal(size=(30, 1)) * 0.5
-    rec = simulate_closed_loop(model, V)
-    u = np.array([
-        linearizing_input(model, V[k], rec.y[k]) for k in range(30)
-    ])
-    traj = simulate(model, u)
+    # reproduce the closed-loop states exactly: the cancellation is algebraic.
+    # Both runs keep x(0..k) and y(0..k-1) when x(k) leaves the bound, k = N too.
+    model = growing_model(4)
+    V = np.random.default_rng(5).normal(size=(30, 2))
+    x0 = np.ones(3)
+    xs, _, _ = closed_loop_reference(model, V, x0, np.inf)
+    norms = np.linalg.norm(xs, axis=1)
+    if k_div is not None:
+        assert norms[k_div] > np.max(norms[:k_div])
+        set_bound(0.5 * (np.max(norms[:k_div]) + norms[k_div]))
+    rec = simulate_closed_loop(model, V, x0=x0)
+    u = np.array([   # inputs past the divergence step never reach a kept state
+        linearizing_input(model, V[k], rec.y[k]) for k in range(rec.y.shape[0])
+    ] + [V[k] for k in range(rec.y.shape[0], 30)])
+    traj = simulate(model, u, x0=x0)
+    assert rec.diverged_at == traj.diverged_at == k_div
+    assert traj.x.shape == rec.x.shape and traj.y.shape == rec.y.shape
     assert np.max(np.abs(traj.x - rec.x)) < 1e-12
     assert np.max(np.abs(traj.y - rec.y)) < 1e-12
 
@@ -97,13 +107,14 @@ def test_closed_loop_from_initial_state():
         simulate_closed_loop(model, np.zeros((5, 1)), x0=np.zeros(3))
 
 
-def test_closed_loop_divergence_truncates():
+def test_closed_loop_divergence_truncates(set_bound):
     lin = LinearSS(A=np.array([[1.6, 0.0], [0.0, 1.5]]),
                    B=np.array([[1.0], [0.4]]), C=np.array([[1.0, 0.0]]))
     model = AlSsnnModel(lin=lin, h_net=rand_net(1, 1, 2, 0, 0.0),
                         g_net=rand_net(3, 2, 2, 1, 0.0),
                         eq=Equilibrium(x_e=np.zeros(2), u_e=np.zeros(1)))
-    rec = simulate_closed_loop(model, np.ones((200, 1)), divergence_bound=1e4)
+    set_bound(1e4)
+    rec = simulate_closed_loop(model, np.ones((200, 1)))
     assert rec.diverged
     assert rec.diverged_at is not None
     assert rec.x.shape[0] == rec.diverged_at + 1
@@ -309,7 +320,7 @@ def growing_model(seed, n_h=5, n_g=5):
 
 
 @pytest.mark.parametrize("k_div", [1, 255, 256, 257, 300])
-def test_closed_loop_divergence_step_matches_reference_across_blocks(k_div):
+def test_closed_loop_divergence_step_matches_reference_across_blocks(k_div, set_bound):
     model = growing_model(50)
     V = np.random.default_rng(51).normal(size=(300, 2))
     x0 = np.ones(3)
@@ -318,7 +329,8 @@ def test_closed_loop_divergence_step_matches_reference_across_blocks(k_div):
     assert norms[k_div] > np.max(norms[:k_div])
     bound = 0.5 * (np.max(norms[:k_div]) + norms[k_div])
     xs, omegas, k = closed_loop_reference(model, V, x0, bound)
-    rec = simulate_closed_loop(model, V, x0=x0, divergence_bound=bound)
+    set_bound(bound)
+    rec = simulate_closed_loop(model, V, x0=x0)
     assert k == k_div and rec.diverged and rec.diverged_at == k_div
     assert rec.x.shape == xs.shape and rec.omega.shape == omegas.shape
     assert rec.v.shape == (k_div, 2) and rec.y.shape == (k_div, 2)
@@ -398,27 +410,21 @@ def test_empty_net_open_and_closed_loop_over_blocks(n_h, n_g):
 
 # --- step engine: the folded h layer and its width switch -----------------------
 
-@pytest.mark.parametrize("row", [20, 255, 256])
+@pytest.mark.parametrize("row", [0, 255, 599])
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
-def test_closed_loop_non_finite_input_diverges_at_the_reference_step(bad, row):
-    # v(row) first reaches the state in x(row + 1)
-    model = al_model(seed=80)
-    rng = np.random.default_rng(81)
-    V = rng.normal(size=(600, 1))
+def test_closed_loop_non_finite_input_row_is_a_data_error(bad, row):
+    # a non-finite reference is malformed data, not a divergent run
+    V = np.random.default_rng(81).normal(size=(600, 1))
     V[row, 0] = bad
-    x0 = rng.normal(size=2)
-    with np.errstate(all="ignore"):
-        xs, _, k = closed_loop_reference(model, V, x0, 1e8)
-    rec = simulate_closed_loop(model, V, x0=x0)
-    assert k == row + 1 and rec.diverged and rec.diverged_at == k
-    assert rec.x.shape == xs.shape and rec.v.shape == (k, 1)
-    assert np.max(np.abs(rec.x[:k] - xs[:k])) <= 1e-12 * np.max(np.abs(xs[:k]))
+    with pytest.raises(DataError, match=rf"v sequence row {row} is not finite"):
+        simulate_closed_loop(al_model(seed=80), V)
 
 
 @pytest.mark.parametrize("k_div", [None, 255, 256, 257])
 @pytest.mark.parametrize("n_h, n_g", [(_FOLD_MAX - 1, 5), (_FOLD_MAX + 1, 5),
                                       (5, 2 * _FOLD_MAX), (0, 6)])
-def test_closed_loop_either_side_of_the_fold_width_matches_reference(n_h, n_g, k_div):
+def test_closed_loop_either_side_of_the_fold_width_matches_reference(n_h, n_g, k_div,
+                                                                    set_bound):
     # h, the first layer, folds up to the switch width whatever g's width;
     # an empty h is a zero-width layer and does not fold
     model = growing_model(82, n_h, n_g)
@@ -428,7 +434,8 @@ def test_closed_loop_either_side_of_the_fold_width_matches_reference(n_h, n_g, k
     norms = np.linalg.norm(xs, axis=1)
     bound = np.inf if k_div is None else 0.5 * (np.max(norms[:k_div]) + norms[k_div])
     xs, omegas, k = closed_loop_reference(model, V, x0, bound)
-    rec = simulate_closed_loop(model, V, x0=x0, divergence_bound=bound)
+    set_bound(bound)
+    rec = simulate_closed_loop(model, V, x0=x0)
     assert k == k_div and rec.diverged_at == k_div
     assert rec.x.shape == xs.shape and rec.omega.shape == omegas.shape
     assert np.max(np.abs(rec.x - xs)) <= 1e-12 * np.max(np.abs(xs))

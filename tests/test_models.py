@@ -6,7 +6,7 @@ import pytest
 
 from alssnn.errors import DataError
 from alssnn.linear_id import _FOLD_MAX, LinearSS
-from alssnn.models import (AlSsnnModel, GrSsnnModel, al_step, gr_model,
+from alssnn.models import (AlSsnnModel, GrSsnnModel, Trajectory, al_step, gr_model,
                            load_model, model_from_json_dict,
                            model_to_json_dict, save_model, simulate)
 from alssnn.nets import Equilibrium, Mlp, mlp_forward
@@ -128,10 +128,10 @@ def test_simulate_linear_model():
     assert np.allclose(traj.x[-1], x, atol=1e-14)
 
 
-def test_simulate_divergence_truncates():
+def test_simulate_divergence_truncates(set_bound):
     lin = LinearSS(A=np.array([[2.0]]), B=np.array([[1.0]]), C=np.array([[1.0]]))
-    traj = simulate(lin, np.ones((100, 1)), x0=np.array([1.0]),
-                    divergence_bound=1e3)
+    set_bound(1e3)
+    traj = simulate(lin, np.ones((100, 1)), x0=np.array([1.0]))
     assert traj.diverged
     assert traj.diverged_at is not None
     # every retained state is within the bound; the flagged step is first past it
@@ -240,7 +240,8 @@ def test_from_json_dict_errors():
 # --- lean kernel against the reference step maps ------------------------------
 
 def reference_run(step, C, U, x0, bound):
-    """Step-by-step free run with the documented truncation rules."""
+    """Step-by-step free run with the documented truncation rule: a run
+    whose state x(k) first leaves the bound keeps x(0..k) and y(0..k-1)."""
     x = np.asarray(x0, dtype=float)
     xs, ys = [x], []
     for k in range(U.shape[0]):
@@ -249,9 +250,8 @@ def reference_run(step, C, U, x0, bound):
         ys.append(C @ x)
         x = step(x, U[k])
         xs.append(x)
-    if not np.linalg.norm(x) <= bound:
-        return np.array(xs[:-1]), np.array(ys[:-1]).reshape(-1, C.shape[0]), U.shape[0]
-    return np.array(xs), np.array(ys), None
+    k = None if np.linalg.norm(x) <= bound else U.shape[0]
+    return np.array(xs), np.array(ys), k
 
 
 def three_families(seed, a_scale=1.0):
@@ -290,26 +290,36 @@ def test_simulate_kernel_matches_step_maps_from_random_x0():
         assert np.max(np.abs(traj.y - ys)) <= 1e-12 * np.max(np.abs(ys))
 
 
-def test_simulate_kernel_truncates_like_step_maps():
+def test_simulate_kernel_truncates_like_step_maps(set_bound):
     rng = np.random.default_rng(23)
     U = rng.normal(size=(300, 2))
     x0 = rng.normal(size=3)
+    set_bound(1e4)
     for model, step in family_steppers(seed=24, a_scale=3.0):
         C = model.C if isinstance(model, LinearSS) else model.lin.C
         xs, ys, k = reference_run(step, C, U, x0, 1e4)
-        traj = simulate(model, U, x0=x0, divergence_bound=1e4)
+        traj = simulate(model, U, x0=x0)
         assert k is not None and 0 < k < 300
         assert traj.diverged and traj.diverged_at == k
         assert traj.x.shape == xs.shape and traj.y.shape == ys.shape
         assert np.max(np.abs(traj.x - xs)) <= 1e-12 * np.max(np.abs(xs))
 
 
-def test_simulate_divergence_at_final_state_drops_last_output():
+def test_simulate_divergence_at_final_state_keeps_it(set_bound):
     lin = LinearSS(A=np.array([[2.0]]), B=np.array([[0.0]]), C=np.array([[1.0]]))
-    traj = simulate(lin, np.zeros((4, 1)), x0=np.array([1.0]), divergence_bound=10.0)
-    # x(4) = 16 is the first state past the bound: x(0..3) kept, y(0..2) kept
+    set_bound(10.0)
+    traj = simulate(lin, np.zeros((4, 1)), x0=np.array([1.0]))
+    # x(4) = 16 is the first state past the bound: x(0..4) kept, y(0..3) kept,
+    # as at any other divergence step
     assert traj.diverged and traj.diverged_at == 4
-    assert traj.x.shape == (4, 1) and traj.y.shape == (3, 1)
+    assert traj.x.shape == (5, 1) and traj.y.shape == (4, 1)
+    assert traj.x[4, 0] == 16.0
+
+
+def test_trajectory_shape_rule_holds_for_diverged_runs():
+    # x(0..k) and y(0..k-1) whether or not the run diverged at k
+    with pytest.raises(DataError, match="does not match"):
+        Trajectory(x=np.zeros((3, 1)), y=np.zeros((1, 1)), diverged=True, diverged_at=2)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -412,7 +422,7 @@ def bound_first_crossed_at(norms, k):
 
 
 @pytest.mark.parametrize("k_div", [1, 255, 256, 257, 300])
-def test_simulate_divergence_step_matches_step_maps_across_blocks(k_div):
+def test_simulate_divergence_step_matches_step_maps_across_blocks(k_div, set_bound):
     N = 300
     x0 = np.ones(3)
     families, U = growing_families(seed=40, N=N)
@@ -421,7 +431,8 @@ def test_simulate_divergence_step_matches_step_maps_across_blocks(k_div):
         xs, _, _ = reference_run(step, C, U, x0, np.inf)
         bound = bound_first_crossed_at(np.linalg.norm(xs, axis=1), k_div)
         xs, ys, k = reference_run(step, C, U, x0, bound)
-        traj = simulate(model, U, x0=x0, divergence_bound=bound)
+        set_bound(bound)
+        traj = simulate(model, U, x0=x0)
         assert k == k_div and traj.diverged and traj.diverged_at == k_div
         assert traj.x.shape == xs.shape and traj.y.shape == ys.shape
         assert np.max(np.abs(traj.x - xs)) <= 1e-12 * np.max(np.abs(xs))
@@ -489,28 +500,20 @@ def test_simulate_divergent_run_raises_no_warning():
 
 # --- step engine: the folded first layer and its width switch -------------------
 
-@pytest.mark.parametrize("row", [20, 255, 256])
+@pytest.mark.parametrize("row", [0, 255, 599])
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
-def test_simulate_non_finite_input_diverges_at_the_reference_step(bad, row):
-    # input(row) first reaches the state in x(row + 1); a fold that reads
-    # input(row) one step early in G's zero M columns would report row
-    rng = np.random.default_rng(70)
-    U = rng.normal(size=(600, 2))
-    U[row, 0] = bad
-    x0 = rng.normal(size=3)
-    for model, step in family_steppers(seed=71):
-        C = model.C if isinstance(model, LinearSS) else model.lin.C
-        with np.errstate(all="ignore"):
-            xs, ys, k = reference_run(step, C, U, x0, 1e8)
-        traj = simulate(model, U, x0=x0)
-        assert k == row + 1 and traj.diverged and traj.diverged_at == k
-        assert traj.x.shape == xs.shape and traj.y.shape == ys.shape
-        assert np.max(np.abs(traj.x[:k] - xs[:k])) <= 1e-12 * np.max(np.abs(xs[:k]))
+def test_simulate_non_finite_input_row_is_a_data_error(bad, row):
+    # a non-finite input is malformed data, not a divergent run
+    U = np.random.default_rng(70).normal(size=(600, 2))
+    U[row, 1] = bad
+    for model, _ in family_steppers(seed=71):
+        with pytest.raises(DataError, match=rf"input sequence row {row} is not finite"):
+            simulate(model, U)
 
 
 @pytest.mark.parametrize("k_div", [None, 255, 256, 257])
 @pytest.mark.parametrize("width", [_FOLD_MAX - 1, _FOLD_MAX + 1])
-def test_simulate_either_side_of_the_fold_width_matches_step_maps(width, k_div):
+def test_simulate_either_side_of_the_fold_width_matches_step_maps(width, k_div, set_bound):
     # the AL and GR first layers are `width` wide: folded below the switch,
     # stepped unfolded above it
     families, U = growing_families(72, 300, width // 2, width - width // 2, width)
@@ -520,7 +523,8 @@ def test_simulate_either_side_of_the_fold_width_matches_step_maps(width, k_div):
         bound = (np.inf if k_div is None
                  else bound_first_crossed_at(np.linalg.norm(xs, axis=1), k_div))
         xs, ys, k = reference_run(step, model.lin.C, U, x0, bound)
-        traj = simulate(model, U, x0=x0, divergence_bound=bound)
+        set_bound(bound)
+        traj = simulate(model, U, x0=x0)
         assert k == k_div and traj.diverged_at == k_div
         assert traj.x.shape == xs.shape and traj.y.shape == ys.shape
         assert np.max(np.abs(traj.x - xs)) <= 1e-12 * np.max(np.abs(xs))

@@ -9,7 +9,7 @@ equal arguments give bit-identical data.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,8 +27,6 @@ __all__ = [
     "generate_wh",
     "default_wh_params",
     "second_order_block",
-    "pp_params_to_dict",
-    "wh_params_to_dict",
 ]
 
 POPULATION_BOUND = 1e8
@@ -281,23 +279,3 @@ def generate_wh(params: WhParams, input_spec: WhInputSpec, N: int,
     if params.noise_std > 0:
         y = y + rng.normal(0.0, params.noise_std, size=y.shape)
     return Dataset(u=u, y=y, name="wh-synthetic")
-
-
-# --- metadata helpers for file sidecars --------------------------------------
-
-def pp_params_to_dict(params: PreyPredatorParams, forcing: SinusoidalForcing) -> dict:
-    return {"system": "prey-predator", **asdict(params), "x0": list(params.x0),
-            "forcing": asdict(forcing)}
-
-
-def wh_params_to_dict(params: WhParams, input_spec: WhInputSpec) -> dict:
-    return {
-        "system": "wh-synthetic",
-        "front": {"A": params.front.A.tolist(), "B": params.front.B.tolist(),
-                  "C": params.front.C.tolist()},
-        "back": {"A": params.back.A.tolist(), "B": params.back.B.tolist(),
-                 "C": params.back.C.tolist()},
-        "nl_kind": params.nl_kind, "nl_c1": params.nl_c1, "nl_c3": params.nl_c3,
-        "noise_std": params.noise_std,
-        "input": {"std": input_spec.std, "smoothing": input_spec.smoothing},
-    }

@@ -10,6 +10,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -18,9 +19,9 @@ import numpy as np
 
 from . import __version__
 from .benchmarks import (PreyPredatorParams, SinusoidalForcing, WhInputSpec,
-                         default_wh_params, generate_wh, pp_params_to_dict,
-                         simulate_prey_predator, wh_params_to_dict)
+                         default_wh_params, generate_wh, simulate_prey_predator)
 from .control import (
+    _ratio_stats,
     estimate_epsilon,
     ratio_stats,
     rmse,
@@ -30,69 +31,64 @@ from .control import (
 from .dataio import SplitSpec, load_csv, load_json, normalize, save_csv, split
 from .errors import DataError, NumericalError
 from .linear_id import default_horizon, linear_init
-from .models import AlSsnnModel, _family, load_model, save_model
-from .stability import (certificate_to_json_dict, check_convergence,
-                        solve_certificate, verify)
-from .training import TrainConfig, report_to_json_dict, train, train_gr
+from .models import AlSsnnModel, _family, _run_states, load_model, save_model, simulate
+from .stability import check_convergence, solve_certificate, verify
+from .training import TrainConfig, train, train_gr
 
 __all__ = ["main", "build_parser"]
-
-
-class _UsageError(Exception):
-    def __init__(self, message: str, parser: argparse.ArgumentParser):
-        super().__init__(message)
-        self.parser = parser
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse variant that reports usage problems as exit code 1."""
-
-    def error(self, message):
-        raise _UsageError(message, self)
 
 
 def _fmt(x) -> str:
     if x is None:
         return "-"
-    if isinstance(x, bool):
-        return str(x)
     if isinstance(x, float):
         return f"{x:.6g}"
     return str(x)
 
 
-def _print_table(rows, header=("metric", "value")) -> None:
-    names = [header[0]] + [str(k) for k, _ in rows]
-    width = max(len(s) for s in names)
-    print(f"{header[0]:<{width}}  {header[1]}")
-    print("-" * (width + 2 + len(header[1])))
+def _print_table(rows) -> None:
+    width = max(len(k) for k, _ in [("metric", None), *rows])
+    print(f"{'metric':<{width}}  value")
+    print("-" * (width + 7))
     for k, v in rows:
         print(f"{k:<{width}}  {_fmt(v)}")
 
 
 def _ensure_parent(path) -> None:
-    parent = Path(path).parent
-    if parent and not parent.exists():
+    if not (parent := Path(path).parent).exists():
         parent.mkdir(parents=True, exist_ok=True)
+
+
+def _plain(obj):
+    """The one JSON rule for library results: an array becomes nested lists,
+    a dataclass its fields less those that are None."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if dataclasses.is_dataclass(obj):
+        return {f.name: v for f in dataclasses.fields(obj)
+                if (v := getattr(obj, f.name)) is not None}
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _write_json(path, obj) -> None:
     _ensure_parent(path)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=1, sort_keys=True)
+        json.dump(obj, fh, indent=1, sort_keys=True, default=_plain)
         fh.write("\n")
 
 
-def _meta_path(out: str) -> Path:
-    return Path(out).with_suffix(".meta.json")
+def _refuse_overwrite(inputs, outputs) -> None:
+    """DataError if a path the command writes is one of the files it reads."""
+    read = {Path(p).resolve() for p in inputs}
+    for out in outputs:
+        if Path(out).resolve() in read:
+            raise DataError(f"output {out} would overwrite an input of this command")
 
 
 def _require_al(model, what: str) -> AlSsnnModel:
     if _family(model) != "al-ssnn":
-        raise DataError(
-            f"{what} requires an al-ssnn model (output-feedback form); "
-            f"got family '{_family(model)}'"
-        )
+        raise DataError(f"{what} requires an al-ssnn model (output-feedback form); "
+                        f"got family '{_family(model)}'")
     return model
 
 
@@ -109,10 +105,7 @@ def _require_channels(model, ds, path: str) -> None:
 def _train_part(ds, train_frac: float):
     if not (0.0 < train_frac <= 1.0):
         raise DataError(f"train fraction must lie in (0, 1], got {train_frac}")
-    if train_frac >= 1.0:
-        return ds
-    head, _ = split(ds, SplitSpec(train_frac))
-    return head
+    return ds if train_frac == 1.0 else split(ds, SplitSpec(train_frac))[0]
 
 
 def _parse_gammas(text: str) -> list[float]:
@@ -138,12 +131,12 @@ def cmd_gen_data(args) -> int:
         params = PreyPredatorParams() if args.dt is None else PreyPredatorParams(dt=args.dt)
         forcing = SinusoidalForcing()
         ds = simulate_prey_predator(params, forcing, args.n)
-        source = pp_params_to_dict(params, forcing)
+        source = {"system": args.generator, **_plain(params), "forcing": forcing}
     else:
         params = default_wh_params(noise_std=args.noise_std)
         input_spec = WhInputSpec(std=args.input_std)
         ds = generate_wh(params, input_spec, args.n, seed=args.seed)
-        source = wh_params_to_dict(params, input_spec)
+        source = {"system": args.generator, **_plain(params), "input": input_spec}
     _ensure_parent(args.out)
     meta = {
         "generator": args.generator,
@@ -156,9 +149,10 @@ def cmd_gen_data(args) -> int:
     if args.normalize:
         ds, norm = normalize(ds)
         meta["normalization"] = norm
+    meta_path = Path(args.out).with_suffix(".meta.json")
     save_csv(ds, args.out)
-    _write_json(_meta_path(args.out), meta)
-    print(f"wrote {args.out} and {_meta_path(args.out)} "
+    _write_json(meta_path, meta)
+    print(f"wrote {args.out} and {meta_path} "
           f"(N={ds.n_samples}, m={ds.n_inputs}, p={ds.n_outputs})")
     return 0
 
@@ -187,43 +181,37 @@ def _lti_identify(args, ds_train) -> int:
     return 0
 
 
-def _make_train_config(args, gamma: float) -> TrainConfig:
-    return TrainConfig(
-        gamma=gamma,
-        max_iters=args.iters,
-        n_h=args.nh,
-        n_g=args.ng,
-        seed=args.seed,
-        horizon=args.horizon,
-    )
-
-
 def cmd_identify(args) -> int:
+    # GR has no penalty and LTI no training, so each fits once
+    gammas = [0.0] if args.family != "al-ssnn" else _parse_gammas(args.gamma)
+    suffixes = [f".gamma-{gamma:g}" for gamma in gammas] if len(gammas) > 1 else [""]
+    outs = [str(args.out) + s + ext for s in suffixes for ext in (".report.json", ".model.json")]
+    _refuse_overwrite([args.data], outs + [str(args.out) + ".sweep.json"] * (len(gammas) > 1))
     ds_full = load_csv(args.data)
     ds_train = _train_part(ds_full, args.train_frac)
 
     if args.family == "lti":
         return _lti_identify(args, ds_train)
 
-    # GR has no penalty, so it trains once, at gamma 0
     gr = args.family == "gr-ssnn"
-    gammas = [0.0] if gr else _parse_gammas(args.gamma)
-    configs = [_make_train_config(args, gamma) for gamma in gammas]   # all checked up front
+    configs = [TrainConfig(gamma=gamma, max_iters=args.iters, n_h=args.nh, n_g=args.ng,
+                           seed=args.seed, horizon=args.horizon)
+               for gamma in gammas]   # all checked up front
     sweep_rows = []
-    for gamma, config in zip(gammas, configs):
+    for gamma, config, suffix in zip(gammas, configs, suffixes):
         if gr:
             model, rep = train_gr(ds_train, args.order, args.nf, config)
         else:
             model, rep = train(ds_train, args.order, config)
         stats = ratio_stats(model, ds_train)
-        suffix = f".gamma-{gamma:g}" if len(gammas) > 1 else ""
         _write_json(str(args.out) + suffix + ".report.json", {   # creates the directory
             "command": "identify",
             "family": args.family,
             "data": args.data,
             "train_fraction": args.train_frac,
-            "report": report_to_json_dict(rep, include_timing=args.record_timing),
-            "train_ratios": stats.as_dict(),
+            # wall time is opt-in so identical runs write identical reports
+            "report": rep if args.record_timing else dataclasses.replace(rep, wall_time_s=None),
+            "train_ratios": stats,
         })
         save_model(model, str(args.out) + suffix + ".model.json")
         sweep_rows.append({
@@ -264,6 +252,7 @@ def cmd_identify(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    _refuse_overwrite([args.model, args.data], [str(args.out) + ".json", str(args.out) + ".csv"])
     model = load_model(args.model)
     ds = load_csv(args.data)
     result = {
@@ -272,23 +261,20 @@ def cmd_evaluate(args) -> int:
         "data": args.data,
         "family": _family(model),
     }
-    if args.split is not None:
-        _, ds_test = split(ds, SplitSpec(args.split))
+    if args.split is None:
+        start, partition = 0, "all"
+        result["rmse"] = rmse(model, ds)
+    else:
+        start, partition = SplitSpec(args.split).index(ds.n_samples), "test"
         result["split"] = args.split
         result["rmse_train"], result["rmse_test"] = rmse_split(model, ds, args.split)
-        ratio_ds, partition = ds_test, "test"
-    else:
-        result["rmse"] = rmse(model, ds)
-        ratio_ds, partition = ds, "all"
-    if isinstance(model, AlSsnnModel):
-        stats = ratio_stats(model, ratio_ds)
-        result["ratios"] = {"partition": partition, **stats.as_dict()}
-
     rows = [(k, result[k]) for k in ("rmse", "rmse_train", "rmse_test") if k in result]
-    if "ratios" in result:
-        for k, v in result["ratios"].items():
-            if v is not None and k != "partition":
-                rows.append((f"{k} ({partition})", v))
+    if isinstance(model, AlSsnnModel):
+        # the (test) ratios continue the one free run that rmse_test scores
+        X = _run_states(simulate(model, ds.u))
+        ratios = _plain(_ratio_stats(model, X[start:], ds.u[start:]))
+        result["ratios"] = {"partition": partition, **ratios}
+        rows += [(f"{k} ({partition})", v) for k, v in ratios.items()]
     _write_json(str(args.out) + ".json", result)
     with open(str(args.out) + ".csv", "w", encoding="utf-8") as fh:
         fh.write("metric,value\n")
@@ -303,6 +289,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_closedloop(args) -> int:
+    _refuse_overwrite([args.model, args.data], [str(args.out) + ".json", str(args.out) + ".csv"])
     model = _require_al(load_model(args.model), "closed-loop analysis")
     ds = load_csv(args.data)
     _require_channels(model, ds, args.data)
@@ -343,6 +330,8 @@ def cmd_closedloop(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    _refuse_overwrite([args.model, *args.data], [str(args.out) + ".certificate.json",
+                                                 str(args.out) + ".check.json"])
     model = _require_al(load_model(args.model), "certification")
     datasets = [load_csv(p) for p in args.data]
     for path, ds in zip(args.data, datasets):
@@ -362,15 +351,14 @@ def cmd_certify(args) -> int:
     cert = solve_certificate(model.lin.A, epsilon)
     ok, diag = verify(cert, model.lin.A)
     conv = check_convergence(cert, regulation)
-    cert_obj = certificate_to_json_dict(cert)
-    cert_obj.update({
+    _write_json(str(args.out) + ".certificate.json", {
+        **_plain(cert),
         "model": args.model,
         "data": list(args.data),
         "epsilon_source": eps_source,
         "verified": ok,
         "p_min_eig": diag["p_min_eig"],
     })
-    _write_json(str(args.out) + ".certificate.json", cert_obj)
     _write_json(str(args.out) + ".check.json", {
         "command": "certify",
         "model": args.model,
@@ -423,7 +411,7 @@ def cmd_run(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="alssnn",
         description="Identify feedback-linearizable neural state-space models, "
                     "analyze the linearizing loop, and certify ISS bounds.",
@@ -502,10 +490,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as exc:
-        exc.parser.print_usage(sys.stderr)
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except SystemExit as exc:   # argparse has printed help, the version or a usage error
+        return 1 if exc.code else 0
     try:
         return int(args.func(args))
     except DataError as exc:

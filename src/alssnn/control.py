@@ -60,14 +60,6 @@ class RatioStats:
             if mean is not None and (mean < 0 or mean > mx + 1e-15):
                 raise DataError(f"ratio mean {mean} must lie in [0, max={mx}]")
 
-    def as_dict(self) -> dict:
-        out = {"n_steps": self.n_steps, "n_excluded": self.n_excluded}
-        for key in ("g_mean", "g_max", "h_mean", "h_max", "f_mean", "f_max"):
-            val = getattr(self, key)
-            if val is not None:
-                out[key] = val
-        return out
-
 
 @dataclass(frozen=True)
 class ClosedLoopRecord:
@@ -175,17 +167,20 @@ def ratio_stats(model, ds: Dataset) -> RatioStats:
         raise DataError(
             f"ratio statistics need a model with networks, got {type(model).__name__}"
         )
-    X = _run_states(simulate(model, ds.u))
+    return _ratio_stats(model, _run_states(simulate(model, ds.u)), ds.u)
+
+
+def _ratio_stats(model: AlSsnnModel, X: np.ndarray, U: np.ndarray) -> RatioStats:
+    """The ratios at the free-run states X, each row driven by that row of U."""
     lin = model.lin
-    dens = np.linalg.norm(X @ lin.A.T + ds.u @ lin.B.T, axis=1)
-    g_norms = np.linalg.norm(mlp_forward_batch(model.g_net, np.hstack([X, ds.u])), axis=1)
+    dens = np.linalg.norm(X @ lin.A.T + U @ lin.B.T, axis=1)
+    g_norms = np.linalg.norm(mlp_forward_batch(model.g_net, np.hstack([X, U])), axis=1)
     g_mean, g_max, n_excl = _ratio(g_norms, dens)
     if _family(model) == "gr-ssnn":
-        return RatioStats(n_steps=ds.n_samples, n_excluded=n_excl,
-                          f_mean=g_mean, f_max=g_max)
+        return RatioStats(n_steps=len(X), n_excluded=n_excl, f_mean=g_mean, f_max=g_max)
     h_norms = np.linalg.norm(mlp_forward_batch(model.h_net, X @ lin.C.T), axis=1)
     h_mean, h_max, _ = _ratio(h_norms, dens)
-    return RatioStats(n_steps=ds.n_samples, n_excluded=n_excl, g_mean=g_mean, g_max=g_max,
+    return RatioStats(n_steps=len(X), n_excluded=n_excl, g_mean=g_mean, g_max=g_max,
                       h_mean=h_mean, h_max=h_max)
 
 

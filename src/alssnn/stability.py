@@ -38,7 +38,6 @@ __all__ = [
     "verify",
     "solve_certificate",
     "check_convergence",
-    "certificate_to_json_dict",
 ]
 
 LMI_TOL = 1e-9
@@ -298,16 +297,4 @@ def check_convergence(cert: IssCertificate, record: ClosedLoopRecord) -> dict:
         "n_epsilon_violations": int(np.sum(eps_violations)),
         "epsilon_sound": bool(not np.any(eps_violations)),
         "max_omega_norm": record.max_omega_norm,
-    }
-
-
-def certificate_to_json_dict(cert: IssCertificate) -> dict:
-    return {
-        "P": cert.P.tolist(),
-        "phi": cert.phi,
-        "psi": cert.psi,
-        "epsilon": cert.epsilon,
-        "radius": cert.radius,
-        "lmi_max_eig": cert.lmi_max_eig,
-        "search": cert.search,
     }

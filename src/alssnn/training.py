@@ -57,7 +57,6 @@ __all__ = [
     "lm_step",
     "train",
     "train_gr",
-    "report_to_json_dict",
 ]
 
 @dataclass(frozen=True)
@@ -565,15 +564,6 @@ class TrainReport:
     jacobians: int = 0
     solves: int = 0
     wall_time_s: float = 0.0
-
-
-def report_to_json_dict(report: TrainReport, include_timing: bool = False) -> dict:
-    """Report as a JSON-ready dict; wall time is opt-in so identical runs
-    serialize identically."""
-    d = asdict(report)
-    if not include_timing:
-        d.pop("wall_time_s")
-    return d
 
 
 def _hidden_input_scales(lin0: LinearSS, ds: Dataset) -> tuple[np.ndarray, np.ndarray]:

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -6,8 +7,8 @@ import pytest
 from alssnn.benchmarks import (POPULATION_BOUND, PreyPredatorParams,
                                SinusoidalForcing, WhInputSpec, WhParams,
                                default_wh_params, generate_wh,
-                               pp_params_to_dict, second_order_block,
-                               simulate_prey_predator, wh_params_to_dict)
+                               second_order_block, simulate_prey_predator)
+from alssnn.cli import _plain
 from alssnn.errors import DataError, NumericalError
 from alssnn.linear_id import LinearSS, linear_init
 from alssnn.models import simulate
@@ -237,11 +238,15 @@ def test_params_validation():
 
 
 def test_metadata_dicts():
-    pp = pp_params_to_dict(PreyPredatorParams(), SinusoidalForcing())
-    assert pp["system"] == "prey-predator"
-    assert pp["dt"] == PreyPredatorParams().dt
-    assert set(pp["forcing"]) == {"A1", "A2", "phi1", "phi2"}
-    wh = wh_params_to_dict(default_wh_params(), WhInputSpec())
-    assert wh["system"] == "wh-synthetic"
+    # the generator parameters reach a .meta.json through the CLI's one JSON
+    # rule: a dataclass becomes its fields, an array nested lists
+    def plain(obj):
+        return json.loads(json.dumps(obj, default=_plain))
+    pp = plain(PreyPredatorParams())
+    assert pp["dt"] == PreyPredatorParams().dt and pp["x0"] == [8.0, 8.0, 4.0]
+    assert set(plain(SinusoidalForcing())) == {"A1", "A2", "phi1", "phi2"}
+    wh = plain(default_wh_params())
     assert wh["nl_kind"] == "tanh-poly"
+    assert set(wh["front"]) == {"A", "B", "C"}
     assert np.array(wh["front"]["A"]).shape == (2, 2)
+    assert plain(WhInputSpec()) == {"std": 1.0, "smoothing": 0.5}

@@ -7,8 +7,8 @@ from alssnn.cli import main
 from alssnn.control import ratio_stats, rmse, rmse_split
 from alssnn.dataio import Dataset, SplitSpec, load_csv, save_csv, split
 from alssnn.linear_id import LinearSS
-from alssnn.models import AlSsnnModel, GrSsnnModel, load_model, save_model
-from alssnn.nets import Equilibrium, Mlp
+from alssnn.models import AlSsnnModel, GrSsnnModel, load_model, save_model, simulate
+from alssnn.nets import Equilibrium, Mlp, mlp_forward_batch
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +117,19 @@ def test_identify_al_outputs(ws):
     assert "wall_time_s" not in rep["report"]  # timing is opt-in
 
 
+def test_identify_record_timing_opt_in(ws, tmp_path):
+    # wall time is written only on request; the rest of the report is the same
+    reports = []
+    for flags in ([], ["--record-timing"]):
+        out = tmp_path / f"t{len(flags)}"
+        assert main(["identify", "gr-ssnn", "--data", str(ws["wh"]), "--order", "2",
+                     "--nf", "2", "--iters", "2", "-o", str(out), *flags]) == 0
+        reports.append(read_json(str(out) + ".report.json")["report"])
+    untimed, timed = reports
+    assert "wall_time_s" not in untimed and timed.pop("wall_time_s") > 0
+    assert timed == untimed
+
+
 def test_identify_gr_outputs(ws):
     model = load_model(str(ws["gr"]) + ".model.json")
     assert isinstance(model, GrSsnnModel)
@@ -206,18 +219,28 @@ def test_evaluate_split(ws, tmp_path):
     assert res["ratios"]["partition"] == "test"
 
 
-def test_evaluate_split_ratios_restart_the_test_half(ws, tmp_path):
-    # the (test) ratios come from a free run of the test half alone,
-    # restarted at x(0) = 0, while rmse_test continues the one free run over
-    # the whole record
+def test_evaluate_split_ratios_continue_the_free_run(ws, tmp_path):
+    # the (test) ratios are taken on rows k.. of the one free run over the
+    # whole record, the run rmse_test is scored on, not on a free run of
+    # the test half restarted at x(0) = 0
     out = tmp_path / "evr"
     model_path = str(ws["al"]) + ".model.json"
     assert main(["evaluate", "--model", model_path, "--data", str(ws["wh"]),
                  "--split", "0.5", "-o", str(out)]) == 0
     res = read_json(str(out) + ".json")
     model, ds = load_model(model_path), load_csv(ws["wh"])
+    k = SplitSpec(0.5).index(ds.n_samples)
+    X, U = simulate(model, ds.u).x[k:-1], ds.u[k:]
+    dens = np.linalg.norm(X @ model.lin.A.T + U @ model.lin.B.T, axis=1)
+    g = np.linalg.norm(mlp_forward_batch(model.g_net, np.hstack([X, U])), axis=1) / dens
+    h = np.linalg.norm(mlp_forward_batch(model.h_net, X @ model.lin.C.T), axis=1) / dens
+    ratios = res["ratios"]
+    assert (ratios["partition"], ratios["n_steps"], ratios["n_excluded"]) == (
+        "test", ds.n_samples - k, 0)
+    assert [ratios[key] for key in ("g_mean", "g_max", "h_mean", "h_max")] == pytest.approx(
+        [g.mean(), g.max(), h.mean(), h.max()], rel=1e-12)
     _, test_half = split(ds, SplitSpec(0.5))
-    assert res["ratios"] == {"partition": "test", **ratio_stats(model, test_half).as_dict()}
+    assert ratios["g_mean"] != ratio_stats(model, test_half).g_mean
     assert res["rmse_test"] == rmse_split(model, ds, 0.5)[1] != rmse(model, test_half)
 
 
@@ -227,6 +250,31 @@ def test_evaluate_lti_has_no_ratios(ws, tmp_path):
                  "--data", str(ws["wh"]), "-o", str(out)]) == 0
     res = read_json(str(out) + ".json")
     assert "ratios" not in res
+
+
+@pytest.mark.parametrize("command", ["evaluate", "closedloop"])
+@pytest.mark.parametrize("victim", ["data", "model"])
+def test_output_over_an_input_exit_2(ws, tmp_path, capsys, command, victim):
+    # -o <data stem> would write <stem>.csv over the data and -o <model
+    # stem> <stem>.json over the model; both are refused before any output
+    data, model = tmp_path / "rec.csv", tmp_path / "m.model.json"
+    data.write_bytes(ws["wh"].read_bytes())
+    model.write_bytes((ws["root"] / "al.model.json").read_bytes())
+    before = {p: p.read_bytes() for p in (data, model)}
+    out, hit = (tmp_path / "rec", data) if victim == "data" else (tmp_path / "m.model", model)
+    assert main([command, "--model", str(model), "--data", str(data), "-o", str(out)]) == 2
+    assert f"output {hit} would overwrite an input" in capsys.readouterr().err
+    assert {p: p.read_bytes() for p in (data, model)} == before
+    assert sorted(tmp_path.iterdir()) == sorted(before)
+
+
+def test_identify_output_over_its_data_exit_2(ws, tmp_path, capsys):
+    data = tmp_path / "d.report.json"
+    data.write_bytes(ws["wh"].read_bytes())
+    assert main(["identify", "lti", "--data", str(data), "--order", "2",
+                 "-o", str(tmp_path / "d")]) == 2
+    assert "would overwrite an input" in capsys.readouterr().err
+    assert data.read_bytes() == ws["wh"].read_bytes()
 
 
 def test_evaluate_missing_model_exit_2(ws, tmp_path, capsys):
@@ -453,6 +501,20 @@ def test_run_pipeline(tmp_path):
     assert (tmp_path / "m.model.json").exists()
 
 
+def test_run_pipeline_continues_after_a_version_step(tmp_path, capsys):
+    # --version and --help end their own step only, not the pipeline
+    data = tmp_path / "d.csv"
+    pipeline = tmp_path / "p.json"
+    pipeline.write_text(json.dumps({"steps": [
+        ["--version"],
+        ["gen-data", "--help"],
+        ["gen-data", "wh-synthetic", "--n", "300", "-o", str(data)],
+    ]}))
+    assert main(["run", str(pipeline)]) == 0
+    assert data.exists()
+    assert "[3/3] alssnn gen-data" in capsys.readouterr().out
+
+
 def test_run_pipeline_propagates_failure(tmp_path, capsys):
     pipeline = tmp_path / "p.json"
     pipeline.write_text(json.dumps({"steps": [
@@ -489,9 +551,10 @@ def test_run_malformed_pipeline_file_exit_2(tmp_path, capsys, content, message):
 
 def test_usage_errors_exit_1(capsys):
     assert main(["identify"]) == 1  # missing required arguments
+    assert "usage:" in capsys.readouterr().err
     assert main(["frobnicate"]) == 1  # unknown subcommand
     err = capsys.readouterr().err
-    assert "usage:" in err
+    assert "usage:" in err and "alssnn: error: argument command" in err
 
 
 def test_unwritable_identify_output_exit_2(ws, tmp_path, capsys):
@@ -516,7 +579,10 @@ def test_unwritable_evaluate_output_exit_2(ws, tmp_path, capsys):
 
 
 def test_version_flag(capsys):
-    with pytest.raises(SystemExit) as exc_info:
-        main(["--version"])
-    assert exc_info.value.code == 0
+    assert main(["--version"]) == 0
     assert "alssnn" in capsys.readouterr().out
+
+
+def test_help_flag(capsys):
+    assert main(["identify", "--help"]) == 0
+    assert "usage: alssnn identify" in capsys.readouterr().out

@@ -1,14 +1,17 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_discrete_lyapunov
 
 from alssnn import stability
+from alssnn.cli import _plain
 from alssnn.control import ClosedLoopRecord
 from alssnn.errors import DataError, InfeasibleError, NumericalError
 from alssnn.stability import (LMI_TOL, PHI_GRID, IssCertificate, _eig_extremes,
                               _phi_blocks, _psi_thresholds, _q_family,
-                              certificate_to_json_dict, check_convergence,
-                              lmi_block, solve_certificate, verify)
+                              check_convergence, lmi_block, solve_certificate,
+                              verify)
 
 
 def stable_a(n=3, seed=0, rho=0.7):
@@ -329,7 +332,7 @@ def test_check_convergence_dim_mismatch():
 
 def test_certificate_json_dict():
     cert = solve_certificate(stable_a(2, seed=10), epsilon=0.25)
-    d = certificate_to_json_dict(cert)
+    d = json.loads(json.dumps(cert, default=_plain))
     assert set(d) == {"P", "phi", "psi", "epsilon", "radius", "lmi_max_eig", "search"}
     assert d["radius"] == cert.radius
     assert np.array_equal(np.array(d["P"]), cert.P)

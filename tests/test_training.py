@@ -12,8 +12,8 @@ from alssnn.models import AlSsnnModel, GrSsnnModel, gr_model, simulate
 from alssnn.nets import (Equilibrium, Mlp, enforce_equilibrium_zero, mlp_forward,
                          mlp_forward_batch)
 from alssnn.training import (LmWorkspace, TrainConfig, jacobian_bptt, lm_step,
-                             pack_params, report_to_json_dict, residuals, train,
-                             train_gr, unpack_params)
+                             pack_params, residuals, train, train_gr,
+                             unpack_params)
 
 
 def loss(model, ds, gamma=0.0):
@@ -620,9 +620,7 @@ def test_report_counters_and_reasons_al_and_gr():
     for rep in (rep_al, rep_gr):
         check_counters(rep)
         assert 0 < rep.n_accepted < rep.n_iterations  # both branches exercised
-        d = report_to_json_dict(rep)
-        assert (d["free_runs"], d["jacobians"], d["solves"]) == (
-            rep.free_runs, rep.jacobians, rep.solves)
+        assert rep.free_runs > 0 and rep.jacobians > 0 and rep.solves > 0
 
 
 def test_train_final_losses_are_the_returned_models_residuals():
@@ -774,15 +772,6 @@ def test_train_gr_keeps_gr_names_and_the_callers_config():
     # no penalty rows, whatever gamma is
     assert residuals(model, ds, 5.0).r.shape == (ds.n_samples,)
     assert report.final_penalty_mse == 0.0
-
-
-def test_report_json_dict_timing_opt_in():
-    ds = linear_ds(N=80, seed=22)
-    _, report = train_gr(ds, 2, 2, TrainConfig(max_iters=2))
-    d = report_to_json_dict(report)
-    assert "wall_time_s" not in d
-    d = report_to_json_dict(report, include_timing=True)
-    assert d["wall_time_s"] > 0
 
 
 def test_train_config_validation():

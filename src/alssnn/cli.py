@@ -22,16 +22,16 @@ from .benchmarks import (PreyPredatorParams, SinusoidalForcing, WhInputSpec,
                          default_wh_params, generate_wh, simulate_prey_predator)
 from .control import (
     _ratio_stats,
+    _rmse,
     estimate_epsilon,
     ratio_stats,
     rmse,
-    rmse_split,
     simulate_closed_loop,
 )
 from .dataio import SplitSpec, load_csv, load_json, normalize, save_csv, split
-from .errors import DataError, NumericalError
+from .errors import DataError, DivergenceError, NumericalError
 from .linear_id import default_horizon, linear_init
-from .models import AlSsnnModel, _family, _run_states, load_model, save_model, simulate
+from .models import AlSsnnModel, _family, _lin_of, _run_states, load_model, save_model, simulate
 from .stability import check_convergence, solve_certificate, verify
 from .training import TrainConfig, train, train_gr
 
@@ -95,8 +95,9 @@ def _require_al(model, what: str) -> AlSsnnModel:
 def _require_channels(model, ds, path: str) -> None:
     """DataError unless the record at `path` has the model's input and
     output counts."""
-    for what, have, want in (("input", ds.n_inputs, model.dims["m"]),
-                             ("output", ds.n_outputs, model.dims["p"])):
+    lin = _lin_of(model)
+    for what, have, want in (("input", ds.n_inputs, lin.n_inputs),
+                             ("output", ds.n_outputs, lin.n_outputs)):
         if have != want:
             raise DataError(f"record {path} has {have} {what} channels, "
                             f"model expects {want}")
@@ -255,23 +256,23 @@ def cmd_evaluate(args) -> int:
     _refuse_overwrite([args.model, args.data], [str(args.out) + ".json", str(args.out) + ".csv"])
     model = load_model(args.model)
     ds = load_csv(args.data)
+    _require_channels(model, ds, args.data)
     result = {
         "command": "evaluate",
         "model": args.model,
         "data": args.data,
         "family": _family(model),
     }
+    start = 0 if args.split is None else SplitSpec(args.split).index(ds.n_samples)
+    X = _run_states(simulate(model, ds.u))   # the one free run every score reads
     if args.split is None:
-        start, partition = 0, "all"
-        result["rmse"] = rmse(model, ds)
+        partition, result["rmse"] = "all", _rmse(model, ds, X)
     else:
-        start, partition = SplitSpec(args.split).index(ds.n_samples), "test"
-        result["split"] = args.split
-        result["rmse_train"], result["rmse_test"] = rmse_split(model, ds, args.split)
+        partition, result["split"] = "test", args.split
+        result["rmse_train"] = _rmse(model, ds, X, slice(start))
+        result["rmse_test"] = _rmse(model, ds, X, slice(start, None))
     rows = [(k, result[k]) for k in ("rmse", "rmse_train", "rmse_test") if k in result]
     if isinstance(model, AlSsnnModel):
-        # the (test) ratios continue the one free run that rmse_test scores
-        X = _run_states(simulate(model, ds.u))
         ratios = _plain(_ratio_stats(model, X[start:], ds.u[start:]))
         result["ratios"] = {"partition": partition, **ratios}
         rows += [(f"{k} ({partition})", v) for k, v in ratios.items()]
@@ -337,6 +338,9 @@ def cmd_certify(args) -> int:
     for path, ds in zip(args.data, datasets):
         _require_channels(model, ds, path)
     driven = simulate_closed_loop(model, datasets[0].u)
+    if driven.diverged:
+        raise DivergenceError(driven.diverged_at, f"the driven closed loop on {args.data[0]} "
+                              f"diverged at step {driven.diverged_at}")
     # The certificate's decrement statement is about the regulation loop
     # (v = 0), so convergence is checked on a v = 0 run started from the
     # farthest state the driven loop visited.

@@ -52,14 +52,6 @@ class RatioStats:
     f_mean: float | None = None
     f_max: float | None = None
 
-    def __post_init__(self):
-        for mean, mx in ((self.g_mean, self.g_max), (self.h_mean, self.h_max),
-                         (self.f_mean, self.f_max)):
-            if (mean is None) != (mx is None):
-                raise DataError("ratio mean/max must be set together")
-            if mean is not None and (mean < 0 or mean > mx + 1e-15):
-                raise DataError(f"ratio mean {mean} must lie in [0, max={mx}]")
-
 
 @dataclass(frozen=True)
 class ClosedLoopRecord:
@@ -206,18 +198,18 @@ def estimate_epsilon(model: AlSsnnModel, datasets, records=()) -> float:
     return eps
 
 
-def _output_error(model, ds: Dataset) -> np.ndarray:
-    """y(k) - y_model(k) of the free run from x(0) = 0, one row per sample."""
+def rmse(model, ds: Dataset) -> float:
+    """Free-run output error sqrt((1/N) sum ||y(k) - y_model(k)||^2), x(0) = 0."""
+    return _rmse(model, ds, _run_states(simulate(model, ds.u)))
+
+
+def _rmse(model, ds: Dataset, X: np.ndarray, rows: slice = slice(None)) -> float:
+    """rmse at the free-run states X on ds.u, over the samples `rows`."""
     lin = _lin_of(model)
     if ds.n_outputs != lin.n_outputs:
         raise DataError(f"record has {ds.n_outputs} output(s), model has {lin.n_outputs}")
-    return ds.y - _run_states(simulate(model, ds.u)) @ lin.C.T
-
-
-def rmse(model, ds: Dataset) -> float:
-    """Free-run output error sqrt((1/N) sum ||y(k) - y_model(k)||^2), x(0) = 0."""
-    e = _output_error(model, ds)
-    return float(np.sqrt(np.mean(np.sum(e**2, axis=1))))
+    se = np.sum((ds.y - X @ lin.C.T) ** 2, axis=1)
+    return float(np.sqrt(np.mean(se[rows])))
 
 
 def rmse_split(model, ds: Dataset, train_fraction: float) -> tuple[float, float]:
@@ -231,5 +223,5 @@ def rmse_split(model, ds: Dataset, train_fraction: float) -> tuple[float, float]
     the split point).
     """
     k = SplitSpec(train_fraction).index(ds.n_samples)
-    se = np.sum(_output_error(model, ds) ** 2, axis=1)
-    return float(np.sqrt(np.mean(se[:k]))), float(np.sqrt(np.mean(se[k:])))
+    X = _run_states(simulate(model, ds.u))
+    return _rmse(model, ds, X, slice(k)), _rmse(model, ds, X, slice(k, None))

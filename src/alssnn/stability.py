@@ -30,7 +30,7 @@ import numpy as np
 from scipy.linalg import solve_discrete_lyapunov
 
 from .control import ClosedLoopRecord
-from .errors import DataError, InfeasibleError, NumericalError
+from .errors import DataError, DivergenceError, InfeasibleError, NumericalError
 
 __all__ = [
     "IssCertificate",
@@ -258,8 +258,13 @@ def check_convergence(cert: IssCertificate, record: ClosedLoopRecord) -> dict:
     dV < -phi*V + psi*||omega||^2 holds (up to eigensolver-level slack), the
     first entry time into the ball and the fraction of steps inside after
     entry. Steps where ||omega|| exceeds epsilon are flagged: the certificate
-    promises nothing there.
+    promises nothing there. A record that left its bound raises
+    DivergenceError: checked on its truncated run, every claim would be
+    vacuous.
     """
+    if record.diverged:
+        raise DivergenceError(record.diverged_at, f"closed loop diverged at step "
+                              f"{record.diverged_at}; its convergence check would be vacuous")
     X = record.x
     if X.ndim != 2 or X.shape[1] != cert.n:
         raise DataError(

@@ -6,14 +6,16 @@ The loss on a dataset of N samples is
 
 with x(k) from a free run started at x(0) = 0. The residual vector stacks all
 N*p output errors first, then the N*n penalty values scaled by sqrt(gamma),
-so J_N = ||r||^2 / N exactly. Jacobians are exact (forward accumulation of
-state sensitivities through the recursion). lm_step streams the normal
-equations from one pass over chunks of samples sized to stay in cache: each
-chunk's rows of J go through one dsyrk into J'J and one gemv into J'r, so
-training never holds the full Jacobian; jacobian_bptt is the assembled
-matrix from the same pass. J'J is the only P x P array an LM fill holds:
-every damped solve factors in place inside it, and its strict lower
-triangle keeps J'J for the next solve.
+so J_N = ||r||^2 / N exactly; residuals returns it with the run's states.
+Training enters the LM loop only through lm_step, whose first call, on an
+empty workspace, evaluates the initial model. Jacobians are exact (forward
+accumulation of state sensitivities through the recursion). lm_step
+streams the normal equations from one pass over chunks of samples sized to
+stay in cache: each chunk's rows of J go through one dsyrk into J'J and
+one gemv into J'r, so training never holds the full Jacobian;
+jacobian_bptt is the assembled matrix from the same pass. J'J is the only
+P x P array an LM fill holds: every damped solve factors in place inside
+it, and its strict lower triangle keeps J'J for the next solve.
 
 The model fixes its own parameter vector (pack_params): A, B and its nets'
 weights. C is never a parameter: it stays at the linear initialization's
@@ -47,7 +49,6 @@ from .nets import Equilibrium, Mlp, enforce_equilibrium_zero, init_small, mlp_fo
 
 __all__ = [
     "TrainConfig",
-    "ResidualVector",
     "TrainReport",
     "LmWorkspace",
     "pack_params",
@@ -101,36 +102,6 @@ class TrainConfig:
             raise DataError("hidden sizes must be non-negative")
         if self.horizon is not None and self.horizon < 1:
             raise DataError(f"horizon must be >= 1, got {self.horizon}")
-
-
-@dataclass(frozen=True)
-class ResidualVector:
-    """Stacked residuals: N*p output errors, then N*n_penalty penalty terms.
-
-    `states` keeps the free run x(0..N-1) the residuals came from, so the
-    Jacobian at the same model can reuse it instead of simulating again.
-    """
-
-    r: np.ndarray
-    n_samples: int
-    n_outputs: int
-    n_penalty_states: int
-    states: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        want = self.n_samples * (self.n_outputs + self.n_penalty_states)
-        if self.r.shape != (want,):
-            raise DataError(f"residual vector length {self.r.shape} != ({want},)")
-
-    def loss_value(self) -> float:
-        return float(self.r @ self.r / self.n_samples)
-
-    def components(self) -> tuple[float, float]:
-        """(output mse, penalty mse), each already divided by N."""
-        cut = self.n_samples * self.n_outputs
-        out = float(self.r[:cut] @ self.r[:cut] / self.n_samples)
-        pen = float(self.r[cut:] @ self.r[cut:] / self.n_samples)
-        return out, pen
 
 
 # --- parameter vector -------------------------------------------------------
@@ -208,8 +179,10 @@ def _penalty_weight(model: AlSsnnModel, gamma: float) -> float | None:
     return np.sqrt(gamma)
 
 
-def residuals(model: AlSsnnModel, ds: Dataset, gamma: float = 0.0) -> ResidualVector:
-    """Stacked residual vector from a free run at x(0) = 0."""
+def residuals(model: AlSsnnModel, ds: Dataset,
+              gamma: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """(r, X): the stacked residual vector of the free run from x(0) = 0, and
+    its states x(0..N-1), which the sensitivity pass at this model reuses."""
     lin = model.lin
     if ds.n_inputs != lin.n_inputs or ds.n_outputs != lin.n_outputs:
         raise DataError(
@@ -218,14 +191,16 @@ def residuals(model: AlSsnnModel, ds: Dataset, gamma: float = 0.0) -> ResidualVe
         )
     sqrt_g = _penalty_weight(model, gamma)
     xs = _run_states(simulate(model, ds.u))
-    N = ds.n_samples
     r = (ds.y - xs @ lin.C.T).ravel()
     if sqrt_g is not None:
         gvals = mlp_forward_batch(model.g_net, np.hstack([xs, ds.u]))
         r = np.concatenate([r, sqrt_g * gvals.ravel()])
-    return ResidualVector(r=r, n_samples=N, n_outputs=lin.n_outputs,
-                          n_penalty_states=0 if sqrt_g is None else lin.n_states,
-                          states=xs)
+    return r, xs
+
+
+def _mean_square(r: np.ndarray, n_samples: int) -> float:
+    """||r||^2 / N: the loss of a residual vector, or the share of a slice of it."""
+    return float(r @ r / n_samples)
 
 
 # --- Jacobian by forward sensitivity accumulation ---------------------------
@@ -409,9 +384,10 @@ def _mirror(a: np.ndarray) -> None:
         np.copyto(block, block.T, where=tri[:w, :w])
 
 
-def _normal_equations(model: AlSsnnModel, ds: Dataset, gamma: float,
-                      rv: ResidualVector) -> tuple[np.ndarray, np.ndarray]:
-    """J'J and J'r accumulated chunk by chunk; the full J is never formed.
+def _normal_equations(model: AlSsnnModel, ds: Dataset, gamma: float, r: np.ndarray,
+                      X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """J'J and J'r at the residuals r of the free run X (residuals's pair),
+    accumulated chunk by chunk; the full J is never formed.
 
     J'J is one P x P Fortran-order array. Each cache-sized chunk of J's rows
     adds to its upper triangle in one dsyrk and to J'r in one gemv, with the
@@ -419,10 +395,10 @@ def _normal_equations(model: AlSsnnModel, ds: Dataset, gamma: float,
     mirrored once at the end, so J'J is exactly symmetric.
     """
     P = _param_slices(model)[1]
-    N, p, q = rv.n_samples, rv.n_outputs, rv.n_penalty_states
-    r_out, r_pen = rv.r[: N * p].reshape(N, p), rv.r[N * p :].reshape(N, q)
+    N, p = ds.n_samples, model.lin.n_outputs
+    r_out, r_pen = r[: N * p].reshape(N, p), r[N * p :].reshape(N, -1)   # the rest: penalty
     JtJ, Jtr = np.zeros((P, P), order="F"), np.zeros(P)
-    for k0, k1, rows in _sensitivity_chunks(model, ds, gamma, rv.states):
+    for k0, k1, rows in _sensitivity_chunks(model, ds, gamma, X):
         Jc = rows.reshape(-1, P).T   # Fortran order, so the wrappers copy nothing
         r_c = np.concatenate((r_out[k0:k1], r_pen[k0:k1]), axis=1).ravel()
         JtJ = dsyrk(1.0, Jc, beta=1.0, c=JtJ, overwrite_c=1)
@@ -437,25 +413,25 @@ def _normal_equations(model: AlSsnnModel, ds: Dataset, gamma: float,
 class LmWorkspace:
     """State shared across lm_step calls: one model's residuals and fill.
 
-    Callers must leave `problem` and `rv` alone. `problem` is the (model,
-    dataset, gamma) the workspace holds, and `rv` that model's residuals,
-    free run included; `JtJ`, `JtJ_diag`, `Jtr`, `loss` and `grad_inf`
+    A workspace starts empty, as LmWorkspace(), and only lm_step writes it.
+    `problem` is the (model, dataset, gamma) it holds, and `rv` that model's
+    (r, X) from `residuals`; `JtJ`, `JtJ_diag`, `Jtr`, `loss` and `grad_inf`
     belong to the same model once filled, and `JtJ is None` means not filled
-    yet. A call with another problem drops all of it and computes a fresh
-    free run. A fill streams J'J and J'r from one dsyrk and one gemv per
-    cache-sized chunk of J's rows, without forming J: `JtJ` is then the
-    exactly symmetric P x P J'J in Fortran order, and `JtJ_diag` its
-    diagonal. Each solve factors in place inside `JtJ`, after which only its
-    strict lower triangle and `JtJ_diag` hold J'J. An accepted step moves
-    `problem` and `rv` to the candidate and drops the old fill, so the next
-    call fills from the candidate's free run; `loss` still holds the loss of
-    the model the step started from. The counters add up over all calls
-    sharing the workspace: one free run per residual evaluation, one
-    Jacobian per fill and one solve per damped system attempted.
+    yet. A call with another problem, the first call included, drops all of
+    it and computes a fresh free run. A fill streams J'J and J'r from one
+    dsyrk and one gemv per cache-sized chunk of J's rows, without forming J:
+    `JtJ` is then the exactly symmetric P x P J'J in Fortran order, and
+    `JtJ_diag` its diagonal. Each solve factors in place inside `JtJ`, after
+    which only its strict lower triangle and `JtJ_diag` hold J'J. An
+    accepted step moves `problem` and `rv` to the candidate and drops the
+    old fill, so the next call fills from the candidate's free run; `loss`
+    still holds the loss of the model the step started from. The counters
+    add up over all calls sharing it: one free run per residual evaluation,
+    one Jacobian per fill and one solve per damped system.
     """
 
     problem: tuple | None = field(default=None, repr=False)
-    rv: ResidualVector | None = field(default=None, repr=False)
+    rv: tuple | None = field(default=None, repr=False)
     JtJ: np.ndarray | None = None
     JtJ_diag: np.ndarray | None = None
     Jtr: np.ndarray | None = None
@@ -498,9 +474,9 @@ def lm_step(model: AlSsnnModel, ds: Dataset, config: TrainConfig, lam: float,
         ws.problem = (model, ds, config.gamma)
     if ws.JtJ is None:
         ws.jacobians += 1
-        ws.JtJ, ws.Jtr = _normal_equations(model, ds, config.gamma, ws.rv)
+        ws.JtJ, ws.Jtr = _normal_equations(model, ds, config.gamma, *ws.rv)
         ws.JtJ_diag = ws.JtJ.diagonal().copy()
-        ws.loss = ws.rv.loss_value()
+        ws.loss = _mean_square(ws.rv[0], ds.n_samples)
         ws.grad_inf = float(np.max(np.abs(2.0 / ds.n_samples * ws.Jtr)))
 
     ws.last_candidate_loss = ws.last_step_norm = ws.last_reject_reason = None
@@ -529,9 +505,7 @@ def lm_step(model: AlSsnnModel, ds: Dataset, config: TrainConfig, lam: float,
         rv_c = residuals(candidate, ds, config.gamma)
     except DivergenceError:
         return reject("diverged")
-    except DataError:
-        return reject("invalid_params")
-    ws.last_candidate_loss = rv_c.loss_value()
+    ws.last_candidate_loss = _mean_square(rv_c[0], ds.n_samples)
     if ws.last_candidate_loss < ws.loss:
         ws.problem, ws.rv = (candidate, ds, config.gamma), rv_c
         ws.JtJ = ws.JtJ_diag = ws.Jtr = None
@@ -544,8 +518,8 @@ def lm_step(model: AlSsnnModel, ds: Dataset, config: TrainConfig, lam: float,
 @dataclass
 class TrainReport:
     """What a training run did. `free_runs`, `jacobians` and `solves` count
-    the LM loop's work, its initial residual included; iteration records
-    carry the step norm and, for a rejected step, the reason."""
+    the LM loop's work, the initial model's evaluation included; iteration
+    records carry the step norm and, for a rejected step, the reason."""
 
     family: str
     dims: dict
@@ -616,17 +590,18 @@ def _train(family: type, ds: Dataset, n: int, config: TrainConfig):
     if family is GrSsnnModel:
         scaling = {"f_input_scale": scaling["g_input_scale"]}
 
-    # The workspace starts at the initial model; its first fill reuses this run.
-    ws = LmWorkspace(problem=(model, ds, config.gamma), free_runs=1,
-                     rv=residuals(model, ds, config.gamma))
+    ws = LmWorkspace()   # the first lm_step evaluates and fills the initial model
     lam = config.lambda0
-    losses = [ws.rv.loss_value()]   # the initial model's, then each accepted step's
+    losses = []   # the initial model's (the first step's ws.loss), then each accepted step's
     records, stop_reason = [], "max_iters"
+    cut = ds.n_samples * ds.n_outputs   # output rows, then penalty rows
     for it in range(1, config.max_iters + 1):
         model, lam, accepted = lm_step(model, ds, config, lam, workspace=ws)
+        losses = losses or [ws.loss]
         if accepted:
-            losses.append(ws.rv.loss_value())
-        output_mse, penalty_mse = ws.rv.components()
+            losses.append(ws.last_candidate_loss)
+        r = ws.rv[0]
+        output_mse, penalty_mse = (_mean_square(part, ds.n_samples) for part in (r[:cut], r[cut:]))
         records.append({
             "iteration": it,
             "loss": losses[-1],

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from alssnn import training
 from alssnn.benchmarks import (
     PreyPredatorParams,
     SinusoidalForcing,
@@ -105,8 +106,8 @@ def _fd_jacobian(model, ds, gamma, step=1e-6):
     for i in range(theta0.size):
         tp = theta0.copy(); tp[i] += step
         tm = theta0.copy(); tm[i] -= step
-        rp = residuals(unpack_params(model, tp), ds, gamma).r
-        rm = residuals(unpack_params(model, tm), ds, gamma).r
+        rp = residuals(unpack_params(model, tp), ds, gamma)[0]
+        rm = residuals(unpack_params(model, tm), ds, gamma)[0]
         cols.append((rp - rm) / (2 * step))
     return np.stack(cols, axis=1)
 
@@ -202,9 +203,9 @@ def test_criterion_02_loss_is_mean_squared_residual_norm():
         model = _rand_al(rng, n, m, p) if k % 2 == 0 else _rand_gr(rng, n, m, p)
         ds = _rand_ds(rng, int(rng.integers(10, 60)), m, p, model)
         gamma = [0.0, 0.3, 1.0, 7.0][k % 4]
-        r = residuals(model, ds, gamma).r
+        r = residuals(model, ds, gamma)[0]
         direct = float(np.linalg.norm(r) ** 2) / ds.n_samples
-        worst = max(worst, abs(residuals(model, ds, gamma).loss_value() - direct))
+        worst = max(worst, abs(training._mean_square(r, ds.n_samples) - direct))
     ok = worst <= 1e-12
     assert _line("02", ok, f"20 models, worst |loss - ||r||^2/N| = {worst:.2e}")
 

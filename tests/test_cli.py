@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from alssnn import models
 from alssnn.cli import main
 from alssnn.control import ratio_stats, rmse, rmse_split
 from alssnn.dataio import Dataset, SplitSpec, load_csv, save_csv, split
@@ -357,8 +358,40 @@ def test_evaluate_output_count_mismatch_exit_2(ws, tmp_path, capsys, p):
                    "-o", str(tmp_path / "x")])
         assert rc == 2
         err = capsys.readouterr().err
-        assert f"record has {p + 1} output(s), model has {p}" in err
+        assert f"record {data} has {p + 1} output channels, model expects {p}" in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("family", ["al", "lti"])
+def test_evaluate_input_count_mismatch_names_the_record(ws, tmp_path, capsys, family):
+    data = tmp_path / "two_in.csv"
+    rng = np.random.default_rng(2)
+    save_csv(Dataset(u=rng.normal(size=(300, 2)), y=np.zeros((300, 1))), data)
+    for split in ([], ["--split", "0.5"]):
+        rc = main(["evaluate", "--model", str(ws[family]) + ".model.json",
+                   "--data", str(data), *split, "-o", str(tmp_path / "x")])
+        assert rc == 2
+        assert (f"error: record {data} has 2 input channels, model expects 1\n"
+                == capsys.readouterr().err)
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("family", ["al", "gr", "lti"])
+def test_evaluate_free_runs_the_model_once(ws, tmp_path, monkeypatch, family):
+    # the RMSEs and the ratios are all scored on one free run
+    runs = []
+    rollout = models._rollout
+
+    def counted(*args, **kwargs):
+        runs.append(args[-1])
+        return rollout(*args, **kwargs)
+
+    monkeypatch.setattr(models, "_rollout", counted)
+    for split in ([], ["--split", "0.5"]):
+        runs.clear()
+        assert main(["evaluate", "--model", str(ws[family]) + ".model.json",
+                     "--data", str(ws["wh"]), *split, "-o", str(tmp_path / "x")]) == 0
+        assert runs == ["input"]
 
 
 # ---------------------------------------------------------------- closedloop
@@ -454,6 +487,32 @@ def test_certify_output_count_mismatch_exit_2(ws, tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"record {data} has 2 output channels, model expects 1" in err
     assert not (tmp_path / "x.certificate.json").exists()
+
+
+def test_certify_refuses_a_diverged_driven_loop_exit_3(tmp_path, capsys):
+    # g's 1e9 output gain throws the driven loop past its bound at step 2;
+    # a regulation run from that escaped state would have no steps, and its
+    # vacuous check would pass. --epsilon skips the open-loop run that
+    # would diverge first.
+    lin = LinearSS(A=np.array([[0.5, 0.1], [0.0, 0.4]]), B=np.array([[1.0], [0.5]]),
+                   C=np.array([[1.0, 0.0]]))
+    h = Mlp(W_in=np.ones((2, 1)), b_in=np.zeros(2), W_out=np.zeros((1, 2)),
+            b_out=np.zeros(1))
+    g = Mlp(W_in=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), b_in=np.zeros(2),
+            W_out=1e9 * np.eye(2), b_out=np.zeros(2))
+    model = AlSsnnModel(lin=lin, h_net=h, g_net=g,
+                        eq=Equilibrium(x_e=np.zeros(2), u_e=np.zeros(1)))
+    mpath, data = tmp_path / "esc.model.json", tmp_path / "d.csv"
+    save_model(model, mpath)
+    u = np.random.default_rng(0).normal(size=(300, 1))
+    save_csv(Dataset(u=u, y=np.zeros((300, 1))), data)
+    for extra in (["--epsilon", "1"], []):
+        rc = main(["certify", "--model", str(mpath), "--data", str(data), *extra,
+                   "-o", str(tmp_path / "c")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert f"the driven closed loop on {data} diverged at step 2" in err
+        assert not (tmp_path / "c.check.json").exists()
 
 
 def certify_zero_net_model(tmp_path, a):

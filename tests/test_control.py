@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from alssnn.control import (DENOMINATOR_GUARD, estimate_epsilon,
+from alssnn.control import (DENOMINATOR_GUARD, _ratio_stats, estimate_epsilon,
                             linearizing_input, ratio_stats, rmse, rmse_split,
                             simulate_closed_loop)
 from alssnn.dataio import Dataset
@@ -188,6 +188,24 @@ def test_ratio_stats_gr_has_f_only():
     assert stats.f_mean is not None
     assert stats.g_mean is None and stats.h_mean is None
     assert 0 <= stats.f_mean <= stats.f_max
+
+
+def test_ratio_stats_on_equal_rows_keeps_a_mean_rounded_above_the_max():
+    # 200 equal ratios, as a free run at its fixed point gives: np.mean sums
+    # and divides, and for this ratio lands more than 1e-15 above it
+    lin = LinearSS(A=np.array([[1.0]]), B=np.array([[0.0]]), C=np.array([[1.0]]))
+    h = Mlp(W_in=np.zeros((0, 1)), b_in=np.zeros(0), W_out=np.zeros((1, 0)),
+            b_out=np.zeros(1))
+    g = Mlp(W_in=np.zeros((0, 2)), b_in=np.zeros(0), W_out=np.zeros((1, 0)),
+            b_out=np.array([3.673572689971952]))   # g's output, so the ratio
+    model = AlSsnnModel(lin=lin, h_net=h, g_net=g,
+                        eq=Equilibrium(x_e=np.zeros(1), u_e=np.zeros(1)))
+    X, U = np.ones((200, 1)), np.zeros((200, 1))
+    ratio = np.linalg.norm(g.b_out)
+    assert np.mean(np.full(200, ratio)) > ratio + 1e-15
+    stats = _ratio_stats(model, X, U)
+    assert (stats.g_mean, stats.g_max) == (np.mean(np.full(200, ratio)), ratio)
+    assert (stats.n_steps, stats.n_excluded, stats.h_max) == (200, 0, 0.0)
 
 
 def test_ratio_stats_rejects_linear():

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from scipy.linalg import solve_discrete_lyapunov
 from alssnn import stability
 from alssnn.cli import _plain
 from alssnn.control import ClosedLoopRecord
-from alssnn.errors import DataError, InfeasibleError, NumericalError
+from alssnn.errors import DataError, DivergenceError, InfeasibleError, NumericalError
 from alssnn.stability import (LMI_TOL, PHI_GRID, IssCertificate, _eig_extremes,
                               _phi_blocks, _psi_thresholds, _q_family,
                               check_convergence, lmi_block, solve_certificate,
@@ -328,6 +329,17 @@ def test_check_convergence_dim_mismatch():
     cert = solve_certificate(stable_a(2, seed=9), epsilon=0.1)
     with pytest.raises(DataError, match="certificate expects"):
         check_convergence(cert, make_record(np.zeros((5, 3)), np.zeros((4, 3))))
+
+
+def test_check_convergence_refuses_a_diverged_record():
+    # a run truncated where it left its bound has no steps to check, so an
+    # all-true verdict on it would say nothing
+    cert = solve_certificate(np.array([[0.5]]), epsilon=1.0)
+    rec = make_record(np.array([[1e300]]), np.zeros((0, 1)))
+    rec = replace(rec, diverged=True, diverged_at=0)
+    with pytest.raises(DivergenceError, match="diverged at step 0") as info:
+        check_convergence(cert, rec)
+    assert info.value.step == 0
 
 
 def test_certificate_json_dict():

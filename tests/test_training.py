@@ -17,7 +17,7 @@ from alssnn.training import (LmWorkspace, TrainConfig, jacobian_bptt, lm_step,
 
 
 def loss(model, ds, gamma=0.0):
-    return residuals(model, ds, gamma).loss_value()
+    return training._mean_square(residuals(model, ds, gamma)[0], ds.n_samples)
 
 
 def chunk_len(model):
@@ -69,8 +69,8 @@ def fd_residual_jac(model, ds, gamma, h=1e-6):
     for i in range(theta0.size):
         e = np.zeros_like(theta0)
         e[i] = h
-        rp = residuals(unpack_params(model, theta0 + e), ds, gamma).r
-        rm = residuals(unpack_params(model, theta0 - e), ds, gamma).r
+        rp = residuals(unpack_params(model, theta0 + e), ds, gamma)[0]
+        rm = residuals(unpack_params(model, theta0 - e), ds, gamma)[0]
         cols.append((rp - rm) / (2 * h))
     return np.column_stack(cols)
 
@@ -81,38 +81,40 @@ def test_loss_is_squared_residual_norm_over_n():
     model = rand_al(seed=1)
     ds = rand_ds(seed=1)
     for gamma in (0.0, 0.5, 2.0):
-        rv = residuals(model, ds, gamma)
-        assert abs(loss(model, ds, gamma) - rv.r @ rv.r / ds.n_samples) < 1e-12
+        r, _ = residuals(model, ds, gamma)
+        assert abs(loss(model, ds, gamma) - r @ r / ds.n_samples) < 1e-12
 
 
 def test_residual_blocks_match_free_run():
     model = rand_al(seed=2)
     ds = rand_ds(seed=2)
     gamma = 1.7
-    rv = residuals(model, ds, gamma)
+    r, X = residuals(model, ds, gamma)
     traj = simulate(model, ds.u)
+    assert np.array_equal(X, traj.x[: ds.n_samples])
     e = ds.y - traj.x[: ds.n_samples] @ model.lin.C.T
     cut = e.size
-    assert np.allclose(rv.r[:cut].reshape(e.shape), e, atol=1e-14)
+    assert np.allclose(r[:cut].reshape(e.shape), e, atol=1e-14)
     Z = np.hstack([traj.x[: ds.n_samples], ds.u])
     g = mlp_forward_batch(model.g_net, Z)
-    assert np.allclose(rv.r[cut:].reshape(g.shape), np.sqrt(gamma) * g, atol=1e-14)
+    assert np.allclose(r[cut:].reshape(g.shape), np.sqrt(gamma) * g, atol=1e-14)
 
 
 def test_residuals_gr_has_no_penalty_block():
     model = rand_gr(seed=3)
     ds = rand_ds(seed=3)
-    rv = residuals(model, ds)
-    assert rv.n_penalty_states == 0
-    assert rv.r.shape == (ds.n_samples * 1,)
+    r, X = residuals(model, ds)
+    assert r.shape == (ds.n_samples * 1,)   # the output rows alone
+    assert X.shape == (ds.n_samples, model.lin.n_states)
 
 
 def test_loss_components_sum():
     model = rand_al(seed=4)
     ds = rand_ds(seed=4)
-    rv = residuals(model, ds, 0.8)
-    out, pen = rv.components()
-    assert abs(out + pen - rv.loss_value()) < 1e-12
+    r, _ = residuals(model, ds, 0.8)
+    cut = ds.n_samples * ds.n_outputs
+    out, pen = (training._mean_square(part, ds.n_samples) for part in (r[:cut], r[cut:]))
+    assert abs(out + pen - training._mean_square(r, ds.n_samples)) < 1e-12
 
 
 def test_residuals_dim_mismatch():
@@ -307,7 +309,7 @@ def test_lm_step_bias_only_reaches_lstsq_optimum(monkeypatch):
     # J delta, the change of the residuals the step predicts, is unique.
     model = rand_gr(seed=16)
     ds = rand_ds(N=40, seed=16)
-    J, r = jacobian_bptt(model, ds), residuals(model, ds).r
+    J, r = jacobian_bptt(model, ds), residuals(model, ds)[0]
     delta = np.linalg.lstsq(J, -r, rcond=None)[0]
     steps = []
 
@@ -371,7 +373,8 @@ def test_lm_step_accept_moves_the_workspace_to_the_candidate():
     candidate, _, accepted = lm_step(model, ds, config, 1e2, workspace=ws)
     assert accepted and candidate is not model
     assert ws.JtJ is None and ws.JtJ_diag is None and ws.Jtr is None
-    assert ws.problem[0] is candidate and ws.rv.loss_value() == ws.last_candidate_loss
+    assert ws.problem[0] is candidate
+    assert training._mean_square(ws.rv[0], ds.n_samples) == ws.last_candidate_loss
     assert ws.loss == loss(model, ds, 0.4)
     assert (ws.free_runs, ws.jacobians) == (2, 1)
     lm_step(model, ds, config, 1e2, workspace=ws)
@@ -444,10 +447,10 @@ def chunk_case(kind, N, n=7, m=2, p=2, nh=4, seed=26):
 
 def check_streamed_normal_equations(model, ds, config, monkeypatch):
     # J'J straight after the fill, before any solve factors inside it
-    rv = residuals(model, ds, config.gamma)
-    fill_JtJ, fill_Jtr = training._normal_equations(model, ds, config.gamma, rv)
+    r, X = residuals(model, ds, config.gamma)
+    fill_JtJ, fill_Jtr = training._normal_equations(model, ds, config.gamma, r, X)
     J = jacobian_bptt(model, ds, config.gamma)
-    JtJ, Jtr = J.T @ J, J.T @ rv.r
+    JtJ, Jtr = J.T @ J, J.T @ r
     assert np.max(np.abs(fill_JtJ - JtJ)) <= 1e-12 * np.max(np.abs(JtJ))
     assert np.max(np.abs(fill_Jtr - Jtr)) <= 1e-12 * np.max(np.abs(Jtr))
     assert np.array_equal(fill_JtJ, fill_JtJ.T)
@@ -496,7 +499,7 @@ def test_streamed_normal_equations_equal_assembled_jacobian_wide(kind, monkeypat
         v = rng.normal(size=theta.size)
         v /= np.linalg.norm(v)
         r_p, r_m = (residuals(unpack_params(model, theta + s * h * v), ds,
-                              config.gamma).r for s in (1, -1))
+                              config.gamma)[0] for s in (1, -1))
         assert np.max(np.abs(J @ v - (r_p - r_m) / (2 * h))) < 1e-5
 
 
@@ -623,15 +626,48 @@ def test_report_counters_and_reasons_al_and_gr():
         assert rep.free_runs > 0 and rep.jacobians > 0 and rep.solves > 0
 
 
+def test_train_evaluates_the_initial_model_in_its_first_lm_step(monkeypatch):
+    # train hands lm_step an empty workspace: every residual evaluation
+    # happens inside lm_step, and init_loss is the first step's loss of the
+    # model train passed it
+    ds = linear_ds(N=120, seed=23)
+    config = TrainConfig(gamma=0.5, max_iters=4, n_h=3, n_g=3)
+    inside, outside, firsts = [0], [], []
+    residuals_, lm_step_ = training.residuals, training.lm_step
+
+    def counted_residuals(*args):
+        (outside if inside[0] == 0 else firsts).append(args[0])
+        return residuals_(*args)
+
+    def traced_lm_step(model, ds, config, lam, workspace):
+        if inside[0] == 0 and not firsts:
+            assert workspace.problem is None and workspace.rv is None
+        inside[0] += 1
+        try:
+            return lm_step_(model, ds, config, lam, workspace=workspace)
+        finally:
+            inside[0] -= 1
+
+    monkeypatch.setattr(training, "residuals", counted_residuals)
+    monkeypatch.setattr(training, "lm_step", traced_lm_step)
+    for fit in (lambda: train(ds, 2, config), lambda: train_gr(ds, 2, 3, config)):
+        firsts.clear()
+        report = fit()[1]
+        assert outside == [] and report.free_runs == len(firsts)
+        assert report.init_loss == loss(firsts[0], ds, config.gamma)
+
+
 def test_train_final_losses_are_the_returned_models_residuals():
     ds = linear_ds(N=120, seed=23)
     ds = Dataset(u=ds.u, y=ds.y + 0.05 * np.tanh(3 * ds.y))
     config = TrainConfig(gamma=0.5, max_iters=8, n_h=3, n_g=3)
     for model, report in (train(ds, 2, config), train_gr(ds, 2, 3, config)):
         assert report.n_accepted > 0
-        rv = residuals(model, ds, config.gamma)
-        assert report.final_loss == rv.loss_value()
-        assert (report.final_output_mse, report.final_penalty_mse) == rv.components()
+        r, _ = residuals(model, ds, config.gamma)
+        cut = ds.n_samples * ds.n_outputs
+        assert report.final_loss == training._mean_square(r, ds.n_samples)
+        assert (report.final_output_mse, report.final_penalty_mse) == tuple(
+            training._mean_square(part, ds.n_samples) for part in (r[:cut], r[cut:]))
 
 
 def test_lm_step_reject_reasons():
@@ -770,7 +806,7 @@ def test_train_gr_keeps_gr_names_and_the_callers_config():
     for gone in ("ParamLayout", "make_layout", "default_layout"):
         assert not hasattr(training, gone) and gone not in training.__all__
     # no penalty rows, whatever gamma is
-    assert residuals(model, ds, 5.0).r.shape == (ds.n_samples,)
+    assert residuals(model, ds, 5.0)[0].shape == (ds.n_samples,)
     assert report.final_penalty_mse == 0.0
 
 

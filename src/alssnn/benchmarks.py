@@ -271,6 +271,8 @@ def generate_wh(params: WhParams, input_spec: WhInputSpec, N: int,
     """
     if N < 2:
         raise DataError(f"need at least 2 samples, got {N}")
+    if seed < 0:
+        raise DataError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     u = input_spec.sample(N, rng)
     z1 = _block_output(params.front, u, "front")

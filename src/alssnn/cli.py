@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import reprlib
 import sys
 from pathlib import Path
 
@@ -392,13 +393,16 @@ def cmd_certify(args) -> int:
 def cmd_run(args) -> int:
     obj = load_json(args.pipeline)
     steps = obj.get("steps") if isinstance(obj, dict) else None
-    if (not isinstance(steps, list) or not steps
-            or not all(isinstance(s, list) and s
-                       and all(isinstance(a, str) for a in s) for s in steps)):
-        raise DataError(
-            'pipeline must be {"steps": [["gen-data", ...], ["identify", ...], ...]}'
-        )
+    if not isinstance(steps, list) or not steps:
+        raise DataError('pipeline must be {"steps": [["gen-data", ...], ["identify", ...], '
+                        '...]} with at least one step')
+    for key in obj:
+        if key != "steps":
+            raise DataError(f"pipeline: unknown field {key!r}")
     for i, step in enumerate(steps, start=1):
+        if not isinstance(step, list) or not step or not all(isinstance(a, str) for a in step):
+            raise DataError(f"pipeline step {i}: must be a non-empty list of strings, "
+                            f"got {reprlib.repr(step)}")
         if step[0] == "run":   # a pipeline that runs itself would never end
             raise DataError(f"pipeline step {i} ({' '.join(step)}) is a 'run' step; "
                             "pipelines do not nest")

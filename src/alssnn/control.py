@@ -6,7 +6,8 @@ nonlinearity cancels exactly and only the penalized residual survives as a
 disturbance. The statistics here quantify how small that disturbance is
 relative to the linear part, both open loop (g, h, f against Ax + Bu) and
 closed loop (omega against Ax + Bv). The closed loop runs on the step engine
-of `linear_id` with two layers, h and then g.
+of `linear_id` with two layers, h and then g; the engine checks v and x0 and
+truncates the loop as it does a free run.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ import numpy as np
 
 from .dataio import Dataset, SplitSpec
 from .errors import DataError
-from .models import AlSsnnModel, _family, _lin_of, _rollout, _run_states, simulate
+from .linear_id import _step_engine
+from .models import AlSsnnModel, _family, _lin_of, _run_states, simulate
 from .nets import mlp_forward, mlp_forward_batch
 
 __all__ = [
@@ -125,16 +127,16 @@ def simulate_closed_loop(model: AlSsnnModel, v_seq: np.ndarray,
     n, m = lin.n_states, lin.n_inputs
     h, g = model.h_net, model.g_net
     W_gu = g.W_in[:, n:]
-    W_h = np.column_stack([h.W_in @ C, np.zeros((h.n_hidden, m)), h.b_in])
-    W_g = np.column_stack([-(W_gu @ h.W_out), g.W_in[:, :n], W_gu, g.b_in - W_gu @ h.b_out])
-    M = np.column_stack([g.W_out, np.zeros((n, h.n_hidden)), A, B, g.b_out])
-    R, xs, k = _rollout(lin, [W_h, W_g], M, v_seq, x0, "v")
-    X, a = xs[:-1], g.n_hidden + h.n_hidden
-    V = R[:, a + n : a + n + m]
-    omegas = R[:, : g.n_hidden] @ g.W_out.T + g.b_out
-    with np.errstate(over="ignore", invalid="ignore"):   # a divergent run's last steps
+    with np.errstate(over="ignore", invalid="ignore"):   # extreme weights, divergent tails
+        W_h = np.column_stack([h.W_in @ C, np.zeros((h.n_hidden, m)), h.b_in])
+        W_g = np.column_stack([-(W_gu @ h.W_out), g.W_in[:, :n], W_gu, g.b_in - W_gu @ h.b_out])
+        M = np.column_stack([g.W_out, np.zeros((n, h.n_hidden)), A, B, g.b_out])
+        R, xs, k = _step_engine([W_h, W_g], M, v_seq, x0, "v")
+        X, a = xs[:-1], g.n_hidden + h.n_hidden
+        V = R[:, a + n : a + n + m]
+        omegas = R[:, : g.n_hidden] @ g.W_out.T + g.b_out
+        omega_norms = np.linalg.norm(omegas, axis=1)
         lin_norms = np.linalg.norm(X @ A.T + V @ B.T, axis=1)
-    omega_norms = np.linalg.norm(omegas, axis=1)
     mean, mx, n_excl = _ratio(omega_norms, lin_norms) if len(X) else (0.0, 0.0, 0)
     return ClosedLoopRecord(
         x=xs.copy(),

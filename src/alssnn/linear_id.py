@@ -6,14 +6,10 @@ matrices by least squares, then realize (A, B, C) from the SVD of a block
 Hankel matrix. The realization is balanced, so raw matrices are only defined
 up to similarity; compare Markov parameters, never entries.
 
-The module also holds the step engine behind every free run and closed loop
-(`_step_engine`): one row buffer per run. A first tanh layer of at most
-`_FOLD_MAX` units is folded into the state map, so that layer and the state
-update cost one matvec and one in-place tanh per step; a wider first layer
-costs one matvec and one tanh, and so does every later layer, plus one
-matvec for the state. Every step takes its rows as views from `zip` over a
-block of the buffer, and every product and tanh writes into the buffer in
-place, so a step neither indexes nor allocates.
+The module also holds `_step_engine`, the one checked entry to every free
+run and closed loop, this module's LTI runs included: it checks a run's
+inputs and x0, steps it in one row buffer and truncates it where its state
+leaves `DIVERGENCE_BOUND`.
 """
 
 from __future__ import annotations
@@ -23,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import Dataset
-from .errors import DataError, NumericalError
+from .errors import DataError, DivergenceError, NumericalError
 
 __all__ = ["LinearSS", "estimate_markov", "ho_kalman", "linear_init", "default_horizon"]
 
@@ -47,6 +43,9 @@ _BLIND_RMSE_FRACTION = 0.9
 # decidedly fading, so downstream training starts from a short-memory core
 # that must derive the output from the input rather than self-oscillate.
 _OUTPUT_MODE_CAP = 0.90
+
+# A run stops at the first state whose norm exceeds this bound or is not finite.
+DIVERGENCE_BOUND = 1e8
 
 # Rows stepped by _step_engine between two divergence checks.
 _BLOCK = 256
@@ -198,9 +197,14 @@ def ho_kalman(markov: list[np.ndarray], n: int) -> LinearSS:
     return LinearSS(A=A, B=B, C=C)
 
 
-def _step_engine(layers, M: np.ndarray, inputs: np.ndarray, x0: np.ndarray,
-                 bound: float | None = None):
-    """Run x(k+1) = M R[k] over the rows R[k] = [t(k); x(k); input(k); 1] of one buffer.
+def _step_engine(layers, M: np.ndarray, inputs, x0, what: str):
+    """Check a run and step x(k+1) = M R[k] over the rows R[k] = [t(k); x(k);
+    input(k); 1] of one buffer until the state leaves DIVERGENCE_BOUND.
+
+    `inputs` (named `what` in errors) is an (N, d, *runs) array of finite
+    numbers, N >= 1, where d is the width M leaves after the layers and the
+    state (a 1-D array is one channel); x0 is None (zeros) or (n, *runs), and
+    one run takes any x0 of n entries. Trailing axes carry a block of runs.
 
     The activations t(k) come from the tanh layers in `layers` (at most two),
     run in order and stacked right to left ahead of x: each layer W writes
@@ -209,37 +213,48 @@ def _step_engine(layers, M: np.ndarray, inputs: np.ndarray, x0: np.ndarray,
     Callers fold input weights and biases into the layers and input terms
     and biases into M. Each operand's columns are sliced out of the buffer
     once per run; a layer of zero width has empty views and writes nothing.
-    x0 may carry trailing axes (an n x r block of r runs sharing the maps),
-    and then the inputs carry the same ones.
 
     A first layer W = [W_x, W_in, w_b] of width 1.._FOLD_MAX is folded into
     the state map: row k gains input(k+1) after its 1, and
     G = [[W_x M + w_b on the 1 column, W_in]; [M, 0]] writes
     [pre-activation(k+1); x(k+1)] into row k+1, so that layer and the state
-    cost one matvec and one in-place tanh per step. The layer's width alone
-    picks the fold, so inputs must be finite (`models._rollout` checks): 0 *
-    inf in G's M rows would reach the state a step early. Per step, in calls:
-    LTI, one matvec; folded free run, one matvec and one tanh; unfolded free
-    run, two matvecs and one tanh; folded closed loop, two and two; unfolded
-    closed loop, three matvecs and two tanh calls. Every call writes into
-    the buffer through row views taken by zip over a block of rows.
+    cost one matvec and one in-place tanh per step. The width alone picks the
+    fold, hence finite inputs: 0 * inf in G's M rows would reach the state a
+    step early. Per step, in calls: LTI, one matvec; folded free run, one
+    matvec and one tanh; unfolded free run, two matvecs and one tanh; folded
+    closed loop, two and two; unfolded closed loop, three matvecs and two
+    tanh calls. Every call writes into the buffer through row views taken by
+    zip over a block of rows.
 
-    Returns (R, X, k): the buffer's [t; x; input; 1] columns, its state
-    columns X = x(0..N) as a view, and the divergence step. With a bound,
-    squared state norms (over the state axis, per run) are checked once per
-    block of rows: the first x(k) of any run whose squared norm is not
-    <= bound^2 (NaN and inf count) is returned as k, and rows after it are
-    unspecified for every run. The steps taken after it are thrown away, so
-    floating-point errors are not reported. Otherwise k is None.
+    Squared state norms (per run) are checked once per block of rows. With k
+    the first x(k) of any run whose squared norm is not <= DIVERGENCE_BOUND^2
+    (NaN and inf count), returns (R, X, k): the buffer's [t; x; input; 1]
+    columns of steps 0..k-1, the states X = x(0..k) as a view, and k. A run
+    that stays inside returns all N steps and k = None. The steps past x(k)
+    are thrown away, so their floating-point errors are not reported.
     """
-    N, n, d = inputs.shape[0], x0.shape[0], inputs.shape[1]
+    n, w = M.shape
     a = sum(W.shape[0] for W in layers)
-    w = a + n + d + 1
+    d = w - a - n - 1
+    U = np.asarray(inputs, dtype=float)
+    U = U.reshape(-1, 1) if U.ndim == 1 else U
+    runs = U.shape[2:]
+    if U.ndim < 2 or U.shape[0] < 1 or U.shape[1] != d:
+        raise DataError(f"{what} sequence has shape {U.shape}, "
+                        f"expected (N, {', '.join(map(str, (d, *runs)))})")
+    bad = ~np.isfinite(U).all(axis=tuple(range(1, U.ndim)))
+    if bad.any():
+        raise DataError(f"{what} sequence row {int(np.argmax(bad))} is not finite")
+    x0 = np.zeros((n, *runs)) if x0 is None else np.asarray(x0, dtype=float)
+    x0 = x0 if runs else x0.reshape(-1)
+    if x0.shape != (n, *runs):
+        raise DataError(f"x0 has shape {x0.shape}, expected {(n, *runs)}")
+    N = U.shape[0]
     a1 = layers[0].shape[0] if layers else 0
     fold = 0 < a1 <= _FOLD_MAX
-    R = np.empty((N + 1, w + (d if fold else 0)) + x0.shape[1:])
+    R = np.empty((N + 1, w + (d if fold else 0)) + runs)
     R[0, a : a + n] = x0
-    R[:N, a + n : w - 1] = inputs
+    R[:N, a + n : w - 1] = U
     R[:, w - 1] = 1.0
     X = R[:, a : a + n]
     # views: per unfolded layer its source and destination columns, then
@@ -251,12 +266,11 @@ def _step_engine(layers, M: np.ndarray, inputs: np.ndarray, x0: np.ndarray,
         views += [R[:, top:w], R[:, top - W.shape[0] : top]]
         top -= W.shape[0]
     dot, dot2 = (dots + [None, None])[:2]
-    bound2 = None if bound is None else bound * bound
     tanh = np.tanh
     with np.errstate(all="ignore"):
         if fold:
             W1 = layers[0]
-            R[: N - 1, w:], R[N - 1 :, w:] = inputs[1:], 0.0
+            R[: N - 1, w:], R[N - 1 :, w:] = U[1:], 0.0
             G = np.vstack([np.hstack([W1[:, :n] @ M, W1[:, n:-1]]),
                            np.hstack([M, np.zeros((n, d))])])
             G[:a1, w - 1] += W1[:, -1]
@@ -296,20 +310,13 @@ def _step_engine(layers, M: np.ndarray, inputs: np.ndarray, x0: np.ndarray,
                     dot2(s2, t2)
                     tanh(t2, t2)
                     mdot(r, o)
-            if bound2 is not None:
-                Xb = X[k0 : k1 + 1]
-                ok = np.einsum("ij...,ij...->i...", Xb, Xb) <= bound2
-                ok = ok.reshape(k1 + 1 - k0, -1).all(axis=1)
-                if not ok.all():
-                    return R[:, :w], X, k0 + int(np.argmin(ok))
-    return R[:, :w], X, None
-
-
-def _free_run_output(lin: LinearSS, u: np.ndarray) -> np.ndarray:
-    """Free-run output from x(0) = 0 (local kernel; models.simulate lives downstream)."""
-    n = lin.n_states
-    _, xs, _ = _step_engine([], np.column_stack([lin.A, lin.B, np.zeros(n)]), u, np.zeros(n))
-    return xs[:-1] @ lin.C.T
+            Xb = X[k0 : k1 + 1]
+            ok = np.einsum("ij...,ij...->i...", Xb, Xb) <= DIVERGENCE_BOUND * DIVERGENCE_BOUND
+            ok = ok.reshape(k1 + 1 - k0, -1).all(axis=1)
+            if not ok.all():
+                k = k0 + int(np.argmin(ok))
+                return R[:k, :w], X[: k + 1], k
+    return R[:N, :w], X, None
 
 
 def _is_output_blind(lin: LinearSS, ds: Dataset) -> bool:
@@ -317,7 +324,11 @@ def _is_output_blind(lin: LinearSS, ds: Dataset) -> bool:
     rms = float(np.sqrt(np.mean(np.sum(yc**2, axis=1))))
     if rms < 1e-12:
         return False
-    err = ds.y - _free_run_output(lin, ds.u)
+    M = np.column_stack([lin.A, lin.B, np.zeros(lin.n_states)])
+    _, xs, k = _step_engine([], M, ds.u, None, "input")
+    if k is not None:
+        raise DivergenceError(k)
+    err = ds.y - xs[:-1] @ lin.C.T
     err_rms = float(np.sqrt(np.mean(np.sum(err**2, axis=1))))
     return err_rms >= _BLIND_RMSE_FRACTION * rms
 
@@ -338,7 +349,9 @@ def _fit_input_matrix(A: np.ndarray, C: np.ndarray, ds: Dataset) -> np.ndarray:
     n, (N, m) = A.shape[0], ds.u.shape
     D = np.einsum("ai,kj->kaij", np.eye(n), ds.u).reshape(N, n, n * m)
     step = np.hstack([A, np.eye(n), np.zeros((n, 1))])
-    _, xs, _ = _step_engine([], step, D, np.zeros((n, n * m)))
+    _, xs, k = _step_engine([], step, D, None, "input")
+    if k is not None:
+        raise DivergenceError(k)
     M = np.matmul(C, xs[:N]).reshape(N * C.shape[0], n * m)
     coef, *_ = np.linalg.lstsq(M, ds.y.ravel(), rcond=None)
     return coef.reshape(n, m)

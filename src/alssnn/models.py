@@ -15,9 +15,8 @@ both, and GR differs only in its names (tag, f_net, n_f), in having no
 equilibrium pin or penalty, and in being refused by the closed loop.
 
 `al_step` is the reference step map; `simulate` folds each family into the
-step engine of `linear_id` (one tanh layer for AL and GR, none for LTI).
-It and the closed loop of `control` reach the engine only through
-`_rollout`, which checks their inputs and truncates both runs alike.
+step engine of `linear_id` (one tanh layer for AL and GR, none for LTI),
+which checks the run and truncates it at `DIVERGENCE_BOUND`.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ import numpy as np
 
 from .dataio import load_json
 from .errors import DataError, DivergenceError
-from .linear_id import LinearSS, _step_engine
+from .linear_id import DIVERGENCE_BOUND, LinearSS, _step_engine
 from .nets import Equilibrium, Mlp, mlp_forward
 
 __all__ = [
@@ -45,8 +44,6 @@ __all__ = [
     "load_model",
     "DIVERGENCE_BOUND",
 ]
-
-DIVERGENCE_BOUND = 1e8
 
 AnyModel = Union["AlSsnnModel", LinearSS]
 
@@ -188,37 +185,11 @@ def _free_run_maps(model: AnyModel) -> tuple[list, np.ndarray]:
     if not isinstance(model, AlSsnnModel):
         return [], np.column_stack([A, B, np.zeros(n)])
     h, g = model.h_net, model.g_net
-    layers = [np.vstack([
-        np.column_stack([h.W_in @ lin.C, np.zeros((h.n_hidden, lin.n_inputs)), h.b_in]),
-        np.column_stack([g.W_in, g.b_in])])]
-    return layers, np.column_stack([B @ h.W_out, g.W_out, A, B, B @ h.b_out + g.b_out])
-
-
-def _rollout(lin: LinearSS, layers, M: np.ndarray, inputs, x0, what: str):
-    """Check a run's inputs, step the engine and keep the steps before divergence.
-
-    `inputs` (named `what` in errors) must be an (N, m) array of finite
-    numbers, N >= 1, and x0 an n-vector (None for zeros). The engine steps
-    at `DIVERGENCE_BOUND`; with k the first step whose state leaves it (N if
-    none does), the run keeps x(0..k) and the steps from x(0..k-1). Returns
-    (R, X, k): the engine's rows [t; x; input; 1] of those k steps, the
-    states X = x(0..k), and the divergence step or None.
-    """
-    n, m = lin.n_states, lin.n_inputs
-    U = np.asarray(inputs, dtype=float)
-    if U.ndim == 1:
-        U = U.reshape(-1, 1)
-    if U.ndim != 2 or U.shape[0] < 1 or U.shape[1] != m:
-        raise DataError(f"{what} sequence has shape {U.shape}, expected (N, {m})")
-    bad = ~np.isfinite(U).all(axis=1)
-    if bad.any():
-        raise DataError(f"{what} sequence row {int(np.argmax(bad))} is not finite")
-    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).reshape(-1)
-    if x.shape != (n,):
-        raise DataError(f"x0 has shape {x.shape}, expected ({n},)")
-    R, X, k = _step_engine(layers, M, U, x, DIVERGENCE_BOUND)
-    steps = U.shape[0] if k is None else k
-    return R[:steps], X[: steps + 1], k
+    with np.errstate(over="ignore", invalid="ignore"):   # extreme weights diverge at step 1
+        layers = [np.vstack([
+            np.column_stack([h.W_in @ lin.C, np.zeros((h.n_hidden, lin.n_inputs)), h.b_in]),
+            np.column_stack([g.W_in, g.b_in])])]
+        return layers, np.column_stack([B @ h.W_out, g.W_out, A, B, B @ h.b_out + g.b_out])
 
 
 def simulate(model: AnyModel, u_seq: np.ndarray, x0: np.ndarray | None = None) -> Trajectory:
@@ -233,7 +204,7 @@ def simulate(model: AnyModel, u_seq: np.ndarray, x0: np.ndarray | None = None) -
     if not isinstance(model, (AlSsnnModel, LinearSS)):
         raise DataError(f"unsupported model type {type(model).__name__}")
     lin = _lin_of(model)
-    _, xs, k = _rollout(lin, *_free_run_maps(model), u_seq, x0, "input")
+    _, xs, k = _step_engine(*_free_run_maps(model), u_seq, x0, "input")
     return Trajectory(x=xs.copy(),   # a copy, not a view that holds the engine's buffer
                       y=xs[:-1] @ lin.C.T, diverged=k is not None, diverged_at=k)
 

@@ -100,6 +100,8 @@ class TrainConfig:
             raise DataError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.n_h < 0 or self.n_g < 0:
             raise DataError("hidden sizes must be non-negative")
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
         if self.horizon is not None and self.horizon < 1:
             raise DataError(f"horizon must be >= 1, got {self.horizon}")
 

@@ -214,6 +214,8 @@ def test_wh_validation():
         WhInputSpec(smoothing=1.0)
     with pytest.raises(DataError, match="at least 2"):
         generate_wh(default_wh_params(), WhInputSpec(), 1)
+    with pytest.raises(DataError, match=r"^seed must be >= 0, got -1$"):
+        generate_wh(default_wh_params(), WhInputSpec(), 500, seed=-1)
     for bad in (np.nan, np.inf):
         with pytest.raises(DataError, match="noise_std must be finite"):
             default_wh_params(noise_std=bad)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from alssnn import models
+from alssnn import models, training
 from alssnn.cli import main
 from alssnn.control import ratio_stats, rmse, rmse_split
 from alssnn.dataio import Dataset, SplitSpec, load_csv, save_csv, split
@@ -196,6 +196,45 @@ def test_identify_non_finite_gamma_exit_2(ws, tmp_path, capsys, gamma):
     assert list(tmp_path.iterdir()) == []
 
 
+def big_input_record(path):
+    """A stable plant (spectral radius 0.87) driven by inputs of std 1e7,
+    whose state leaves the divergence bound 1e8 at step 57."""
+    u = 1e7 * np.random.default_rng(2).normal(size=(1000, 1))
+    A, B, C = np.array([[0.9, 0.2], [-0.2, 0.8]]), np.array([5.0, 3.0]), np.array([1.0, 0.5])
+    x, y = np.zeros(2), np.empty((1000, 1))
+    for k in range(1000):
+        y[k] = C @ x
+        x = A @ x + B * u[k, 0]
+    save_csv(Dataset(u=u, y=y), path)
+
+
+@pytest.mark.parametrize("family", ["lti", "al-ssnn", "gr-ssnn"])
+def test_identify_inputs_past_the_bound_exit_3(tmp_path, capsys, family):
+    # the linear initializer's own runs meet the bound, so each family stops
+    # at the step where the model's free run leaves it
+    data = tmp_path / "big.csv"
+    big_input_record(data)
+    rc = main(["identify", family, "--data", str(data), "--order", "2", "--iters", "3",
+               "-o", str(tmp_path / "m")])
+    assert rc == 3
+    assert capsys.readouterr().err == "error: simulation diverged at step 57\n"
+    assert not (tmp_path / "m.model.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["identify", "al-ssnn", "--order", "2", "--seed", "-1"],
+    ["identify", "gr-ssnn", "--order", "2", "--seed", "-3"],
+    ["gen-data", "wh-synthetic", "--n", "300", "--seed", "-1"],
+], ids=["al", "gr", "gen-data"])
+def test_negative_seed_exit_2_before_any_fit(ws, tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.setattr(training, "linear_init", lambda *a, **k: pytest.fail("fitted"))
+    data = [] if argv[0] == "gen-data" else ["--data", str(ws["wh"])]
+    assert main([*argv, *data, "-o", str(tmp_path / "out.csv")]) == 2
+    seed = argv[argv.index("--seed") + 1]
+    assert capsys.readouterr().err == f"error: seed must be >= 0, got {seed}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------- evaluate
 
 def test_evaluate_whole_record(ws, tmp_path):
@@ -380,13 +419,13 @@ def test_evaluate_input_count_mismatch_names_the_record(ws, tmp_path, capsys, fa
 def test_evaluate_free_runs_the_model_once(ws, tmp_path, monkeypatch, family):
     # the RMSEs and the ratios are all scored on one free run
     runs = []
-    rollout = models._rollout
+    engine = models._step_engine
 
     def counted(*args, **kwargs):
         runs.append(args[-1])
-        return rollout(*args, **kwargs)
+        return engine(*args, **kwargs)
 
-    monkeypatch.setattr(models, "_rollout", counted)
+    monkeypatch.setattr(models, "_step_engine", counted)
     for split in ([], ["--split", "0.5"]):
         runs.clear()
         assert main(["evaluate", "--model", str(ws[family]) + ".model.json",
@@ -546,6 +585,26 @@ def test_certify_infeasible_model_exit_3(tmp_path, capsys):
     assert not (tmp_path / "c.certificate.json").exists()
 
 
+@pytest.mark.parametrize("command", ["evaluate", "closedloop", "certify"])
+@pytest.mark.parametrize("fields", [("h_net.w_in", "C"), ("h_net.w_out", "B"),
+                                    ("g_net.w_out",)], ids=["h_in_C", "h_out_B", "g_out"])
+def test_extreme_finite_weights_diverge_without_warnings(ws, tmp_path, capsys, command,
+                                                         fields):
+    # 1e200 weights overflow the folded maps and omega; RuntimeWarnings are
+    # errors in this suite, so a leaked one would end the command in a traceback
+    obj = read_json(str(ws["al"]) + ".model.json")
+    for field in fields:
+        *net, key = field.split(".")
+        node = obj[net[0]] if net else obj
+        node[key] = np.full(np.shape(node[key]), 1e200).tolist()
+    model = tmp_path / "x.model.json"
+    model.write_text(json.dumps(obj))
+    rc = main([command, "--model", str(model), "--data", str(ws["wh"]),
+               "-o", str(tmp_path / "out")])
+    assert rc == 3
+    assert capsys.readouterr().err.endswith(" diverged at step 1\n")
+
+
 # ---------------------------------------------------------------- run
 
 def test_run_pipeline(tmp_path):
@@ -595,10 +654,19 @@ def test_run_pipeline_shape_validation(tmp_path, capsys):
     (b'{"steps": "\xff"}', "invalid JSON"),
     (b"[" * 100_000, "invalid JSON"),
     (b'{"steps": [["run", SELF]]}', "step 1 (run "),
-], ids=["not_utf8", "nested_too_deep", "runs_itself"])
+    (b'{"steps": [["--version"], "gen-data"]}',
+     "error: pipeline step 2: must be a non-empty list of strings, got 'gen-data'\n"),
+    (b'{"steps": [["--version"], []]}',
+     "error: pipeline step 2: must be a non-empty list of strings, got []\n"),
+    (b'{"steps": [["--version"], ["identify", 2]]}',
+     "error: pipeline step 2: must be a non-empty list of strings, got ['identify', 2]\n"),
+    (b'{"steps": [["--version"]], "step": []}', "error: pipeline: unknown field 'step'\n"),
+], ids=["not_utf8", "nested_too_deep", "runs_itself", "step_not_a_list", "empty_step",
+        "argument_not_a_string", "unknown_field"])
 def test_run_malformed_pipeline_file_exit_2(tmp_path, capsys, content, message):
     # SELF stands for the pipeline's own path: a pipeline that runs itself
-    # is refused before any step runs, as pipelines do not nest
+    # is refused before any step runs, as pipelines do not nest; a step that
+    # ran, such as --version, would have printed
     bad = tmp_path / "bad.json"
     bad.write_bytes(content.replace(b"SELF", json.dumps(str(bad)).encode()))
     assert main(["run", str(bad)]) == 2

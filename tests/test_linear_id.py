@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from alssnn.dataio import Dataset
-from alssnn.errors import DataError, NumericalError
+from alssnn.errors import DataError, DivergenceError, NumericalError
 from alssnn.linear_id import (LinearSS, default_horizon, estimate_markov,
                               ho_kalman, linear_init)
 from alssnn.models import simulate
@@ -242,17 +242,6 @@ def test_autocovariance_oracle():
         assert np.allclose(lams[tau - 1], ref, atol=1e-12)
 
 
-def test_free_run_output_matches_simulate():
-    from alssnn.linear_id import _free_run_output
-
-    rng = np.random.default_rng(41)
-    lin = LinearSS(A=np.array([[0.6, 0.2, 0.0], [-0.1, 0.5, 0.3], [0.0, 0.1, -0.4]]),
-                   B=rng.normal(size=(3, 2)), C=rng.normal(size=(2, 3)))
-    u = rng.normal(size=(300, 2))
-    ref = simulate(lin, u).y
-    assert np.max(np.abs(_free_run_output(lin, u) - ref)) <= 1e-12 * np.max(np.abs(ref))
-
-
 def test_fit_input_matrix_block_run_matches_unit_runs():
     # the n*m unit-B free runs, run one by one, span the same least-squares
     # problem as the single block run
@@ -272,17 +261,55 @@ def test_fit_input_matrix_block_run_matches_unit_runs():
     assert np.max(np.abs(_fit_input_matrix(A, C, ds) - coef.reshape(2, 2))) < 1e-12
 
 
-def test_step_engine_block_of_runs_stops_where_the_first_run_leaves_the_bound():
+def test_step_engine_block_of_runs_stops_where_the_first_run_leaves_the_bound(set_bound):
     # three runs on one trailing axis; only the middle one grows, as 1.1^k,
     # and 1.1^72 = 955 < 1e3 < 1.1^73 = 1051
     from alssnn.linear_id import _step_engine
     A = np.array([[1.1, 0.0], [0.0, 0.5]])
     M = np.column_stack([A, np.zeros((2, 1)), np.zeros(2)])
     x0 = np.array([[0.0, 1.0, 0.0], [1.0, 1.0, -2.0]])
-    N, bound = 100, 1e3
-    _, X, k = _step_engine([], M, np.zeros((N, 1, 3)), x0, bound)
+    N = 100
+    set_bound(1e3)
+    _, X, k = _step_engine([], M, np.zeros((N, 1, 3)), x0, "input")
     assert k == 73
     for j in range(3):
-        _, Xj, kj = _step_engine([], M, np.zeros((N, 1)), x0[:, j], bound)
+        _, Xj, kj = _step_engine([], M, np.zeros((N, 1)), x0[:, j], "input")
         assert kj == (k if j == 1 else None)
         np.testing.assert_array_equal(X[:k, :, j], Xj[:k])
+
+
+def test_step_engine_refuses_a_block_with_a_non_finite_input_row():
+    # the row is named whichever run of the block holds the NaN
+    from alssnn.linear_id import _step_engine
+    M = np.column_stack([0.5 * np.eye(2), np.ones((2, 1)), np.zeros(2)])
+    U = np.zeros((40, 1, 3))
+    U[17, 0, 2] = np.nan
+    with pytest.raises(DataError, match=r"^v sequence row 17 is not finite$"):
+        _step_engine([], M, U, None, "v")
+
+
+def test_step_engine_refuses_x0_off_the_block_of_runs():
+    from alssnn.linear_id import _step_engine
+    M = np.column_stack([0.5 * np.eye(2), np.ones((2, 1)), np.zeros(2)])
+    U = np.zeros((40, 1, 3))
+    with pytest.raises(DataError, match=r"^x0 has shape \(2, 2\), expected \(2, 3\)$"):
+        _step_engine([], M, U, np.zeros((2, 2)), "input")
+    with pytest.raises(DataError, match=r"^input sequence has shape \(40, 2, 3\), "
+                                        r"expected \(N, 1, 3\)$"):
+        _step_engine([], M, np.zeros((40, 2, 3)), None, "input")
+    # a single run still takes any x0 of n entries
+    _, X, k = _step_engine([], M, np.ones(40), np.array([[1.0, 2.0]]), "input")
+    assert k is None and X.shape == (41, 2) and list(X[0]) == [1.0, 2.0]
+
+
+def test_linear_init_runs_meet_the_divergence_bound(set_bound):
+    # both LTI runs of the initializer stop where their state leaves the
+    # bound, as every free run does, instead of running on unchecked
+    from alssnn.linear_id import _fit_input_matrix
+    lin = two_state()
+    ds = lin_data(lin, 400)
+    set_bound(1e-3)
+    with pytest.raises(DivergenceError, match="simulation diverged at step 1$"):
+        linear_init(ds, 2)
+    with pytest.raises(DivergenceError, match="simulation diverged at step 1$"):
+        _fit_input_matrix(lin.A, lin.C, ds)

@@ -820,6 +820,8 @@ def test_train_config_validation():
         TrainConfig(max_iters=0)
     with pytest.raises(DataError, match="horizon"):
         TrainConfig(horizon=0)
+    with pytest.raises(DataError, match=r"^seed must be >= 0, got -1$"):
+        TrainConfig(seed=-1)   # the nets' generator would refuse it after the linear fit
 
 
 def test_basis_enrichment_multiplies_input_layer():

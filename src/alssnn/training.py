@@ -13,9 +13,15 @@ accumulation of state sensitivities through the recursion). lm_step
 streams the normal equations from one pass over chunks of samples sized to
 stay in cache: each chunk's rows of J go through one dsyrk into J'J and
 one gemv into J'r, so training never holds the full Jacobian;
-jacobian_bptt is the assembled matrix from the same pass. J'J is the only
-P x P array an LM fill holds: every damped solve factors in place inside
-it, and its strict lower triangle keeps J'J for the next solve.
+jacobian_bptt is the assembled matrix from the same pass.
+
+The fill and the solve cover only the live columns of J. A hidden unit
+whose output weights W_out[:, i] are all zero has exactly-zero columns on
+its input row W_in[i, :] and bias b_in[i], for h and g alike, so train's
+zero-output start fills and solves an L x L system over the L live
+columns, and the step is exactly 0 on the dead ones. J'J, L x L, is the
+only square array an LM fill holds: every damped solve factors in place
+inside it, and its strict lower triangle keeps J'J for the next solve.
 
 The model fixes its own parameter vector (pack_params): A, B and its nets'
 weights. C is never a parameter: it stays at the linear initialization's
@@ -386,22 +392,48 @@ def _mirror(a: np.ndarray) -> None:
         np.copyto(block, block.T, where=tri[:w, :w])
 
 
-def _normal_equations(model: AlSsnnModel, ds: Dataset, gamma: float, r: np.ndarray,
-                      X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """J'J and J'r at the residuals r of the free run X (residuals's pair),
-    accumulated chunk by chunk; the full J is never formed.
+def _live_columns(model: AlSsnnModel) -> np.ndarray | None:
+    """Indices of the parameter columns J can depend on, or None when that
+    is every column.
 
-    J'J is one P x P Fortran-order array. Each cache-sized chunk of J's rows
-    adds to its upper triangle in one dsyrk and to J'r in one gemv, with the
-    chunk's residuals in their own small array. The upper triangle is
-    mirrored once at the end, so J'J is exactly symmetric.
+    A hidden unit i of h or g whose output weights W_out[:, i] are all zero
+    is dead: the columns of its input row W_in[i, :] and bias b_in[i] are
+    exactly zero, because every F(k) entry on them carries the factor
+    W_out[:, i] (through B W_h,out for h) and S(0) = 0. Every other block
+    is live.
+    """
+    cols, P = _param_slices(model)
+    live = np.ones(P, dtype=bool)
+    for tag in ("h", "g"):
+        net = getattr(model, f"{tag}_net")
+        unit_live = np.any(net.W_out, axis=0)   # NaN counts as nonzero
+        live[cols[f"{tag}.W_in"]] = np.repeat(unit_live, net.W_in.shape[1])
+        live[cols[f"{tag}.b_in"]] = unit_live
+    return None if live.all() else np.flatnonzero(live)
+
+
+def _normal_equations(model: AlSsnnModel, ds: Dataset, gamma: float, r: np.ndarray,
+                      X: np.ndarray, live: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """J'J and J'r over the columns `live` (_live_columns's; None: all P) at
+    the residuals r of the free run X (residuals's pair), accumulated chunk
+    by chunk; the full J is never formed.
+
+    J'J is one L x L Fortran-order array for L live columns. Each
+    cache-sized chunk of J's rows adds to its upper triangle in one dsyrk
+    and to J'r in one gemv, with the chunk's residuals in their own small
+    array; with dead columns, the chunk's live columns are gathered first.
+    The upper triangle is mirrored once at the end, so J'J is exactly
+    symmetric.
     """
     P = _param_slices(model)[1]
+    L = P if live is None else live.size
     N, p = ds.n_samples, model.lin.n_outputs
     r_out, r_pen = r[: N * p].reshape(N, p), r[N * p :].reshape(N, -1)   # the rest: penalty
-    JtJ, Jtr = np.zeros((P, P), order="F"), np.zeros(P)
+    JtJ, Jtr = np.zeros((L, L), order="F"), np.zeros(L)
     for k0, k1, rows in _sensitivity_chunks(model, ds, gamma, X):
-        Jc = rows.reshape(-1, P).T   # Fortran order, so the wrappers copy nothing
+        Jc = rows.reshape(-1, P)
+        # Fortran order (the gather copies in C order), so the wrappers copy nothing
+        Jc = Jc.T if live is None else Jc[:, live].T
         r_c = np.concatenate((r_out[k0:k1], r_pen[k0:k1]), axis=1).ravel()
         JtJ = dsyrk(1.0, Jc, beta=1.0, c=JtJ, overwrite_c=1)
         Jtr = dgemv(1.0, Jc, r_c, beta=1.0, y=Jtr, overwrite_y=1)
@@ -417,23 +449,27 @@ class LmWorkspace:
 
     A workspace starts empty, as LmWorkspace(), and only lm_step writes it.
     `problem` is the (model, dataset, gamma) it holds, and `rv` that model's
-    (r, X) from `residuals`; `JtJ`, `JtJ_diag`, `Jtr`, `loss` and `grad_inf`
-    belong to the same model once filled, and `JtJ is None` means not filled
-    yet. A call with another problem, the first call included, drops all of
-    it and computes a fresh free run. A fill streams J'J and J'r from one
-    dsyrk and one gemv per cache-sized chunk of J's rows, without forming J:
-    `JtJ` is then the exactly symmetric P x P J'J in Fortran order, and
-    `JtJ_diag` its diagonal. Each solve factors in place inside `JtJ`, after
-    which only its strict lower triangle and `JtJ_diag` hold J'J. An
-    accepted step moves `problem` and `rv` to the candidate and drops the
-    old fill, so the next call fills from the candidate's free run; `loss`
-    still holds the loss of the model the step started from. The counters
-    add up over all calls sharing it: one free run per residual evaluation,
-    one Jacobian per fill and one solve per damped system.
+    (r, X) from `residuals`; `live`, `JtJ`, `JtJ_diag`, `Jtr`, `loss` and
+    `grad_inf` belong to the same model once filled, and `JtJ is None`
+    means not filled yet. A call with another problem, the first call
+    included, drops all of it and computes a fresh free run. A fill first
+    sets `live`, the indices of the L parameter columns J can depend on
+    (None: all P; see _live_columns), then streams J'J and J'r over them
+    from one dsyrk and one gemv per cache-sized chunk of J's rows, without
+    forming J: `JtJ` is then the exactly symmetric L x L J'J in Fortran
+    order, `JtJ_diag` its diagonal and `Jtr` the L-vector J'r. Each solve
+    factors in place inside `JtJ`, after which only its strict lower
+    triangle and `JtJ_diag` hold J'J. An accepted step moves `problem` and
+    `rv` to the candidate and drops the old fill, so the next call fills
+    from the candidate's free run; `loss` still holds the loss of the model
+    the step started from. The counters add up over all calls sharing it:
+    one free run per residual evaluation, one Jacobian per fill and one
+    solve per damped system.
     """
 
     problem: tuple | None = field(default=None, repr=False)
     rv: tuple | None = field(default=None, repr=False)
+    live: np.ndarray | None = None
     JtJ: np.ndarray | None = None
     JtJ_diag: np.ndarray | None = None
     Jtr: np.ndarray | None = None
@@ -453,30 +489,34 @@ def lm_step(model: AlSsnnModel, ds: Dataset, config: TrainConfig, lam: float,
     the parameters the model frees (pack_params).
 
     Solves (J'J + lam*diag(J'J)) delta = -J'r by Cholesky, zero diagonal
-    entries replaced by 1. Unlike LU with partial pivoting, Cholesky loses
-    no accuracy to badly scaled parameters (the diagonal scaling of the
-    system). The damped system is written into the workspace's J'J and
-    factored there (dposv on its upper triangle); every solve first copies
-    J'J from the strict lower triangle onto the upper one, so no solve
-    allocates a P x P array. Returns (model', lam', accepted); the model is
-    returned unchanged on rejection and lam moves by TrainConfig's factors.
-    Solve failures (including a system that is not numerically positive
-    definite) and divergent candidates count as rejections; the workspace
-    records why (`last_reject_reason`: solve_failed, non_finite_step,
-    invalid_params, diverged or no_decrease).
+    entries replaced by 1, over the fill's L live columns only: the columns
+    of a hidden unit whose output weights are all zero are exactly zero in
+    J (_live_columns), and delta is exactly 0 on them. A model with no such
+    unit solves the full P x P system. Unlike LU with partial pivoting,
+    Cholesky loses no accuracy to badly scaled parameters (the diagonal
+    scaling of the system). The damped system is written into the
+    workspace's J'J and factored there (dposv on its upper triangle); every
+    solve first copies J'J from the strict lower triangle onto the upper
+    one, so no solve allocates an L x L array. Returns (model', lam',
+    accepted); the model is returned unchanged on rejection and lam moves
+    by TrainConfig's factors. Solve failures (including a system that is
+    not numerically positive definite) and divergent candidates count as
+    rejections; the workspace records why (`last_reject_reason`:
+    solve_failed, non_finite_step, invalid_params, diverged or no_decrease).
     """
     ws = workspace if workspace is not None else LmWorkspace()
     held, held_ds, held_gamma = ws.problem or (None, None, None)
     if held is not model or held_ds is not ds or held_gamma != config.gamma:
         # Drop the old state first: its J'J is not kept alive through the
         # refill, and a free run that raises leaves no stale problem behind.
-        ws.problem = ws.rv = ws.JtJ = ws.JtJ_diag = ws.Jtr = None
+        ws.problem = ws.rv = ws.live = ws.JtJ = ws.JtJ_diag = ws.Jtr = None
         ws.free_runs += 1
         ws.rv = residuals(model, ds, config.gamma)
         ws.problem = (model, ds, config.gamma)
     if ws.JtJ is None:
         ws.jacobians += 1
-        ws.JtJ, ws.Jtr = _normal_equations(model, ds, config.gamma, *ws.rv)
+        ws.live = _live_columns(model)
+        ws.JtJ, ws.Jtr = _normal_equations(model, ds, config.gamma, *ws.rv, ws.live)
         ws.JtJ_diag = ws.JtJ.diagonal().copy()
         ws.loss = _mean_square(ws.rv[0], ds.n_samples)
         ws.grad_inf = float(np.max(np.abs(2.0 / ds.n_samples * ws.Jtr)))
@@ -497,9 +537,14 @@ def lm_step(model: AlSsnnModel, ds: Dataset, config: TrainConfig, lam: float,
     if not np.all(np.isfinite(delta)):
         return reject("non_finite_step")
 
+    theta = pack_params(model)
+    if ws.live is not None:   # dead columns step by exactly 0
+        step = np.zeros(theta.size)
+        step[ws.live] = delta
+        delta = step
     ws.last_step_norm = float(np.linalg.norm(delta))
     try:
-        candidate = unpack_params(model, pack_params(model) + delta)
+        candidate = unpack_params(model, theta + delta)
     except DataError:
         return reject("invalid_params")
     ws.free_runs += 1
@@ -510,7 +555,7 @@ def lm_step(model: AlSsnnModel, ds: Dataset, config: TrainConfig, lam: float,
     ws.last_candidate_loss = _mean_square(rv_c[0], ds.n_samples)
     if ws.last_candidate_loss < ws.loss:
         ws.problem, ws.rv = (candidate, ds, config.gamma), rv_c
-        ws.JtJ = ws.JtJ_diag = ws.Jtr = None
+        ws.live = ws.JtJ = ws.JtJ_diag = ws.Jtr = None
         return candidate, lam * config.lambda_down, True
     return reject("no_decrease")
 

@@ -215,6 +215,57 @@ def test_jacobian_matches_fd_across_chunks():
     assert np.max(np.abs(J - J_fd)) < 1e-5
 
 
+def kill(net, *units):
+    """The net with the output weights of `units` set to zero."""
+    W_out = net.W_out.copy()
+    W_out[:, list(units)] = 0.0
+    return replace(net, W_out=W_out)
+
+
+def unit_columns(model, tag, i):
+    """Parameter columns of hidden unit i's input row and bias in net `tag`."""
+    cols = training._param_slices(model)[0]
+    d_in = getattr(model, f"{tag}_net").W_in.shape[1]
+    start = cols[f"{tag}.W_in"].start + i * d_in
+    return [*range(start, start + d_in), cols[f"{tag}.b_in"].start + i]
+
+
+def check_dead_columns_are_zero(model, ds, gamma, dead):
+    # the dead units' columns are exactly 0.0, and the other input-layer
+    # columns are not: the zeros come from W_out, not from the data
+    J = jacobian_bptt(model, ds, gamma)
+    assert np.all(J[:, dead] == 0.0)
+    cols = training._param_slices(model)[0]
+    input_layer = [c for name in ("h.W_in", "h.b_in", "g.W_in", "g.b_in")
+                   for c in range(cols[name].start, cols[name].stop)]
+    assert all(np.any(J[:, c]) for c in input_layer if c not in dead)
+
+
+def test_jacobian_columns_of_units_with_zero_output_weights_are_zero_al():
+    model = rand_al(n=2, m=1, p=1, nh=3, ng=3, seed=9)
+    model = pin(replace(model, h_net=kill(model.h_net, 1), g_net=kill(model.g_net, 2)))
+    ds = rand_ds(N=12, seed=9)
+    check_dead_columns_are_zero(model, ds, 0.7,
+                                unit_columns(model, "h", 1) + unit_columns(model, "g", 2))
+
+
+def test_jacobian_columns_of_units_with_zero_output_weights_are_zero_nonzero_equilibrium():
+    # the pin subtracts the equilibrium point's terms, which carry W_out too
+    model = rand_al(n=2, m=1, p=1, nh=2, ng=3, seed=29)
+    model = pin(replace(model, h_net=kill(model.h_net, 0), g_net=kill(model.g_net, 1),
+                        eq=Equilibrium(x_e=np.array([0.4, -0.3]), u_e=np.array([0.6]))))
+    ds = rand_ds(N=10, seed=29)
+    check_dead_columns_are_zero(model, ds, 1.3,
+                                unit_columns(model, "h", 0) + unit_columns(model, "g", 1))
+
+
+def test_jacobian_columns_of_units_with_zero_output_weights_are_zero_gr():
+    model = rand_gr(n=3, m=2, p=2, nf=3, seed=11)
+    model = replace(model, g_net=kill(model.g_net, 0))
+    ds = rand_ds(m=2, p=2, N=10, seed=11)
+    check_dead_columns_are_zero(model, ds, 0.0, unit_columns(model, "g", 0))
+
+
 def test_jacobian_scalar_analytic_oracle():
     # pure linear scalar model, A's column (column 0): the sensitivity has
     # the closed form dx(k)/da = sum_j (k-1-j) a^(k-2-j) b u(j)
@@ -446,9 +497,11 @@ def chunk_case(kind, N, n=7, m=2, p=2, nh=4, seed=26):
 
 
 def check_streamed_normal_equations(model, ds, config, monkeypatch):
-    # J'J straight after the fill, before any solve factors inside it
+    # J'J straight after the fill, before any solve factors inside it; these
+    # models have no dead unit, so the fill covers all P columns
     r, X = residuals(model, ds, config.gamma)
-    fill_JtJ, fill_Jtr = training._normal_equations(model, ds, config.gamma, r, X)
+    assert training._live_columns(model) is None
+    fill_JtJ, fill_Jtr = training._normal_equations(model, ds, config.gamma, r, X, None)
     J = jacobian_bptt(model, ds, config.gamma)
     JtJ, Jtr = J.T @ J, J.T @ r
     assert np.max(np.abs(fill_JtJ - JtJ)) <= 1e-12 * np.max(np.abs(JtJ))
@@ -465,6 +518,7 @@ def check_streamed_normal_equations(model, ds, config, monkeypatch):
         patch.setattr(training, "unpack_params", refuse)
         lm_step(model, ds, config, 1e-2, workspace=ws)
     assert ws.last_reject_reason == "invalid_params" and ws.solves == 1
+    assert ws.live is None and ws.JtJ.shape == fill_JtJ.shape == (J.shape[1],) * 2
     assert np.array_equal(ws.Jtr, fill_Jtr)
     assert np.array_equal(ws.JtJ_diag, np.diag(fill_JtJ))
     assert np.array_equal(np.tril(ws.JtJ, -1), np.tril(fill_JtJ, -1))
@@ -501,6 +555,90 @@ def test_streamed_normal_equations_equal_assembled_jacobian_wide(kind, monkeypat
         r_p, r_m = (residuals(unpack_params(model, theta + s * h * v), ds,
                               config.gamma)[0] for s in (1, -1))
         assert np.max(np.abs(J @ v - (r_p - r_m) / (2 * h))) < 1e-5
+
+
+def dead_case(kind):
+    """chunk_case's model over three chunks with dead hidden units (zero
+    output weights), and the indices of its live columns."""
+    model, ds, config = chunk_case(kind, 768)
+    if kind == "gr":
+        model = replace(model, g_net=kill(model.g_net, 0, 3))
+        dead = unit_columns(model, "g", 0) + unit_columns(model, "g", 3)
+    else:
+        model = pin(replace(model, h_net=kill(model.h_net, 1), g_net=kill(model.g_net, 0, 2)))
+        dead = [*unit_columns(model, "h", 1), *unit_columns(model, "g", 0),
+                *unit_columns(model, "g", 2)]
+    return model, ds, config, np.setdiff1d(np.arange(pack_params(model).size), dead)
+
+
+@pytest.mark.parametrize("kind", ["al_eq", "al_gamma0", "gr"])
+def test_reduced_normal_equations_equal_the_live_block_of_the_assembled_jacobian(kind):
+    model, ds, config, live = dead_case(kind)
+    assert np.array_equal(training._live_columns(model), live)
+    r, X = residuals(model, ds, config.gamma)
+    JtJ, Jtr = training._normal_equations(model, ds, config.gamma, r, X, live)
+    J = jacobian_bptt(model, ds, config.gamma)[:, live]
+    ref_JtJ, ref_Jtr = J.T @ J, J.T @ r
+    assert JtJ.shape == (live.size, live.size) and JtJ.flags.f_contiguous
+    assert np.max(np.abs(JtJ - ref_JtJ)) <= 1e-12 * np.max(np.abs(ref_JtJ))
+    assert np.max(np.abs(Jtr - ref_Jtr)) <= 1e-12 * np.max(np.abs(ref_Jtr))
+    assert np.array_equal(JtJ, JtJ.T)
+
+
+@pytest.mark.parametrize("kind", ["al_eq", "gr"])
+def test_lm_step_solves_the_live_columns_and_steps_dead_ones_by_zero(kind, monkeypatch):
+    model, ds, config, live = dead_case(kind)
+    P, lam = pack_params(model).size, 1e-2
+    dead = np.setdiff1d(np.arange(P), live)
+    # the full P x P damped system, zero diagonal entries damped by 1
+    J, r = jacobian_bptt(model, ds, config.gamma), residuals(model, ds, config.gamma)[0]
+    JtJ = J.T @ J
+    damped = JtJ + lam * np.diag(np.where(np.diag(JtJ) == 0.0, 1.0, np.diag(JtJ)))
+    d = np.sqrt(np.diag(damped))
+    ref = np.linalg.solve(damped / np.outer(d, d), -(J.T @ r) / d) / d
+    steps = []
+
+    def capture(model, theta):  # theta = 0 + delta
+        steps.append(theta.copy())
+        raise DataError("step captured")
+
+    monkeypatch.setattr(training, "pack_params", lambda model: np.zeros(P))
+    monkeypatch.setattr(training, "unpack_params", capture)
+    ws = LmWorkspace()
+    lm_step(model, ds, config, lam, workspace=ws)
+    assert ws.last_reject_reason == "invalid_params"
+    assert np.array_equal(ws.live, live)
+    assert ws.JtJ.shape == (live.size, live.size) and ws.Jtr.shape == (live.size,)
+    delta = steps[0]
+    assert delta.shape == (P,) and np.all(delta[dead] == 0.0)
+    err = np.linalg.norm(d[live] * (delta[live] - ref[live])) / np.linalg.norm(d * ref)
+    assert err < 1e-10
+    assert ws.last_step_norm == pytest.approx(np.linalg.norm(delta), rel=1e-15)
+
+
+def test_train_solves_the_live_columns_until_its_first_accepted_step(monkeypatch):
+    # both nets start with zero output weights, so the first fill is over
+    # A, B and the output layers; the first accepted step makes every unit live
+    ds = linear_ds(N=120, seed=23)
+    ds = Dataset(u=ds.u, y=ds.y + 0.05 * np.tanh(3 * ds.y))
+    config = TrainConfig(gamma=0.5, max_iters=8, n_h=3, n_g=3)
+    shapes, dposv = [], training.dposv
+
+    def recording_dposv(a, b, **kwargs):
+        shapes.append(a.shape)
+        return dposv(a, b, **kwargs)
+
+    monkeypatch.setattr(training, "dposv", recording_dposv)
+    # dead columns: AL's h input layer (3 x (p + 1)) and g's (3 x (n + m + 1)), GR's f
+    for fit, n_dead in ((lambda: train(ds, 2, config), 6 + 12),
+                        (lambda: train_gr(ds, 2, 3, config), 12)):
+        shapes.clear()
+        model, report = fit()
+        P = pack_params(model).size
+        L = P - n_dead
+        first = next(rec["iteration"] for rec in report.iterations if rec["accepted"])
+        assert first < report.solves == len(shapes)
+        assert shapes == [(L, L)] * first + [(P, P)] * (report.solves - first)
 
 
 def test_lm_step_refill_memory_stays_below_a_quarter_of_the_jacobian():

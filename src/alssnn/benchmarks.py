@@ -15,8 +15,7 @@ import numpy as np
 
 from .dataio import Dataset
 from .errors import DataError, NumericalError
-from .linear_id import LinearSS
-from .models import DIVERGENCE_BOUND, simulate
+from .models import DIVERGENCE_BOUND, LinearSS, simulate
 
 __all__ = [
     "PreyPredatorParams",

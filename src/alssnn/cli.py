@@ -242,8 +242,8 @@ def cmd_identify(args) -> int:
         print(header)
         print("-" * len(header))
         for row in sweep_rows:
-            print(f"{row['gamma']:>10g}  {row['rmse_train']:>12.6g}  "
-                  f"{row['g_ratio_mean']:>12.6g}  {row['g_ratio_max']:>12.6g}")
+            print(f"{row['gamma']:>10g}  {_fmt(row['rmse_train']):>12}  "
+                  f"{_fmt(row['g_ratio_mean']):>12}  {_fmt(row['g_ratio_max']):>12}")
         print(f"wrote per-gamma model/report files and {args.out}.sweep.json")
     else:
         print(f"wrote {args.out}.model.json and {args.out}.report.json")

@@ -6,7 +6,7 @@ nonlinearity cancels exactly and only the penalized residual survives as a
 disturbance. The statistics here quantify how small that disturbance is
 relative to the linear part, both open loop (g, h, f against Ax + Bu) and
 closed loop (omega against Ax + Bv). The closed loop runs on the step engine
-of `linear_id` with two layers, h and then g; the engine checks v and x0 and
+of `models` with two layers, h and then g; the engine checks v and x0 and
 truncates the loop as it does a free run.
 """
 
@@ -18,8 +18,7 @@ import numpy as np
 
 from .dataio import Dataset, SplitSpec
 from .errors import DataError
-from .linear_id import _step_engine
-from .models import AlSsnnModel, _family, _lin_of, _run_states, simulate
+from .models import AlSsnnModel, _family, _lin_of, _run_states, _step_engine, simulate
 from .nets import mlp_forward, mlp_forward_batch
 
 __all__ = [
@@ -42,7 +41,8 @@ class RatioStats:
 
     Fields are None when the model family lacks that network. Steps whose
     denominator ||Ax + Bu|| falls below the guard are excluded from the
-    statistics and counted in n_excluded instead of being silently dropped.
+    statistics and counted in n_excluded instead of being silently dropped. A
+    ratio is None, too, when every step is excluded (n_excluded == n_steps).
     """
 
     n_steps: int
@@ -60,7 +60,8 @@ class ClosedLoopRecord:
     """Closed-loop run x+ = Ax + Bv + omega under the linearizing law.
 
     x has one more row than v/y/omega; omega(k) = g(x(k), v(k) - h(y(k))) is
-    recomputable from the stored states, which tests rely on.
+    recomputable from the stored states, which tests rely on. The omega
+    ratios are None when the guard excludes every step, as in an empty loop.
     """
 
     x: np.ndarray
@@ -68,8 +69,8 @@ class ClosedLoopRecord:
     v: np.ndarray
     omega: np.ndarray
     lin_norm: np.ndarray
-    omega_ratio_mean: float
-    omega_ratio_max: float
+    omega_ratio_mean: float | None
+    omega_ratio_max: float | None
     n_excluded: int
     diverged: bool = False
     diverged_at: int | None = None
@@ -80,9 +81,7 @@ class ClosedLoopRecord:
 
     @property
     def max_omega_norm(self) -> float:
-        if self.omega.shape[0] == 0:
-            return 0.0
-        return float(np.max(np.linalg.norm(self.omega, axis=1)))
+        return float(np.max(np.linalg.norm(self.omega, axis=1), initial=0.0))
 
 
 def linearizing_input(model: AlSsnnModel, v: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -94,14 +93,13 @@ def linearizing_input(model: AlSsnnModel, v: np.ndarray, y: np.ndarray) -> np.nd
     return v - mlp_forward(model.h_net, y)
 
 
-def _ratio(nums: np.ndarray, dens: np.ndarray) -> tuple[float, float, int]:
-    """(mean, max, n_excluded) of nums/dens over steps with dens >= guard."""
+def _ratio(nums: np.ndarray, dens: np.ndarray) -> tuple[float | None, float | None, int]:
+    """(mean, max, n_excluded) of nums/dens over steps with dens >= guard;
+    mean and max are None when no step is kept."""
     keep = dens >= DENOMINATOR_GUARD
     n_excl = int(np.sum(~keep))
     if not np.any(keep):
-        raise DataError(
-            "all steps fall below the denominator guard; ratios are undefined"
-        )
+        return None, None, n_excl
     vals = nums[keep] / dens[keep]
     return float(np.mean(vals)), float(np.max(vals)), n_excl
 
@@ -125,6 +123,8 @@ def simulate_closed_loop(model: AlSsnnModel, v_seq: np.ndarray,
     lin = model.lin
     A, B, C = lin.A, lin.B, lin.C
     n, m = lin.n_states, lin.n_inputs
+    if np.ndim(v_seq) > 2:   # trailing axes hold the engine's blocks of runs, never a loop's
+        raise DataError(f"v sequence has shape {np.shape(v_seq)}, expected (N, {m})")
     h, g = model.h_net, model.g_net
     W_gu = g.W_in[:, n:]
     with np.errstate(over="ignore", invalid="ignore"):   # extreme weights, divergent tails
@@ -137,7 +137,7 @@ def simulate_closed_loop(model: AlSsnnModel, v_seq: np.ndarray,
         omegas = R[:, : g.n_hidden] @ g.W_out.T + g.b_out
         omega_norms = np.linalg.norm(omegas, axis=1)
         lin_norms = np.linalg.norm(X @ A.T + V @ B.T, axis=1)
-    mean, mx, n_excl = _ratio(omega_norms, lin_norms) if len(X) else (0.0, 0.0, 0)
+    mean, mx, n_excl = _ratio(omega_norms, lin_norms)
     return ClosedLoopRecord(
         x=xs.copy(),
         y=X @ C.T,

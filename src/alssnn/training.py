@@ -49,8 +49,8 @@ from scipy.linalg.lapack import dposv
 
 from .dataio import Dataset
 from .errors import DataError, DivergenceError
-from .linear_id import LinearSS, linear_init
-from .models import AlSsnnModel, GrSsnnModel, _family, _run_states, simulate
+from .linear_id import linear_init
+from .models import AlSsnnModel, GrSsnnModel, LinearSS, _family, _run_states, simulate
 from .nets import Equilibrium, Mlp, enforce_equilibrium_zero, init_small, mlp_forward_batch
 
 __all__ = [
@@ -598,9 +598,7 @@ def _hidden_input_scales(lin0: LinearSS, ds: Dataset) -> tuple[np.ndarray, np.nd
     magnitude, and scaling to the tiny init states would saturate the input
     layer the moment training grows them.
     """
-    traj = simulate(lin0, ds.u)
-    K = min(traj.x.shape[0], ds.n_samples)
-    Z = np.hstack([traj.x[:K], ds.u[:K]])
+    Z = np.hstack([_run_states(simulate(lin0, ds.u)), ds.u])
     y_scale = ds.y.std(axis=0)
     z_scale = Z.std(axis=0)
     n = lin0.n_states

@@ -1,6 +1,6 @@
 import pytest
 
-from alssnn import linear_id
+from alssnn import models
 
 
 @pytest.fixture
@@ -9,5 +9,5 @@ def set_bound(monkeypatch):
     test: set_bound(b) replaces the step engine's DIVERGENCE_BOUND until it
     ends."""
     def set_to(bound):
-        monkeypatch.setattr(linear_id, "DIVERGENCE_BOUND", bound)
+        monkeypatch.setattr(models, "DIVERGENCE_BOUND", bound)
     return set_to

@@ -554,8 +554,8 @@ def test_certify_refuses_a_diverged_driven_loop_exit_3(tmp_path, capsys):
         assert not (tmp_path / "c.check.json").exists()
 
 
-def certify_zero_net_model(tmp_path, a):
-    """Run certify on x+ = a x + u with zero nets; returns the exit code."""
+def zero_net_model(tmp_path, a):
+    """Save x+ = a x + u with 1-unit zero nets, pinned at 0; returns the path."""
     lin = LinearSS(A=np.array([[a]]), B=np.array([[1.0]]), C=np.array([[1.0]]))
     zero1 = Mlp(W_in=np.zeros((1, 1)), b_in=np.zeros(1),
                 W_out=np.zeros((1, 1)), b_out=np.zeros(1))
@@ -565,6 +565,12 @@ def certify_zero_net_model(tmp_path, a):
                         eq=Equilibrium(x_e=np.zeros(1), u_e=np.zeros(1)))
     mpath = tmp_path / "bad.model.json"
     save_model(model, mpath)
+    return mpath
+
+
+def certify_zero_net_model(tmp_path, a):
+    """Run certify on x+ = a x + u with zero nets; returns the exit code."""
+    mpath = zero_net_model(tmp_path, a)
     rng = np.random.default_rng(0)
     save_csv(Dataset(u=rng.normal(size=(30, 1)) * 0.01,
                      y=rng.normal(size=(30, 1)) * 0.01), tmp_path / "d.csv")
@@ -583,6 +589,52 @@ def test_certify_infeasible_model_exit_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "no (P, phi)" in err and "lmi_max_eig:" in err
     assert not (tmp_path / "c.certificate.json").exists()
+
+
+@pytest.mark.parametrize("command, extra", [("evaluate", []), ("closedloop", []),
+                                            ("certify", []), ("certify", ["--epsilon", "0.1"])])
+def test_ratios_below_the_guard_are_absent_not_fatal(tmp_path, capsys, command, extra):
+    # u = 0 from x(0) = 0: every step's linear term is 0, below the ratio guard
+    mpath, data = zero_net_model(tmp_path, 0.5), tmp_path / "d.csv"
+    save_csv(Dataset(u=np.zeros((30, 1)), y=np.zeros((30, 1))), data)
+    assert main([command, "--model", str(mpath), "--data", str(data), *extra,
+                 "-o", str(tmp_path / "out")]) == 0
+    out = capsys.readouterr().out
+    if command == "evaluate":
+        ratios = read_json(tmp_path / "out.json")["ratios"]
+        assert ratios == {"partition": "all", "n_steps": 30, "n_excluded": 30}
+    elif command == "closedloop":
+        summary = read_json(tmp_path / "out.json")
+        assert (summary["omega_ratio_mean"], summary["omega_ratio_max"],
+                summary["n_excluded"]) == (None, None, 30)
+        assert "\nomega_ratio_mean  -\n" in out
+
+
+def tiny_input_record(path):
+    """A stable plant driven by inputs of std 1e-11: every linear term of a
+    model fitted to it stays below the ratio guard 1e-9."""
+    u = 1e-11 * np.random.default_rng(0).normal(size=(600, 1))
+    save_csv(Dataset(u=u, y=simulate(LinearSS(A=[[0.8, 0.1], [-0.1, 0.7]], B=[[1.0], [0.5]],
+                                              C=[[1.0, 0.0]]), u).y), path)
+
+
+@pytest.mark.parametrize("family, extra", [("al-ssnn", []), ("gr-ssnn", []),
+                                           ("al-ssnn", ["--gamma", "0.1,10"])])
+def test_identify_ratios_below_the_guard_are_absent_not_fatal(tmp_path, capsys, family,
+                                                              extra):
+    data, out = tmp_path / "tiny.csv", tmp_path / "m"
+    tiny_input_record(data)
+    assert main(["identify", family, "--data", str(data), "--order", "2", "--nh", "2",
+                 "--ng", "2", "--nf", "2", "--iters", "3", *extra, "-o", str(out)]) == 0
+    suffix = ".gamma-0.1" if extra else ""
+    ratios = read_json(f"{out}{suffix}.report.json")["train_ratios"]
+    assert ratios == {"n_steps": 300, "n_excluded": 300}   # the training half
+    printed = capsys.readouterr().out
+    assert "_ratio_mean=- " in printed
+    if suffix:
+        assert read_json(f"{out}.sweep.json")["entries"][0]["g_ratio_mean"] is None
+        assert [line.split()[2:] for line in printed.splitlines()
+                if line.startswith("       0.1")] == [["-", "-"]]
 
 
 @pytest.mark.parametrize("command", ["evaluate", "closedloop", "certify"])

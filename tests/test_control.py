@@ -8,8 +8,8 @@ from alssnn.control import (DENOMINATOR_GUARD, _ratio_stats, estimate_epsilon,
                             simulate_closed_loop)
 from alssnn.dataio import Dataset
 from alssnn.errors import DataError, DivergenceError
-from alssnn.linear_id import _FOLD_MAX, LinearSS
-from alssnn.models import AlSsnnModel, al_step, gr_model, simulate
+from alssnn.linear_id import LinearSS
+from alssnn.models import _FOLD_MAX, AlSsnnModel, al_step, gr_model, simulate
 from alssnn.nets import Equilibrium, Mlp, mlp_forward
 
 
@@ -224,11 +224,30 @@ def test_ratio_guard_counts_small_denominators():
     assert stats.n_excluded >= 1
 
 
-def test_ratio_all_excluded_raises():
+def test_ratio_all_excluded_is_absent():
+    # u = 0 from x(0) = 0 keeps every step's linear term at 0, below the guard
     model = al_model(seed=13, scale=0.0)
     ds = Dataset(u=np.zeros((10, 1)), y=np.zeros((10, 1)))
-    with pytest.raises(DataError, match="denominator guard"):
-        ratio_stats(model, ds)
+    stats = ratio_stats(model, ds)
+    assert (stats.n_steps, stats.n_excluded) == (10, 10)
+    assert (stats.g_mean, stats.g_max, stats.h_mean, stats.h_max) == (None,) * 4
+    stats = ratio_stats(gr_model(model.lin, model.g_net), ds)
+    assert (stats.n_excluded, stats.f_mean, stats.f_max) == (10, None, None)
+    rec = simulate_closed_loop(model, ds.u)
+    assert (rec.omega_ratio_mean, rec.omega_ratio_max, rec.n_excluded) == (None, None, 10)
+
+
+def test_closed_loop_diverging_at_step_zero_has_no_ratio():
+    rec = simulate_closed_loop(al_model(seed=13), np.zeros((5, 1)), x0=np.array([2e8, 0.0]))
+    assert (rec.diverged_at, rec.n_steps, rec.n_excluded, rec.max_omega_norm) == (0, 0, 0, 0.0)
+    assert (rec.omega_ratio_mean, rec.omega_ratio_max) == (None, None)
+
+
+@pytest.mark.parametrize("runs", [3, 2])
+def test_closed_loop_refuses_a_block_of_runs(runs):
+    with pytest.raises(DataError, match=rf"v sequence has shape \(4, 1, {runs}\), "
+                                        r"expected \(N, 1\)"):
+        simulate_closed_loop(al_model(seed=13), np.ones((4, 1, runs)))
 
 
 def test_estimate_epsilon_is_observed_max():

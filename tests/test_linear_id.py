@@ -264,7 +264,7 @@ def test_fit_input_matrix_block_run_matches_unit_runs():
 def test_step_engine_block_of_runs_stops_where_the_first_run_leaves_the_bound(set_bound):
     # three runs on one trailing axis; only the middle one grows, as 1.1^k,
     # and 1.1^72 = 955 < 1e3 < 1.1^73 = 1051
-    from alssnn.linear_id import _step_engine
+    from alssnn.models import _step_engine
     A = np.array([[1.1, 0.0], [0.0, 0.5]])
     M = np.column_stack([A, np.zeros((2, 1)), np.zeros(2)])
     x0 = np.array([[0.0, 1.0, 0.0], [1.0, 1.0, -2.0]])
@@ -280,7 +280,7 @@ def test_step_engine_block_of_runs_stops_where_the_first_run_leaves_the_bound(se
 
 def test_step_engine_refuses_a_block_with_a_non_finite_input_row():
     # the row is named whichever run of the block holds the NaN
-    from alssnn.linear_id import _step_engine
+    from alssnn.models import _step_engine
     M = np.column_stack([0.5 * np.eye(2), np.ones((2, 1)), np.zeros(2)])
     U = np.zeros((40, 1, 3))
     U[17, 0, 2] = np.nan
@@ -289,7 +289,7 @@ def test_step_engine_refuses_a_block_with_a_non_finite_input_row():
 
 
 def test_step_engine_refuses_x0_off_the_block_of_runs():
-    from alssnn.linear_id import _step_engine
+    from alssnn.models import _step_engine
     M = np.column_stack([0.5 * np.eye(2), np.ones((2, 1)), np.zeros(2)])
     U = np.zeros((40, 1, 3))
     with pytest.raises(DataError, match=r"^x0 has shape \(2, 2\), expected \(2, 3\)$"):

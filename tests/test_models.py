@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from alssnn.errors import DataError
-from alssnn.linear_id import _FOLD_MAX, LinearSS
-from alssnn.models import (AlSsnnModel, GrSsnnModel, Trajectory, al_step, gr_model,
-                           load_model, model_from_json_dict,
+from alssnn.linear_id import LinearSS
+from alssnn.models import (_FOLD_MAX, AlSsnnModel, GrSsnnModel, Trajectory, al_step,
+                           gr_model, load_model, model_from_json_dict,
                            model_to_json_dict, save_model, simulate)
 from alssnn.nets import Equilibrium, Mlp, mlp_forward
 
@@ -146,6 +146,17 @@ def test_simulate_input_validation():
         simulate(model, np.ones((5, 2)))
     with pytest.raises(DataError):
         simulate(model, np.ones((5, 1)), x0=np.zeros(3))
+
+
+@pytest.mark.parametrize("runs", [3, 2])
+def test_simulate_refuses_a_block_of_runs(runs):
+    # the trailing axes of a block of runs are the step engine's alone: a
+    # model's run is one sequence, never C applied along the runs axis
+    lin = LinearSS(A=np.diag([0.5, 0.4, 0.3]), B=np.ones((3, 1)), C=[[1.0, 0.0, 0.0]])
+    for model in (lin, al_model()):
+        with pytest.raises(DataError, match=rf"input sequence has shape \(4, 1, {runs}\), "
+                                            r"expected \(N, 1\)"):
+            simulate(model, np.ones((4, 1, runs)))
 
 
 def test_json_round_trip_bit_exact_al():

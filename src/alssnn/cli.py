@@ -265,7 +265,7 @@ def cmd_evaluate(args) -> int:
         "family": _family(model),
     }
     start = 0 if args.split is None else SplitSpec(args.split).index(ds.n_samples)
-    X = _run_states(simulate(model, ds.u))   # the one free run every score reads
+    X = _run_states(simulate(model, ds.u), ds.name)   # the one free run every score reads
     if args.split is None:
         partition, result["rmse"] = "all", _rmse(model, ds, X)
     else:

@@ -161,7 +161,7 @@ def ratio_stats(model, ds: Dataset) -> RatioStats:
         raise DataError(
             f"ratio statistics need a model with networks, got {type(model).__name__}"
         )
-    return _ratio_stats(model, _run_states(simulate(model, ds.u)), ds.u)
+    return _ratio_stats(model, _run_states(simulate(model, ds.u), ds.name), ds.u)
 
 
 def _ratio_stats(model: AlSsnnModel, X: np.ndarray, U: np.ndarray) -> RatioStats:
@@ -191,7 +191,7 @@ def estimate_epsilon(model: AlSsnnModel, datasets, records=()) -> float:
         raise DataError("epsilon estimation needs at least one dataset or record")
     eps = 0.0
     for ds in datasets:
-        Z = np.hstack([_run_states(simulate(model, ds.u)), ds.u])
+        Z = np.hstack([_run_states(simulate(model, ds.u), ds.name), ds.u])
         g_norms = np.linalg.norm(mlp_forward_batch(model.g_net, Z), axis=1)
         if g_norms.size:
             eps = max(eps, float(np.max(g_norms)))
@@ -202,7 +202,7 @@ def estimate_epsilon(model: AlSsnnModel, datasets, records=()) -> float:
 
 def rmse(model, ds: Dataset) -> float:
     """Free-run output error sqrt((1/N) sum ||y(k) - y_model(k)||^2), x(0) = 0."""
-    return _rmse(model, ds, _run_states(simulate(model, ds.u)))
+    return _rmse(model, ds, _run_states(simulate(model, ds.u), ds.name))
 
 
 def _rmse(model, ds: Dataset, X: np.ndarray, rows: slice = slice(None)) -> float:
@@ -225,5 +225,5 @@ def rmse_split(model, ds: Dataset, train_fraction: float) -> tuple[float, float]
     the split point).
     """
     k = SplitSpec(train_fraction).index(ds.n_samples)
-    X = _run_states(simulate(model, ds.u))
+    X = _run_states(simulate(model, ds.u), ds.name)
     return _rmse(model, ds, X, slice(k)), _rmse(model, ds, X, slice(k, None))

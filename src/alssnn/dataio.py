@@ -1,4 +1,5 @@
-"""Sampled input/output datasets: CSV persistence, splitting, summary stats.
+"""Sampled input/output datasets: CSV persistence, splitting, summary stats,
+and `_frozen`, the one rule by which every frozen value owns its arrays.
 
 On-disk format: UTF-8 CSV with header ``t,u1,...,um,y1,...,yp`` (a leading
 byte-order mark is skipped), one row per sample, decimal point '.', values
@@ -26,6 +27,23 @@ __all__ = ["Dataset", "SplitSpec", "load_csv", "load_json", "normalize", "save_c
 _NON_NUMBER_CHARS = "_ \t\v\f\x1c\x1d\x1e\x1f"
 
 
+def _frozen(value, what: str, ndmin: int = 0, flat: bool = False) -> np.ndarray:
+    """A finite, read-only float copy of `value` (at least `ndmin`-D, or 1-D if
+    `flat`) in the caller's memory layout, or a DataError naming `what`."""
+    try:
+        a = np.asarray(value)
+        if np.iscomplexobj(a):   # a float cast would drop the imaginary parts
+            raise TypeError("complex entries")
+        a = np.array(a, dtype=float, ndmin=ndmin)
+    except (TypeError, ValueError, OverflowError) as exc:   # strings, ragged lists, huge ints
+        raise DataError(f"{what} is not a numeric array: {exc}") from None
+    a = a.reshape(-1) if flat else a
+    if not np.isfinite(a).all():
+        raise DataError(f"{what} has non-finite entries")
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Immutable container for one input/output record.
@@ -48,20 +66,12 @@ class Dataset:
     name: str = "dataset"
 
     def __post_init__(self):
-        u = np.asarray(self.u, dtype=float)
-        y = np.asarray(self.y, dtype=float)
-        if u.ndim == 1:
-            u = u.reshape(-1, 1)
-        if y.ndim == 1:
-            y = y.reshape(-1, 1)
+        for key in ("u", "y"):
+            a = _frozen(getattr(self, key), f"Dataset.{key}")
+            object.__setattr__(self, key, a.reshape(-1, 1) if a.ndim == 1 else a)
+        u, y = self.u, self.y
         if u.ndim != 2 or y.ndim != 2:
             raise DataError("u and y must be 1-D or 2-D arrays")
-        u = u.copy()
-        y = y.copy()
-        u.setflags(write=False)
-        y.setflags(write=False)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "y", y)
         if u.shape[0] != y.shape[0]:
             raise DataError(
                 f"u and y must have the same length, got {u.shape[0]} and {y.shape[0]}"
@@ -70,8 +80,6 @@ class Dataset:
             raise DataError(f"dataset needs at least 2 samples, got {u.shape[0]}")
         if u.shape[1] < 1 or y.shape[1] < 1:
             raise DataError("input and output dimensions must be at least 1")
-        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(y))):
-            raise DataError("dataset contains non-finite entries")
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise DataError(f"sample period must be finite and positive, got {self.dt}")
 
@@ -244,12 +252,7 @@ def load_csv(path, name: str | None = None) -> Dataset:
             f"{path}: line {linenos[1]}: non-increasing time column (dt={dt})"
         )
     _check_uniform_time(np.array(t_vals), dt, linenos, path)
-    return Dataset(
-        u=np.array(u_rows, dtype=float),
-        y=np.array(y_rows, dtype=float),
-        dt=dt,
-        name=name if name is not None else str(path),
-    )
+    return Dataset(u=u_rows, y=y_rows, dt=dt, name=name if name is not None else str(path))
 
 
 def _checked_rows(reader, path):

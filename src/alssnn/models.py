@@ -17,7 +17,8 @@ equilibrium pin or penalty, and in being refused by the closed loop.
 `al_step` is the reference step map. The module owns every run: `simulate`
 folds each family into `_step_engine` (one tanh layer for AL and GR, none for
 LTI), the one checked entry to every free run and closed loop, which
-truncates a run where its state leaves `DIVERGENCE_BOUND`.
+truncates a run where its state leaves `DIVERGENCE_BOUND`. A model cannot
+change after it is built: LinearSS and the nets own their arrays.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Union
 
 import numpy as np
 
-from .dataio import load_json
+from .dataio import _frozen, load_json
 from .errors import DataError, DivergenceError
 from .nets import Equilibrium, Mlp, mlp_forward
 
@@ -76,23 +77,15 @@ class LinearSS:
     C: np.ndarray
 
     def __post_init__(self):
-        A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        B = np.atleast_2d(np.asarray(self.B, dtype=float))
-        C = np.atleast_2d(np.asarray(self.C, dtype=float))
-        for M in (A, B, C):
-            M.setflags(write=False)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "C", C)
-        n = A.shape[0]
-        if A.shape != (n, n):
-            raise DataError(f"A must be square, got {A.shape}")
-        if B.shape[0] != n:
-            raise DataError(f"B has {B.shape[0]} rows, expected {n}")
-        if C.shape[1] != n:
-            raise DataError(f"C has {C.shape[1]} columns, expected {n}")
-        if not all(np.all(np.isfinite(M)) for M in (A, B, C)):
-            raise DataError("state-space matrices contain non-finite entries")
+        for key in "ABC":
+            object.__setattr__(self, key, _frozen(getattr(self, key), f"LinearSS.{key}", ndmin=2))
+        n = self.A.shape[0]
+        if self.A.shape != (n, n):
+            raise DataError(f"A must be square, got {self.A.shape}")
+        if self.B.shape[0] != n:
+            raise DataError(f"B has {self.B.shape[0]} rows, expected {n}")
+        if self.C.shape[1] != n:
+            raise DataError(f"C has {self.C.shape[1]} columns, expected {n}")
 
     @property
     def n_states(self) -> int:
@@ -197,11 +190,12 @@ class Trajectory:
             )
 
 
-def _run_states(traj: Trajectory) -> np.ndarray:
+def _run_states(traj: Trajectory, record: str | None = None) -> np.ndarray:
     """States x(0..N-1) of a free run, those with an output, or a
-    DivergenceError if the run left its bound."""
+    DivergenceError if the run left its bound, naming the `record` it ran on."""
     if traj.diverged:
-        raise DivergenceError(traj.diverged_at)
+        k = traj.diverged_at
+        raise DivergenceError(k, record and f"the free run on {record} diverged at step {k}")
     return traj.x[:-1]
 
 

@@ -2,6 +2,7 @@
 
 Parameter flattening order is fixed everywhere: W_in row-major, b_in,
 W_out row-major, b_out. Optimizer Jacobian columns rely on this order.
+Mlp and Equilibrium own read-only copies of their arrays (dataio._frozen).
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .dataio import _frozen
 from .errors import DataError
 
 __all__ = [
@@ -30,27 +32,17 @@ class Mlp:
     b_out: np.ndarray
 
     def __post_init__(self):
-        W_in = np.atleast_2d(np.asarray(self.W_in, dtype=float))
-        W_out = np.atleast_2d(np.asarray(self.W_out, dtype=float))
-        b_in = np.asarray(self.b_in, dtype=float).reshape(-1)
-        b_out = np.asarray(self.b_out, dtype=float).reshape(-1)
-        for M in (W_in, W_out, b_in, b_out):
-            M.setflags(write=False)
-        object.__setattr__(self, "W_in", W_in)
-        object.__setattr__(self, "b_in", b_in)
-        object.__setattr__(self, "W_out", W_out)
-        object.__setattr__(self, "b_out", b_out)
-        h = W_in.shape[0]
-        if b_in.shape != (h,):
-            raise DataError(f"b_in has shape {b_in.shape}, expected ({h},)")
-        if W_out.shape[1] != h:
-            raise DataError(
-                f"W_out has {W_out.shape[1]} columns, expected {h} (hidden size)"
-            )
-        if b_out.shape != (W_out.shape[0],):
-            raise DataError(f"b_out has shape {b_out.shape}, expected ({W_out.shape[0]},)")
-        if not all(np.all(np.isfinite(M)) for M in (W_in, b_in, W_out, b_out)):
-            raise DataError("network parameters contain non-finite entries")
+        for key in ("W_in", "W_out"):
+            object.__setattr__(self, key, _frozen(getattr(self, key), f"Mlp.{key}", ndmin=2))
+        for key in ("b_in", "b_out"):
+            object.__setattr__(self, key, _frozen(getattr(self, key), f"Mlp.{key}", flat=True))
+        h = self.W_in.shape[0]
+        if self.b_in.shape != (h,):
+            raise DataError(f"b_in has shape {self.b_in.shape}, expected ({h},)")
+        if self.W_out.shape[1] != h:
+            raise DataError(f"W_out has {self.W_out.shape[1]} columns, expected {h} (hidden size)")
+        if self.b_out.shape != (self.d_out,):
+            raise DataError(f"b_out has shape {self.b_out.shape}, expected ({self.d_out},)")
 
     @property
     def d_in(self) -> int:
@@ -73,14 +65,8 @@ class Equilibrium:
     u_e: np.ndarray
 
     def __post_init__(self):
-        x_e = np.asarray(self.x_e, dtype=float).reshape(-1)
-        u_e = np.asarray(self.u_e, dtype=float).reshape(-1)
-        x_e.setflags(write=False)
-        u_e.setflags(write=False)
-        object.__setattr__(self, "x_e", x_e)
-        object.__setattr__(self, "u_e", u_e)
-        if not (np.all(np.isfinite(x_e)) and np.all(np.isfinite(u_e))):
-            raise DataError("equilibrium point contains non-finite entries")
+        for key in ("x_e", "u_e"):
+            object.__setattr__(self, key, _frozen(getattr(self, key), f"Equilibrium.{key}", flat=True))
 
     def stacked(self) -> np.ndarray:
         return np.concatenate([self.x_e, self.u_e])

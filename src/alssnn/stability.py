@@ -1,6 +1,7 @@
 """Quadratic ISS certificates for the closed loop x+ = Ax + Bv + omega.
 
-A certificate is (P, phi, psi) with P positive definite and
+A certificate is (P, phi, psi), holding a read-only copy of P, with P
+positive definite and
 
     [[A'PA + (phi-1)P,  A'P],
      [PA,               P - psi*I]]  negative definite,
@@ -30,6 +31,7 @@ import numpy as np
 from scipy.linalg import solve_discrete_lyapunov
 
 from .control import ClosedLoopRecord
+from .dataio import _frozen
 from .errors import DataError, DivergenceError, InfeasibleError, NumericalError
 
 __all__ = [
@@ -70,7 +72,7 @@ class IssCertificate:
     radius: float = field(init=False)
 
     def __post_init__(self):
-        P = np.asarray(self.P, dtype=float)
+        P = _frozen(self.P, "IssCertificate.P")
         if P.ndim != 2 or P.shape[0] != P.shape[1]:
             raise DataError(f"P must be square, got shape {P.shape}")
         if np.max(np.abs(P - P.T)) > SYMMETRY_TOL:
@@ -80,7 +82,7 @@ class IssCertificate:
             raise DataError(f"phi must lie in (0, 1], got {self.phi}")
         if not (self.psi > 0):
             raise DataError(f"psi must be positive, got {self.psi}")
-        if not (np.isfinite(self.epsilon) and self.epsilon >= 0):
+        if not (0 <= self.epsilon < np.inf):
             raise DataError(f"epsilon must be finite and non-negative, got {self.epsilon}")
         object.__setattr__(self, "radius", self.psi * self.epsilon**2 / self.phi)
 
@@ -187,11 +189,9 @@ def solve_certificate(A: np.ndarray, epsilon: float) -> IssCertificate:
     at psi*(1 + PSI_MARGIN) and is confirmed by eigendecomposition, with the
     margin doubling while roundoff keeps the block on the failing side.
     """
-    A = np.asarray(A, dtype=float)
+    A = _frozen(A, "A")
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DataError(f"A must be square, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
-        raise DataError("A contains non-finite entries")
     if not (np.isfinite(epsilon) and epsilon >= 0):
         raise DataError(f"epsilon must be finite and non-negative, got {epsilon}")
     n = A.shape[0]

@@ -38,6 +38,7 @@ rather than h's.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import asdict, dataclass, field, replace
 from typing import ClassVar
@@ -75,8 +76,8 @@ class TrainConfig:
     The rest are class constants, readable as `config.lambda0`. LM damping
     starts at lambda0 and moves by lambda_up after a rejected step and by
     lambda_down after an accepted one; a run stops once max |gradient| <
-    grad_tol, or once ten accepted steps lowered the loss by less than
-    loss_tol relative.
+    grad_tol, once ten accepted steps lowered the loss by less than
+    loss_tol relative, or once lambda passes lambda_max (steps below roundoff).
     """
 
     gamma: float = 1.0
@@ -91,6 +92,7 @@ class TrainConfig:
     lambda_down: ClassVar[float] = 0.1
     grad_tol: ClassVar[float] = 1e-10
     loss_tol: ClassVar[float] = 1e-10
+    lambda_max: ClassVar[float] = 1 / np.finfo(float).eps
     # Multipliers on the freshly drawn input layer. Output weights start at
     # zero, so these cost nothing at iteration 0, but they set the basis the
     # optimizer gets to combine: wider input weights and, above all, nonzero
@@ -100,7 +102,15 @@ class TrainConfig:
     hidden_bias_scale: ClassVar[float] = 3.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.gamma) and self.gamma >= 0):
+        if isinstance(self.gamma, bool) or not isinstance(self.gamma, numbers.Real):
+            raise DataError(f"gamma must be a real number, got {self.gamma!r}")
+        object.__setattr__(self, "gamma", float(self.gamma))   # the report echoes plain numbers
+        for key in ["max_iters", "n_h", "n_g", "seed"] + ["horizon"] * (self.horizon is not None):
+            val = getattr(self, key)
+            if isinstance(val, bool) or not isinstance(val, (int, np.integer)):
+                raise DataError(f"{key} must be an integer, got {val!r}")
+            object.__setattr__(self, key, int(val))
+        if not (0 <= self.gamma < np.inf):
             raise DataError(f"gamma must be finite and non-negative, got {self.gamma}")
         if self.max_iters < 1:
             raise DataError(f"max_iters must be >= 1, got {self.max_iters}")
@@ -666,6 +676,9 @@ def _train(family: type, ds: Dataset, n: int, config: TrainConfig):
             if old - losses[-1] < config.loss_tol * max(old, 1e-300):
                 stop_reason = "loss_tol"
                 break
+        if lam > config.lambda_max:
+            stop_reason = "lambda_max"
+            break
     final = records[-1]
     return model, TrainReport(
         family=_family(model),

@@ -221,6 +221,24 @@ def test_identify_inputs_past_the_bound_exit_3(tmp_path, capsys, family):
     assert not (tmp_path / "m.model.json").exists()
 
 
+def test_identify_stops_at_lambda_max_with_a_strict_json_report(tmp_path, capsys,
+                                                                tanh_record):
+    # lambda used to overflow to inf: a leaked RuntimeWarning (an error in
+    # this suite) and Infinity, which is not JSON, in the report
+    data = tmp_path / "r.csv"
+    save_csv(tanh_record, data)
+    assert main(["identify", "al-ssnn", "--data", str(data), "--order", "2", "--nh", "1",
+                 "--ng", "1", "--gamma", "0.1", "--iters", "400", "--seed", "3",
+                 "--train-frac", "1", "-o", str(tmp_path / "m")]) == 0
+    assert "stop=lambda_max" in capsys.readouterr().out
+
+    def refuse(name):
+        raise AssertionError(f"{name} in the report")
+    text = (tmp_path / "m.report.json").read_text(encoding="utf-8")
+    report = json.loads(text, parse_constant=refuse)["report"]
+    assert report["stop_reason"] == "lambda_max" and report["n_iterations"] < 400
+
+
 @pytest.mark.parametrize("argv", [
     ["identify", "al-ssnn", "--order", "2", "--seed", "-1"],
     ["identify", "gr-ssnn", "--order", "2", "--seed", "-3"],
@@ -576,6 +594,20 @@ def certify_zero_net_model(tmp_path, a):
                      y=rng.normal(size=(30, 1)) * 0.01), tmp_path / "d.csv")
     return main(["certify", "--model", str(mpath), "--data", str(tmp_path / "d.csv"),
                  "-o", str(tmp_path / "c")])
+
+
+@pytest.mark.parametrize("command", ["evaluate", "closedloop"])
+def test_a_diverging_free_run_names_its_record(tmp_path, capsys, command):
+    # x+ = 1.5 x + u leaves the bound within 200 steps; in closedloop the
+    # free run is estimate_epsilon's, after the closed loop has run
+    mpath, data = zero_net_model(tmp_path, 1.5), tmp_path / "r.csv"
+    save_csv(Dataset(u=np.random.default_rng(0).normal(size=(200, 1)),
+                     y=np.zeros((200, 1))), data)
+    k = simulate(load_model(mpath), load_csv(data).u).diverged_at
+    assert k is not None
+    assert main([command, "--model", str(mpath), "--data", str(data),
+                 "-o", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == f"error: the free run on {data} diverged at step {k}\n"
 
 
 def test_certify_unstable_model_exit_3(tmp_path, capsys):

@@ -280,8 +280,9 @@ def test_rmse_manual_oracle():
 
 def test_rmse_divergence_raises():
     lin = LinearSS(A=np.array([[2.0]]), B=np.array([[1.0]]), C=np.array([[1.0]]))
-    ds = Dataset(u=np.ones((300, 1)), y=np.zeros((300, 1)))
-    with pytest.raises(DivergenceError):
+    ds = Dataset(u=np.ones((300, 1)), y=np.zeros((300, 1)), name="r.csv")
+    k = simulate(lin, ds.u).diverged_at
+    with pytest.raises(DivergenceError, match=rf"^the free run on r\.csv diverged at step {k}$"):
         rmse(lin, ds)
 
 
@@ -322,9 +323,22 @@ def test_rmse_split_continuation_differs_from_restart():
 
 def test_rmse_split_divergence_raises():
     lin = LinearSS(A=np.array([[2.0]]), B=np.array([[1.0]]), C=np.array([[1.0]]))
-    ds = Dataset(u=np.ones((300, 1)), y=np.zeros((300, 1)))
-    with pytest.raises(DivergenceError):
+    ds = Dataset(u=np.ones((300, 1)), y=np.zeros((300, 1)), name="r.csv")
+    k = simulate(lin, ds.u).diverged_at
+    with pytest.raises(DivergenceError, match=rf"^the free run on r\.csv diverged at step {k}$"):
         rmse_split(lin, ds, 0.5)
+
+
+@pytest.mark.parametrize("score", [ratio_stats, lambda model, ds: estimate_epsilon(model, [ds])],
+                         ids=["ratio_stats", "estimate_epsilon"])
+def test_a_diverging_free_run_names_its_record(score):
+    model = AlSsnnModel(lin=LinearSS(A=[[2.0]], B=[[1.0]], C=[[1.0]]),
+                        h_net=rand_net(1, 1, 1, seed=0), g_net=rand_net(2, 1, 1, seed=1),
+                        eq=Equilibrium(x_e=[0.0], u_e=[0.0]))
+    ds = Dataset(u=np.ones((300, 1)), y=np.zeros((300, 1)), name="r.csv")
+    k = simulate(model, ds.u).diverged_at
+    with pytest.raises(DivergenceError, match=rf"^the free run on r\.csv diverged at step {k}$"):
+        score(model, ds)
 
 
 # --- step engine: block-wise divergence checks and wide nets -------------------

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 from dataclasses import asdict, replace
 
@@ -123,6 +124,17 @@ def test_residuals_dim_mismatch():
 
 
 # --- parameter packing -------------------------------------------------------
+
+def test_unpack_params_owns_its_arrays():
+    # a later write to theta cannot change the model built from it
+    model = rand_al(seed=5)
+    theta = pack_params(model) + 0.25
+    built = unpack_params(model, theta)
+    before = pack_params(built)
+    theta[:] = 99.0
+    assert np.array_equal(pack_params(built), before)
+    assert built.lin.A[0, 0] != 99.0
+
 
 def test_pack_unpack_round_trip():
     # pinned AL, and GR with its f net's output bias free
@@ -829,6 +841,21 @@ def test_lm_step_reject_reasons():
     assert ws.last_step_norm == 0.0 and ws.free_runs == 1
 
 
+def test_lm_step_rejects_a_failed_cholesky_as_solve_failed(monkeypatch):
+    # dposv reports info != 0 on a system that is not numerically positive
+    # definite: the step is rejected, the model returned as it is and lambda
+    # raised by lambda_up
+    model, ds, config = rand_al(seed=24), rand_ds(N=20, seed=24), TrainConfig(gamma=0.5)
+    dposv = training.dposv
+    monkeypatch.setattr(training, "dposv", lambda *a, **kw: (*dposv(*a, **kw)[:2], 2))
+    ws = LmWorkspace()
+    out, lam, accepted = lm_step(model, ds, config, 1e-2, workspace=ws)
+    assert out is model and not accepted and lam == 1e-2 * TrainConfig.lambda_up
+    assert ws.last_reject_reason == "solve_failed"
+    assert ws.last_step_norm is None and ws.last_candidate_loss is None
+    assert (ws.free_runs, ws.jacobians, ws.solves) == (1, 1, 1)
+
+
 def test_lm_step_solve_is_accurate_on_badly_scaled_normal_equations(monkeypatch):
     # J'J = S B S with column scales S spanning 1e-16..1e3 and near-dependent
     # columns in B. LU with partial pivoting loses digits to the scaling
@@ -915,6 +942,31 @@ def test_train_equilibrium_pinned_after_training():
     assert np.max(np.abs(mlp_forward(model.g_net, model.eq.stacked()))) < 1e-14
 
 
+def test_train_stops_on_loss_tol(tanh_record):
+    # ten accepted steps that lower the loss by less than loss_tol relative
+    config = TrainConfig(gamma=0.1, max_iters=400, n_h=2, n_g=2, seed=3)
+    _, rep = train(tanh_record, 2, config)
+    assert rep.stop_reason == "loss_tol" and rep.n_iterations < config.max_iters
+    losses = [rec["loss"] for rec in rep.iterations if rec["accepted"]]
+    assert rep.iterations[-1]["accepted"] and len(losses) == rep.n_accepted >= 10
+    old = losses[-11] if len(losses) > 10 else rep.init_loss
+    assert old - losses[-1] < TrainConfig.loss_tol * old
+
+
+def test_train_stops_once_lambda_passes_lambda_max(tanh_record):
+    # with one-unit nets every step is rejected from some point on; lambda
+    # grows tenfold per step and used to overflow to inf, with a leaked
+    # RuntimeWarning and Infinity in the report
+    assert TrainConfig.lambda_max == 1 / np.finfo(float).eps
+    config = TrainConfig(gamma=0.1, max_iters=400, n_h=1, n_g=1, seed=3)
+    _, rep = train(tanh_record, 2, config)
+    assert rep.stop_reason == "lambda_max" and rep.n_iterations < config.max_iters
+    lams = [rec["lambda"] for rec in rep.iterations]
+    assert lams[-1] > TrainConfig.lambda_max >= max(lams[:-1])
+    assert not rep.iterations[-1]["accepted"]
+    json.loads(json.dumps(asdict(rep), allow_nan=False))
+
+
 def test_train_gr_baseline():
     ds = linear_ds(N=120, seed=21)
     model, report = train_gr(ds, 2, 3, TrainConfig(max_iters=8))
@@ -960,6 +1012,20 @@ def test_train_config_validation():
         TrainConfig(horizon=0)
     with pytest.raises(DataError, match=r"^seed must be >= 0, got -1$"):
         TrainConfig(seed=-1)   # the nets' generator would refuse it after the linear fit
+    # counts are Python or numpy integers, never bools; gamma is a real number
+    for key in ("max_iters", "n_h", "n_g", "seed", "horizon"):
+        for bad in (2.5, 2.0, True, "3", None if key != "horizon" else [2]):
+            with pytest.raises(DataError, match=rf"^{key} must be an integer, got "):
+                TrainConfig(**{key: bad})
+    for bad in ("1", True, None, 1j):
+        with pytest.raises(DataError, match=r"^gamma must be a real number, got "):
+            TrainConfig(gamma=bad)
+    # numpy numbers are taken as the plain numbers the report echoes
+    config = TrainConfig(gamma=np.float32(0.5), max_iters=np.int64(3), n_h=np.int32(2),
+                         n_g=np.uint8(1), seed=np.int64(4), horizon=np.int16(5))
+    assert asdict(config) == {"gamma": 0.5, "max_iters": 3, "n_h": 2, "n_g": 1, "seed": 4,
+                              "horizon": 5}
+    assert json.dumps(asdict(config)) and type(config.gamma) is float
 
 
 def test_basis_enrichment_multiplies_input_layer():

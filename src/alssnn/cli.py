@@ -14,6 +14,7 @@ import dataclasses
 import json
 import reprlib
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,7 @@ from .control import (
 from .dataio import SplitSpec, load_csv, load_json, normalize, save_csv, split
 from .errors import DataError, DivergenceError, NumericalError
 from .linear_id import default_horizon, linear_init
-from .models import AlSsnnModel, _family, _lin_of, _run_states, load_model, save_model, simulate
+from .models import AlSsnnModel, _check_record, _family, _run_states, load_model, save_model, simulate
 from .stability import check_convergence, solve_certificate, verify
 from .training import TrainConfig, train, train_gr
 
@@ -84,24 +85,6 @@ def _refuse_overwrite(inputs, outputs) -> None:
     for out in outputs:
         if Path(out).resolve() in read:
             raise DataError(f"output {out} would overwrite an input of this command")
-
-
-def _require_al(model, what: str) -> AlSsnnModel:
-    if _family(model) != "al-ssnn":
-        raise DataError(f"{what} requires an al-ssnn model (output-feedback form); "
-                        f"got family '{_family(model)}'")
-    return model
-
-
-def _require_channels(model, ds, path: str) -> None:
-    """DataError unless the record at `path` has the model's input and
-    output counts."""
-    lin = _lin_of(model)
-    for what, have, want in (("input", ds.n_inputs, lin.n_inputs),
-                             ("output", ds.n_outputs, lin.n_outputs)):
-        if have != want:
-            raise DataError(f"record {path} has {have} {what} channels, "
-                            f"model expects {want}")
 
 
 def _train_part(ds, train_frac: float):
@@ -201,10 +184,12 @@ def cmd_identify(args) -> int:
                for gamma in gammas]   # all checked up front
     sweep_rows = []
     for gamma, config, suffix in zip(gammas, configs, suffixes):
+        t0 = time.perf_counter()
         if gr:
             model, rep = train_gr(ds_train, args.order, args.nf, config)
         else:
             model, rep = train(ds_train, args.order, config)
+        wall_time_s = time.perf_counter() - t0
         stats = ratio_stats(model, ds_train)
         _write_json(str(args.out) + suffix + ".report.json", {   # creates the directory
             "command": "identify",
@@ -212,7 +197,7 @@ def cmd_identify(args) -> int:
             "data": args.data,
             "train_fraction": args.train_frac,
             # wall time is opt-in so identical runs write identical reports
-            "report": rep if args.record_timing else dataclasses.replace(rep, wall_time_s=None),
+            "report": {**_plain(rep), "wall_time_s": wall_time_s} if args.record_timing else rep,
             "train_ratios": stats,
         })
         save_model(model, str(args.out) + suffix + ".model.json")
@@ -257,7 +242,7 @@ def cmd_evaluate(args) -> int:
     _refuse_overwrite([args.model, args.data], [str(args.out) + ".json", str(args.out) + ".csv"])
     model = load_model(args.model)
     ds = load_csv(args.data)
-    _require_channels(model, ds, args.data)
+    _check_record(model, ds)
     result = {
         "command": "evaluate",
         "model": args.model,
@@ -292,9 +277,9 @@ def cmd_evaluate(args) -> int:
 
 def cmd_closedloop(args) -> int:
     _refuse_overwrite([args.model, args.data], [str(args.out) + ".json", str(args.out) + ".csv"])
-    model = _require_al(load_model(args.model), "closed-loop analysis")
+    model = load_model(args.model)
     ds = load_csv(args.data)
-    _require_channels(model, ds, args.data)
+    _check_record(model, ds)
     record = simulate_closed_loop(model, ds.u)
     epsilon = estimate_epsilon(model, [ds], records=[record])
     summary = {
@@ -334,10 +319,10 @@ def cmd_closedloop(args) -> int:
 def cmd_certify(args) -> int:
     _refuse_overwrite([args.model, *args.data], [str(args.out) + ".certificate.json",
                                                  str(args.out) + ".check.json"])
-    model = _require_al(load_model(args.model), "certification")
+    model = load_model(args.model)
     datasets = [load_csv(p) for p in args.data]
-    for path, ds in zip(args.data, datasets):
-        _require_channels(model, ds, path)
+    for ds in datasets:
+        _check_record(model, ds)
     driven = simulate_closed_loop(model, datasets[0].u)
     if driven.diverged:
         raise DivergenceError(driven.diverged_at, f"the driven closed loop on {args.data[0]} "

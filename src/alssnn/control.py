@@ -7,7 +7,8 @@ disturbance. The statistics here quantify how small that disturbance is
 relative to the linear part, both open loop (g, h, f against Ax + Bu) and
 closed loop (omega against Ax + Bv). The closed loop runs on the step engine
 of `models` with two layers, h and then g; the engine checks v and x0 and
-truncates the loop as it does a free run.
+truncates the loop as it does a free run. Its record is a `Trajectory`, and
+every entry refuses a record that does not fit the model (`_check_record`).
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ import numpy as np
 
 from .dataio import Dataset, SplitSpec
 from .errors import DataError
-from .models import AlSsnnModel, _family, _lin_of, _run_states, _step_engine, simulate
+from .models import (AlSsnnModel, Trajectory, _check_record, _family, _lin_of, _run_states,
+                     _step_engine, simulate)
 from .nets import mlp_forward, mlp_forward_batch
 
 __all__ = [
@@ -55,25 +57,21 @@ class RatioStats:
     f_max: float | None = None
 
 
-@dataclass(frozen=True)
-class ClosedLoopRecord:
+@dataclass(frozen=True, kw_only=True)
+class ClosedLoopRecord(Trajectory):
     """Closed-loop run x+ = Ax + Bv + omega under the linearizing law.
 
-    x has one more row than v/y/omega; omega(k) = g(x(k), v(k) - h(y(k))) is
-    recomputable from the stored states, which tests rely on. The omega
-    ratios are None when the guard excludes every step, as in an empty loop.
+    A Trajectory with v and omega row for row with y; omega(k) = g(x(k),
+    v(k) - h(y(k))) is recomputable from the stored states, which tests rely
+    on. The omega ratios are None when the guard excludes every step.
     """
 
-    x: np.ndarray
-    y: np.ndarray
     v: np.ndarray
     omega: np.ndarray
     lin_norm: np.ndarray
     omega_ratio_mean: float | None
     omega_ratio_max: float | None
     n_excluded: int
-    diverged: bool = False
-    diverged_at: int | None = None
 
     @property
     def n_steps(self) -> int:
@@ -119,7 +117,8 @@ def simulate_closed_loop(model: AlSsnnModel, v_seq: np.ndarray,
     and the k steps before it, as `simulate` does.
     """
     if _family(model) != "al-ssnn":
-        raise DataError("closed-loop simulation requires the h/g-split model family")
+        raise DataError("closed-loop analysis requires an al-ssnn model (output-feedback "
+                        f"form); got family '{_family(model)}'")
     lin = model.lin
     A, B, C = lin.A, lin.B, lin.C
     n, m = lin.n_states, lin.n_inputs
@@ -161,6 +160,7 @@ def ratio_stats(model, ds: Dataset) -> RatioStats:
         raise DataError(
             f"ratio statistics need a model with networks, got {type(model).__name__}"
         )
+    _check_record(model, ds)
     return _ratio_stats(model, _run_states(simulate(model, ds.u), ds.name), ds.u)
 
 
@@ -191,6 +191,7 @@ def estimate_epsilon(model: AlSsnnModel, datasets, records=()) -> float:
         raise DataError("epsilon estimation needs at least one dataset or record")
     eps = 0.0
     for ds in datasets:
+        _check_record(model, ds)
         Z = np.hstack([_run_states(simulate(model, ds.u), ds.name), ds.u])
         g_norms = np.linalg.norm(mlp_forward_batch(model.g_net, Z), axis=1)
         if g_norms.size:
@@ -202,15 +203,14 @@ def estimate_epsilon(model: AlSsnnModel, datasets, records=()) -> float:
 
 def rmse(model, ds: Dataset) -> float:
     """Free-run output error sqrt((1/N) sum ||y(k) - y_model(k)||^2), x(0) = 0."""
+    _check_record(model, ds)
     return _rmse(model, ds, _run_states(simulate(model, ds.u), ds.name))
 
 
 def _rmse(model, ds: Dataset, X: np.ndarray, rows: slice = slice(None)) -> float:
-    """rmse at the free-run states X on ds.u, over the samples `rows`."""
-    lin = _lin_of(model)
-    if ds.n_outputs != lin.n_outputs:
-        raise DataError(f"record has {ds.n_outputs} output(s), model has {lin.n_outputs}")
-    se = np.sum((ds.y - X @ lin.C.T) ** 2, axis=1)
+    """rmse at the free-run states X on ds.u, over the samples `rows`, of a
+    record that fits the model."""
+    se = np.sum((ds.y - X @ _lin_of(model).C.T) ** 2, axis=1)
     return float(np.sqrt(np.mean(se[rows])))
 
 
@@ -224,6 +224,7 @@ def rmse_split(model, ds: Dataset, train_fraction: float) -> tuple[float, float]
     transient the data does not contain (the plant's state carries over at
     the split point).
     """
+    _check_record(model, ds)
     k = SplitSpec(train_fraction).index(ds.n_samples)
     X = _run_states(simulate(model, ds.u), ds.name)
     return _rmse(model, ds, X, slice(k)), _rmse(model, ds, X, slice(k, None))

@@ -18,7 +18,8 @@ equilibrium pin or penalty, and in being refused by the closed loop.
 folds each family into `_step_engine` (one tanh layer for AL and GR, none for
 LTI), the one checked entry to every free run and closed loop, which
 truncates a run where its state leaves `DIVERGENCE_BOUND`. A model cannot
-change after it is built: LinearSS and the nets own their arrays.
+change after it is built: LinearSS and the nets own their arrays. A record
+meets a model in `_check_record`, which compares their channel counts.
 """
 
 from __future__ import annotations
@@ -212,6 +213,15 @@ def _family(model: AnyModel) -> str:
 
 def _lin_of(model: AnyModel) -> LinearSS:
     return model if isinstance(model, LinearSS) else model.lin
+
+
+def _check_record(model: AnyModel, ds) -> None:
+    """DataError unless the record ds has the model's input and output counts."""
+    lin = _lin_of(model)
+    for what, have, want in (("input", ds.n_inputs, lin.n_inputs),
+                             ("output", ds.n_outputs, lin.n_outputs)):
+        if have != want:
+            raise DataError(f"record {ds.name} has {have} {what} channels, model expects {want}")
 
 
 def al_step(model: AlSsnnModel, x: np.ndarray, u: np.ndarray) -> np.ndarray:

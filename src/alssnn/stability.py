@@ -25,10 +25,11 @@ nothing is reported that verify() does not independently confirm.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_discrete_lyapunov
+from scipy.linalg import LinAlgWarning, solve_discrete_lyapunov
 
 from .control import ClosedLoopRecord
 from .dataio import _frozen
@@ -203,12 +204,17 @@ def solve_certificate(A: np.ndarray, epsilon: float) -> IssCertificate:
         )
 
     Ps = []
-    for Q in _q_family(n):
-        try:
-            P = solve_discrete_lyapunov(A.T, Q)
-        except (np.linalg.LinAlgError, ValueError) as exc:
-            raise NumericalError(f"discrete Lyapunov solve failed: {exc}") from exc
-        Ps.append(0.5 * (P + P.T))
+    # A far from normal A can make a solve ill-conditioned or overflow. Every
+    # P is still checked for positive definiteness below, and the certificate
+    # by verify(), so the warnings would add nothing.
+    with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+        warnings.simplefilter("ignore", LinAlgWarning)
+        for Q in _q_family(n):
+            try:
+                P = solve_discrete_lyapunov(A.T, Q)
+            except (np.linalg.LinAlgError, ValueError) as exc:
+                raise NumericalError(f"discrete Lyapunov solve failed: {exc}") from exc
+            Ps.append(0.5 * (P + P.T))
     p_mins = np.linalg.eigvalsh(np.stack(Ps))[:, 0]
     blocks = np.stack([_phi_blocks(A, P, PHI_GRID, 0.0) for P in Ps])
     thresholds = _psi_thresholds(blocks)

@@ -38,8 +38,8 @@ rather than h's.
 
 from __future__ import annotations
 
+import math
 import numbers
-import time
 from dataclasses import asdict, dataclass, field, replace
 from typing import ClassVar
 
@@ -51,7 +51,8 @@ from scipy.linalg.lapack import dposv
 from .dataio import Dataset
 from .errors import DataError, DivergenceError
 from .linear_id import linear_init
-from .models import AlSsnnModel, GrSsnnModel, LinearSS, _family, _run_states, simulate
+from .models import (AlSsnnModel, GrSsnnModel, LinearSS, _check_record, _family, _run_states,
+                     simulate)
 from .nets import Equilibrium, Mlp, enforce_equilibrium_zero, init_small, mlp_forward_batch
 
 __all__ = [
@@ -66,6 +67,21 @@ __all__ = [
     "train",
     "train_gr",
 ]
+
+
+def _gamma(gamma) -> float:
+    """The penalty weight as a float: a real number other than a bool,
+    finite and >= 0 once converted; anything else is a DataError naming gamma."""
+    if isinstance(gamma, bool) or not isinstance(gamma, numbers.Real):
+        raise DataError(f"gamma must be a real number, got {gamma!r}")
+    try:
+        value = float(gamma)
+    except OverflowError:   # an int past the float range, whose repr may not even form
+        value = math.inf if gamma > 0 else -math.inf
+    if not (0 <= value < math.inf):
+        raise DataError(f"gamma must be finite and non-negative, got {value}")
+    return value
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -102,16 +118,12 @@ class TrainConfig:
     hidden_bias_scale: ClassVar[float] = 3.0
 
     def __post_init__(self):
-        if isinstance(self.gamma, bool) or not isinstance(self.gamma, numbers.Real):
-            raise DataError(f"gamma must be a real number, got {self.gamma!r}")
-        object.__setattr__(self, "gamma", float(self.gamma))   # the report echoes plain numbers
+        object.__setattr__(self, "gamma", _gamma(self.gamma))   # the report echoes plain numbers
         for key in ["max_iters", "n_h", "n_g", "seed"] + ["horizon"] * (self.horizon is not None):
             val = getattr(self, key)
             if isinstance(val, bool) or not isinstance(val, (int, np.integer)):
                 raise DataError(f"{key} must be an integer, got {val!r}")
             object.__setattr__(self, key, int(val))
-        if not (0 <= self.gamma < np.inf):
-            raise DataError(f"gamma must be finite and non-negative, got {self.gamma}")
         if self.max_iters < 1:
             raise DataError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.n_h < 0 or self.n_g < 0:
@@ -190,11 +202,8 @@ def unpack_params(model: AlSsnnModel, theta: np.ndarray) -> AlSsnnModel:
 
 def _penalty_weight(model: AlSsnnModel, gamma: float) -> float | None:
     """sqrt(gamma), the weight of the penalty rows; None for GR, which has none."""
-    if not _pinned(model):
-        return None
-    if not (np.isfinite(gamma) and gamma >= 0):
-        raise DataError(f"gamma must be finite and non-negative, got {gamma}")
-    return np.sqrt(gamma)
+    gamma = _gamma(gamma)
+    return np.sqrt(gamma) if _pinned(model) else None
 
 
 def residuals(model: AlSsnnModel, ds: Dataset,
@@ -202,11 +211,7 @@ def residuals(model: AlSsnnModel, ds: Dataset,
     """(r, X): the stacked residual vector of the free run from x(0) = 0, and
     its states x(0..N-1), which the sensitivity pass at this model reuses."""
     lin = model.lin
-    if ds.n_inputs != lin.n_inputs or ds.n_outputs != lin.n_outputs:
-        raise DataError(
-            f"dataset dims (m={ds.n_inputs}, p={ds.n_outputs}) do not match model "
-            f"(m={lin.n_inputs}, p={lin.n_outputs})"
-        )
+    _check_record(model, ds)
     sqrt_g = _penalty_weight(model, gamma)
     xs = _run_states(simulate(model, ds.u))
     r = (ds.y - xs @ lin.C.T).ravel()
@@ -240,6 +245,7 @@ def jacobian_bptt(model: AlSsnnModel, ds: Dataset, gamma: float = 0.0) -> np.nda
     streams J'J and J'r from, kept as the reference that finite differences
     check; training itself never builds this matrix.
     """
+    _check_record(model, ds)
     states = _run_states(simulate(model, ds.u))
     N, p = ds.n_samples, model.lin.n_outputs
     q = 0 if _penalty_weight(model, gamma) is None else model.lin.n_states
@@ -576,7 +582,8 @@ def lm_step(model: AlSsnnModel, ds: Dataset, config: TrainConfig, lam: float,
 class TrainReport:
     """What a training run did. `free_runs`, `jacobians` and `solves` count
     the LM loop's work, the initial model's evaluation included; iteration
-    records carry the step norm and, for a rejected step, the reason."""
+    records carry the step norm and, for a rejected step, the reason. It
+    holds no timing, so identical runs return equal reports."""
 
     family: str
     dims: dict
@@ -594,7 +601,6 @@ class TrainReport:
     free_runs: int = 0
     jacobians: int = 0
     solves: int = 0
-    wall_time_s: float = 0.0
 
 
 def _hidden_input_scales(lin0: LinearSS, ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
@@ -630,7 +636,6 @@ def _input_layer(net: Mlp, scale: np.ndarray) -> Mlp:
 def _train(family: type, ds: Dataset, n: int, config: TrainConfig):
     """Linear init, zero-function nets and LM, for AL (family AlSsnnModel)
     and GR (GrSsnnModel, n_h = 0, its f net as the g net)."""
-    t0 = time.perf_counter()
     lin0 = linear_init(ds, n, config.horizon)
     m, p = ds.n_inputs, ds.n_outputs
     y_scale, z_scale = _hidden_input_scales(lin0, ds)
@@ -697,7 +702,6 @@ def _train(family: type, ds: Dataset, n: int, config: TrainConfig):
         free_runs=ws.free_runs,
         jacobians=ws.jacobians,
         solves=ws.solves,
-        wall_time_s=time.perf_counter() - t0,
     )
 
 

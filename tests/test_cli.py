@@ -5,8 +5,9 @@ import pytest
 
 from alssnn import models, training
 from alssnn.cli import main
-from alssnn.control import ratio_stats, rmse, rmse_split
+from alssnn.control import estimate_epsilon, ratio_stats, rmse, rmse_split
 from alssnn.dataio import Dataset, SplitSpec, load_csv, save_csv, split
+from alssnn.errors import DataError
 from alssnn.linear_id import LinearSS
 from alssnn.models import AlSsnnModel, GrSsnnModel, load_model, save_model, simulate
 from alssnn.nets import Equilibrium, Mlp, mlp_forward_batch
@@ -196,6 +197,31 @@ def test_identify_non_finite_gamma_exit_2(ws, tmp_path, capsys, gamma):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--train-frac", "0", "train fraction must lie in (0, 1], got 0.0"),
+    ("--gamma", ",", "--gamma expects at least one value, got ','"),
+])
+def test_identify_bad_option_values_exit_2(ws, tmp_path, capsys, flag, value, message):
+    rc = main(["identify", "al-ssnn", "--data", str(ws["wh"]), "--order", "2",
+               flag, value, "-o", str(tmp_path / "x")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("family", ["lti", "al-ssnn"])
+def test_identify_all_zero_inputs_exit_3(tmp_path, capsys, family):
+    # no input moves, so the linear initializer's FIR fit has nothing to regress on
+    data = tmp_path / "zero.csv"
+    save_csv(Dataset(u=np.zeros((200, 1)), y=np.random.default_rng(0).normal(size=(200, 1))),
+             data)
+    rc = main(["identify", family, "--data", str(data), "--order", "2", "--iters", "2",
+               "-o", str(tmp_path / "m")])
+    assert rc == 3
+    assert capsys.readouterr().err == "error: FIR regressor is identically zero\n"
+    assert not (tmp_path / "m.model.json").exists()
+
+
 def big_input_record(path):
     """A stable plant (spectral radius 0.87) driven by inputs of std 1e7,
     whose state leaves the divergence bound 1e8 at step 57."""
@@ -359,24 +385,40 @@ def _break_model(obj, breakage):
     if breakage == "flag_false":   # C is never a parameter: only true loads
         obj["c_frozen"] = False
         return "c_frozen"
+    if breakage in ("nan_entry", "entry_past_float_range"):   # JSON reads 1e400 as inf
+        obj["A"][0][0] = float("nan") if breakage == "nan_entry" else "1e400"
+        return "model file: field 'A' has non-finite entries"
     obj["dims"]["n_g"] += 1
     return "dims.n_g"
 
 
 @pytest.mark.parametrize("breakage", ["array_not_fitting_dims", "missing_dims_key",
                                       "activation_not_a_string", "flag_as_a_string",
-                                      "flag_false", "width_not_matching_dims"])
+                                      "flag_false", "width_not_matching_dims", "nan_entry",
+                                      "entry_past_float_range"])
 def test_evaluate_malformed_model_exit_2(ws, tmp_path, capsys, breakage):
     family = "lti" if breakage in ("array_not_fitting_dims", "missing_dims_key") else "al"
     obj = read_json(str(ws[family]) + ".model.json")
     field = _break_model(obj, breakage)
     bad = tmp_path / "bad.model.json"
-    bad.write_text(json.dumps(obj))
+    bad.write_text(json.dumps(obj).replace('"1e400"', "1e400"))
     rc = main(["evaluate", "--model", str(bad), "--data", str(ws["wh"]),
                "-o", str(tmp_path / "x")])
     assert rc == 2
     err = capsys.readouterr().err
     assert "error:" in err and field in err
+
+
+@pytest.mark.parametrize("content, message", [
+    ("", "empty file"), ("t,u1,y1\n0,1,2\n", "need at least 2 data rows, got 1")])
+def test_evaluate_record_without_two_rows_exit_2(ws, tmp_path, capsys, content, message):
+    short = tmp_path / "short.csv"
+    short.write_text(content)
+    rc = main(["evaluate", "--model", str(ws["al"]) + ".model.json",
+               "--data", str(short), "-o", str(tmp_path / "x")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {short}: {message}\n"
+    assert list(tmp_path.iterdir()) == [short]
 
 
 def test_evaluate_non_uniform_time_exit_2(ws, tmp_path, capsys):
@@ -473,15 +515,6 @@ def test_closedloop_rejects_non_al(ws, tmp_path, capsys):
     assert "requires an al-ssnn model" in capsys.readouterr().err
 
 
-def test_closedloop_channel_mismatch(ws, tmp_path, capsys):
-    pp = tmp_path / "pp.csv"
-    assert main(["gen-data", "prey-predator", "--n", "50", "-o", str(pp)]) == 0
-    rc = main(["closedloop", "--model", str(ws["al"]) + ".model.json",
-               "--data", str(pp), "-o", str(tmp_path / "x")])
-    assert rc == 2
-    assert "input channels" in capsys.readouterr().err
-
-
 def two_output_record(tmp_path):
     """A record with the AL model's one input and two outputs."""
     data = tmp_path / "two-out.csv"
@@ -490,14 +523,39 @@ def two_output_record(tmp_path):
     return data
 
 
-def test_closedloop_output_count_mismatch_exit_2(ws, tmp_path, capsys):
-    data = two_output_record(tmp_path)
-    rc = main(["closedloop", "--model", str(ws["al"]) + ".model.json",
-               "--data", str(data), "-o", str(tmp_path / "x")])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert f"record {data} has 2 output channels, model expects 1" in err
-    assert not (tmp_path / "x.json").exists()
+# ---------------------------------------------------------------- record fit
+
+# The library entries that take a model and a record, each called on a record
+RECORD_ENTRIES = {
+    "residuals": lambda model, ds: training.residuals(model, ds, 1.0),
+    "jacobian_bptt": lambda model, ds: training.jacobian_bptt(model, ds, 1.0),
+    "rmse": rmse,
+    "rmse_split": lambda model, ds: rmse_split(model, ds, 0.5),
+    "ratio_stats": ratio_stats,
+    "estimate_epsilon": lambda model, ds: estimate_epsilon(model, [ds]),
+}
+
+
+@pytest.mark.parametrize("extra", ["input", "output"])
+@pytest.mark.parametrize("entry", [*RECORD_ENTRIES, "evaluate", "closedloop", "certify"])
+def test_every_entry_refuses_a_record_that_does_not_fit(ws, tmp_path, capsys, entry, extra):
+    # a 20-sample record with one channel more than the model's one input
+    # and one output: every entry refuses it with the one message
+    data = tmp_path / f"two-{extra[:-3]}.csv"   # two-in.csv, two-out.csv
+    rng = np.random.default_rng(3)
+    save_csv(Dataset(u=rng.normal(size=(20, 1 + (extra == "input"))),
+                     y=rng.normal(size=(20, 1 + (extra == "output")))), data)
+    message = f"record {data} has 2 {extra} channels, model expects 1"
+    model = str(ws["al"]) + ".model.json"
+    if entry in RECORD_ENTRIES:
+        with pytest.raises(DataError) as exc:
+            RECORD_ENTRIES[entry](load_model(model), load_csv(data))
+        assert str(exc.value) == message
+    else:
+        assert main([entry, "--model", model, "--data", str(data),
+                     "-o", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == [data]
 
 
 # ---------------------------------------------------------------- certify
@@ -620,6 +678,24 @@ def test_certify_infeasible_model_exit_3(tmp_path, capsys):
     assert certify_zero_net_model(tmp_path, 0.999999) == 3
     err = capsys.readouterr().err
     assert "no (P, phi)" in err and "lmi_max_eig:" in err
+    assert not (tmp_path / "c.certificate.json").exists()
+
+
+def test_certify_overflowing_lyapunov_solve_exit_3_without_warnings(tmp_path, capsys):
+    # Schur stable, but A's 1e200 coupling overflows the solve's Kronecker
+    # product; the all-zero record keeps every run at x = 0
+    lin = LinearSS(A=np.array([[0.5, 1e200], [0.0, 0.5]]), B=np.array([[0.0], [1.0]]),
+                   C=np.array([[1.0, 0.0]]))
+    h = Mlp(W_in=np.ones((1, 1)), b_in=np.zeros(1), W_out=np.zeros((1, 1)), b_out=np.zeros(1))
+    g = Mlp(W_in=np.ones((1, 3)), b_in=np.zeros(1), W_out=np.zeros((2, 1)), b_out=np.zeros(2))
+    save_model(AlSsnnModel(lin=lin, h_net=h, g_net=g,
+                           eq=Equilibrium(x_e=np.zeros(2), u_e=np.zeros(1))),
+               tmp_path / "m.json")
+    save_csv(Dataset(u=np.zeros((200, 1)), y=np.zeros((200, 1))), tmp_path / "d.csv")
+    assert main(["certify", "--model", str(tmp_path / "m.json"),
+                 "--data", str(tmp_path / "d.csv"), "-o", str(tmp_path / "c")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: discrete Lyapunov solve failed: ") and "Warning" not in err
     assert not (tmp_path / "c.certificate.json").exists()
 
 

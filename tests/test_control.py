@@ -3,13 +3,13 @@ import warnings
 import numpy as np
 import pytest
 
-from alssnn.control import (DENOMINATOR_GUARD, _ratio_stats, estimate_epsilon,
+from alssnn.control import (DENOMINATOR_GUARD, ClosedLoopRecord, _ratio_stats, estimate_epsilon,
                             linearizing_input, ratio_stats, rmse, rmse_split,
                             simulate_closed_loop)
 from alssnn.dataio import Dataset
 from alssnn.errors import DataError, DivergenceError
 from alssnn.linear_id import LinearSS
-from alssnn.models import _FOLD_MAX, AlSsnnModel, al_step, gr_model, simulate
+from alssnn.models import _FOLD_MAX, AlSsnnModel, Trajectory, al_step, gr_model, simulate
 from alssnn.nets import Equilibrium, Mlp, mlp_forward
 
 
@@ -159,8 +159,19 @@ def test_closed_loop_non_finite_x0_diverges_at_zero(bad):
 
 def test_closed_loop_rejects_other_families():
     gr = gr_model(stable_lin(), rand_net(3, 2, 3, 0))
-    with pytest.raises(DataError, match="h/g-split"):
+    with pytest.raises(DataError, match=r"^closed-loop analysis requires an al-ssnn model "
+                       r"\(output-feedback form\); got family 'gr-ssnn'$"):
         simulate_closed_loop(gr, np.zeros((5, 1)))
+
+
+def test_closed_loop_record_is_a_checked_trajectory():
+    rec = simulate_closed_loop(al_model(seed=35), np.zeros((4, 1)))
+    assert isinstance(rec, Trajectory) and rec.x.shape == (5, 2) and rec.y.shape == (4, 1)
+    fields = dict(v=np.zeros((9, 1)), omega=np.zeros((9, 2)), lin_norm=np.ones(9),
+                  omega_ratio_mean=0.0, omega_ratio_max=0.0, n_excluded=0)
+    with pytest.raises(DataError, match=r"^state sequence length 5 does not match "
+                                        r"output length 9 \+ 1$"):
+        ClosedLoopRecord(x=np.zeros((5, 2)), y=np.zeros((9, 1)), **fields)
 
 
 def test_ratio_stats_al_manual():

@@ -32,6 +32,13 @@ def make_record(x, omega):
     )
 
 
+def test_non_normal_a_is_infeasible_without_warnings():
+    # Schur stable (rho = 0.5), but so far from normal that the Lyapunov
+    # solves are ill-conditioned; the suite turns any leaked warning into an error
+    with pytest.raises(InfeasibleError, match=r"^no \(P, phi\) in the search family"):
+        solve_certificate(np.array([[0.5, 1e4], [0.0, 0.5]]), 0.1)
+
+
 def test_lmi_block_formula_and_symmetry():
     A = stable_a(2, seed=1)
     P = np.array([[2.0, 0.3], [0.3, 1.5]])

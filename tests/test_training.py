@@ -119,7 +119,7 @@ def test_loss_components_sum():
 
 
 def test_residuals_dim_mismatch():
-    with pytest.raises(DataError, match="do not match"):
+    with pytest.raises(DataError, match=r"^record dataset has 2 input channels, model expects 1$"):
         residuals(rand_al(), rand_ds(m=2))
 
 
@@ -776,6 +776,13 @@ def test_report_counters_and_reasons_al_and_gr():
         assert rep.free_runs > 0 and rep.jacobians > 0 and rep.solves > 0
 
 
+def test_identical_train_calls_return_equal_reports():
+    # the report holds no timing, so it is a function of the record and config
+    ds = linear_ds(N=120, seed=23)
+    config = TrainConfig(gamma=0.5, max_iters=4, n_h=3, n_g=3)
+    assert train(ds, 2, config)[1] == train(ds, 2, config)[1]
+
+
 def test_train_evaluates_the_initial_model_in_its_first_lm_step(monkeypatch):
     # train hands lm_step an empty workspace: every residual evaluation
     # happens inside lm_step, and init_loss is the first step's loss of the
@@ -1001,10 +1008,11 @@ def test_train_gr_keeps_gr_names_and_the_callers_config():
 
 
 def test_train_config_validation():
-    for gamma in (-1.0, float("nan"), float("inf")):
-        with pytest.raises(DataError, match="gamma"):
+    # ints past the float range (10**5000 has no repr either) end as DataErrors too
+    for gamma in (-1.0, float("nan"), float("inf"), 10**400, -10**400, 10**5000):
+        with pytest.raises(DataError, match=r"^gamma must be finite and non-negative, got "):
             TrainConfig(gamma=gamma)
-        with pytest.raises(DataError, match="gamma"):
+        with pytest.raises(DataError, match=r"^gamma must be finite and non-negative, got "):
             residuals(rand_al(), rand_ds(), gamma)
     with pytest.raises(DataError, match="max_iters"):
         TrainConfig(max_iters=0)
@@ -1020,6 +1028,8 @@ def test_train_config_validation():
     for bad in ("1", True, None, 1j):
         with pytest.raises(DataError, match=r"^gamma must be a real number, got "):
             TrainConfig(gamma=bad)
+        with pytest.raises(DataError, match=r"^gamma must be a real number, got "):
+            residuals(rand_al(), rand_ds(), bad)
     # numpy numbers are taken as the plain numbers the report echoes
     config = TrainConfig(gamma=np.float32(0.5), max_iters=np.int64(3), n_h=np.int32(2),
                          n_g=np.uint8(1), seed=np.int64(4), horizon=np.int16(5))

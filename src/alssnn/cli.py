@@ -23,6 +23,7 @@ from . import __version__
 from .benchmarks import (PreyPredatorParams, SinusoidalForcing, WhInputSpec,
                          default_wh_params, generate_wh, simulate_prey_predator)
 from .control import (
+    _free_run,
     _ratio_stats,
     _rmse,
     estimate_epsilon,
@@ -33,7 +34,7 @@ from .control import (
 from .dataio import SplitSpec, load_csv, load_json, normalize, save_csv, split
 from .errors import DataError, DivergenceError, NumericalError
 from .linear_id import default_horizon, linear_init
-from .models import AlSsnnModel, _check_record, _family, _run_states, load_model, save_model, simulate
+from .models import AlSsnnModel, _check_record, _family, load_model, save_model
 from .stability import check_convergence, solve_certificate, verify
 from .training import TrainConfig, train, train_gr
 
@@ -147,7 +148,9 @@ def cmd_gen_data(args) -> int:
 
 def _lti_identify(args, ds_train) -> int:
     horizon = args.horizon if args.horizon is not None else default_horizon(args.order)
+    t0 = time.perf_counter()
     lin = linear_init(ds_train, args.order, horizon=horizon)
+    wall_time_s = time.perf_counter() - t0
     report = {
         "command": "identify",
         "family": "lti",
@@ -157,6 +160,7 @@ def _lti_identify(args, ds_train) -> int:
         "dims": {"n": lin.n_states, "m": lin.n_inputs, "p": lin.n_outputs},
         "rmse_train": rmse(lin, ds_train),
         "spectral_radius": lin.spectral_radius(),
+        **({"wall_time_s": wall_time_s} if args.record_timing else {}),
     }
     _write_json(str(args.out) + ".report.json", report)   # creates the directory
     save_model(lin, str(args.out) + ".model.json")
@@ -242,7 +246,7 @@ def cmd_evaluate(args) -> int:
     _refuse_overwrite([args.model, args.data], [str(args.out) + ".json", str(args.out) + ".csv"])
     model = load_model(args.model)
     ds = load_csv(args.data)
-    _check_record(model, ds)
+    X = _free_run(model, ds)   # the one free run every score reads
     result = {
         "command": "evaluate",
         "model": args.model,
@@ -250,7 +254,6 @@ def cmd_evaluate(args) -> int:
         "family": _family(model),
     }
     start = 0 if args.split is None else SplitSpec(args.split).index(ds.n_samples)
-    X = _run_states(simulate(model, ds.u), ds.name)   # the one free run every score reads
     if args.split is None:
         partition, result["rmse"] = "all", _rmse(model, ds, X)
     else:

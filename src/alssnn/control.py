@@ -156,20 +156,32 @@ def ratio_stats(model, ds: Dataset) -> RatioStats:
 
     GR's f net is its g net, so its f_* ratios are the g ratios of the same
     pass, under GR's names."""
+    _require_nets(model, "ratio statistics")
+    return _ratio_stats(model, _free_run(model, ds), ds.u)
+
+
+def _require_nets(model, what: str) -> None:
+    """DataError unless the model has networks, as AL and GR models do."""
     if not isinstance(model, AlSsnnModel):
-        raise DataError(
-            f"ratio statistics need a model with networks, got {type(model).__name__}"
-        )
+        raise DataError(f"{what} need a model with networks, got {type(model).__name__}")
+
+
+def _free_run(model, ds: Dataset) -> np.ndarray:
+    """States x(0..N-1) of the checked record's free run; a diverged one names it."""
     _check_record(model, ds)
-    return _ratio_stats(model, _run_states(simulate(model, ds.u), ds.name), ds.u)
+    return _run_states(simulate(model, ds.u), ds.name)
+
+
+def _g_norms(model: AlSsnnModel, X: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """||g(x(k), u(k))|| at the free-run states X, each row with that row of U."""
+    return np.linalg.norm(mlp_forward_batch(model.g_net, np.hstack([X, U])), axis=1)
 
 
 def _ratio_stats(model: AlSsnnModel, X: np.ndarray, U: np.ndarray) -> RatioStats:
     """The ratios at the free-run states X, each row driven by that row of U."""
     lin = model.lin
     dens = np.linalg.norm(X @ lin.A.T + U @ lin.B.T, axis=1)
-    g_norms = np.linalg.norm(mlp_forward_batch(model.g_net, np.hstack([X, U])), axis=1)
-    g_mean, g_max, n_excl = _ratio(g_norms, dens)
+    g_mean, g_max, n_excl = _ratio(_g_norms(model, X, U), dens)
     if _family(model) == "gr-ssnn":
         return RatioStats(n_steps=len(X), n_excluded=n_excl, f_mean=g_mean, f_max=g_max)
     h_norms = np.linalg.norm(mlp_forward_batch(model.h_net, X @ lin.C.T), axis=1)
@@ -185,26 +197,17 @@ def estimate_epsilon(model: AlSsnnModel, datasets, records=()) -> float:
     sequence `datasets` and, for any closed-loop records supplied, over
     their ||omega(k)|| as well.
     """
-    datasets = list(datasets)
-    records = list(records)
-    if not datasets and not records:
+    _require_nets(model, "epsilon estimates")
+    norms = [float(np.max(_g_norms(model, _free_run(model, ds), ds.u))) for ds in datasets]
+    norms += [rec.max_omega_norm for rec in records]
+    if not norms:
         raise DataError("epsilon estimation needs at least one dataset or record")
-    eps = 0.0
-    for ds in datasets:
-        _check_record(model, ds)
-        Z = np.hstack([_run_states(simulate(model, ds.u), ds.name), ds.u])
-        g_norms = np.linalg.norm(mlp_forward_batch(model.g_net, Z), axis=1)
-        if g_norms.size:
-            eps = max(eps, float(np.max(g_norms)))
-    for rec in records:
-        eps = max(eps, rec.max_omega_norm)
-    return eps
+    return max(norms)
 
 
 def rmse(model, ds: Dataset) -> float:
     """Free-run output error sqrt((1/N) sum ||y(k) - y_model(k)||^2), x(0) = 0."""
-    _check_record(model, ds)
-    return _rmse(model, ds, _run_states(simulate(model, ds.u), ds.name))
+    return _rmse(model, ds, _free_run(model, ds))
 
 
 def _rmse(model, ds: Dataset, X: np.ndarray, rows: slice = slice(None)) -> float:
@@ -224,7 +227,6 @@ def rmse_split(model, ds: Dataset, train_fraction: float) -> tuple[float, float]
     transient the data does not contain (the plant's state carries over at
     the split point).
     """
-    _check_record(model, ds)
+    X = _free_run(model, ds)
     k = SplitSpec(train_fraction).index(ds.n_samples)
-    X = _run_states(simulate(model, ds.u), ds.name)
     return _rmse(model, ds, X, slice(k)), _rmse(model, ds, X, slice(k, None))

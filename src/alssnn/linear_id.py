@@ -6,18 +6,20 @@ matrices by least squares, then realize (A, B, C) from the SVD of a block
 Hankel matrix. The realization is balanced, so raw matrices are only defined
 up to similarity; compare Markov parameters, never entries.
 
-The module only identifies. It free-runs models with `models.simulate`; the
-least-squares refit of B steps its unit-input runs, one n x (n*m) state
-block that is no model, on `models._step_engine` directly.
+The module only identifies. It scores a free run with `control.rmse`, where
+open-loop scores live, so a diverged run names its record ("the free run on
+<name> diverged at step k"); the refit of B steps its unit-input runs, an
+n x (n*m) state block that is no model, on `models._step_engine` directly.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .control import rmse
 from .dataio import Dataset
 from .errors import DataError, DivergenceError, NumericalError
-from .models import LinearSS, _run_states, _step_engine, simulate
+from .models import LinearSS, _step_engine
 
 __all__ = ["estimate_markov", "ho_kalman", "linear_init", "default_horizon"]
 
@@ -135,13 +137,9 @@ def ho_kalman(markov: list[np.ndarray], n: int) -> LinearSS:
 def _is_output_blind(lin: LinearSS, ds: Dataset) -> bool:
     yc = ds.y - ds.y.mean(axis=0, keepdims=True)
     rms = float(np.sqrt(np.mean(np.sum(yc**2, axis=1))))
-    if rms < 1e-12:
+    if rms < 1e-12:   # a constant output has no dynamics to miss
         return False
-    traj = simulate(lin, ds.u)
-    _run_states(traj)
-    err = ds.y - traj.y
-    err_rms = float(np.sqrt(np.mean(np.sum(err**2, axis=1))))
-    return err_rms >= _BLIND_RMSE_FRACTION * rms
+    return rmse(lin, ds) >= _BLIND_RMSE_FRACTION * rms
 
 
 def _autocovariances(y: np.ndarray, count: int) -> list[np.ndarray]:

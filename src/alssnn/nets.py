@@ -72,16 +72,11 @@ class Equilibrium:
         return np.concatenate([self.x_e, self.u_e])
 
 
-def _check_input(net: Mlp, z: np.ndarray) -> np.ndarray:
+def mlp_forward(net: Mlp, z: np.ndarray) -> np.ndarray:
+    """Evaluate W_out tanh(W_in z + b_in) + b_out."""
     z = np.asarray(z, dtype=float).reshape(-1)
     if z.shape != (net.d_in,):
         raise DataError(f"input has shape {z.shape}, expected ({net.d_in},)")
-    return z
-
-
-def mlp_forward(net: Mlp, z: np.ndarray) -> np.ndarray:
-    """Evaluate W_out tanh(W_in z + b_in) + b_out."""
-    z = _check_input(net, z)
     return net.W_out @ np.tanh(net.W_in @ z + net.b_in) + net.b_out
 
 

@@ -132,6 +132,20 @@ def test_identify_record_timing_opt_in(ws, tmp_path):
     assert timed == untimed
 
 
+def test_identify_lti_record_timing_opt_in(ws, tmp_path):
+    # the LTI fit is timed as AL and GR training is; its report is flat, so
+    # the wall time sits at the top level
+    reports = []
+    for flags in ([], ["--record-timing"]):
+        out = tmp_path / f"t{len(flags)}"
+        assert main(["identify", "lti", "--data", str(ws["wh"]), "--order", "2",
+                     "-o", str(out), *flags]) == 0
+        reports.append(read_json(str(out) + ".report.json"))
+    untimed, timed = reports
+    assert "wall_time_s" not in untimed and timed.pop("wall_time_s") > 0
+    assert timed == untimed
+
+
 def test_identify_gr_outputs(ws):
     model = load_model(str(ws["gr"]) + ".model.json")
     assert isinstance(model, GrSsnnModel)
@@ -237,13 +251,13 @@ def big_input_record(path):
 @pytest.mark.parametrize("family", ["lti", "al-ssnn", "gr-ssnn"])
 def test_identify_inputs_past_the_bound_exit_3(tmp_path, capsys, family):
     # the linear initializer's own runs meet the bound, so each family stops
-    # at the step where the model's free run leaves it
+    # at the step where the model's free run on the training half leaves it
     data = tmp_path / "big.csv"
     big_input_record(data)
     rc = main(["identify", family, "--data", str(data), "--order", "2", "--iters", "3",
                "-o", str(tmp_path / "m")])
     assert rc == 3
-    assert capsys.readouterr().err == "error: simulation diverged at step 57\n"
+    assert capsys.readouterr().err == f"error: the free run on {data}:train diverged at step 57\n"
     assert not (tmp_path / "m.model.json").exists()
 
 

@@ -225,6 +225,14 @@ def test_ratio_stats_rejects_linear():
         ratio_stats(stable_lin(), ds)
 
 
+def test_estimate_epsilon_rejects_linear():
+    # an LTI model has no residual net g to bound: ratio_stats' check refuses it
+    ds = Dataset(u=np.ones((5, 1)), y=np.ones((5, 1)))
+    with pytest.raises(DataError, match="^epsilon estimates need a model with networks, "
+                                        "got LinearSS$"):
+        estimate_epsilon(stable_lin(), [ds])
+
+
 def test_ratio_guard_counts_small_denominators():
     # x(0) = 0 and u(0) = 0 make the first linear term exactly zero
     model = al_model(seed=12)

@@ -13,8 +13,8 @@ MODULES = ["benchmarks", "cli", "control", "dataio", "errors", "linear_id", "mod
 @pytest.mark.parametrize("first", MODULES)
 def test_every_module_imports_first_in_a_fresh_interpreter(first):
     # an import cycle shows only for some orders (linear_id takes LinearSS
-    # and the step engine from models), so each module goes first once,
-    # then every other module follows
+    # and the step engine from models, and rmse from control), so each
+    # module goes first once, then every other module follows
     rest = "; ".join(f"import alssnn.{name}" for name in MODULES if name != first)
     run = subprocess.run([sys.executable, "-c", f"import alssnn.{first}; {rest}"],
                          env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True)

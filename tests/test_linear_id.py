@@ -196,9 +196,11 @@ def test_linear_init_blind_record_uses_output_modes():
     assert np.min(np.abs(angles - 0.6)) < 0.05
 
 
-def test_linear_init_blind_trigger_and_swap():
+def test_linear_init_blind_trigger_and_swap(monkeypatch):
     # the FIR-route model (stabilized exactly as linear_init builds it) fails
-    # the blindness check, and the returned realization is a different model
+    # the blindness check, and the returned realization is a different model;
+    # when that realization cannot be built, the FIR-route model is kept
+    from alssnn import linear_id
     from alssnn.linear_id import _is_output_blind
 
     ds = blind_data()
@@ -210,6 +212,30 @@ def test_linear_init_blind_trigger_and_swap():
     assert _is_output_blind(fir, ds)
     lin = linear_init(ds, 2)
     assert not np.allclose(lin.A, fir.A)
+
+    def fail(ds, n):
+        raise NumericalError("no output modes")
+
+    monkeypatch.setattr(linear_id, "_output_informed_init", fail)
+    lin = linear_init(ds, 2)
+    assert all(np.array_equal(getattr(lin, key), getattr(fir, key)) for key in "ABC")
+
+
+def test_a_constant_output_is_never_blind(monkeypatch):
+    # a constant output has no dynamics to miss, so the FIR route stands
+    # although its free run explains none of the output
+    from alssnn import linear_id
+    from alssnn.control import rmse
+
+    def called(ds, n):
+        raise AssertionError("a constant output was taken for a blind one")
+
+    rng = np.random.default_rng(5)
+    ds = Dataset(u=rng.normal(size=(400, 1)), y=np.full((400, 1), 3.0))
+    monkeypatch.setattr(linear_id, "_output_informed_init", called)
+    lin = linear_init(ds, 2)
+    assert rmse(lin, ds) > 1.0
+    assert not linear_id._is_output_blind(lin, ds)
 
 
 def test_linear_init_well_excited_record_keeps_fir_route():
@@ -309,7 +335,7 @@ def test_linear_init_runs_meet_the_divergence_bound(set_bound):
     lin = two_state()
     ds = lin_data(lin, 400)
     set_bound(1e-3)
-    with pytest.raises(DivergenceError, match="simulation diverged at step 1$"):
+    with pytest.raises(DivergenceError, match="^the free run on dataset diverged at step 1$"):
         linear_init(ds, 2)
     with pytest.raises(DivergenceError, match="simulation diverged at step 1$"):
         _fit_input_matrix(lin.A, lin.C, ds)

@@ -28,12 +28,11 @@ from .control import (
     _rmse,
     estimate_epsilon,
     ratio_stats,
-    rmse,
     simulate_closed_loop,
 )
 from .dataio import SplitSpec, load_csv, load_json, normalize, save_csv, split
 from .errors import DataError, DivergenceError, NumericalError
-from .linear_id import default_horizon, linear_init
+from .linear_id import _linear_fit, default_horizon
 from .models import AlSsnnModel, _check_record, _family, load_model, save_model
 from .stability import check_convergence, solve_certificate, verify
 from .training import TrainConfig, train, train_gr
@@ -149,7 +148,7 @@ def cmd_gen_data(args) -> int:
 def _lti_identify(args, ds_train) -> int:
     horizon = args.horizon if args.horizon is not None else default_horizon(args.order)
     t0 = time.perf_counter()
-    lin = linear_init(ds_train, args.order, horizon=horizon)
+    lin, X = _linear_fit(ds_train, args.order, horizon)
     wall_time_s = time.perf_counter() - t0
     report = {
         "command": "identify",
@@ -158,7 +157,7 @@ def _lti_identify(args, ds_train) -> int:
         "train_fraction": args.train_frac,
         "config": {"order": args.order, "horizon": horizon},
         "dims": {"n": lin.n_states, "m": lin.n_inputs, "p": lin.n_outputs},
-        "rmse_train": rmse(lin, ds_train),
+        "rmse_train": _rmse(lin, ds_train, X),
         "spectral_radius": lin.spectral_radius(),
         **({"wall_time_s": wall_time_s} if args.record_timing else {}),
     }

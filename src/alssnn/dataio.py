@@ -4,7 +4,9 @@ and `_frozen`, the one rule by which every frozen value owns its arrays.
 On-disk format: UTF-8 CSV with header ``t,u1,...,um,y1,...,yp`` (a leading
 byte-order mark is skipped), one row per sample, decimal point '.', values
 written with 17 significant digits so that a save/load round trip is
-bit-exact.
+bit-exact. A file is read in one bulk pass (one csv parse, one float() of
+every cell, vectorized checks on the table); its rows are scanned one by one
+only when a check fails, to name the first bad line.
 """
 
 from __future__ import annotations
@@ -166,19 +168,20 @@ def save_csv(ds: Dataset, path) -> None:
     """Write a dataset in the canonical CSV layout (17 significant digits).
 
     One ``%.17g`` cell per value, CRLF line endings (the csv module's
-    default dialect). Time k is written as k * dt.
+    default dialect). Time k is written as k * dt. The body is formatted by
+    one ``%`` over the row template repeated once per sample.
     """
     n, m = ds.u.shape
     p = ds.y.shape[1]
-    table = np.column_stack([np.arange(n) * ds.dt, ds.u, ds.y]).tolist()
+    table = np.column_stack([np.arange(n) * ds.dt, ds.u, ds.y])
     row = ",".join(["%.17g"] * (1 + m + p)) + "\r\n"
+    text = ",".join(_expected_header(m, p)) + "\r\n" + (row * n) % tuple(table.ravel().tolist())
     try:
         fh = open(path, "w", newline="", encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc}") from exc
     with fh:
-        fh.write(",".join(_expected_header(m, p)) + "\r\n")
-        fh.writelines([row % tuple(r) for r in table])
+        fh.write(text)
 
 
 def load_csv(path, name: str | None = None) -> Dataset:
@@ -191,6 +194,10 @@ def load_csv(path, name: str | None = None) -> Dataset:
     and ' 3 ' are errors). A leading UTF-8 byte-order mark is skipped.
     Errors cite the offending 1-based physical line; a record that spans
     lines (a quoted newline) is cited by its last line.
+
+    A file is read in one bulk pass: one csv parse, one float conversion of
+    every cell and vectorized checks on the table. Only a file that fails a
+    check is scanned again row by row, to name its first bad line.
     """
     try:
         with open(path, "r", newline="", encoding="utf-8-sig") as fh:
@@ -207,60 +214,88 @@ def load_csv(path, name: str | None = None) -> Dataset:
     start = text.find("\n") + 1
     suspect = not text.isascii() or any(
         text.find(c, start) >= 0 for c in _NON_NUMBER_CHARS)
-    reader = csv.reader(io.StringIO(text, newline=""))
-    rows = _checked_rows(reader, path)
     try:
-        header = next(rows)
-    except StopIteration:
-        raise DataError(f"{path}: empty file") from None
-    header = [h.strip() for h in header]
-    m, p = _parse_header(header, path)
-    width = 1 + m + p
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+        if not rows:
+            raise DataError(f"{path}: empty file")
+        m, p = _parse_header([h.strip() for h in rows[0]], path)
+        width = 1 + m + p
+        body = [row for row in rows[1:] if row and (len(row) > 1 or row[0].strip())]
+        cells = [c for row in body for c in row]
+        if set(map(len, body)) - {width} or (suspect and not all(map(_is_plain, cells))):
+            raise ValueError
+        table = np.fromiter(map(float, cells), float, len(cells)).reshape(len(body), width)
+        if not np.isfinite(table).all():
+            raise ValueError
+        if len(body) < 2:
+            raise DataError(f"{path}: need at least 2 data rows, got {len(body)}")
+        t = table[:, 0]
+        dt = float(t[1] - t[0])
+        if not (math.isfinite(dt) and dt > 0) or _off_grid(t, dt).any():
+            raise ValueError
+    except (csv.Error, ValueError):
+        _raise_first_bad_line(text, path, suspect)
+        raise   # not reached: the scan applies the rules that refused the file
+    return Dataset(u=table[:, 1 : 1 + m], y=table[:, 1 + m :], dt=dt,
+                   name=name if name is not None else str(path))
+
+
+def _raise_first_bad_line(text: str, path, suspect: bool) -> None:
+    """Raise the DataError of the first line, in file order, that breaks a
+    rule of `load_csv`; return if there is none.
+
+    Rows are read one by one so that `reader.line_num` gives each problem its
+    physical line: a csv error, a short or long row, a non-numeric or
+    non-finite cell, then the time column's rules, which need every row.
+    """
+    reader = csv.reader(io.StringIO(text, newline=""))
     t_vals: list[float] = []
     linenos: list[int] = []
-    u_rows: list[list[float]] = []
-    y_rows: list[list[float]] = []
-    for row in rows:
-        lineno = reader.line_num
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != width:
-            raise DataError(
-                f"{path}: line {lineno}: expected {width} cells, got {len(row)}"
-            )
-        try:
-            if suspect and not all(map(_is_plain, row)):
-                raise ValueError
-            vals = [float(c) for c in row]
-        except ValueError:
-            bad = next(c for c in row if not _is_number(c))
-            raise DataError(
-                f"{path}: line {lineno}: non-numeric cell {bad!r}"
-            ) from None
-        if not all(map(math.isfinite, vals)):
-            bad = next(c for c, v in zip(row, vals) if not math.isfinite(v))
-            raise DataError(f"{path}: line {lineno}: non-finite cell {bad!r}")
-        t_vals.append(vals[0])
-        linenos.append(lineno)
-        u_rows.append(vals[1 : 1 + m])
-        y_rows.append(vals[1 + m :])
+    m = p = 0
+    try:
+        for row in reader:
+            lineno = reader.line_num
+            if not m:   # the first row is the header, which sets m >= 1
+                m, p = _parse_header([h.strip() for h in row], path)
+                continue
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != 1 + m + p:
+                raise DataError(
+                    f"{path}: line {lineno}: expected {1 + m + p} cells, got {len(row)}"
+                )
+            try:
+                if suspect and not all(map(_is_plain, row)):
+                    raise ValueError
+                vals = [float(c) for c in row]
+            except ValueError:
+                bad = next(c for c in row if not _is_number(c))
+                raise DataError(
+                    f"{path}: line {lineno}: non-numeric cell {bad!r}"
+                ) from None
+            if not all(map(math.isfinite, vals)):
+                bad = next(c for c, v in zip(row, vals) if not math.isfinite(v))
+                raise DataError(f"{path}: line {lineno}: non-finite cell {bad!r}")
+            t_vals.append(vals[0])
+            linenos.append(lineno)
+    except csv.Error as exc:
+        raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
     if len(t_vals) < 2:
-        raise DataError(f"{path}: need at least 2 data rows, got {len(t_vals)}")
-    dt = t_vals[1] - t_vals[0]
+        return
+    t = np.array(t_vals)
+    dt = float(t[1] - t[0])
     if not (math.isfinite(dt) and dt > 0):
         raise DataError(
             f"{path}: line {linenos[1]}: non-increasing time column (dt={dt})"
         )
-    _check_uniform_time(np.array(t_vals), dt, linenos, path)
-    return Dataset(u=u_rows, y=y_rows, dt=dt, name=name if name is not None else str(path))
-
-
-def _checked_rows(reader, path):
-    """The reader's rows; csv errors become DataError."""
-    try:
-        yield from reader
-    except csv.Error as exc:
-        raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
+    off = _off_grid(t, dt)
+    if np.any(off):
+        i = int(np.argmax(off))
+        grid = t[0] + i * dt
+        raise DataError(
+            f"{path}: line {linenos[i]}: time {float(t[i])!r} is off the uniform "
+            f"grid t0 + k*dt = {float(grid)!r} (dt={dt!r} from the first two rows)"
+        )
 
 
 def _first_undecodable_line(path) -> int:
@@ -278,17 +313,10 @@ def _first_undecodable_line(path) -> int:
     return len(lines)
 
 
-def _check_uniform_time(t: np.ndarray, dt: float, linenos: list[int], path) -> None:
-    """Raise DataError at the first row off the grid t0 + k*dt."""
+def _off_grid(t: np.ndarray, dt: float) -> np.ndarray:
+    """Mask of the times off the grid t0 + k*dt by more than a relative 1e-9."""
     k = np.arange(t.size)
-    grid = t[0] + k * dt
-    off = ~(np.abs(t - grid) <= 1e-9 * (abs(t[0]) + k * dt))
-    if np.any(off):
-        i = int(np.argmax(off))
-        raise DataError(
-            f"{path}: line {linenos[i]}: time {float(t[i])!r} is off the uniform "
-            f"grid t0 + k*dt = {float(grid[i])!r} (dt={dt!r} from the first two rows)"
-        )
+    return ~(np.abs(t - (t[0] + k * dt)) <= 1e-9 * (abs(t[0]) + k * dt))
 
 
 def _parse_header(header: list[str], path) -> tuple[int, int]:

@@ -6,17 +6,20 @@ matrices by least squares, then realize (A, B, C) from the SVD of a block
 Hankel matrix. The realization is balanced, so raw matrices are only defined
 up to similarity; compare Markov parameters, never entries.
 
-The module only identifies. It scores a free run with `control.rmse`, where
-open-loop scores live, so a diverged run names its record ("the free run on
-<name> diverged at step k"); the refit of B steps its unit-input runs, an
-n x (n*m) state block that is no model, on `models._step_engine` directly.
+The module only identifies. It runs and scores a model with `control`'s
+checked free run and RMSE, where open-loop scores live, so a diverged run
+names its record ("the free run on <name> diverged at step k"); the refit of
+B steps its unit-input runs, an n x (n*m) state block that is no model, on
+`models._step_engine` directly. The model `linear_init` returns is free-run
+on its record once: `_linear_fit` hands those states on with the model, to
+the LTI report's RMSE and to training's input scaling.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .control import rmse
+from .control import _free_run, _rmse
 from .dataio import Dataset
 from .errors import DataError, DivergenceError, NumericalError
 from .models import LinearSS, _step_engine
@@ -134,12 +137,14 @@ def ho_kalman(markov: list[np.ndarray], n: int) -> LinearSS:
     return LinearSS(A=A, B=B, C=C)
 
 
-def _is_output_blind(lin: LinearSS, ds: Dataset) -> bool:
+def _is_output_blind(lin: LinearSS, ds: Dataset, X: np.ndarray) -> bool:
+    """Whether lin's free run on ds, with states X, misses the output (see
+    _BLIND_RMSE_FRACTION)."""
     yc = ds.y - ds.y.mean(axis=0, keepdims=True)
     rms = float(np.sqrt(np.mean(np.sum(yc**2, axis=1))))
     if rms < 1e-12:   # a constant output has no dynamics to miss
         return False
-    return rmse(lin, ds) >= _BLIND_RMSE_FRACTION * rms
+    return _rmse(lin, ds, X) >= _BLIND_RMSE_FRACTION * rms
 
 
 def _autocovariances(y: np.ndarray, count: int) -> list[np.ndarray]:
@@ -199,6 +204,15 @@ def linear_init(ds: Dataset, n: int, horizon: int | None = None) -> LinearSS:
     records natively; the impulse-response route needs this explicit second
     source of dynamics.
     """
+    return _linear_fit(ds, n, horizon)[0]
+
+
+def _linear_fit(ds: Dataset, n: int, horizon: int | None) -> tuple[LinearSS, np.ndarray]:
+    """`linear_init`'s model and the states x(0..N-1) of its free run on ds.
+
+    The FIR-route model's run is the blindness test's; an output-informed
+    model is run once more.
+    """
     if n < 1:
         raise DataError(f"model order must be positive, got {n}")
     L = default_horizon(n) if horizon is None else horizon
@@ -207,9 +221,12 @@ def linear_init(ds: Dataset, n: int, horizon: int | None = None) -> LinearSS:
     rho = lin.spectral_radius()
     if rho >= 1.0:
         lin = LinearSS(lin.A * (0.995 / rho), lin.B, lin.C)
-    if _is_output_blind(lin, ds):
+    X = _free_run(lin, ds)
+    if _is_output_blind(lin, ds, X):
         try:
             lin = _output_informed_init(ds, n)
         except NumericalError:
-            pass  # keep the FIR result; best effort either way
-    return lin
+            pass  # keep the FIR result and its run; best effort either way
+        else:
+            X = _free_run(lin, ds)
+    return lin, X

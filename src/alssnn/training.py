@@ -50,7 +50,8 @@ from scipy.linalg.lapack import dposv
 
 from .dataio import Dataset
 from .errors import DataError, DivergenceError
-from .linear_id import linear_init
+# linear_init stays bound here: perfbench's tracer wraps training.linear_init.
+from .linear_id import _linear_fit, linear_init  # noqa: F401
 from .models import (AlSsnnModel, GrSsnnModel, LinearSS, _check_record, _family, _run_states,
                      simulate)
 from .nets import Equilibrium, Mlp, enforce_equilibrium_zero, init_small, mlp_forward_batch
@@ -603,8 +604,10 @@ class TrainReport:
     solves: int = 0
 
 
-def _hidden_input_scales(lin0: LinearSS, ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    """Per-channel stds of the net inputs along the linear-init free run.
+def _hidden_input_scales(lin0: LinearSS, ds: Dataset,
+                         X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-channel stds of the net inputs along the linear-init free run,
+    whose states x(0..N-1) on ds are X.
 
     Dividing the input-layer columns by these keeps tanh units out of
     saturation whatever the physical units of the data are. The state
@@ -614,7 +617,7 @@ def _hidden_input_scales(lin0: LinearSS, ds: Dataset) -> tuple[np.ndarray, np.nd
     magnitude, and scaling to the tiny init states would saturate the input
     layer the moment training grows them.
     """
-    Z = np.hstack([_run_states(simulate(lin0, ds.u)), ds.u])
+    Z = np.hstack([X, ds.u])
     y_scale = ds.y.std(axis=0)
     z_scale = Z.std(axis=0)
     n = lin0.n_states
@@ -636,9 +639,9 @@ def _input_layer(net: Mlp, scale: np.ndarray) -> Mlp:
 def _train(family: type, ds: Dataset, n: int, config: TrainConfig):
     """Linear init, zero-function nets and LM, for AL (family AlSsnnModel)
     and GR (GrSsnnModel, n_h = 0, its f net as the g net)."""
-    lin0 = linear_init(ds, n, config.horizon)
+    lin0, X0 = _linear_fit(ds, n, config.horizon)
     m, p = ds.n_inputs, ds.n_outputs
-    y_scale, z_scale = _hidden_input_scales(lin0, ds)
+    y_scale, z_scale = _hidden_input_scales(lin0, ds, X0)
     h_net = _input_layer(init_small(p, config.n_h, m, seed=config.seed), y_scale)
     g_net = _input_layer(init_small(n + m, config.n_g, n, seed=config.seed + 1), z_scale)
     model = family(lin=lin0, h_net=h_net, g_net=g_net,

@@ -285,7 +285,7 @@ def test_identify_stops_at_lambda_max_with_a_strict_json_report(tmp_path, capsys
     ["gen-data", "wh-synthetic", "--n", "300", "--seed", "-1"],
 ], ids=["al", "gr", "gen-data"])
 def test_negative_seed_exit_2_before_any_fit(ws, tmp_path, capsys, monkeypatch, argv):
-    monkeypatch.setattr(training, "linear_init", lambda *a, **k: pytest.fail("fitted"))
+    monkeypatch.setattr(training, "_linear_fit", lambda *a, **k: pytest.fail("fitted"))
     data = [] if argv[0] == "gen-data" else ["--data", str(ws["wh"])]
     assert main([*argv, *data, "-o", str(tmp_path / "out.csv")]) == 2
     seed = argv[argv.index("--seed") + 1]

@@ -1,5 +1,7 @@
 import csv
+import gc
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -118,6 +120,62 @@ def test_save_csv_bytes_match_csv_writer(tmp_path, n, m, p, dt):
     reference_save_csv(ds, tmp_path / "ref.csv")
     save_csv(ds, tmp_path / "new.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+# save_csv's bytes for EXTREMES (u) and EXTREMES reversed (y) at dt = 0.1: signed
+# zero, the smallest subnormal, the largest float, and values whose %.17g text
+# differs from their shortest repr
+EXTREMES = [-0.0, 5e-324, 1.7976931348623157e308, 0.1, 1e16, -2.5e-7]
+EXTREMES_CSV = (
+    b"t,u1,y1\r\n"
+    b"0,-0,-2.4999999999999999e-07\r\n"
+    b"0.10000000000000001,4.9406564584124654e-324,10000000000000000\r\n"
+    b"0.20000000000000001,1.7976931348623157e+308,0.10000000000000001\r\n"
+    b"0.30000000000000004,0.10000000000000001,1.7976931348623157e+308\r\n"
+    b"0.40000000000000002,10000000000000000,4.9406564584124654e-324\r\n"
+    b"0.5,-2.4999999999999999e-07,-0\r\n"
+)
+
+
+def test_save_csv_writes_pinned_bytes_that_load_back_bit_for_bit(tmp_path):
+    ds = Dataset(np.array(EXTREMES), np.array(EXTREMES[::-1]), dt=0.1)
+    path = tmp_path / "extremes.csv"
+    save_csv(ds, path)
+    assert path.read_bytes() == EXTREMES_CSV
+    back = load_csv(path)
+    assert back.u.tobytes() == ds.u.tobytes() and back.y.tobytes() == ds.y.tobytes()
+    assert back.dt == 0.1
+
+
+def python_calls(fn, *args):
+    """Number of Python-level function calls (profile "call" events) made by
+    fn(*args); the collector is paused so that no gc callback counts."""
+    count = 0
+
+    def hook(frame, event, arg):
+        nonlocal count
+        count += event == "call"
+
+    gc.disable()
+    sys.setprofile(hook)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    return count
+
+
+def test_load_csv_reads_a_clean_file_in_bulk(tmp_path):
+    # a per-row Python function or generator would make the larger file's
+    # count grow with its rows
+    paths = []
+    for n in (200, 20_000):
+        paths.append(tmp_path / f"clean{n}.csv")
+        save_csv(make_ds(n=n, m=2, p=1, seed=n), paths[-1])
+    load_csv(paths[0])   # first-call work, such as lazy imports, is not the reader's
+    small, large = (python_calls(load_csv, path) for path in paths)
+    assert small == large
 
 
 def test_load_csv_missing_file():

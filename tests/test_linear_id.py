@@ -201,6 +201,7 @@ def test_linear_init_blind_trigger_and_swap(monkeypatch):
     # the blindness check, and the returned realization is a different model;
     # when that realization cannot be built, the FIR-route model is kept
     from alssnn import linear_id
+    from alssnn.control import _free_run
     from alssnn.linear_id import _is_output_blind
 
     ds = blind_data()
@@ -209,7 +210,7 @@ def test_linear_init_blind_trigger_and_swap(monkeypatch):
     rho = fir.spectral_radius()
     if rho >= 1.0:
         fir = LinearSS(fir.A * (0.995 / rho), fir.B, fir.C)
-    assert _is_output_blind(fir, ds)
+    assert _is_output_blind(fir, ds, _free_run(fir, ds))
     lin = linear_init(ds, 2)
     assert not np.allclose(lin.A, fir.A)
 
@@ -225,7 +226,7 @@ def test_a_constant_output_is_never_blind(monkeypatch):
     # a constant output has no dynamics to miss, so the FIR route stands
     # although its free run explains none of the output
     from alssnn import linear_id
-    from alssnn.control import rmse
+    from alssnn.control import _free_run, rmse
 
     def called(ds, n):
         raise AssertionError("a constant output was taken for a blind one")
@@ -235,7 +236,7 @@ def test_a_constant_output_is_never_blind(monkeypatch):
     monkeypatch.setattr(linear_id, "_output_informed_init", called)
     lin = linear_init(ds, 2)
     assert rmse(lin, ds) > 1.0
-    assert not linear_id._is_output_blind(lin, ds)
+    assert not linear_id._is_output_blind(lin, ds, _free_run(lin, ds))
 
 
 def test_linear_init_well_excited_record_keeps_fir_route():

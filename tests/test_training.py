@@ -1055,6 +1055,7 @@ def test_hidden_input_scales_floor_tiny_states():
     # a near-zero B makes the init free run sit at x ~ 0; unfloored inverse
     # state scales would explode the input layer and saturate tanh the moment
     # training grows the states
+    from alssnn.control import _free_run
     from alssnn.training import _hidden_input_scales
 
     lin = LinearSS(A=np.array([[0.5, 0.1], [0.0, 0.4]]),
@@ -1062,7 +1063,7 @@ def test_hidden_input_scales_floor_tiny_states():
                    C=np.array([[2.0, 1.0]]))
     rng = np.random.default_rng(3)
     ds = Dataset(u=rng.normal(size=(200, 1)), y=rng.normal(size=(200, 1)))
-    y_scale, z_scale = _hidden_input_scales(lin, ds)
+    y_scale, z_scale = _hidden_input_scales(lin, ds, _free_run(lin, ds))
     floor = 0.1 * y_scale.max() / 2.0
     assert np.all(z_scale[:2] >= floor - 1e-15)
     assert z_scale[2] == pytest.approx(ds.u.std(), rel=1e-12)

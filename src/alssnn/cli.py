@@ -30,7 +30,7 @@ from .control import (
     ratio_stats,
     simulate_closed_loop,
 )
-from .dataio import SplitSpec, load_csv, load_json, normalize, save_csv, split
+from .dataio import SplitSpec, _write_table, load_csv, load_json, normalize, save_csv, split
 from .errors import DataError, DivergenceError, NumericalError
 from .linear_id import _linear_fit, default_horizon
 from .models import AlSsnnModel, _check_record, _family, load_model, save_model
@@ -112,6 +112,9 @@ def _parse_gammas(text: str) -> list[float]:
 
 
 def cmd_gen_data(args) -> int:
+    if not Path(args.out).name:   # '.', '' or '/': no file to write, nor a sidecar beside it
+        raise DataError(f"gen-data: output path {args.out!r} names no file")
+    meta_path = Path(args.out).with_suffix(".meta.json")
     if args.generator == "prey-predator":
         params = PreyPredatorParams() if args.dt is None else PreyPredatorParams(dt=args.dt)
         forcing = SinusoidalForcing()
@@ -134,7 +137,6 @@ def cmd_gen_data(args) -> int:
     if args.normalize:
         ds, norm = normalize(ds)
         meta["normalization"] = norm
-    meta_path = Path(args.out).with_suffix(".meta.json")
     save_csv(ds, args.out)
     _write_json(meta_path, meta)
     print(f"wrote {args.out} and {meta_path} "
@@ -299,16 +301,12 @@ def cmd_closedloop(args) -> int:
         "epsilon": epsilon,
     }
     _write_json(str(args.out) + ".json", summary)
-    omega_norm = np.linalg.norm(record.omega, axis=1)
     m, p = record.v.shape[1], record.y.shape[1]
-    with open(str(args.out) + ".csv", "w", encoding="utf-8") as fh:
-        cols = (["t"] + [f"v{i + 1}" for i in range(m)] + [f"y{i + 1}" for i in range(p)]
-                + ["lin_norm", "omega_norm"])
-        fh.write(",".join(cols) + "\n")
-        for k in range(record.n_steps):
-            vals = ([k * ds.dt] + list(record.v[k]) + list(record.y[k])
-                    + [record.lin_norm[k], omega_norm[k]])
-            fh.write(",".join(f"{v:.17g}" for v in vals) + "\n")
+    cols = (["t"] + [f"v{i + 1}" for i in range(m)] + [f"y{i + 1}" for i in range(p)]
+            + ["lin_norm", "omega_norm"])
+    _write_table(str(args.out) + ".csv", cols, np.column_stack([
+        np.arange(record.n_steps) * ds.dt, record.v, record.y, record.lin_norm,
+        np.linalg.norm(record.omega, axis=1)]))
     rows = [(k, v) for k, v in summary.items() if k not in ("command", "model", "data")]
     _print_table(rows)
     print(f"wrote {args.out}.json and {args.out}.csv")

@@ -165,17 +165,20 @@ def _expected_header(m: int, p: int) -> list[str]:
 
 
 def save_csv(ds: Dataset, path) -> None:
-    """Write a dataset in the canonical CSV layout (17 significant digits).
-
-    One ``%.17g`` cell per value, CRLF line endings (the csv module's
-    default dialect). Time k is written as k * dt. The body is formatted by
-    one ``%`` over the row template repeated once per sample.
-    """
+    """Write a dataset in the canonical CSV layout (17 significant digits);
+    time k is written as k * dt."""
     n, m = ds.u.shape
-    p = ds.y.shape[1]
     table = np.column_stack([np.arange(n) * ds.dt, ds.u, ds.y])
-    row = ",".join(["%.17g"] * (1 + m + p)) + "\r\n"
-    text = ",".join(_expected_header(m, p)) + "\r\n" + (row * n) % tuple(table.ravel().tolist())
+    _write_table(path, _expected_header(m, ds.y.shape[1]), table)
+
+
+def _write_table(path, header: list[str], table: np.ndarray) -> None:
+    """Write `header` and the rows of `table`: one ``%.17g`` cell per value,
+    CRLF line ends (the csv module's default dialect). The body is formatted
+    by one ``%`` over the row template repeated once per row."""
+    n, width = table.shape
+    row = ",".join(["%.17g"] * width) + "\r\n"
+    text = ",".join(header) + "\r\n" + (row * n) % tuple(table.ravel().tolist())
     try:
         fh = open(path, "w", newline="", encoding="utf-8")
     except OSError as exc:
@@ -200,14 +203,13 @@ def load_csv(path, name: str | None = None) -> Dataset:
     check is scanned again row by row, to name its first bad line.
     """
     try:
-        with open(path, "r", newline="", encoding="utf-8-sig") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError:
-        raise DataError(
-            f"{path}: line {_first_undecodable_line(path)}: not UTF-8 text"
-        ) from None
+    except UnicodeDecodeError as exc:   # lines end at LF, CR or CRLF, as csv counts them
+        line = len((exc.object[: exc.start] + b"x").splitlines())
+        raise DataError(f"{path}: line {line}: not UTF-8 text") from None
     # float() takes Python literal syntax ('1_0', ' 3 '). Cells are searched
     # for it only when a scan of the text after the header line (whose cells
     # may be padded) finds a non-ASCII or non-number character.
@@ -298,21 +300,6 @@ def _raise_first_bad_line(text: str, path, suspect: bool) -> None:
         )
 
 
-def _first_undecodable_line(path) -> int:
-    """1-based number of the first line of `path` that is not valid UTF-8.
-
-    Lines end at LF, CR or CRLF, as the csv reader counts them.
-    """
-    with open(path, "rb") as fh:
-        lines = fh.read().splitlines()
-    for lineno, raw in enumerate(lines, start=1):
-        try:
-            raw.decode("utf-8")
-        except UnicodeDecodeError:
-            return lineno
-    return len(lines)
-
-
 def _off_grid(t: np.ndarray, dt: float) -> np.ndarray:
     """Mask of the times off the grid t0 + k*dt by more than a relative 1e-9."""
     k = np.arange(t.size)
@@ -322,16 +309,9 @@ def _off_grid(t: np.ndarray, dt: float) -> np.ndarray:
 def _parse_header(header: list[str], path) -> tuple[int, int]:
     if not header or header[0] != "t":
         raise DataError(f"{path}: line 1: header must start with 't', got {header[:1]}")
-    m = 0
-    i = 1
-    while i < len(header) and header[i] == f"u{m+1}":
-        m += 1
-        i += 1
-    p = 0
-    while i < len(header) and header[i] == f"y{p+1}":
-        p += 1
-        i += 1
-    if i != len(header) or m < 1 or p < 1:
+    m = sum(h.startswith("u") for h in header)
+    p = len(header) - 1 - m
+    if min(m, p) < 1 or header != _expected_header(m, p):
         raise DataError(
             f"{path}: line 1: malformed header {header}; expected t,u1..um,y1..yp"
         )

@@ -109,7 +109,7 @@ def ho_kalman(markov: list[np.ndarray], n: int) -> LinearSS:
         raise DataError(f"model order must be positive, got {n}")
     L = len(markov)
     r = s = L // 2
-    if r < 1 or r + s > L:
+    if r < 1:
         raise DataError(f"need at least 2 Markov matrices, got {L}")
     markov = [np.atleast_2d(np.asarray(G, dtype=float)) for G in markov]
     H0 = _block_hankel(markov, r, s, shift=0)   # G_{i+j-1}

@@ -460,12 +460,7 @@ def _field_array(value, what: str, shape: tuple) -> np.ndarray:
     is [[a], [b]]), or a DataError naming it."""
     if not _is_number_tree(value):
         raise DataError(f"model file: field {what!r} is not a numeric array")
-    try:
-        arr = np.array(value, dtype=float)
-    except (ValueError, OverflowError) as exc:   # ragged lists, ints past the float range
-        raise DataError(f"model file: field {what!r} is not a numeric array: {exc}") from exc
-    if not np.isfinite(arr).all():
-        raise DataError(f"model file: field {what!r} has non-finite entries")
+    arr = _frozen(value, f"model file: field {what!r}")
     # an empty array has no entries to nest: [] stands for any shape of size 0
     if arr.shape != shape and not arr.size == math.prod(shape) == 0:
         raise DataError(

@@ -297,9 +297,9 @@ def check_convergence(cert: IssCertificate, record: ClosedLoopRecord) -> dict:
     return {
         "radius": radius,
         "n_steps": int(record.n_steps),
-        "v_first": float(V[0]) if V.size else None,
-        "v_final": float(V[-1]) if V.size else None,
-        "v_max": float(np.max(V)) if V.size else None,
+        "v_first": float(V[0]),
+        "v_final": float(V[-1]),
+        "v_max": float(np.max(V)),
         "first_entry": entry,
         "n_inside_after_entry": n_inside,
         "fraction_inside_after_entry": frac,

@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from alssnn import models, training
+from alssnn import cli, models, training
 from alssnn.cli import main
-from alssnn.control import estimate_epsilon, ratio_stats, rmse, rmse_split
+from alssnn.control import (estimate_epsilon, ratio_stats, rmse, rmse_split,
+                             simulate_closed_loop)
 from alssnn.dataio import Dataset, SplitSpec, load_csv, save_csv, split
 from alssnn.errors import DataError
 from alssnn.linear_id import LinearSS
@@ -85,6 +86,20 @@ def test_gen_data_wh_bad_input_exits_without_writing(tmp_path, capsys, flag, val
     assert main(["gen-data", "wh-synthetic", "--n", "400", flag, value,
                  "-o", str(out)]) == rc
     assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("out", [".", ""])
+def test_gen_data_out_without_file_name_exit_2_before_generating(tmp_path, capsys,
+                                                                  monkeypatch, out):
+    def generate(*args, **kwargs):
+        raise AssertionError("generated before the output path was checked")
+
+    monkeypatch.setattr(cli, "generate_wh", generate)
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen-data", "wh-synthetic", "--n", "400", "-o", out]) == 2
+    err = capsys.readouterr().err
+    assert f"output path {out!r} names no file" in err and "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -517,9 +532,17 @@ def test_closedloop_outputs(ws, tmp_path):
     assert summary["n_steps"] == 400
     assert summary["diverged"] is False
     assert summary["epsilon"] >= summary["max_omega_norm"]
-    lines = (tmp_path / "cl.csv").read_text().splitlines()
+    # the table holds [k*dt, v, y, lin_norm, |omega|] bit for bit, CRLF after every line
+    lines = (tmp_path / "cl.csv").read_bytes().decode("ascii").split("\r\n")
+    assert lines.pop() == "" and not any("\r" in line or "\n" in line for line in lines)
     assert lines[0] == "t,v1,y1,lin_norm,omega_norm"
     assert len(lines) == 401
+    ds = load_csv(ws["wh"])
+    record = simulate_closed_loop(load_model(str(ws["al"]) + ".model.json"), ds.u)
+    want = np.column_stack([[k * ds.dt for k in range(400)], record.v, record.y,
+                            record.lin_norm, np.linalg.norm(record.omega, axis=1)])
+    got = np.array([[float(c) for c in line.split(",")] for line in lines[1:]])
+    assert got.tobytes() == want.tobytes()
 
 
 def test_closedloop_rejects_non_al(ws, tmp_path, capsys):

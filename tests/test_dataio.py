@@ -1,5 +1,6 @@
 import csv
 import gc
+import itertools
 import re
 import sys
 
@@ -216,10 +217,19 @@ def test_load_csv_non_finite_cell_cites_file_and_line(tmp_path):
 
 
 def test_load_csv_non_utf8_cites_line(tmp_path):
+    # the bad row is line n_rows + 2, after the header and n_rows good rows,
+    # with its bad byte first, inside or last; with 10,000 rows it lies past
+    # the first 64 KiB
     path = tmp_path / "latin1.csv"
-    for eol in (b"\n", b"\r\n", b"\r"):
-        path.write_bytes(eol.join([b"t,u1,y1", b"0,1,2", b"1,1,2", b"2,\xe9,2", b"3,1,2"]))
-        with pytest.raises(DataError, match=re.escape(f"{path}: line 4: not UTF-8 text")):
+    for bom, n_rows, eol, bad in itertools.product(
+            [b"", b"\xef\xbb\xbf"], [3, 10_000], [b"\n", b"\r\n", b"\r"],
+            [b"\xe9,1,2", b"2,\xe9,2", b"2,1,\xe9"]):
+        rows = [b"%d,1,2" % k for k in range(n_rows)]
+        text = bom + eol.join([b"t,u1,y1", *rows, bad, b"0,1,2"])
+        assert n_rows < 10 or text.index(b"\xe9") > 64 * 1024
+        path.write_bytes(text)
+        message = f"{path}: line {n_rows + 2}: not UTF-8 text"
+        with pytest.raises(DataError, match=re.escape(message)):
             load_csv(path)
 
 

@@ -230,3 +230,60 @@ def test_line_endings_blank_lines_and_quoted_cells_load_the_row_readers_arrays(t
     got = outcome(bulk_load, path)
     assert got == outcome(reference_load, path)
     assert got == ("ok", ref.u.tobytes(), ref.y.tobytes(), ref.u.shape, ref.y.shape, ref.dt)
+
+
+def reference_parse_header(header, path):
+    """_parse_header as two loops, the recognizer before the header was
+    compared with _expected_header: (m, p), or the DataError it raised."""
+    if not header or header[0] != "t":
+        raise DataError(f"{path}: line 1: header must start with 't', got {header[:1]}")
+    m = 0
+    i = 1
+    while i < len(header) and header[i] == f"u{m+1}":
+        m += 1
+        i += 1
+    p = 0
+    while i < len(header) and header[i] == f"y{p+1}":
+        p += 1
+        i += 1
+    if i != len(header) or m < 1 or p < 1:
+        raise DataError(f"{path}: line 1: malformed header {header}; expected t,u1..um,y1..yp")
+    return m, p
+
+
+def edit_cells(cells, i, text, kind):
+    """cells with cell i replaced by text, text inserted before it, cell i
+    deleted, or kept as they are."""
+    i = min(i, len(cells) - 1)
+    if kind == "replace":
+        cells[i] = text
+    elif kind == "insert":
+        cells.insert(i, text)
+    elif kind == "delete":
+        del cells[i]
+    return cells
+
+
+HEADER_CELL = st.one_of(
+    st.sampled_from(["t", "u1", "u2", "u3", "y1", "y2", "y3", "u0", "y0", "u", "y", "U1",
+                     "u01", "u1 ", "t1", "uu1", "y-1", ""]),
+    st.text(alphabet="tuy0123 ", max_size=3),
+)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(header=st.one_of(
+    st.lists(HEADER_CELL, max_size=8),
+    # a valid header, whole or with one cell replaced, inserted or dropped
+    st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(0, 6), HEADER_CELL,
+              st.sampled_from(["replace", "insert", "delete", "keep"])).map(
+        lambda c: edit_cells(["t"] + [f"u{i + 1}" for i in range(c[0])]
+                             + [f"y{i + 1}" for i in range(c[1])], *c[2:])),
+))
+def test_parse_header_agrees_with_the_two_loop_recognizer(header):
+    def result(parse):
+        try:
+            return parse(list(header), "f.csv")
+        except DataError as exc:
+            return str(exc)
+    assert result(_parse_header) == result(reference_parse_header)

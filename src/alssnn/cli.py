@@ -30,7 +30,8 @@ from .control import (
     ratio_stats,
     simulate_closed_loop,
 )
-from .dataio import SplitSpec, _write_table, load_csv, load_json, normalize, save_csv, split
+from .dataio import (SplitSpec, _write_table, _write_text, load_csv, load_json, normalize,
+                     save_csv, split)
 from .errors import DataError, DivergenceError, NumericalError
 from .linear_id import _linear_fit, default_horizon
 from .models import AlSsnnModel, _check_record, _family, load_model, save_model
@@ -56,11 +57,6 @@ def _print_table(rows) -> None:
         print(f"{k:<{width}}  {_fmt(v)}")
 
 
-def _ensure_parent(path) -> None:
-    if not (parent := Path(path).parent).exists():
-        parent.mkdir(parents=True, exist_ok=True)
-
-
 def _plain(obj):
     """The one JSON rule for library results: an array becomes nested lists,
     a dataclass its fields less those that are None."""
@@ -73,10 +69,7 @@ def _plain(obj):
 
 
 def _write_json(path, obj) -> None:
-    _ensure_parent(path)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=1, sort_keys=True, default=_plain)
-        fh.write("\n")
+    _write_text(path, json.dumps(obj, indent=1, sort_keys=True, default=_plain) + "\n")
 
 
 def _refuse_overwrite(inputs, outputs) -> None:
@@ -125,7 +118,6 @@ def cmd_gen_data(args) -> int:
         input_spec = WhInputSpec(std=args.input_std)
         ds = generate_wh(params, input_spec, args.n, seed=args.seed)
         source = {"system": args.generator, **_plain(params), "input": input_spec}
-    _ensure_parent(args.out)
     meta = {
         "generator": args.generator,
         "n_samples": args.n,
@@ -163,7 +155,7 @@ def _lti_identify(args, ds_train) -> int:
         "spectral_radius": lin.spectral_radius(),
         **({"wall_time_s": wall_time_s} if args.record_timing else {}),
     }
-    _write_json(str(args.out) + ".report.json", report)   # creates the directory
+    _write_json(str(args.out) + ".report.json", report)
     save_model(lin, str(args.out) + ".model.json")
     print(f"lti: n={args.order} rmse_train={_fmt(report['rmse_train'])} "
           f"rho(A)={_fmt(report['spectral_radius'])}")
@@ -196,7 +188,7 @@ def cmd_identify(args) -> int:
             model, rep = train(ds_train, args.order, config)
         wall_time_s = time.perf_counter() - t0
         stats = ratio_stats(model, ds_train)
-        _write_json(str(args.out) + suffix + ".report.json", {   # creates the directory
+        _write_json(str(args.out) + suffix + ".report.json", {
             "command": "identify",
             "family": args.family,
             "data": args.data,
@@ -267,10 +259,8 @@ def cmd_evaluate(args) -> int:
         result["ratios"] = {"partition": partition, **ratios}
         rows += [(f"{k} ({partition})", v) for k, v in ratios.items()]
     _write_json(str(args.out) + ".json", result)
-    with open(str(args.out) + ".csv", "w", encoding="utf-8") as fh:
-        fh.write("metric,value\n")
-        for k, v in rows:
-            fh.write(f"{k.split(' ')[0]},{v!r}\n")
+    _write_text(str(args.out) + ".csv", "metric,value\r\n"
+                + "".join(f"{k.split(' ')[0]},{v!r}\r\n" for k, v in rows))
     _print_table(rows)
     print(f"wrote {args.out}.json and {args.out}.csv")
     return 0
@@ -495,10 +485,6 @@ def main(argv=None) -> int:
         for key, val in getattr(exc, "diagnostics", {}).items():
             print(f"  {key}: {val}", file=sys.stderr)
         return 3
-    except OSError as exc:   # inputs fail as DataErrors, so an output failed
-        path = "an output" if exc.filename is None else exc.filename
-        print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -6,7 +6,9 @@ byte-order mark is skipped), one row per sample, decimal point '.', values
 written with 17 significant digits so that a save/load round trip is
 bit-exact. A file is read in one bulk pass (one csv parse, one float() of
 every cell, vectorized checks on the table); its rows are scanned one by one
-only when a check fails, to name the first bad line.
+only when a check fails, to name the first bad line. Every file the package
+writes, CSV or JSON, goes through `_write_text`, by the one write rule of
+README's "File formats".
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -178,13 +181,18 @@ def _write_table(path, header: list[str], table: np.ndarray) -> None:
     by one ``%`` over the row template repeated once per row."""
     n, width = table.shape
     row = ",".join(["%.17g"] * width) + "\r\n"
-    text = ",".join(header) + "\r\n" + (row * n) % tuple(table.ravel().tolist())
+    _write_text(path, ",".join(header) + "\r\n" + (row * n) % tuple(table.ravel().tolist()))
+
+
+def _write_text(path, text: str) -> None:
+    """Write `text` as UTF-8 with its line ends as given, making the parent
+    directory; any failure is a DataError naming the path. Every write is here."""
     try:
-        fh = open(path, "w", newline="", encoding="utf-8")
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc}") from exc
-    with fh:
-        fh.write(text)
 
 
 def load_csv(path, name: str | None = None) -> Dataset:
@@ -334,11 +342,11 @@ def _is_number(cell: str) -> bool:
 
 
 def load_json(path):
-    """The JSON value a UTF-8 file holds. A file that cannot be read, is not
-    UTF-8, is not JSON or nests past the parser's depth is a DataError
-    naming the file."""
+    """The JSON value a UTF-8 file holds (a leading byte-order mark is
+    skipped). A file that cannot be read, is not UTF-8, is not JSON or nests
+    past the parser's depth is a DataError naming the file."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return json.load(fh)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc

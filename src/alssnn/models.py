@@ -31,7 +31,7 @@ from typing import Union
 
 import numpy as np
 
-from .dataio import _frozen, load_json
+from .dataio import _frozen, _write_text, load_json
 from .errors import DataError, DivergenceError
 from .nets import Equilibrium, Mlp, mlp_forward
 
@@ -551,9 +551,7 @@ def model_from_json_dict(obj: dict) -> AnyModel:
 
 def save_model(model: AnyModel, path) -> None:
     """Write the model as JSON; floats use repr so round trips are bit-exact."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_json_dict(model), fh, indent=1)
-        fh.write("\n")
+    _write_text(path, json.dumps(model_to_json_dict(model), indent=1) + "\n")
 
 
 def load_model(path) -> AnyModel:

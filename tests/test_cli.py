@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -321,6 +322,10 @@ def test_evaluate_whole_record(ws, tmp_path):
     lines = (tmp_path / "ev.csv").read_text().splitlines()
     assert lines[0] == "metric,value"
     assert any(line.startswith("rmse,") for line in lines)
+    # every line ends in CRLF, as in the record CSV, and a cell is its value's repr
+    raw = (tmp_path / "ev.csv").read_bytes().split(b"\r\n")
+    assert raw.pop() == b"" and not any(b"\r" in s or b"\n" in s for s in raw)
+    assert f"rmse,{res['rmse']!r}" in lines
 
 
 def test_evaluate_split(ws, tmp_path):
@@ -881,25 +886,61 @@ def test_usage_errors_exit_1(capsys):
     assert "usage:" in err and "alssnn: error: argument command" in err
 
 
-def test_unwritable_identify_output_exit_2(ws, tmp_path, capsys):
+GEN = ["gen-data", "wh-synthetic", "--n", "50", "-o", "{tmp}/out.csv"]
+LTI = ["identify", "lti", "--data", "{wh}", "--order", "2", "-o", "{tmp}/out"]
+AL = ["identify", "al-ssnn", "--data", "{wh}", "--order", "2", "--nh", "2", "--ng", "2",
+      "--iters", "2", "-o", "{tmp}/out"]
+EVALUATE = ["evaluate", "--model", "{lti}.model.json", "--data", "{wh}", "-o", "{tmp}/out"]
+CLOSEDLOOP = ["closedloop", "--model", "{al}.model.json", "--data", "{wh}", "-o", "{tmp}/out"]
+CERTIFY = ["certify", "--model", "{al}.model.json", "--data", "{wh}", "-o", "{tmp}/out"]
+
+
+@pytest.mark.parametrize("argv, output, in_the_way", [
     # the output prefix lies under a regular file
-    afile = tmp_path / "afile"
-    afile.write_text("")
-    rc = main(["identify", "lti", "--data", str(ws["wh"]), "--order", "2",
-               "-o", str(afile / "out")])
+    (LTI[:-1] + ["{tmp}/afile/out"], "{tmp}/afile/out", "{tmp}/afile"),
+    # otherwise the output's name is taken by a directory
+    (EVALUATE[:-1] + ["{tmp}/adir"], "{tmp}/adir.json", None),
+    (GEN, "{tmp}/out.csv", None),
+    (GEN, "{tmp}/out.meta.json", None),
+    (LTI, "{tmp}/out.report.json", None),
+    (LTI, "{tmp}/out.model.json", None),
+    (AL, "{tmp}/out.model.json", None),
+    (AL[:-2] + ["--gamma", "0.5,1", "-o", "{tmp}/out"], "{tmp}/out.sweep.json", None),
+    (EVALUATE, "{tmp}/out.csv", None),
+    (CLOSEDLOOP, "{tmp}/out.json", None),
+    (CLOSEDLOOP, "{tmp}/out.csv", None),
+    (CERTIFY, "{tmp}/out.certificate.json", None),
+    (CERTIFY, "{tmp}/out.check.json", None),
+], ids=["identify_prefix_under_a_file", "evaluate_json", "gen_data_csv", "gen_data_meta",
+        "identify_report", "identify_lti_model", "identify_al_model", "identify_sweep",
+        "evaluate_csv", "closedloop_json", "closedloop_csv", "certify_certificate",
+        "certify_check"])
+def test_unwritable_output_exit_2(ws, tmp_path, capsys, argv, output, in_the_way):
+    def path(text):
+        return text.format(tmp=tmp_path, **ws)
+    if in_the_way is None:
+        Path(path(output)).mkdir()
+    else:
+        Path(path(in_the_way)).write_text("")
+    rc = main([path(a) for a in argv])
     assert rc == 2
     err = capsys.readouterr().err
-    assert f"cannot write {afile / 'out'}" in err and "Traceback" not in err
+    assert f"cannot write {path(output)}" in err and "Traceback" not in err
 
 
-def test_unwritable_evaluate_output_exit_2(ws, tmp_path, capsys):
-    # the JSON output's name is taken by a directory
-    (tmp_path / "adir.json").mkdir()
-    rc = main(["evaluate", "--model", str(ws["lti"]) + ".model.json",
-               "--data", str(ws["wh"]), "-o", str(tmp_path / "adir")])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert f"cannot write {tmp_path / 'adir.json'}" in err and "Traceback" not in err
+def test_json_inputs_may_start_with_a_byte_order_mark(ws, tmp_path, capsys):
+    model = tmp_path / "bom.model.json"
+    plain = Path(str(ws["lti"]) + ".model.json")
+    model.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    for name, model_path in [("plain", plain), ("bom", model)]:
+        assert main(["evaluate", "--model", str(model_path), "--data", str(ws["wh"]),
+                     "-o", str(tmp_path / name)]) == 0
+    assert (tmp_path / "bom.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+    pipeline = tmp_path / "bom.json"
+    pipeline.write_bytes(b'\xef\xbb\xbf{"steps": [["--version"]]}')
+    capsys.readouterr()
+    assert main(["run", str(pipeline)]) == 0
+    assert "alssnn " in capsys.readouterr().out
 
 
 def test_version_flag(capsys):

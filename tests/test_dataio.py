@@ -1,6 +1,7 @@
 import csv
 import gc
 import itertools
+import os
 import re
 import sys
 
@@ -146,6 +147,20 @@ def test_save_csv_writes_pinned_bytes_that_load_back_bit_for_bit(tmp_path):
     back = load_csv(path)
     assert back.u.tobytes() == ds.u.tobytes() and back.y.tobytes() == ds.y.tobytes()
     assert back.dt == 0.1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+def test_save_csv_to_a_full_disk_is_a_data_error():
+    with pytest.raises(DataError, match=re.escape("cannot write /dev/full: [Errno 28]")):
+        save_csv(make_ds(), "/dev/full")
+
+
+def test_save_csv_makes_a_missing_parent_directory(tmp_path):
+    ds = make_ds()
+    path = tmp_path / "a" / "b" / "r.csv"
+    save_csv(ds, path)
+    back = load_csv(path)
+    assert back.u.tobytes() == ds.u.tobytes() and back.y.tobytes() == ds.y.tobytes()
 
 
 def python_calls(fn, *args):

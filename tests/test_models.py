@@ -1,4 +1,6 @@
 import json
+import os
+import re
 import warnings
 
 import numpy as np
@@ -540,3 +542,16 @@ def test_simulate_either_side_of_the_fold_width_matches_step_maps(width, k_div, 
         assert traj.x.shape == xs.shape and traj.y.shape == ys.shape
         assert np.max(np.abs(traj.x - xs)) <= 1e-12 * np.max(np.abs(xs))
         assert np.max(np.abs(traj.y - ys)) <= 1e-12 * np.max(np.abs(ys))
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+def test_save_model_to_a_full_disk_is_a_data_error():
+    with pytest.raises(DataError, match=re.escape("cannot write /dev/full: [Errno 28]")):
+        save_model(al_model(), "/dev/full")
+
+
+def test_save_model_makes_a_missing_parent_directory(tmp_path):
+    model = al_model(seed=3)
+    path = tmp_path / "a" / "b" / "m.model.json"
+    save_model(model, path)
+    assert model_to_json_dict(load_model(path)) == model_to_json_dict(model)

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import json
+import os
 import reprlib
 import sys
 import time
@@ -72,12 +74,27 @@ def _write_json(path, obj) -> None:
     _write_text(path, json.dumps(obj, indent=1, sort_keys=True, default=_plain) + "\n")
 
 
-def _refuse_overwrite(inputs, outputs) -> None:
-    """DataError if a path the command writes is one of the files it reads."""
+def _check_outputs(inputs, outputs) -> None:
+    """DataError, before the command writes anything, if a path it writes
+    is one of the files it reads, is a directory or cannot be created, with
+    the message its write would end in: so a command that cannot write all
+    of its outputs writes none of them."""
     read = {Path(p).resolve() for p in inputs}
     for out in outputs:
-        if Path(out).resolve() in read:
+        path = Path(out)
+        if path.resolve() in read:
             raise DataError(f"output {out} would overwrite an input of this command")
+        try:
+            # the nearest ancestor that exists must be a directory we may write in
+            ancestor = next(a for a in path.absolute().parents if a.exists())
+            if path.is_dir():
+                raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), str(out))
+            if not ancestor.is_dir():
+                raise OSError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(ancestor))
+            if not os.access(path if path.exists() else ancestor, os.W_OK):
+                raise OSError(errno.EACCES, os.strerror(errno.EACCES), str(out))
+        except OSError as exc:
+            raise DataError(f"cannot write {out}: {exc}") from exc
 
 
 def _train_part(ds, train_frac: float):
@@ -108,6 +125,7 @@ def cmd_gen_data(args) -> int:
     if not Path(args.out).name:   # '.', '' or '/': no file to write, nor a sidecar beside it
         raise DataError(f"gen-data: output path {args.out!r} names no file")
     meta_path = Path(args.out).with_suffix(".meta.json")
+    _check_outputs([], [args.out, meta_path])
     if args.generator == "prey-predator":
         params = PreyPredatorParams() if args.dt is None else PreyPredatorParams(dt=args.dt)
         forcing = SinusoidalForcing()
@@ -168,7 +186,7 @@ def cmd_identify(args) -> int:
     gammas = [0.0] if args.family != "al-ssnn" else _parse_gammas(args.gamma)
     suffixes = [f".gamma-{gamma:g}" for gamma in gammas] if len(gammas) > 1 else [""]
     outs = [str(args.out) + s + ext for s in suffixes for ext in (".report.json", ".model.json")]
-    _refuse_overwrite([args.data], outs + [str(args.out) + ".sweep.json"] * (len(gammas) > 1))
+    _check_outputs([args.data], outs + [str(args.out) + ".sweep.json"] * (len(gammas) > 1))
     ds_full = load_csv(args.data)
     ds_train = _train_part(ds_full, args.train_frac)
 
@@ -236,7 +254,7 @@ def cmd_identify(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    _refuse_overwrite([args.model, args.data], [str(args.out) + ".json", str(args.out) + ".csv"])
+    _check_outputs([args.model, args.data], [str(args.out) + ".json", str(args.out) + ".csv"])
     model = load_model(args.model)
     ds = load_csv(args.data)
     X = _free_run(model, ds)   # the one free run every score reads
@@ -270,7 +288,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_closedloop(args) -> int:
-    _refuse_overwrite([args.model, args.data], [str(args.out) + ".json", str(args.out) + ".csv"])
+    _check_outputs([args.model, args.data], [str(args.out) + ".json", str(args.out) + ".csv"])
     model = load_model(args.model)
     ds = load_csv(args.data)
     _check_record(model, ds)
@@ -307,8 +325,8 @@ def cmd_closedloop(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    _refuse_overwrite([args.model, *args.data], [str(args.out) + ".certificate.json",
-                                                 str(args.out) + ".check.json"])
+    _check_outputs([args.model, *args.data], [str(args.out) + ".certificate.json",
+                                              str(args.out) + ".check.json"])
     model = load_model(args.model)
     datasets = [load_csv(p) for p in args.data]
     for ds in datasets:

@@ -17,9 +17,10 @@ equilibrium pin or penalty, and in being refused by the closed loop.
 `al_step` is the reference step map. The module owns every run: `simulate`
 folds each family into `_step_engine` (one tanh layer for AL and GR, none for
 LTI), the one checked entry to every free run and closed loop, which
-truncates a run where its state leaves `DIVERGENCE_BOUND`. A model cannot
-change after it is built: LinearSS and the nets own their arrays. A record
-meets a model in `_check_record`, which compares their channel counts.
+truncates a run where its state leaves `DIVERGENCE_BOUND` or where the
+caller's stop hook ends it. A model cannot change after it is built:
+LinearSS and the nets own their arrays. A record meets a model in
+`_check_record`, which compares their channel counts.
 """
 
 from __future__ import annotations
@@ -240,9 +241,10 @@ def al_step(model: AlSsnnModel, x: np.ndarray, u: np.ndarray) -> np.ndarray:
     return lin.A @ x + lin.B @ (u + h) + g
 
 
-def _step_engine(layers, M: np.ndarray, inputs, x0, what: str):
+def _step_engine(layers, M: np.ndarray, inputs, x0, what: str, stop=None):
     """Check a run and step x(k+1) = M R[k] over the rows R[k] = [t(k); x(k);
-    input(k); 1] of one buffer until the state leaves DIVERGENCE_BOUND.
+    input(k); 1] of one buffer until the state leaves DIVERGENCE_BOUND or
+    `stop` ends the run.
 
     `inputs` (named `what` in errors) is an (N, d, *runs) array of finite
     numbers, N >= 1, where d is the width M leaves after the layers and the
@@ -275,6 +277,11 @@ def _step_engine(layers, M: np.ndarray, inputs, x0, what: str):
     columns of steps 0..k-1, the states X = x(0..k) as a view, and k. A run
     that stays inside returns all N steps and k = None. The steps past x(k)
     are thrown away, so their floating-point errors are not reported.
+
+    `stop`, if given, is called after each block's divergence check as
+    stop(k0, X[k0:k1]) with the block's first row k0 and its states
+    x(k0..k1-1); once it returns True the run ends there, unflagged, and
+    returns (R, X, None) with the steps 0..k1-1 and X = x(0..k1).
     """
     n, w = M.shape
     a = sum(W.shape[0] for W in layers)
@@ -359,6 +366,8 @@ def _step_engine(layers, M: np.ndarray, inputs, x0, what: str):
             if not ok.all():
                 k = k0 + int(np.argmin(ok))
                 return R[:k, :w], X[: k + 1], k
+            if stop is not None and stop(k0, X[k0:k1]):
+                return R[:k1, :w], X[: k1 + 1], None
     return R[:N, :w], X, None
 
 
@@ -383,7 +392,8 @@ def _free_run_maps(model: AnyModel) -> tuple[list, np.ndarray]:
         return layers, np.column_stack([B @ h.W_out, g.W_out, A, B, B @ h.b_out + g.b_out])
 
 
-def simulate(model: AnyModel, u_seq: np.ndarray, x0: np.ndarray | None = None) -> Trajectory:
+def simulate(model: AnyModel, u_seq: np.ndarray, x0: np.ndarray | None = None,
+             stop=None) -> Trajectory:
     """Free-run simulation driven by recorded inputs only.
 
     y(k) = C x(k) is the output before the state update, so the input
@@ -391,13 +401,19 @@ def simulate(model: AnyModel, u_seq: np.ndarray, x0: np.ndarray | None = None) -
     `DIVERGENCE_BOUND`, or the state stops being finite, the trajectory is
     truncated at that state, x(k), and flagged instead of propagating
     overflow; it keeps y(0..k-1).
+
+    `stop` is _step_engine's hook, called after each block of _BLOCK
+    samples with the block's first index and states. A run it ends at x(k),
+    k < N, is shorter than the input and unflagged: it keeps x(0..k) and
+    y(0..k-1). Training's candidate runs stop this way once their output
+    error alone decides the step (training.residuals).
     """
     if not isinstance(model, (AlSsnnModel, LinearSS)):
         raise DataError(f"unsupported model type {type(model).__name__}")
     lin = _lin_of(model)
     if np.ndim(u_seq) > 2:   # trailing axes hold the engine's blocks of runs, never a model's
         raise DataError(f"input sequence has shape {np.shape(u_seq)}, expected (N, {lin.n_inputs})")
-    _, xs, k = _step_engine(*_free_run_maps(model), u_seq, x0, "input")
+    _, xs, k = _step_engine(*_free_run_maps(model), u_seq, x0, "input", stop=stop)
     return Trajectory(x=xs.copy(),   # a copy, not a view that holds the engine's buffer
                       y=xs[:-1] @ lin.C.T, diverged=k is not None, diverged_at=k)
 

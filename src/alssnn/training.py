@@ -15,13 +15,20 @@ stay in cache: each chunk's rows of J go through one dsyrk into J'J and
 one gemv into J'r, so training never holds the full Jacobian;
 jacobian_bptt is the assembled matrix from the same pass.
 
-The fill and the solve cover only the live columns of J. A hidden unit
-whose output weights W_out[:, i] are all zero has exactly-zero columns on
-its input row W_in[i, :] and bias b_in[i], for h and g alike, so train's
+The sensitivity pass, and so the fill and the solve, cover only the live
+columns of J. A hidden unit whose output weights W_out[:, i] are all zero
+has exactly-zero columns on its input row W_in[i, :] and bias b_in[i], for
+h and g alike; the pass never writes, steps or multiplies them, so train's
 zero-output start fills and solves an L x L system over the L live
 columns, and the step is exactly 0 on the dead ones. J'J, L x L, is the
 only square array an LM fill holds: every damped solve factors in place
 inside it, and its strict lower triangle keeps J'J for the next solve.
+
+A step is accepted on strict decrease of the loss, and a losing
+candidate's free run stops early: the output error sum ||y - C x||^2 of
+the samples run so far is a lower bound on N times the loss, since the
+penalty rows are squares, so once it passes N times the current loss the
+step is rejected as no_decrease without running the rest of the record.
 
 The model fixes its own parameter vector (pack_params): A, B and its nets'
 weights. C is never a parameter: it stays at the linear initialization's
@@ -154,21 +161,45 @@ def _block_array(model: AlSsnnModel, name: str) -> np.ndarray:
     return getattr(getattr(model, f"{tag}_net"), suffix)
 
 
-def _param_slices(model: AlSsnnModel) -> tuple[dict[str, slice], int]:
+def _param_slices(model: AlSsnnModel,
+                  units: dict | None = None) -> tuple[dict[str, slice], int]:
     """Columns of each free block in the parameter vector, and its length P.
 
     One layout serves both families: A, B, h's blocks, then g's, every
     weight free but one output bias. An AL model's g.b_out is fixed by its
     pin, and a GR model's h.b_out is zero; GR's other h blocks are
     zero-width, so its vector is A, B and its g net (the f net).
+
+    With `units` (_live_units's), the same layout over J's live columns
+    only, of length L: each input layer keeps the rows of its live units.
     """
     fixed = "g.b_out" if _pinned(model) else "h.b_out"
     cols, P = {}, 0
     for name in (name for name in _BLOCKS if name != fixed):
-        size = _block_array(model, name).size
+        block = _block_array(model, name)
+        size = (block if units is None else _live_part(name, block, units)).size
         cols[name] = slice(P, P + size)
         P += size
     return cols, P
+
+
+def _live_units(model: AlSsnnModel) -> dict[str, np.ndarray]:
+    """Indices of the live hidden units of h and g, by tag.
+
+    A hidden unit i whose output weights W_out[:, i] are all zero is dead
+    (NaN counts as nonzero): the columns of its input row W_in[i, :] and
+    bias b_in[i] are exactly zero in J, because every F(k) entry on them
+    carries the factor W_out[:, i] (through B W_h,out for h) and S(0) = 0.
+    """
+    return {tag: np.flatnonzero(np.any(getattr(model, f"{tag}_net").W_out, axis=0))
+            for tag in ("h", "g")}
+
+
+def _live_part(name: str, a: np.ndarray, units: dict) -> np.ndarray:
+    """The part of `a`, laid out as parameter block `name`, on J's live
+    columns: the live units' rows of an input layer (W_in, b_in), else a."""
+    tag, _, suffix = name.partition(".")
+    return a[units[tag]] if suffix in ("W_in", "b_in") else a
 
 
 def pack_params(model: AlSsnnModel) -> np.ndarray:
@@ -207,19 +238,42 @@ def _penalty_weight(model: AlSsnnModel, gamma: float) -> float | None:
     return np.sqrt(gamma) if _pinned(model) else None
 
 
-def residuals(model: AlSsnnModel, ds: Dataset,
-              gamma: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+def residuals(model: AlSsnnModel, ds: Dataset, gamma: float = 0.0,
+              stop_above: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(r, X): the stacked residual vector of the free run from x(0) = 0, and
-    its states x(0..N-1), which the sensitivity pass at this model reuses."""
+    its states x(0..N-1), which the sensitivity pass at this model reuses.
+
+    With `stop_above`, a bound on the output error sum_k ||y(k) - C x(k)||^2,
+    the free run ends after the first block of models._BLOCK samples at
+    which its output error so far passes the bound. X then holds the k < N
+    states run and r only their k*p output errors, so ||r||^2 / N, which
+    passes stop_above / N up to roundoff, is a lower bound on the loss: the
+    rows left out, penalty rows included, are squares.
+    """
     lin = model.lin
     _check_record(model, ds)
     sqrt_g = _penalty_weight(model, gamma)
-    xs = _run_states(simulate(model, ds.u))
-    r = (ds.y - xs @ lin.C.T).ravel()
-    if sqrt_g is not None:
+    stop = None if stop_above is None else _output_error_passes(ds.y, lin.C, stop_above)
+    xs = _run_states(simulate(model, ds.u, stop=stop))
+    r = (ds.y[: len(xs)] - xs @ lin.C.T).ravel()
+    if sqrt_g is not None and len(xs) == ds.n_samples:
         gvals = mlp_forward_batch(model.g_net, np.hstack([xs, ds.u]))
         r = np.concatenate([r, sqrt_g * gvals.ravel()])
     return r, xs
+
+
+def _output_error_passes(y: np.ndarray, C: np.ndarray, bound: float):
+    """The step engine's stop hook for a free run on the outputs y: true
+    once the run's output error sum_k ||y(k) - C x(k)||^2 passes `bound`."""
+    sse = 0.0
+
+    def stop(k0: int, X: np.ndarray) -> bool:
+        nonlocal sse
+        e = (y[k0 : k0 + len(X)] - X @ C.T).ravel()
+        sse += float(e @ e)
+        return sse > bound
+
+    return stop
 
 
 def _mean_square(r: np.ndarray, n_samples: int) -> float:
@@ -244,18 +298,21 @@ def jacobian_bptt(model: AlSsnnModel, ds: Dataset, gamma: float = 0.0) -> np.nda
 
     This is the assembled form of the chunked sensitivity pass that lm_step
     streams J'J and J'r from, kept as the reference that finite differences
-    check; training itself never builds this matrix.
+    check; training itself never builds this matrix. The pass covers the
+    live columns (_live_columns); the columns of dead units are exact zeros.
     """
     _check_record(model, ds)
     states = _run_states(simulate(model, ds.u))
     N, p = ds.n_samples, model.lin.n_outputs
     q = 0 if _penalty_weight(model, gamma) is None else model.lin.n_states
     P = _param_slices(model)[1]
-    J = np.empty((N * (p + q), P))
+    live = _live_columns(model)
+    live = slice(None) if live is None else live
+    J = np.zeros((N * (p + q), P))
     J_out, J_pen = J[: N * p].reshape(N, p, P), J[N * p :].reshape(N, q, P)
     for k0, k1, rows in _sensitivity_chunks(model, ds, gamma, states):
-        J_out[k0:k1] = rows[:, :p]
-        J_pen[k0:k1] = rows[:, p:]
+        J_out[k0:k1, :, live] = rows[:, :p]
+        J_pen[k0:k1, :, live] = rows[:, p:]
     return J
 
 
@@ -289,13 +346,17 @@ def _fill_outer(out: np.ndarray, left: np.ndarray, right: np.ndarray) -> None:
 
 def _sensitivity_chunks(model: AlSsnnModel, ds: Dataset, gamma: float,
                         states: np.ndarray):
-    """Rows of jacobian_bptt's matrix, chunk by chunk.
+    """Rows of jacobian_bptt's matrix on its L live columns, chunk by chunk.
 
     `states` is the model's free run x(0..N-1) on ds.u. Yields (k0, k1, R)
     for samples k0..k1-1. R is a contiguous array of shape (k1 - k0, p + q,
-    P): R[k - k0] holds sample k's p output rows, then its q penalty rows
-    (q = n, or 0 for a GR model, which has no penalty). R is a buffer that
-    the next chunk overwrites.
+    L): R[k - k0] holds sample k's p output rows, then its q penalty rows
+    (q = n, or 0 for a GR model, which has no penalty), on the columns
+    _live_columns lists, in its order. R is a buffer that the next chunk
+    overwrites. A dead unit's input row and bias are never written into F,
+    stepped or multiplied into rows; the chunk length is set by all P
+    columns all the same, so the chunks, and the sums over them, do not
+    depend on how many units are dead.
 
     Only the recursion S(k+1) = [F_x(k), I] [S(k); F(k)] steps sample by
     sample, one product each; F, F_x and the rows are batched over the
@@ -313,29 +374,31 @@ def _sensitivity_chunks(model: AlSsnnModel, ds: Dataset, gamma: float,
     h_net, g_net, sqrt_g = model.h_net, model.g_net, _penalty_weight(model, gamma)
     n_h, n_g = h_net.n_hidden, g_net.n_hidden
     q = 0 if sqrt_g is None else n
-    cols, P = _param_slices(model)
+    units = _live_units(model)
+    h_live, g_live = units["h"], units["g"]
+    cols, L = _param_slices(model, units)
     g0 = cols["g.W_in"].start
 
-    c_max = min(N, _chunk_len(n, P))
-    SF = np.zeros((c_max + 1, 2 * n, P))   # SF[k] = [S(k); F(k)]; SF[0] starts the chunk
+    c_max = min(N, _chunk_len(n, _param_slices(model)[1]))
+    SF = np.zeros((c_max + 1, 2 * n, L))   # SF[k] = [S(k); F(k)]; SF[0] starts the chunk
     S, F = SF[:, :n], SF[:c_max, n:]
-    R = np.empty((c_max, p + q, P))
-    L = np.zeros((c_max, p + q, 2 * n))    # [-C, 0; sqrt(gamma) G_x(k), sqrt(gamma) I]
-    L[:, :p, :n] = -C
+    R = np.empty((c_max, p + q, L))
+    rowmap = np.zeros((c_max, p + q, 2 * n))   # [-C, 0; sqrt(gamma) G_x(k), sqrt(gamma) I]
+    rowmap[:, :p, :n] = -C
     if q:
-        L[:, p:, n:] = sqrt_g * np.eye(n)
-    tail = g0 if q else P                  # first column whose rows read F too
+        rowmap[:, p:, n:] = sqrt_g * np.eye(n)
+    tail = g0 if q else L                  # first column whose rows read F too
     FxI = np.zeros((c_max, n, 2 * n))      # [F_x(k), I]: S(k+1) = FxI[k] SF[k]
     FxI[:, :, n:] = np.eye(n)
     # Views of the blocks of F rewritten per chunk: Kronecker blocks by their
     # nonzero part, and blocks whose column i * width + j holds entry (i, j)
-    # of an outer product as (c, n, rows, width). A GR model's h blocks are
-    # zero-width.
+    # of an outer product as (c, n, rows, width). The input layers have a
+    # row per live unit; a GR model's h blocks are zero-width.
     diag = {name: _diagonal_blocks(F, cols[name].start, width)
             for name, width in (("A", n), ("B", m), ("g.W_out", n_g))}
     outer = {name: F[:, :, cols[name]].reshape(c_max, n, rows, width)
-             for name, rows, width in (("h.W_in", n_h, p), ("h.W_out", m, n_h),
-                                       ("g.W_in", n_g, n + m))}
+             for name, rows, width in (("h.W_in", h_live.size, p), ("h.W_out", m, n_h),
+                                       ("g.W_in", g_live.size, n + m))}
     if "h.b_out" in cols:
         F[:, :, cols["h.b_out"]] = B
     if "g.b_out" in cols:
@@ -349,13 +412,14 @@ def _sensitivity_chunks(model: AlSsnnModel, ds: Dataset, gamma: float,
         t_e, s_e = _tanh_stats(g_net, z[None, :])
         ws_e = s_e * g_net.W_out
         z_e = z if np.any(z) else None
+    ws_e = ws_e[:, g_live]
     BW = B @ h_net.W_out
     W_gx = g_net.W_in[:, :n]
 
     for k0 in range(0, N, c_max):
         k1 = min(N, k0 + c_max)
         c = k1 - k0
-        Fc, Rc, Lc = F[:c], R[:c], L[:c]
+        Fc, Rc, Lc = F[:c], R[:c], rowmap[:c]
         Xc, U = X[k0:k1], ds.u[k0:k1]
         Y = Xc @ C.T
         th, sh = _tanh_stats(h_net, Y)
@@ -369,6 +433,7 @@ def _sensitivity_chunks(model: AlSsnnModel, ds: Dataset, gamma: float,
 
         diag["A"][:c] = Xc[:, None, :]
         diag["B"][:c] = (U + (th @ h_net.W_out.T + h_net.b_out))[:, None, :]
+        Bws, ws = Bws[:, :, h_live], ws[:, :, g_live]   # F's input-layer columns: live units
         _fill_outer(outer["h.W_in"][:c], Bws, Y)
         Fc[:, :, cols["h.b_in"]] = Bws
         np.multiply(B[:, :, None], th[:, None, None, :], out=outer["h.W_out"][:c])
@@ -384,7 +449,7 @@ def _sensitivity_chunks(model: AlSsnnModel, ds: Dataset, gamma: float,
         if q:
             np.multiply(Gx, sqrt_g, out=Lc[:, p:, :n])
         np.matmul(Lc[:, :, :n], S[:c, :, :tail], out=Rc[:, :, :tail])
-        if tail < P:
+        if tail < L:
             np.matmul(Lc, SF[:c, :, tail:], out=Rc[:, :, tail:])
         yield k0, k1, Rc
         S[0] = S[c]
@@ -410,47 +475,35 @@ def _mirror(a: np.ndarray) -> None:
 
 
 def _live_columns(model: AlSsnnModel) -> np.ndarray | None:
-    """Indices of the parameter columns J can depend on, or None when that
-    is every column.
-
-    A hidden unit i of h or g whose output weights W_out[:, i] are all zero
-    is dead: the columns of its input row W_in[i, :] and bias b_in[i] are
-    exactly zero, because every F(k) entry on them carries the factor
-    W_out[:, i] (through B W_h,out for h) and S(0) = 0. Every other block
-    is live.
-    """
+    """Indices of the parameter columns J can depend on, in the order of
+    _param_slices's live layout, or None when that is every column: all
+    but the input rows and biases of dead units (_live_units)."""
     cols, P = _param_slices(model)
-    live = np.ones(P, dtype=bool)
-    for tag in ("h", "g"):
-        net = getattr(model, f"{tag}_net")
-        unit_live = np.any(net.W_out, axis=0)   # NaN counts as nonzero
-        live[cols[f"{tag}.W_in"]] = np.repeat(unit_live, net.W_in.shape[1])
-        live[cols[f"{tag}.b_in"]] = unit_live
-    return None if live.all() else np.flatnonzero(live)
+    units, index = _live_units(model), np.arange(P)
+    live = np.concatenate([
+        _live_part(name, index[sl].reshape(_block_array(model, name).shape), units).ravel()
+        for name, sl in cols.items()])
+    return None if live.size == P else live
 
 
 def _normal_equations(model: AlSsnnModel, ds: Dataset, gamma: float, r: np.ndarray,
-                      X: np.ndarray, live: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """J'J and J'r over the columns `live` (_live_columns's; None: all P) at
-    the residuals r of the free run X (residuals's pair), accumulated chunk
-    by chunk; the full J is never formed.
+                      X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """J'J and J'r over the L live columns (_live_columns's, all P when no
+    unit is dead) at the residuals r of the free run X (residuals's pair),
+    accumulated chunk by chunk; the full J is never formed.
 
-    J'J is one L x L Fortran-order array for L live columns. Each
-    cache-sized chunk of J's rows adds to its upper triangle in one dsyrk
-    and to J'r in one gemv, with the chunk's residuals in their own small
-    array; with dead columns, the chunk's live columns are gathered first.
-    The upper triangle is mirrored once at the end, so J'J is exactly
-    symmetric.
+    J'J is one L x L Fortran-order array. Each cache-sized chunk of J's
+    rows, which the sensitivity pass yields on the live columns alone, adds
+    to its upper triangle in one dsyrk and to J'r in one gemv, with the
+    chunk's residuals in their own small array. The upper triangle is
+    mirrored once at the end, so J'J is exactly symmetric.
     """
-    P = _param_slices(model)[1]
-    L = P if live is None else live.size
+    L = _param_slices(model, _live_units(model))[1]
     N, p = ds.n_samples, model.lin.n_outputs
     r_out, r_pen = r[: N * p].reshape(N, p), r[N * p :].reshape(N, -1)   # the rest: penalty
     JtJ, Jtr = np.zeros((L, L), order="F"), np.zeros(L)
     for k0, k1, rows in _sensitivity_chunks(model, ds, gamma, X):
-        Jc = rows.reshape(-1, P)
-        # Fortran order (the gather copies in C order), so the wrappers copy nothing
-        Jc = Jc.T if live is None else Jc[:, live].T
+        Jc = rows.reshape(-1, L).T   # Fortran order, so the wrappers copy nothing
         r_c = np.concatenate((r_out[k0:k1], r_pen[k0:k1]), axis=1).ravel()
         JtJ = dsyrk(1.0, Jc, beta=1.0, c=JtJ, overwrite_c=1)
         Jtr = dgemv(1.0, Jc, r_c, beta=1.0, y=Jtr, overwrite_y=1)
@@ -472,16 +525,19 @@ class LmWorkspace:
     included, drops all of it and computes a fresh free run. A fill first
     sets `live`, the indices of the L parameter columns J can depend on
     (None: all P; see _live_columns), then streams J'J and J'r over them
-    from one dsyrk and one gemv per cache-sized chunk of J's rows, without
-    forming J: `JtJ` is then the exactly symmetric L x L J'J in Fortran
-    order, `JtJ_diag` its diagonal and `Jtr` the L-vector J'r. Each solve
+    from one dsyrk and one gemv per cache-sized chunk of J's rows, which the
+    sensitivity pass computes on those columns alone, without forming J:
+    `JtJ` is then the exactly symmetric L x L J'J in Fortran order,
+    `JtJ_diag` its diagonal and `Jtr` the L-vector J'r. Each solve
     factors in place inside `JtJ`, after which only its strict lower
     triangle and `JtJ_diag` hold J'J. An accepted step moves `problem` and
     `rv` to the candidate and drops the old fill, so the next call fills
     from the candidate's free run; `loss` still holds the loss of the model
-    the step started from. The counters add up over all calls sharing it:
-    one free run per residual evaluation, one Jacobian per fill and one
-    solve per damped system.
+    the step started from. `last_candidate_loss` is the last candidate's
+    loss, or, where its free run stopped early (lm_step), a lower bound on
+    it that passes `loss`. The counters add up over all calls sharing it:
+    one free run per residual evaluation, a stopped one included, one
+    Jacobian per fill and one solve per damped system.
     """
 
     problem: tuple | None = field(default=None, repr=False)
@@ -520,6 +576,14 @@ def lm_step(model: AlSsnnModel, ds: Dataset, config: TrainConfig, lam: float,
     not numerically positive definite) and divergent candidates count as
     rejections; the workspace records why (`last_reject_reason`:
     solve_failed, non_finite_step, invalid_params, diverged or no_decrease).
+
+    The candidate's free run, one call of training.simulate, stops after
+    the first block of models._BLOCK samples at which its output error, a
+    lower bound on N times its loss, passes N * loss * (1 + 1e-9)
+    (residuals's `stop_above`): the step is rejected as no_decrease, and
+    last_candidate_loss holds that lower bound. The divergence check comes
+    first within a block, so a run that leaves the bound there is still
+    diverged. A candidate that runs to the end is scored on its full loss.
     """
     ws = workspace if workspace is not None else LmWorkspace()
     held, held_ds, held_gamma = ws.problem or (None, None, None)
@@ -533,7 +597,7 @@ def lm_step(model: AlSsnnModel, ds: Dataset, config: TrainConfig, lam: float,
     if ws.JtJ is None:
         ws.jacobians += 1
         ws.live = _live_columns(model)
-        ws.JtJ, ws.Jtr = _normal_equations(model, ds, config.gamma, *ws.rv, ws.live)
+        ws.JtJ, ws.Jtr = _normal_equations(model, ds, config.gamma, *ws.rv)
         ws.JtJ_diag = ws.JtJ.diagonal().copy()
         ws.loss = _mean_square(ws.rv[0], ds.n_samples)
         ws.grad_inf = float(np.max(np.abs(2.0 / ds.n_samples * ws.Jtr)))
@@ -565,12 +629,16 @@ def lm_step(model: AlSsnnModel, ds: Dataset, config: TrainConfig, lam: float,
     except DataError:
         return reject("invalid_params")
     ws.free_runs += 1
+    N = ds.n_samples
     try:
-        rv_c = residuals(candidate, ds, config.gamma)
+        # The run stops once its output error alone passes N times the
+        # loss; the margin keeps roundoff in that sum from stopping a
+        # candidate whose full loss would pass the test.
+        rv_c = residuals(candidate, ds, config.gamma, stop_above=N * ws.loss * (1 + 1e-9))
     except DivergenceError:
         return reject("diverged")
-    ws.last_candidate_loss = _mean_square(rv_c[0], ds.n_samples)
-    if ws.last_candidate_loss < ws.loss:
+    ws.last_candidate_loss = _mean_square(rv_c[0], N)
+    if len(rv_c[1]) == N and ws.last_candidate_loss < ws.loss:
         ws.problem, ws.rv = (candidate, ds, config.gamma), rv_c
         ws.live = ws.JtJ = ws.JtJ_diag = ws.Jtr = None
         return candidate, lam * config.lambda_down, True

@@ -916,16 +916,33 @@ CERTIFY = ["certify", "--model", "{al}.model.json", "--data", "{wh}", "-o", "{tm
         "evaluate_csv", "closedloop_json", "closedloop_csv", "certify_certificate",
         "certify_check"])
 def test_unwritable_output_exit_2(ws, tmp_path, capsys, argv, output, in_the_way):
+    # every output is checked before the first is written, so a command
+    # that cannot write one of its outputs leaves no other behind
     def path(text):
         return text.format(tmp=tmp_path, **ws)
     if in_the_way is None:
         Path(path(output)).mkdir()
     else:
         Path(path(in_the_way)).write_text("")
+    before = sorted(tmp_path.rglob("*"))
     rc = main([path(a) for a in argv])
     assert rc == 2
     err = capsys.readouterr().err
     assert f"cannot write {path(output)}" in err and "Traceback" not in err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_output_in_a_directory_without_write_permission_exit_2(ws, tmp_path, monkeypatch,
+                                                               capsys):
+    # permission is checked with the other outputs, before anything is
+    # written (os.access stands in for a read-only directory, which the
+    # superuser could write all the same)
+    monkeypatch.setattr(cli.os, "access", lambda path, mode: Path(path) != tmp_path)
+    rc = main([a.format(tmp=tmp_path, **ws) for a in GEN])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"cannot write {tmp_path}/out.csv: " in err and "Permission denied" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_json_inputs_may_start_with_a_byte_order_mark(ws, tmp_path, capsys):

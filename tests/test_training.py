@@ -9,7 +9,7 @@ from alssnn import training
 from alssnn.dataio import Dataset
 from alssnn.errors import DataError, DivergenceError
 from alssnn.linear_id import LinearSS
-from alssnn.models import AlSsnnModel, GrSsnnModel, gr_model, simulate
+from alssnn.models import _BLOCK, AlSsnnModel, GrSsnnModel, gr_model, simulate
 from alssnn.nets import (Equilibrium, Mlp, enforce_equilibrium_zero, mlp_forward,
                          mlp_forward_batch)
 from alssnn.training import (LmWorkspace, TrainConfig, jacobian_bptt, lm_step,
@@ -513,7 +513,7 @@ def check_streamed_normal_equations(model, ds, config, monkeypatch):
     # models have no dead unit, so the fill covers all P columns
     r, X = residuals(model, ds, config.gamma)
     assert training._live_columns(model) is None
-    fill_JtJ, fill_Jtr = training._normal_equations(model, ds, config.gamma, r, X, None)
+    fill_JtJ, fill_Jtr = training._normal_equations(model, ds, config.gamma, r, X)
     J = jacobian_bptt(model, ds, config.gamma)
     JtJ, Jtr = J.T @ J, J.T @ r
     assert np.max(np.abs(fill_JtJ - JtJ)) <= 1e-12 * np.max(np.abs(JtJ))
@@ -588,7 +588,7 @@ def test_reduced_normal_equations_equal_the_live_block_of_the_assembled_jacobian
     model, ds, config, live = dead_case(kind)
     assert np.array_equal(training._live_columns(model), live)
     r, X = residuals(model, ds, config.gamma)
-    JtJ, Jtr = training._normal_equations(model, ds, config.gamma, r, X, live)
+    JtJ, Jtr = training._normal_equations(model, ds, config.gamma, r, X)
     J = jacobian_bptt(model, ds, config.gamma)[:, live]
     ref_JtJ, ref_Jtr = J.T @ J, J.T @ r
     assert JtJ.shape == (live.size, live.size) and JtJ.flags.f_contiguous
@@ -626,6 +626,39 @@ def test_lm_step_solves_the_live_columns_and_steps_dead_ones_by_zero(kind, monke
     err = np.linalg.norm(d[live] * (delta[live] - ref[live])) / np.linalg.norm(d * ref)
     assert err < 1e-10
     assert ws.last_step_norm == pytest.approx(np.linalg.norm(delta), rel=1e-15)
+
+
+@pytest.mark.parametrize("kind", ["al", "gr"])
+def test_sensitivity_pass_on_half_dead_nets_covers_the_live_columns_alone(kind):
+    # half of h's and half of g's units have zero output weights (GR: half
+    # of its f net's); the pass yields the L live columns alone, the fill is
+    # the Gram of the assembled Jacobian's live columns, whose dead columns
+    # are exact zeros, and that Jacobian still matches central differences
+    # as tightly as acceptance criterion 01 asks
+    ds, gamma = rand_ds(m=1, p=2, N=30, seed=31), 0.0 if kind == "gr" else 0.9
+    if kind == "gr":
+        model = rand_gr(n=3, m=1, p=2, nf=4, seed=31)
+        model = replace(model, g_net=kill(model.g_net, 0, 2))
+        dead = unit_columns(model, "g", 0) + unit_columns(model, "g", 2)
+    else:
+        model = rand_al(n=3, m=1, p=2, nh=4, ng=4, seed=31)
+        model = pin(replace(model, h_net=kill(model.h_net, 1, 3), g_net=kill(model.g_net, 0, 2)))
+        dead = [c for tag, i in (("h", 1), ("h", 3), ("g", 0), ("g", 2))
+                for c in unit_columns(model, tag, i)]
+    P = pack_params(model).size
+    live = np.setdiff1d(np.arange(P), dead)
+    assert np.array_equal(training._live_columns(model), live)
+    r, X = residuals(model, ds, gamma)
+    widths = {rows.shape[-1] for *_, rows in training._sensitivity_chunks(model, ds, gamma, X)}
+    assert widths == {live.size}
+    J = jacobian_bptt(model, ds, gamma)
+    assert J.shape[1] == P and np.all(J[:, dead] == 0.0)
+    JtJ, Jtr = training._normal_equations(model, ds, gamma, r, X)
+    ref_JtJ, ref_Jtr = J[:, live].T @ J[:, live], J[:, live].T @ r
+    assert np.max(np.abs(JtJ - ref_JtJ)) <= 1e-12 * np.max(np.abs(ref_JtJ))
+    assert np.max(np.abs(Jtr - ref_Jtr)) <= 1e-12 * np.max(np.abs(ref_Jtr))
+    J_fd = fd_residual_jac(model, ds, gamma)
+    assert np.linalg.norm(J - J_fd) / np.linalg.norm(J_fd) < 1e-5
 
 
 def test_train_solves_the_live_columns_until_its_first_accepted_step(monkeypatch):
@@ -792,9 +825,9 @@ def test_train_evaluates_the_initial_model_in_its_first_lm_step(monkeypatch):
     inside, outside, firsts = [0], [], []
     residuals_, lm_step_ = training.residuals, training.lm_step
 
-    def counted_residuals(*args):
+    def counted_residuals(*args, **kwargs):
         (outside if inside[0] == 0 else firsts).append(args[0])
-        return residuals_(*args)
+        return residuals_(*args, **kwargs)
 
     def traced_lm_step(model, ds, config, lam, workspace):
         if inside[0] == 0 and not firsts:
@@ -861,6 +894,116 @@ def test_lm_step_rejects_a_failed_cholesky_as_solve_failed(monkeypatch):
     assert ws.last_reject_reason == "solve_failed"
     assert ws.last_step_norm is None and ws.last_candidate_loss is None
     assert (ws.free_runs, ws.jacobians, ws.solves) == (1, 1, 1)
+
+
+def recorded_runs(monkeypatch):
+    """Patch training.simulate to record (samples run, samples asked) per call."""
+    runs, simulate_ = [], training.simulate
+
+    def recording(model, u_seq, *args, **kwargs):
+        traj = simulate_(model, u_seq, *args, **kwargs)
+        runs.append((traj.y.shape[0], len(u_seq)))
+        return traj
+
+    monkeypatch.setattr(training, "simulate", recording)
+    return runs
+
+
+def stop_case():
+    """A record of 600 samples, whose short AL and GR fits reject steps."""
+    ds = linear_ds(N=600, seed=23)
+    ds = Dataset(u=ds.u, y=ds.y + 0.05 * np.tanh(3 * ds.y))
+    return ds, [lambda: train(ds, 2, TrainConfig(gamma=0.5, max_iters=8, n_h=3, n_g=3)),
+                lambda: train_gr(ds, 2, 3, TrainConfig(max_iters=8))]
+
+
+def test_stopping_losing_candidates_early_changes_no_result(monkeypatch):
+    # a candidate's free run stops once its output error alone passes N
+    # times the loss; with the stop disabled, the same fits run every
+    # candidate to the end and return the same models and reports
+    ds, fits = stop_case()
+    runs = recorded_runs(monkeypatch)
+    stopped = []
+    for fit in fits:
+        runs.clear()
+        stopped.append((fit(), sum(done < asked for done, asked in runs)))
+    monkeypatch.setattr(training, "_output_error_passes", lambda y, C, bound: None)
+    for fit, ((model, report), n_stopped) in zip(fits, stopped):
+        runs.clear()
+        full_model, full_report = fit()
+        assert n_stopped > 0 and all(done == asked for done, asked in runs)
+        assert np.array_equal(pack_params(model), pack_params(full_model))
+        assert report == full_report
+
+
+def test_lm_step_stops_a_losing_candidate_after_its_first_block(monkeypatch):
+    # a zero step leaves the model as it is, which cannot beat a loss far
+    # below its own: its output error passes N times that loss within the
+    # first block of the free run, which stops there. last_candidate_loss
+    # is then a lower bound on the candidate's loss: the first block's
+    # output error over N.
+    model = pin(rand_al(seed=24, net_scale=0.1))
+    ds = rand_ds(N=3 * _BLOCK, seed=24)
+    config = TrainConfig(gamma=0.5)
+    P = pack_params(model).size
+    runs = recorded_runs(monkeypatch)
+    ws = LmWorkspace(problem=(model, ds, 0.5), loss=1e-6, JtJ=np.eye(P, order="F"),
+                     JtJ_diag=np.ones(P), Jtr=np.zeros(P))
+    out, lam, accepted = lm_step(model, ds, config, 1e-2, workspace=ws)
+    assert out is model and not accepted and lam == 1e-2 * TrainConfig.lambda_up
+    assert ws.last_reject_reason == "no_decrease" and ws.free_runs == 1
+    assert runs == [(_BLOCK, ds.n_samples)]
+    assert ws.last_candidate_loss > ws.loss
+    e = ds.y[:_BLOCK] - simulate(model, ds.u).y[:_BLOCK]
+    assert ws.last_candidate_loss == pytest.approx(np.sum(e**2) / ds.n_samples, rel=1e-12)
+    assert ws.last_candidate_loss < loss(model, ds, 0.5)
+
+
+def test_lm_step_runs_a_winning_candidate_whose_loss_is_all_output_error_to_the_end(
+        monkeypatch):
+    # at gamma = 0 the output error is the whole loss, and on this record
+    # all of it falls in the first block; a candidate whose loss is one ulp
+    # below the current one must not be stopped there by its output error,
+    # whatever the roundoff of its block sums, and is accepted
+    model = pin(rand_al(seed=24, net_scale=0.1))
+    u = rand_ds(N=3 * _BLOCK, seed=24).u
+    y = simulate(model, u).y
+    y[:_BLOCK] += 0.1
+    ds = Dataset(u=u, y=y)
+    P, current = pack_params(model).size, np.nextafter(loss(model, ds), np.inf)
+    runs = recorded_runs(monkeypatch)
+    ws = LmWorkspace(problem=(model, ds, 0.0), loss=current, JtJ=np.eye(P, order="F"),
+                     JtJ_diag=np.ones(P), Jtr=np.zeros(P))
+    _, _, accepted = lm_step(model, ds, TrainConfig(gamma=0.0), 1e-2, workspace=ws)
+    assert accepted and runs == [(ds.n_samples, ds.n_samples)]
+
+
+def test_lm_step_keeps_a_candidate_that_diverges_in_its_stopping_block_diverged(monkeypatch):
+    # the divergence check comes first within a block: a candidate that
+    # leaves the bound in the block where its output error passes the loss
+    # is rejected as diverged, not no_decrease
+    model = pin(rand_al(seed=24, net_scale=0.1))
+    model = replace(model, lin=replace(model.lin, A=2.0 * np.eye(2)))
+    ds = rand_ds(N=3 * _BLOCK, seed=24)
+    assert 0 < simulate(model, ds.u).diverged_at < _BLOCK
+    P = pack_params(model).size
+    runs = recorded_runs(monkeypatch)
+    ws = LmWorkspace(problem=(model, ds, 0.5), loss=1e-6, JtJ=np.eye(P, order="F"),
+                     JtJ_diag=np.ones(P), Jtr=np.zeros(P))
+    _, _, accepted = lm_step(model, ds, TrainConfig(gamma=0.5), 1e-2, workspace=ws)
+    assert not accepted and ws.last_reject_reason == "diverged"
+    assert ws.free_runs == 1 and len(runs) == 1 and ws.last_candidate_loss is None
+
+
+def test_every_free_run_of_training_goes_through_training_simulate(monkeypatch):
+    # perfbench counts free runs per LM step by the calls to training.simulate,
+    # so every candidate run, stopped early or not, must be one of them
+    _, fits = stop_case()
+    runs = recorded_runs(monkeypatch)
+    for fit in fits:
+        runs.clear()
+        report = fit()[1]
+        assert len(runs) == report.free_runs > report.n_iterations - report.n_accepted
 
 
 def test_lm_step_solve_is_accurate_on_badly_scaled_normal_equations(monkeypatch):

@@ -4,9 +4,9 @@ and `_frozen`, the one rule by which every frozen value owns its arrays.
 On-disk format: UTF-8 CSV with header ``t,u1,...,um,y1,...,yp`` (a leading
 byte-order mark is skipped), one row per sample, decimal point '.', values
 written with 17 significant digits so that a save/load round trip is
-bit-exact. A file is read in one bulk pass (one csv parse, one float() of
-every cell, vectorized checks on the table); its rows are scanned one by one
-only when a check fails, to name the first bad line. Every file the package
+bit-exact. A file is read in one pass that applies each rule once, to the
+whole table; only a file that breaks a rule is read again, by a csv reader
+that applies no rules, to name the first bad line. Every file the package
 writes, CSV or JSON, goes through `_write_text`, by the one write rule of
 README's "File formats".
 """
@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -105,15 +107,11 @@ def normalize(ds: Dataset) -> tuple[Dataset, dict]:
     """Per-channel zero-mean unit-std rescaling of u and y.
 
     Returns the rescaled dataset together with the affine parameters so the
-    transformation is recorded and invertible. Channels with std below 1e-12
-    keep scale 1 to avoid blowing up constant signals.
+    transformation is recorded and invertible. A channel whose std is at
+    most 1e-12 times its largest |value| is constant up to roundoff and
+    keeps scale 1, so that its roundoff is not blown up.
     """
-    u_mean = ds.u.mean(axis=0)
-    y_mean = ds.y.mean(axis=0)
-    u_std = ds.u.std(axis=0)
-    y_std = ds.y.std(axis=0)
-    u_std = np.where(u_std < 1e-12, 1.0, u_std)
-    y_std = np.where(y_std < 1e-12, 1.0, y_std)
+    (u_mean, u_std), (y_mean, y_std) = _affine(ds.u), _affine(ds.y)
     out = Dataset(
         u=(ds.u - u_mean) / u_std,
         y=(ds.y - y_mean) / y_std,
@@ -127,6 +125,13 @@ def normalize(ds: Dataset) -> tuple[Dataset, dict]:
         "y_std": [float(v) for v in y_std],
     }
     return out, params
+
+
+def _affine(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column mean and std of `a`, the std replaced by 1 where it is at
+    most 1e-12 times the column's largest |value|."""
+    std = a.std(axis=0)
+    return a.mean(axis=0), np.where(std <= 1e-12 * np.abs(a).max(axis=0), 1.0, std)
 
 
 @dataclass(frozen=True)
@@ -206,9 +211,13 @@ def load_csv(path, name: str | None = None) -> Dataset:
     Errors cite the offending 1-based physical line; a record that spans
     lines (a quoted newline) is cited by its last line.
 
-    A file is read in one bulk pass: one csv parse, one float conversion of
-    every cell and vectorized checks on the table. Only a file that fails a
-    check is scanned again row by row, to name its first bad line.
+    Each rule is applied once, to the whole table: one csv parse, one float
+    conversion of the cells, vectorized checks. The first bad data row in
+    file order (a wrong width, then a cell that is not a plain number, then a
+    non-finite cell) is raised first, then a csv error, then the row count
+    and the time column's rules. Only a file that breaks a rule is read
+    again, by a csv reader that applies no rules, to turn the bad row into
+    its physical line.
     """
     try:
         with open(path, "rb") as fh:
@@ -224,94 +233,62 @@ def load_csv(path, name: str | None = None) -> Dataset:
     start = text.find("\n") + 1
     suspect = not text.isascii() or any(
         text.find(c, start) >= 0 for c in _NON_NUMBER_CHARS)
-    try:
-        rows = list(csv.reader(io.StringIO(text, newline="")))
-        if not rows:
-            raise DataError(f"{path}: empty file")
-        m, p = _parse_header([h.strip() for h in rows[0]], path)
-        width = 1 + m + p
-        body = [row for row in rows[1:] if row and (len(row) > 1 or row[0].strip())]
-        cells = [c for row in body for c in row]
-        if set(map(len, body)) - {width} or (suspect and not all(map(_is_plain, cells))):
-            raise ValueError
-        table = np.fromiter(map(float, cells), float, len(cells)).reshape(len(body), width)
-        if not np.isfinite(table).all():
-            raise ValueError
-        if len(body) < 2:
-            raise DataError(f"{path}: need at least 2 data rows, got {len(body)}")
-        t = table[:, 0]
-        dt = float(t[1] - t[0])
-        if not (math.isfinite(dt) and dt > 0) or _off_grid(t, dt).any():
-            raise ValueError
-    except (csv.Error, ValueError):
-        _raise_first_bad_line(text, path, suspect)
-        raise   # not reached: the scan applies the rules that refused the file
-    return Dataset(u=table[:, 1 : 1 + m], y=table[:, 1 + m :], dt=dt,
-                   name=name if name is not None else str(path))
-
-
-def _raise_first_bad_line(text: str, path, suspect: bool) -> None:
-    """Raise the DataError of the first line, in file order, that breaks a
-    rule of `load_csv`; return if there is none.
-
-    Rows are read one by one so that `reader.line_num` gives each problem its
-    physical line: a csv error, a short or long row, a non-numeric or
-    non-finite cell, then the time column's rules, which need every row.
-    """
     reader = csv.reader(io.StringIO(text, newline=""))
-    t_vals: list[float] = []
-    linenos: list[int] = []
-    m = p = 0
+    rows: list[list[str]] = []
+    csv_error = None
     try:
-        for row in reader:
-            lineno = reader.line_num
-            if not m:   # the first row is the header, which sets m >= 1
-                m, p = _parse_header([h.strip() for h in row], path)
-                continue
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 1 + m + p:
-                raise DataError(
-                    f"{path}: line {lineno}: expected {1 + m + p} cells, got {len(row)}"
-                )
-            try:
-                if suspect and not all(map(_is_plain, row)):
-                    raise ValueError
-                vals = [float(c) for c in row]
-            except ValueError:
-                bad = next(c for c in row if not _is_number(c))
-                raise DataError(
-                    f"{path}: line {lineno}: non-numeric cell {bad!r}"
-                ) from None
-            if not all(map(math.isfinite, vals)):
-                bad = next(c for c, v in zip(row, vals) if not math.isfinite(v))
-                raise DataError(f"{path}: line {lineno}: non-finite cell {bad!r}")
-            t_vals.append(vals[0])
-            linenos.append(lineno)
+        rows.extend(reader)   # keeps the rows read before a csv error
     except csv.Error as exc:
-        raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
-    if len(t_vals) < 2:
-        return
-    t = np.array(t_vals)
+        csv_error = f"{path}: line {reader.line_num}: {exc}"
+    if not rows:
+        raise DataError(csv_error or f"{path}: empty file")
+    m, p = _parse_header([h.strip() for h in rows[0]], path)
+    width = 1 + m + p
+    body = [row for row in rows[1:] if row and (len(row) > 1 or row[0].strip())]
+
+    def fail(i: int, what: str):   # a re-read that applies no rules finds body[i]'s line
+        j = next(j for j, row in enumerate(rows) if row is body[i])
+        reader = csv.reader(io.StringIO(text, newline=""))
+        next(itertools.islice(reader, j, None))
+        raise DataError(f"{path}: line {reader.line_num}: {what}")
+
+    # The table holds the rows ahead of the first one of the wrong width or
+    # with a cell that is not a plain number.
+    wrong = np.fromiter(map(len, body), int, len(body)) != width
+    n = int(wrong.argmax()) if wrong.any() else len(body)
+    bad = f"expected {width} cells, got {len(body[n])}" if n < len(body) else None
+    cells = list(itertools.chain.from_iterable(body[:n]))
+    to_float = _plain_float if suspect else float
+    rest = iter(cells)
+    try:
+        values = np.fromiter(map(to_float, rest), float, len(cells))
+    except ValueError:   # cells[c] failed; a list iterator's length hint is exact
+        c = len(cells) - operator.length_hint(rest) - 1
+        n, bad = c // width, f"non-numeric cell {cells[c]!r}"
+        values = np.fromiter(map(to_float, cells[: n * width]), float, n * width)
+    table = values.reshape(n, width)
+    finite = np.isfinite(table)
+    if not finite.all():
+        i = int(finite.all(axis=1).argmin())
+        fail(i, f"non-finite cell {body[i][int(finite[i].argmin())]!r}")
+    if bad:
+        fail(n, bad)
+    if csv_error:
+        raise DataError(csv_error)
+    if n < 2:
+        raise DataError(f"{path}: need at least 2 data rows, got {n}")
+    t = table[:, 0]
     dt = float(t[1] - t[0])
     if not (math.isfinite(dt) and dt > 0):
-        raise DataError(
-            f"{path}: line {linenos[1]}: non-increasing time column (dt={dt})"
-        )
-    off = _off_grid(t, dt)
-    if np.any(off):
-        i = int(np.argmax(off))
-        grid = t[0] + i * dt
-        raise DataError(
-            f"{path}: line {linenos[i]}: time {float(t[i])!r} is off the uniform "
-            f"grid t0 + k*dt = {float(grid)!r} (dt={dt!r} from the first two rows)"
-        )
-
-
-def _off_grid(t: np.ndarray, dt: float) -> np.ndarray:
-    """Mask of the times off the grid t0 + k*dt by more than a relative 1e-9."""
-    k = np.arange(t.size)
-    return ~(np.abs(t - (t[0] + k * dt)) <= 1e-9 * (abs(t[0]) + k * dt))
+        fail(1, f"non-increasing time column (dt={dt})")
+    k = np.arange(n)   # row k must sit at t0 + k*dt up to a relative 1e-9
+    off = ~(np.abs(t - (t[0] + k * dt)) <= 1e-9 * (abs(t[0]) + k * dt))
+    if off.any():
+        i = int(off.argmax())
+        fail(i, f"time {float(t[i])!r} is off the uniform grid t0 + k*dt = "
+             f"{float(t[0] + i * dt)!r} (dt={dt!r} from the first two rows)")
+    return Dataset(u=table[:, 1 : 1 + m], y=table[:, 1 + m :], dt=dt,
+                   name=name if name is not None else str(path))
 
 
 def _parse_header(header: list[str], path) -> tuple[int, int]:
@@ -331,14 +308,11 @@ def _is_plain(cell: str) -> bool:
     return cell.isascii() and not any(map(cell.__contains__, _NON_NUMBER_CHARS))
 
 
-def _is_number(cell: str) -> bool:
+def _plain_float(cell: str) -> float:
+    """float(cell) of a cell that _is_plain, else a ValueError."""
     if not _is_plain(cell):
-        return False
-    try:
-        float(cell)
-        return True
-    except ValueError:
-        return False
+        raise ValueError(cell)
+    return float(cell)
 
 
 def load_json(path):

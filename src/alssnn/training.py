@@ -307,7 +307,6 @@ def jacobian_bptt(model: AlSsnnModel, ds: Dataset, gamma: float = 0.0) -> np.nda
     q = 0 if _penalty_weight(model, gamma) is None else model.lin.n_states
     P = _param_slices(model)[1]
     live = _live_columns(model)
-    live = slice(None) if live is None else live
     J = np.zeros((N * (p + q), P))
     J_out, J_pen = J[: N * p].reshape(N, p, P), J[N * p :].reshape(N, q, P)
     for k0, k1, rows in _sensitivity_chunks(model, ds, gamma, states):
@@ -474,16 +473,15 @@ def _mirror(a: np.ndarray) -> None:
         np.copyto(block, block.T, where=tri[:w, :w])
 
 
-def _live_columns(model: AlSsnnModel) -> np.ndarray | None:
+def _live_columns(model: AlSsnnModel) -> np.ndarray:
     """Indices of the parameter columns J can depend on, in the order of
-    _param_slices's live layout, or None when that is every column: all
-    but the input rows and biases of dead units (_live_units)."""
+    _param_slices's live layout: all but the input rows and biases of dead
+    units (_live_units), so every column when no unit is dead."""
     cols, P = _param_slices(model)
     units, index = _live_units(model), np.arange(P)
-    live = np.concatenate([
+    return np.concatenate([
         _live_part(name, index[sl].reshape(_block_array(model, name).shape), units).ravel()
         for name, sl in cols.items()])
-    return None if live.size == P else live
 
 
 def _normal_equations(model: AlSsnnModel, ds: Dataset, gamma: float, r: np.ndarray,
@@ -524,7 +522,7 @@ class LmWorkspace:
     means not filled yet. A call with another problem, the first call
     included, drops all of it and computes a fresh free run. A fill first
     sets `live`, the indices of the L parameter columns J can depend on
-    (None: all P; see _live_columns), then streams J'J and J'r over them
+    (_live_columns), then streams J'J and J'r over them
     from one dsyrk and one gemv per cache-sized chunk of J's rows, which the
     sensitivity pass computes on those columns alone, without forming J:
     `JtJ` is then the exactly symmetric L x L J'J in Fortran order,
@@ -619,10 +617,9 @@ def lm_step(model: AlSsnnModel, ds: Dataset, config: TrainConfig, lam: float,
         return reject("non_finite_step")
 
     theta = pack_params(model)
-    if ws.live is not None:   # dead columns step by exactly 0
-        step = np.zeros(theta.size)
-        step[ws.live] = delta
-        delta = step
+    step = np.zeros(theta.size)   # dead columns step by exactly 0
+    step[ws.live] = delta
+    delta = step
     ws.last_step_norm = float(np.linalg.norm(delta))
     try:
         candidate = unpack_params(model, theta + delta)

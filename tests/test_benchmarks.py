@@ -139,6 +139,16 @@ def test_prey_predator_deterministic():
     assert np.array_equal(a.y, b.y)
 
 
+def test_prey_predator_is_even_in_its_input():
+    # the plant squares its inputs, so a negated forcing gives the same
+    # output bytes (ROADMAP, "What the models know")
+    ds = simulate_prey_predator(PreyPredatorParams(), SinusoidalForcing(), 10_000)
+    neg = simulate_prey_predator(PreyPredatorParams(),
+                                 SinusoidalForcing(A1=-2.0, A2=-2.0), 10_000)
+    assert np.array_equal(neg.u, -ds.u)
+    assert neg.y.tobytes() == ds.y.tobytes()
+
+
 def test_prey_predator_divergence_names_step():
     params = replace(PreyPredatorParams(), a1=2.0, a2=2.0)
     with pytest.raises(NumericalError, match="diverged at step"):

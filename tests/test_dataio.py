@@ -324,3 +324,21 @@ def test_normalize_constant_channel_guard():
     out, params = normalize(ds)
     assert np.allclose(out.u, 0.0)
     assert params["u_std"] == [1.0]
+
+
+def test_normalize_scales_a_tiny_varying_channel_to_unit_std():
+    # std 1e-13 is far above the roundoff of values about 1e-13 in size
+    rng = np.random.default_rng(3)
+    ds = Dataset(1e-13 * rng.normal(size=(200, 1)), rng.normal(size=200), dt=1.0)
+    out, params = normalize(ds)
+    assert params["u_std"][0] < 1e-12
+    assert np.isclose(out.u.std(), 1.0, rtol=1e-12)
+
+
+@pytest.mark.parametrize("value", [1e7, 1e7 + 0.1])
+def test_normalize_keeps_scale_1_for_a_large_constant_channel(value):
+    # the std of 1e7 + 0.1 repeated is roundoff, about 2e-9, not a signal
+    ds = Dataset(np.full((50, 1), value), np.arange(50.0), dt=1.0)
+    out, params = normalize(ds)
+    assert params["u_std"] == [1.0]
+    assert np.abs(out.u).max() < 1e-6

@@ -15,7 +15,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from alssnn.dataio import (_NON_NUMBER_CHARS, Dataset, _is_number, _is_plain,  # noqa: E402
+from alssnn.dataio import (_NON_NUMBER_CHARS, Dataset, _is_plain,  # noqa: E402
                            _parse_header, load_csv, save_csv)
 from alssnn.errors import DataError  # noqa: E402
 
@@ -97,6 +97,17 @@ def test_corrupted_csv_loads_same_data_or_names_a_line(tmp_path, corruption):
         return
     assert np.array_equal(ds.u, u) and np.array_equal(ds.y, y)
     assert math.isclose(ds.dt, ref.dt, rel_tol=1e-6)
+
+
+def _is_number(cell):
+    """True if the cell is plain ASCII and float() takes it."""
+    if not _is_plain(cell):
+        return False
+    try:
+        float(cell)
+        return True
+    except ValueError:
+        return False
 
 
 def reference_load(path):
@@ -214,6 +225,36 @@ def test_a_csv_error_and_a_bad_row_are_cited_in_file_order(tmp_path, bad_line, h
     want = outcome(reference_load, path)
     assert want[0] == "error" and want[1].startswith(f"{path}: line {min(bad_line, huge_line)}: ")
     assert outcome(bulk_load, path) == want
+
+
+# lines 1-8: a record whose quoted cell '1\n' spans lines 2-3, an empty and
+# a blank line, then three one-line records at t = 1, 2, 3
+SPANNED = ["t,u1,y1", '0,"1', '",2', "", "  ", "1,2,3", "2,3,4", "3,4,5"]
+
+
+@pytest.mark.parametrize("at, row, cited", [
+    (7, "2,3", 7), (7, "2,x,4", 7), (7, "2,inf,4", 7), (7, "2," + "1" * 200_000 + ",4", 7),
+    (7, "2.5,3,4", 7), (6, "0,2,3", 6), (2, '0,"inf', 3),
+], ids=["width", "non-numeric", "non-finite", "csv-error", "off-grid", "non-increasing",
+        "spanned-non-finite"])
+def test_a_bad_row_after_a_spanned_record_and_blank_lines_is_cited_at_its_line(
+        tmp_path, at, row, cited):
+    # the rule-free re-read that finds the line counts physical lines, not
+    # records or data rows
+    lines = SPANNED.copy()
+    lines[at - 1] = row
+    path = tmp_path / "spanned.csv"
+    path.write_bytes(("\r\n".join(lines) + "\r\n").encode("utf-8"))
+    want = outcome(reference_load, path)
+    assert want[0] == "error" and want[1].startswith(f"{path}: line {cited}: ")
+    assert outcome(bulk_load, path) == want
+
+
+def test_a_spanned_record_and_blank_lines_load_the_row_readers_arrays(tmp_path):
+    path = tmp_path / "spanned.csv"
+    path.write_bytes(("\r\n".join(SPANNED) + "\r\n").encode("utf-8"))
+    got = outcome(bulk_load, path)
+    assert got[0] == "ok" and got == outcome(reference_load, path)
 
 
 @pytest.mark.parametrize("eols", [["\n"], ["\r"], ["\r\n", "\n", "\r"]], ids=["lf", "cr", "mixed"])

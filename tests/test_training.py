@@ -510,9 +510,10 @@ def chunk_case(kind, N, n=7, m=2, p=2, nh=4, seed=26):
 
 def check_streamed_normal_equations(model, ds, config, monkeypatch):
     # J'J straight after the fill, before any solve factors inside it; these
-    # models have no dead unit, so the fill covers all P columns
+    # models have no dead unit, so the fill covers all P columns in order
     r, X = residuals(model, ds, config.gamma)
-    assert training._live_columns(model) is None
+    P = pack_params(model).size
+    assert np.array_equal(training._live_columns(model), np.arange(P))
     fill_JtJ, fill_Jtr = training._normal_equations(model, ds, config.gamma, r, X)
     J = jacobian_bptt(model, ds, config.gamma)
     JtJ, Jtr = J.T @ J, J.T @ r
@@ -530,7 +531,8 @@ def check_streamed_normal_equations(model, ds, config, monkeypatch):
         patch.setattr(training, "unpack_params", refuse)
         lm_step(model, ds, config, 1e-2, workspace=ws)
     assert ws.last_reject_reason == "invalid_params" and ws.solves == 1
-    assert ws.live is None and ws.JtJ.shape == fill_JtJ.shape == (J.shape[1],) * 2
+    assert np.array_equal(ws.live, np.arange(P))
+    assert ws.JtJ.shape == fill_JtJ.shape == (J.shape[1],) * 2
     assert np.array_equal(ws.Jtr, fill_Jtr)
     assert np.array_equal(ws.JtJ_diag, np.diag(fill_JtJ))
     assert np.array_equal(np.tril(ws.JtJ, -1), np.tril(fill_JtJ, -1))
